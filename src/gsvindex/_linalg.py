@@ -25,7 +25,8 @@ def matmul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A]
+    nonzero = [j for j, x in enumerate(v) if x]
+    return [sum((row[j] * v[j] for j in nonzero), Fraction(0)) for row in A]
 
 
 def det(M):

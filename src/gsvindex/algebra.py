@@ -2,6 +2,9 @@
 
 A FiniteAlgebra is the localized quotient by a zero-dimensional ideal,
 carried by its staircase monomial basis and a full multiplication table.
+Coordinates in that basis come from the ideal's local standard basis by
+division truncated above the staircase's top degree
+(localstd.CanonicalQuotient); the unit ideal gives the zero algebra.
 A QuotientAlgebra is the further quotient by the annihilator of a fixed
 element, with deterministic coset representatives.
 """
@@ -87,12 +90,7 @@ def build_algebra(gens, order: "LocalOrder | None" = None,
             "quotient is not finite dimensional: some variable has no pure "
             "power in the leading ideal"
         )
-    if stairs.dimension == 0:
-        raise ValueError("ideal contains a unit; the quotient algebra is trivial")
-    canon = localstd.CanonicalQuotient(
-        list(sb.generators), stairs.basis_monomials, gens[0].nvars
-    )
-    return FiniteAlgebra(sb, stairs, canon)
+    return FiniteAlgebra(sb, stairs, localstd.CanonicalQuotient(sb, stairs))
 
 
 def mult_matrix(algebra, g: Polynomial):

@@ -11,7 +11,7 @@ degree-one coefficient of det(1 + t DX) / det(1 + t C).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -83,6 +83,7 @@ class CoordinateNormalization:
     transform: tuple  # row tuples of Fraction
     problem: Problem  # the transformed problem
     attempts_used: int
+    algebra: FiniteAlgebra = field(compare=False, repr=False)  # B0 of `problem`
 
     @property
     def is_identity(self) -> bool:
@@ -198,6 +199,23 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
         yield tuple(tuple(r) for r in random_unimodular(nvars, rng))
 
 
+def _normalize_with(problem: Problem, A, attempts_used: int):
+    """The normalization by A with its algebra B0, or None if B0 is infinite.
+
+    A degree-cap overrun also yields None: the search moves on to the next
+    coordinate change instead of reporting a verdict on this one.
+    """
+    transformed = _substitute_problem(problem, A)
+    try:
+        B0 = build_algebra(list(transformed.f) + [transformed.X[0]])
+    except (InfiniteDimensionError, DegreeCapExceededError):
+        return None
+    return CoordinateNormalization(
+        transform=A, problem=transformed, attempts_used=attempts_used,
+        algebra=B0,
+    )
+
+
 def ensure_regular_sequence(problem: Problem, seed: int = 0,
                             max_attempts: int = 25) -> CoordinateNormalization:
     """Find coordinates in which (f_1, ..., f_q, X_1) is zero-dimensional.
@@ -209,17 +227,9 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
     attempts = 0
     for A in _candidate_transforms(problem.nvars, seed, max_attempts):
         attempts += 1
-        transformed = _substitute_problem(problem, A)
-        try:
-            dim = quotient_dimension(
-                list(transformed.f) + [transformed.X[0]]
-            )
-        except DegreeCapExceededError:
-            continue
-        if dim != INFINITE:
-            return CoordinateNormalization(
-                transform=A, problem=transformed, attempts_used=attempts
-            )
+        norm = _normalize_with(problem, A, attempts)
+        if norm is not None:
+            return norm
     raise NormalizationError(
         f"no coordinate change out of {attempts} made (f, X_1) "
         "zero-dimensional; the zero on the curve is likely not isolated"
@@ -319,6 +329,10 @@ def _require_curve(problem: Problem):
             f"index formulas apply to curves only (need q = n-1, got q={q}, "
             f"n={n}); they are known to fail for deeper complete intersections"
         )
+    if any(fi.constant_term != 0 for fi in problem.f):
+        raise ShapeError(
+            "the curve does not pass through the origin: some f_i(0) != 0"
+        )
 
 
 def _check_tangency(problem: Problem):
@@ -331,10 +345,9 @@ def _curve_algebra_data(norm: CoordinateNormalization):
     """(B0, DF, trailing-minor dims) for the normalized problem."""
     P = norm.problem
     n, q = P.nvars, P.ncurve_eqs
-    B0 = build_algebra(list(P.f) + [P.X[0]])
     DF = minor_det(jacobian(list(P.f), n), list(range(q)), list(range(1, n)))
-    C0 = annihilator_quotient(B0, DF)
-    return B0, DF, C0
+    C0 = annihilator_quotient(norm.algebra, DF)
+    return norm.algebra, DF, C0
 
 
 def complex_gsv_index(problem: Problem, seed: int = 0, max_attempts: int = 25,
@@ -680,20 +693,9 @@ def coordinate_invariance_check(problem: Problem, seed: int = 0,
     while done < trials and attempts < trials * 20:
         attempts += 1
         A = random_unimodular(problem.nvars, rng)
-        transformed = _substitute_problem(problem, A)
-        try:
-            dim = quotient_dimension(
-                list(transformed.f) + [transformed.X[0]]
-            )
-        except DegreeCapExceededError:
+        norm = _normalize_with(problem, tuple(tuple(r) for r in A), 1)
+        if norm is None:
             continue
-        if dim == INFINITE:
-            continue
-        norm = CoordinateNormalization(
-            transform=tuple(tuple(r) for r in A),
-            problem=transformed,
-            attempts_used=1,
-        )
         _, _, C0 = _curve_algebra_data(norm)
         if C0.dim != base.dim_C0:
             return False

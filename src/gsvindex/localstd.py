@@ -13,6 +13,13 @@ Every division is certified. A basis element b_i comes with a row
 
 exactly, with denominator_i(0) != 0, and membership witnesses have the
 same shape. Witness identities are re-verified before being returned.
+
+The same basis gives exact coordinates when the quotient is finite. If the
+staircase has top degree delta, every monomial of degree delta+1 lies in
+the localized ideal (the highest corner), so CanonicalQuotient divides in
+the local order and drops every term of degree above delta. That division
+terminates, needs no unit denominators, and its remainder is the unique
+staircase representative of the class.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _groebner
 from .errors import DegreeCapExceededError
 from .poly import (
     Monomial,
@@ -282,10 +288,37 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     return StandardBasis(order=order, generators=gens, basis=basis, lift=lift)
 
 
+def staircase_monomials(lms, nvars):
+    """Monomials below the staircase of the leading ideal, or None if infinite."""
+    bounds = []
+    for i in range(nvars):
+        pure = [
+            m[i]
+            for m in lms
+            if all(e == 0 for k, e in enumerate(m) if k != i)
+        ]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == nvars:
+            m = tuple(prefix)
+            if not any(mono_divides(lm, m) for lm in lms):
+                out.append(m)
+            return
+        for e in range(bounds[len(prefix)]):
+            rec(prefix + [e])
+
+    rec([])
+    return out
+
+
 def staircase(sb: StandardBasis) -> Staircase:
     lms = sb.leading_monomials
     nvars = sb.basis[0].nvars
-    monos = _groebner.staircase_monomials(lms, nvars)
+    monos = staircase_monomials(lms, nvars)
     if monos is None:
         return Staircase(lms, None, False)
     ordered = tuple(sb.order.sort_descending(monos))
@@ -352,8 +385,7 @@ def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
     """
     st = staircase(sb)
     if st.finite:
-        canon = _canonical_for(sb, st)
-        coords = canon.coordinates(p)
+        coords = CanonicalQuotient(sb, st).coordinates(p)
         out = Polynomial.zero(p.nvars)
         for c, m in zip(coords, st.basis_monomials):
             if c:
@@ -376,67 +408,65 @@ def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
 class CanonicalQuotient:
     """Exact coordinates in a finite-dimensional localized quotient.
 
-    The localized quotient equals the plain quotient by I + m^(delta+1)
-    (delta = max staircase degree): that ideal is already local-artinian,
-    so ordinary global-order division gives canonical linear algebra.
-    Coordinates are expressed in the local staircase monomial basis.
+    Truncated local division (see the module docstring): a leading-ideal
+    monomial is rewritten by the first basis element whose leading monomial
+    divides it, and every term above delta, the top staircase degree, is
+    dropped because m^(delta+1) lies in the localized ideal (Greuel-Pfister,
+    A Singular Introduction to Commutative Algebra, 1.6-1.7). Construction
+    checks that every generator gets zero coordinates.
     """
 
-    def __init__(self, generators, staircase_monomials_desc, nvars):
-        from . import _linalg
-
-        self.nvars = nvars
-        self.monomials = tuple(staircase_monomials_desc)
-        d = len(self.monomials)
-        delta = max((mono_degree(m) for m in self.monomials), default=0)
-        bound = [
-            Polynomial.term(nvars, m, 1)
-            for m in monomials_of_degree(nvars, delta + 1)
-        ]
-        self.gb = _groebner.buchberger(list(generators) + bound)
-        self.gb_lms = [_groebner.leading(g)[0] for g in self.gb]
-        global_stairs = _groebner.staircase_monomials(self.gb_lms, nvars)
-        if global_stairs is None or len(global_stairs) != d:
-            raise AssertionError(
-                "bounded global quotient disagrees with the local staircase"
-            )
-        self._gidx = {m: i for i, m in enumerate(sorted(global_stairs))}
-        self._gmonos = sorted(global_stairs)
-        self._mono_cache = {}
-        cols = [self._global_coords_mono(m) for m in self.monomials]
-        M = [[cols[j][i] for j in range(d)] for i in range(d)]
-        self._to_local = _linalg.inverse(M)
-        self._mono_cache = {}
-
-    def _global_coords(self, p: Polynomial):
-        r = _groebner.divide(p, self.gb, self.gb_lms)
-        v = [Fraction(0)] * len(self._gmonos)
-        for m, c in r.terms.items():
-            v[self._gidx[m]] = c
-        return v
-
-    def _global_coords_mono(self, m):
-        if m not in self._mono_cache:
-            self._mono_cache[m] = self._global_coords(
-                Polynomial.term(self.nvars, m, 1)
-            )
-        return self._mono_cache[m]
+    def __init__(self, sb: StandardBasis, stairs: Staircase):
+        self.index = {m: i for i, m in enumerate(stairs.basis_monomials)}
+        self.delta = max(map(mono_degree, stairs.basis_monomials), default=-1)
+        nvars = sb.basis[0].nvars
+        # every monomial of degree <= delta, ranked from largest to smallest
+        self._monos = sb.order.sort_descending(
+            m for e in range(self.delta + 1) for m in monomials_of_degree(nvars, e)
+        )
+        self._rank = {m: r for r, m in enumerate(self._monos)}
+        self._reducers = []
+        for b, lm in zip(sb.basis, sb.leading_monomials):
+            tail = [(m, c) for m, c in b.terms.items()
+                    if m != lm and mono_degree(m) <= self.delta]
+            self._reducers.append((lm, b.terms[lm], tail))
+        for g in sb.generators:
+            if any(self.coordinates(g)):
+                raise AssertionError(
+                    "a generator has nonzero coordinates in its own quotient"
+                )
 
     def coordinates(self, p: Polynomial):
         """Coordinates of the class of p in the local staircase basis."""
-        from . import _linalg
-
-        return _linalg.mat_vec(self._to_local, self._global_coords(p))
-
-
-_CANONICAL_CACHE: "dict[StandardBasis, CanonicalQuotient]" = {}
-
-
-def _canonical_for(sb: StandardBasis, st: Staircase) -> CanonicalQuotient:
-    canon = _CANONICAL_CACHE.get(sb)
-    if canon is None:
-        canon = CanonicalQuotient(
-            list(sb.generators), st.basis_monomials, sb.basis[0].nvars
-        )
-        _CANONICAL_CACHE[sb] = canon
-    return canon
+        rank, work = self._rank, {}
+        for m, c in p.terms.items():
+            r = rank.get(m)  # None above degree delta: such terms are in I
+            if r is not None:
+                work[r] = c
+        heap = list(work)
+        heapq.heapify(heap)
+        out = [Fraction(0)] * len(self.index)
+        while heap:
+            r = heapq.heappop(heap)
+            c = work.pop(r)
+            if not c:
+                continue
+            m = self._monos[r]
+            i = self.index.get(m)
+            if i is not None:
+                out[i] = c
+                continue
+            lm, lc, tail = next(
+                red for red in self._reducers if mono_divides(red[0], m)
+            )
+            q, f = mono_div(m, lm), c / lc
+            for tm, tc in tail:
+                r2 = rank.get(mono_mul(q, tm))
+                if r2 is None:
+                    continue
+                if r2 in work:
+                    work[r2] -= f * tc
+                else:
+                    work[r2] = -f * tc
+                    heapq.heappush(heap, r2)
+        return out

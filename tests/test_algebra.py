@@ -7,13 +7,20 @@ from gsvindex import (
     Polynomial,
     annihilator_quotient,
     build_algebra,
+    ideal_membership,
+    linear_substitute,
     mult_matrix,
     quotient_dimension,
     socle,
     solve_multiplication,
+    transform_vector_field,
 )
 from gsvindex import _linalg
 from gsvindex.errors import InfiniteDimensionError
+from gsvindex.index import random_unimodular
+from gsvindex.poly import monomials_of_degree
+
+from problems import dk_problem
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -39,6 +46,32 @@ def test_build_algebra_examples():
 def test_build_algebra_rejects_infinite():
     with pytest.raises(InfiniteDimensionError):
         build_algebra([y - x * x])
+
+
+def test_coordinates_over_dense_bases():
+    # after a unimodular change every standard-basis element is dense, so
+    # each coordinate vector comes out of a long truncated reduction
+    P = dk_problem(5, 4)
+    A = random_unimodular(2, random.Random(2))
+    gens = [linear_substitute(P.f[0], A), transform_vector_field(list(P.X), A)[0]]
+    B = build_algebra(gens)
+    assert B.dim == 19 and min(len(b.terms) for b in B.sb.basis) >= 9
+    delta = max(sum(m) for m in B.basis)
+    rng = random.Random(11)
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = rng.randint(0, delta + 2)
+            a = rng.randint(0, e)
+            terms[(a, e - a)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        p = Polynomial(2, terms)
+        member, _ = ideal_membership(p - B.from_coords(B.coords(p)), gens)
+        assert member
+    for i, m in enumerate(B.basis):
+        unit = [Fraction(int(j == i)) for j in range(B.dim)]
+        assert B.coords(Polynomial.term(2, m, 1)) == unit
+    for m in monomials_of_degree(2, delta + 1):
+        assert not any(B.coords(Polynomial.term(2, m, 1)))
 
 
 def test_mult_table_symmetric_and_unital():

@@ -159,6 +159,26 @@ def test_compute_normalization_failure(tmp_path):
     assert code == EXIT_NORMALIZATION
 
 
+def test_compute_regular_point_has_index_zero(tmp_path):
+    # X(0) != 0: (f, X_1) is the unit ideal, B0 = 0 and the index is 0
+    for field in ("complex", "real"):
+        reg = tmp_path / f"regular_{field}.prob"
+        reg.write_text(f"ring: x, y\nfield: {field}\nf: y\nX: 1; 0\nC: [0]\n")
+        code, out = cmd_compute(
+            str(reg), json_output=True, check_good=True, deform=True
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["index"] == 0 and doc["dim_B0"] == 0 and doc["dim_C0"] == 0
+
+
+def test_compute_curve_missing_origin(tmp_path):
+    off = tmp_path / "off.prob"
+    off.write_text("ring: x, y\nfield: complex\nf: y - 1\nX: x; 0\nC: [0]\n")
+    code, out = cmd_compute(str(off))
+    assert code == EXIT_SHAPE and "origin" in out
+
+
 def test_el_examples(tmp_path):
     code, out = cmd_el(
         str(CORPUS_DIR / "el_plane_quadratic_real.prob"), json_output=True
