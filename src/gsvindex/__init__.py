@@ -1,9 +1,9 @@
 """Exact indices of vector fields tangent to complete-intersection curves.
 
 Everything is computed in exact rational arithmetic: local standard bases
-(Mora's tangent-cone algorithm), finite quotient algebras with full
-multiplication tables, annihilator quotients, and exact signatures of the
-induced bilinear pairings.
+(Mora's tangent-cone algorithm), finite quotient algebras carried by their
+variable multiplication matrices, annihilator quotients, and exact
+signatures of the induced bilinear pairings.
 """
 
 __version__ = "0.1.0"

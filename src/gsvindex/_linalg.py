@@ -119,7 +119,8 @@ def solve(M, b):
 
 def inverse(M):
     n = len(M)
-    aug = [list(map(Fraction, row)) + list(identity(n)[i]) for i, row in enumerate(M)]
+    eye = identity(n)
+    aug = [list(map(Fraction, row)) + eye[i] for i, row in enumerate(M)]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

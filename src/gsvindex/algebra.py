@@ -1,22 +1,53 @@
 """Finite-dimensional local quotient algebras as exact linear algebra.
 
 A FiniteAlgebra is the localized quotient by a zero-dimensional ideal,
-carried by its staircase monomial basis and a full multiplication table.
-Coordinates in that basis come from the ideal's local standard basis by
+carried by its staircase monomial basis b_1 = 1, ..., b_d and by its n
+variable multiplication matrices M_k: column i of M_k holds the coordinates
+of x_k * b_i, a unit vector whenever x_k * b_i is itself a staircase
+monomial. Coordinates come from the ideal's local standard basis by
 division truncated above the staircase's top degree
 (localstd.CanonicalQuotient); the unit ideal gives the zero algebra.
+
+The staircase is an order ideal, so every basis monomial other than 1 is
+x_k times an earlier one, and anything indexed by the basis follows from
+its value at 1 by the staircase recurrence. The matrix of multiplication by
+g has columns coords(g * b_i), with coords(g * x_k * b_a) = M_k coords(g *
+b_a); the Gram rows w_a[b] = l(b_a * b_b) of a functional l satisfy
+w_{a+e_k} = w_a M_k. Neither needs the d x d x d multiplication table,
+which is derived only when `mult_table` is first read.
+
 A QuotientAlgebra is the further quotient by the annihilator of a fixed
-element, with deterministic coset representatives.
+element, with deterministic coset representatives. Its Gram matrix is read
+off the parent's recurrence for the pulled-back functional l o projection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg, localstd
 from .errors import InfiniteDimensionError
 from .poly import Polynomial
 from .localstd import LocalOrder, Staircase, StandardBasis
+
+
+def _multiply(table, u, v):
+    """Product of two coordinate vectors via a multiplication table."""
+    d = len(u)
+    out = [Fraction(0)] * d
+    for i in range(d):
+        if not u[i]:
+            continue
+        for j in range(d):
+            if not v[j]:
+                continue
+            f = u[i] * v[j]
+            row = table[i][j]
+            for k in range(d):
+                if row[k]:
+                    out[k] += f * row[k]
+    return out
 
 
 class FiniteAlgebra:
@@ -29,18 +60,58 @@ class FiniteAlgebra:
         self.dim = len(self.basis)
         self.nvars = sb.basis[0].nvars
         self._canon = canonical
-        d = self.dim
-        self.mult_table = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i + 1):
-                prod = Polynomial.term(
-                    self.nvars,
-                    tuple(a + b for a, b in zip(self.basis[i], self.basis[j])),
-                    1,
-                )
-                vec = tuple(self._canon.coordinates(prod))
-                self.mult_table[i][j] = vec
-                self.mult_table[j][i] = vec
+        index = canonical.index
+        # var_matrices[k][i], column i of M_k: the index j when x_k * b_i is
+        # the staircase monomial b_j, otherwise the sparse coordinates
+        # ((row, coeff), ...) of x_k * b_i
+        self.var_matrices = tuple(
+            tuple(self._column(self._shift(m, k), index) for m in self.basis)
+            for k in range(self.nvars)
+        )
+        # b_i = x_k * b_a with a < i, for each i >= 1 (1 comes first)
+        steps = []
+        for m in self.basis[1:]:
+            k = next(t for t, e in enumerate(m) if e)
+            steps.append((k, index[self._shift(m, k, -1)]))
+        self._steps = tuple(steps)
+
+    @staticmethod
+    def _shift(m, k, by=1):
+        return m[:k] + (m[k] + by,) + m[k + 1:]
+
+    def _column(self, m, index):
+        if m in index:
+            return index[m]
+        coords = self._canon.coordinates(Polynomial.term(self.nvars, m, 1))
+        return tuple((r, c) for r, c in enumerate(coords) if c)
+
+    def _walk(self, start, step):
+        """[v_1, ..., v_d] with v_1 = start and v_i = step(v_a, k) for b_i = x_k b_a."""
+        if not self.dim:
+            return []
+        out = [start]
+        for k, a in self._steps:
+            out.append(step(out[a], k))
+        return out
+
+    def _times_variable(self, v, k):
+        """M_k v: coordinates of x_k times the element with coordinates v."""
+        out = [Fraction(0)] * self.dim
+        for vb, col in zip(v, self.var_matrices[k]):
+            if not vb:
+                continue
+            if type(col) is int:
+                out[col] += vb
+            else:
+                for r, c in col:
+                    out[r] += vb * c
+        return out
+
+    def _row_times_variable(self, w, k):
+        """w M_k: the functional b -> w(x_k * b)."""
+        return [w[col] if type(col) is int
+                else sum((w[r] * c for r, c in col), Fraction(0))
+                for col in self.var_matrices[k]]
 
     def coords(self, p: Polynomial):
         """Coordinates of the class of p in the staircase basis."""
@@ -53,22 +124,36 @@ class FiniteAlgebra:
                 out = out + Polynomial.term(self.nvars, m, c)
         return out
 
+    def product_columns(self, g: Polynomial):
+        """[coords(g * b_1), ..., coords(g * b_d)] by the staircase recurrence."""
+        return self._walk(self.coords(g), self._times_variable)
+
+    def mult_matrix(self, g: Polynomial):
+        """Matrix of the map [h] -> [g*h] (columns = images of the basis)."""
+        cols = self.product_columns(g)
+        return [[col[i] for col in cols] for i in range(self.dim)]
+
+    def gram_rows(self, l):
+        """Rows w_a[b] = l(b_a * b_b) of the pairing induced by the functional l."""
+        return self._walk(list(l), self._row_times_variable)
+
+    def gram_matrix(self, l):
+        return tuple(tuple(row) for row in self.gram_rows(l))
+
+    @cached_property
+    def mult_table(self):
+        """mult_table[i][j] = coords(b_i * b_j), derived on first access."""
+        d = self.dim
+        table = []
+        for i in range(d):
+            unit = [Fraction(int(t == i)) for t in range(d)]
+            table.append([tuple(col) for col in
+                          self._walk(unit, self._times_variable)])
+        return table
+
     def multiply_coords(self, u, v):
         """Product of two coordinate vectors via the multiplication table."""
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j]:
-                    continue
-                f = u[i] * v[j]
-                row = self.mult_table[i][j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += f * row[k]
-        return out
+        return _multiply(self.mult_table, u, v)
 
     def variable_classes(self):
         return [
@@ -79,7 +164,7 @@ class FiniteAlgebra:
 
 def build_algebra(gens, order: "LocalOrder | None" = None,
                   degree_cap: int = localstd.DEFAULT_DEGREE_CAP) -> FiniteAlgebra:
-    """Quotient algebra by (gens), with its full multiplication table."""
+    """Quotient algebra by (gens), with its variable multiplication matrices."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise InfiniteDimensionError("zero ideal has an infinite quotient")
@@ -95,19 +180,7 @@ def build_algebra(gens, order: "LocalOrder | None" = None,
 
 def mult_matrix(algebra, g: Polynomial):
     """Matrix of the map [h] -> [g*h] in the algebra's basis (columns = images)."""
-    return algebra.mult_matrix(g) if isinstance(algebra, QuotientAlgebra) \
-        else _mult_matrix_finite(algebra, g)
-
-
-def _mult_matrix_finite(A: FiniteAlgebra, g: Polynomial):
-    d = A.dim
-    gc = A.coords(g)
-    cols = []
-    for j in range(d):
-        e = [Fraction(0)] * d
-        e[j] = Fraction(1)
-        cols.append(A.multiply_coords(gc, e))
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    return algebra.mult_matrix(g)
 
 
 class QuotientAlgebra:
@@ -121,7 +194,7 @@ class QuotientAlgebra:
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
         self.element = g
-        M = _mult_matrix_finite(parent, g)
+        M = parent.mult_matrix(g)
         kernel = _linalg.nullspace(M, ncols=parent.dim)
         rows, pivots = _linalg.rref(kernel)
         self.kernel_basis = [tuple(r) for r in rows]
@@ -140,19 +213,6 @@ class QuotientAlgebra:
                 row[p] -= krow[cj]
             proj.append(row)
         self.projection = proj
-        d = self.dim
-        self.mult_table = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i + 1):
-                vec = tuple(
-                    self.project(
-                        parent.mult_table[self.complement_indices[i]][
-                            self.complement_indices[j]
-                        ]
-                    )
-                )
-                self.mult_table[i][j] = vec
-                self.mult_table[j][i] = vec
 
     def project(self, parent_coords):
         return _linalg.mat_vec(self.projection, list(parent_coords))
@@ -170,31 +230,32 @@ class QuotientAlgebra:
                 )
         return out
 
+    def gram_matrix(self, l):
+        """G_ij = l(e_i * e_j): the parent's Gram rows for l o projection,
+        restricted to the complement indices (each e_i is a staircase
+        monomial, so this is the same matrix entry for entry)."""
+        pulled = [sum((a * row[b] for a, row in zip(l, self.projection) if a),
+                      Fraction(0))
+                  for b in range(self.parent.dim)]
+        rows = self.parent.gram_rows(pulled)
+        idx = self.complement_indices
+        return tuple(tuple(rows[i][j] for j in idx) for i in idx)
+
+    @cached_property
+    def mult_table(self):
+        """mult_table[i][j] = coords(e_i * e_j), derived on first access."""
+        parent_table = self.parent.mult_table
+        idx = self.complement_indices
+        return [[tuple(self.project(parent_table[i][j])) for j in idx]
+                for i in idx]
+
     def multiply_coords(self, u, v):
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j]:
-                    continue
-                f = u[i] * v[j]
-                row = self.mult_table[i][j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += f * row[k]
-        return out
+        return _multiply(self.mult_table, u, v)
 
     def mult_matrix(self, g: Polynomial):
-        gc = self.coords(g)
-        d = self.dim
-        cols = []
-        for j in range(d):
-            e = [Fraction(0)] * d
-            e[j] = Fraction(1)
-            cols.append(self.multiply_coords(gc, e))
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        cols = self.parent.product_columns(g)
+        images = [self.project(cols[c]) for c in self.complement_indices]
+        return [[col[i] for col in images] for i in range(self.dim)]
 
     def variable_classes(self):
         return [

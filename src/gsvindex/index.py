@@ -442,6 +442,8 @@ def eisenbud_levine_index(g, seed: "int | None" = None):
     if len(g) != n:
         raise ShapeError("the map must be square (n components in n variables)")
     Q = build_algebra(g)
+    if Q.dim == 0:  # the map does not vanish at the origin: a regular point
+        return 0, SignatureResult(0, 0, 0)
     Jg = minor_det(jacobian(g, n), list(range(n)), list(range(n)))
     if all(v == 0 for v in Q.coords(Jg)):
         raise JacobianZeroClassError(
@@ -472,11 +474,14 @@ def is_good_sufficient(f, C: PolyMatrix) -> GoodnessResult:
     minors = tuple(
         minor_det(Df, list(range(q)), list(cols)) for cols in columns
     )
+    sb = None  # one standard basis of the minors serves every entry
     witnesses = {}
     for lrow in range(C.rows):
         for m in range(C.cols):
             entry = C.entry(lrow, m)
-            ok, witness = localstd.ideal_membership(entry, minors)
+            if sb is None and not entry.is_zero:
+                sb = localstd.standard_basis(minors)
+            ok, witness = localstd.membership_by_basis(entry, sb, minors)
             if not ok:
                 return GoodnessResult(status="unknown")
             witnesses[(lrow, m)] = witness

@@ -356,13 +356,23 @@ def ideal_membership(p: Polynomial, gens, order: "LocalOrder | None" = None):
     Returns (bool, MembershipWitness | None). The witness identity
     denominator*p == sum coeff_j*gen_j is re-verified before returning.
     """
+    if p.is_zero:
+        return membership_by_basis(p, None, gens)
+    return membership_by_basis(p, standard_basis(gens, order), gens)
+
+
+def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
+    """ideal_membership of p in (gens), given sb, a standard basis of (gens).
+
+    One basis built by the caller serves many tests; sb is not read (and may
+    be None) when p is zero. The witness is re-verified as in ideal_membership.
+    """
     gens = tuple(gens)
     if p.is_zero:
         n = p.nvars
         return True, MembershipWitness(
             Polynomial.one(n), tuple(Polynomial.zero(n) for _ in gens)
         )
-    sb = standard_basis(gens, order)
     h, den, vec = _mora_weak_nf(p, list(sb.basis), sb.order)
     if not h.is_zero:
         return False, None

@@ -377,25 +377,10 @@ def _det_bareiss(sub) -> Polynomial:
     return det if sign == 1 else -det
 
 
-def _det_cofactor(sub) -> Polynomial:
-    k = len(sub)
-    nvars = sub[0][0].nvars
-    if k == 1:
-        return sub[0][0]
-    total = Polynomial.zero(nvars)
-    for j in range(k):
-        if sub[0][j].is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
-        piece = sub[0][j] * _det_cofactor(minor)
-        total = total + piece if j % 2 == 0 else total - piece
-    return total
-
-
 def minor_det(matrix: PolyMatrix, rows, cols) -> Polynomial:
     """Determinant of the submatrix selected by equal-length index lists.
 
-    Bareiss for k <= 4, cofactor expansion for larger k; both exact.
+    Fraction-free Bareiss elimination for every size, exact.
     """
     rows = list(rows)
     cols = list(cols)
@@ -412,9 +397,7 @@ def minor_det(matrix: PolyMatrix, rows, cols) -> Polynomial:
     if k == 0:
         return Polynomial.one(nvars)
     sub = [[matrix.entry(r, c) for c in cols] for r in rows]
-    if k <= 4:
-        return _det_bareiss(sub)
-    return _det_cofactor(sub)
+    return _det_bareiss(sub)
 
 
 def linear_substitute(p: Polynomial, A) -> Polynomial:

@@ -118,15 +118,12 @@ def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):
 
 
 def gram_of_form(C, l) -> GramForm:
-    """Gram matrix G_ij = l(e_i * e_j) of the induced pairing."""
+    """Gram matrix G_ij = l(e_i * e_j) of the induced pairing.
+
+    The algebra reads it off its staircase recurrence (algebra module), so
+    no multiplication table is built.
+    """
     d = C.dim
     if len(l) != d:
         raise ValueError("functional has the wrong number of coordinates")
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = C.mult_table[i][j]
-            row.append(sum((a * b for a, b in zip(l, prod)), Fraction(0)))
-        rows.append(tuple(row))
-    return GramForm(dim=d, matrix=tuple(rows))
+    return GramForm(dim=d, matrix=C.gram_matrix(l))

@@ -7,6 +7,8 @@ from gsvindex import (
     Polynomial,
     annihilator_quotient,
     build_algebra,
+    eisenbud_levine_index,
+    gram_of_form,
     ideal_membership,
     linear_substitute,
     mult_matrix,
@@ -19,6 +21,7 @@ from gsvindex import _linalg
 from gsvindex.errors import InfiniteDimensionError
 from gsvindex.index import random_unimodular
 from gsvindex.poly import monomials_of_degree
+from gsvindex.sigform import SignatureResult
 
 from problems import dk_problem
 
@@ -214,3 +217,71 @@ def test_solve_multiplication_examples():
     assert solve_multiplication(A, x, one) is None
     v = x + y + x * x
     assert solve_multiplication(A, one, v) == A.coords(v)
+
+
+def _dense_var_matrix(A, k):
+    """M_k as a dense matrix from its columns (an int column is a unit vector)."""
+    M = [[Fraction(0)] * A.dim for _ in range(A.dim)]
+    for i, col in enumerate(A.var_matrices[k]):
+        for r, c in ([(col, Fraction(1))] if isinstance(col, int) else col):
+            M[r][i] = c
+    return M
+
+
+def _dense_dk_algebra():
+    # dk(5,4) after a unimodular change: dense bases, many non-unit columns
+    P = dk_problem(5, 4)
+    A = random_unimodular(2, random.Random(2))
+    f = linear_substitute(P.f[0], A)
+    B = build_algebra([f, transform_vector_field(list(P.X), A)[0]])
+    return B, f.diff(1)
+
+
+def test_variable_matrices_are_coordinates_and_commute():
+    B, _ = _dense_dk_algebra()
+    mats = [_dense_var_matrix(B, k) for k in range(2)]
+    assert any(not isinstance(c, int) for c in B.var_matrices[0])
+    for k, M in enumerate(mats):
+        for i, m in enumerate(B.basis):
+            shifted = tuple(e + (t == k) for t, e in enumerate(m))
+            column = [M[r][i] for r in range(B.dim)]
+            assert column == B.coords(Polynomial.term(2, shifted, 1))
+        assert mult_matrix(B, Polynomial.variable(2, k)) == M
+    for M in mats:
+        for N in mats:
+            assert _linalg.matmul(M, N) == _linalg.matmul(N, M)
+
+
+def test_mult_matrix_matches_table():
+    B, DF = _dense_dk_algebra()
+    d = B.dim
+    for g in (x, one + x * y, 3 * one - y * y + x ** 3, DF):
+        gc = B.coords(g)
+        cols = [B.multiply_coords(gc, [Fraction(int(t == j)) for t in range(d)])
+                for j in range(d)]
+        assert mult_matrix(B, g) == [[cols[j][i] for j in range(d)]
+                                     for i in range(d)]
+
+
+def test_gram_matches_table_on_annihilator_quotient():
+    B, DF = _dense_dk_algebra()
+    C0 = annihilator_quotient(B, DF)
+    assert 0 < C0.dim < B.dim
+    rng = random.Random(7)
+    for _ in range(10):
+        l = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+             for _ in range(C0.dim)]
+        expected = tuple(
+            tuple(sum((a * b for a, b in zip(l, C0.mult_table[i][j])),
+                      Fraction(0)) for j in range(C0.dim))
+            for i in range(C0.dim)
+        )
+        assert gram_of_form(C0, l).matrix == expected
+
+
+def test_zero_algebra_builds_and_has_index_zero():
+    A = build_algebra([one + x, y])
+    assert A.dim == 0 and A.basis == () and mult_matrix(A, x) == []
+    C = annihilator_quotient(A, one)
+    assert C.dim == 0 and gram_of_form(C, ()).matrix == ()
+    assert eisenbud_levine_index([one + x, y]) == (0, SignatureResult(0, 0, 0))

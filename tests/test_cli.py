@@ -259,3 +259,14 @@ def test_console_module_invocation():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["index"] == 1
+
+
+def test_el_nonvanishing_map_agrees_across_modes(tmp_path):
+    # g(0) != 0: the local algebra is zero and both modes give index 0
+    unit = tmp_path / "unit.prob"
+    unit.write_text("ring: x, y\nfield: real\ng: 1 + x; y\n")
+    for mode in ("complex", "real"):
+        code, out = cmd_el(str(unit), json_output=True, mode=mode)
+        assert code == EXIT_OK, out
+        doc = json.loads(out)
+        assert doc["index"] == 0 and doc["dim_B0"] == 0

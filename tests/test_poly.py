@@ -177,3 +177,34 @@ def test_render_parse_roundtrip():
     for _ in range(60):
         p = random_poly(rng)
         assert parse_poly(p.render(), ["x", "y"]) == p
+
+
+def _prod(polys):
+    out = Polynomial.one(polys[0].nvars)
+    for p in polys:
+        out = out * p
+    return out
+
+
+def test_minor_det_vandermonde_5x5():
+    one = Polynomial.one(2)
+    nodes = [Polynomial.zero(2), x, y, x + y, x - 2 * y + one]
+    M = PolyMatrix(5, 5, [v ** j for v in nodes for j in range(5)])
+    expected = _prod([nodes[j] - nodes[i]
+                      for i in range(5) for j in range(i + 1, 5)])
+    assert minor_det(M, range(5), range(5)) == expected
+
+
+def test_minor_det_permuted_triangular_6x6_needs_row_swaps():
+    # upper triangular U with polynomial diagonal, rows cycled so that the
+    # first pivot (and each later one) is zero until rows are swapped
+    rng = random.Random(5)
+    one = Polynomial.one(2)
+    diag = [x + one, y, x * y, x - y, one + y * y, 2 * x]
+    U = [[diag[i] if i == j else
+          (random_poly(rng, max_deg=2) if j > i else Polynomial.zero(2))
+          for j in range(6)] for i in range(6)]
+    cycled = U[1:] + U[:1]  # a 6-cycle of rows: sign -1
+    M = PolyMatrix(6, 6, [e for row in cycled for e in row])
+    assert M.entry(0, 0).is_zero
+    assert minor_det(M, range(6), range(6)) == -_prod(diag)
