@@ -143,13 +143,9 @@ class FiniteAlgebra:
     @cached_property
     def mult_table(self):
         """mult_table[i][j] = coords(b_i * b_j), derived on first access."""
-        d = self.dim
-        table = []
-        for i in range(d):
-            unit = [Fraction(int(t == i)) for t in range(d)]
-            table.append([tuple(col) for col in
-                          self._walk(unit, self._times_variable)])
-        return table
+        return [[tuple(col) for col in
+                 self.product_columns(Polynomial.term(self.nvars, m, 1))]
+                for m in self.basis]
 
     def multiply_coords(self, u, v):
         """Product of two coordinate vectors via the multiplication table."""

@@ -356,9 +356,8 @@ def ideal_membership(p: Polynomial, gens, order: "LocalOrder | None" = None):
     Returns (bool, MembershipWitness | None). The witness identity
     denominator*p == sum coeff_j*gen_j is re-verified before returning.
     """
-    if p.is_zero:
-        return membership_by_basis(p, None, gens)
-    return membership_by_basis(p, standard_basis(gens, order), gens)
+    sb = None if p.is_zero else standard_basis(gens, order)
+    return membership_by_basis(p, sb, gens)
 
 
 def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
