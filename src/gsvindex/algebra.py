@@ -151,12 +151,6 @@ class FiniteAlgebra:
         """Product of two coordinate vectors via the multiplication table."""
         return _multiply(self.mult_table, u, v)
 
-    def variable_classes(self):
-        return [
-            self.coords(Polynomial.variable(self.nvars, i))
-            for i in range(self.nvars)
-        ]
-
 
 def build_algebra(gens, order: "LocalOrder | None" = None,
                   degree_cap: int = localstd.DEFAULT_DEGREE_CAP) -> FiniteAlgebra:
@@ -190,6 +184,7 @@ class QuotientAlgebra:
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
         self.element = g
+        self.nvars = parent.nvars
         M = parent.mult_matrix(g)
         kernel = _linalg.nullspace(M, ncols=parent.dim)
         rows, pivots = _linalg.rref(kernel)
@@ -215,16 +210,6 @@ class QuotientAlgebra:
 
     def coords(self, p: Polynomial):
         return self.project(self.parent.coords(p))
-
-    def representative(self, coords) -> Polynomial:
-        """A polynomial whose class has the given quotient coordinates."""
-        out = Polynomial.zero(self.parent.nvars)
-        for c, idx in zip(coords, self.complement_indices):
-            if c:
-                out = out + Polynomial.term(
-                    self.parent.nvars, self.parent.basis[idx], c
-                )
-        return out
 
     def gram_matrix(self, l):
         """G_ij = l(e_i * e_j): the parent's Gram rows for l o projection,
@@ -253,12 +238,6 @@ class QuotientAlgebra:
         images = [self.project(cols[c]) for c in self.complement_indices]
         return [[col[i] for col in images] for i in range(self.dim)]
 
-    def variable_classes(self):
-        return [
-            self.coords(Polynomial.variable(self.parent.nvars, i))
-            for i in range(self.parent.nvars)
-        ]
-
 
 def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
     """A / ann_A(g), computed as the kernel of multiplication by g."""
@@ -274,8 +253,7 @@ def socle(algebra):
     """
     if algebra.dim == 0:
         return []
-    nvars = algebra.nvars if isinstance(algebra, FiniteAlgebra) \
-        else algebra.parent.nvars
+    nvars = algebra.nvars
     stacked = []
     for i in range(nvars):
         v = Polynomial.variable(nvars, i)

@@ -448,6 +448,13 @@ def _hash_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _gsv_entry(field: str):
+    """The GSV index entry point for a problem file's field."""
+    if field == "real":
+        return index_mod.real_gsv_index
+    return index_mod.complex_gsv_index
+
+
 def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
                 check_good=False, deform=False):
     """Run the tangency pipeline on one file. Returns (exit_code, output)."""
@@ -460,17 +467,10 @@ def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
         return EXIT_SHAPE, "error: this file declares a map 'g'; use the el command\n"
     started = time.perf_counter()
     try:
-        if pf.field == "real":
-            rep = index_mod.real_gsv_index(
-                pf.problem, seed=seed, max_attempts=max_attempts,
-                check_goodness=check_good, build_deformation=deform,
-            )
-        else:
-            rep = index_mod.complex_gsv_index(
-                pf.problem, seed=seed if seed is not None else 0,
-                max_attempts=max_attempts,
-                check_goodness=check_good, build_deformation=deform,
-            )
+        rep = _gsv_entry(pf.field)(
+            pf.problem, seed=seed, max_attempts=max_attempts,
+            check_goodness=check_good, build_deformation=deform,
+        )
     except TangencyError as exc:
         names = list(pf.variables)
         lines = ["error: the vector field is not tangent; residuals of Xf - Cf:"]
@@ -565,10 +565,7 @@ def _verify_case(prob_path: str):
             if sig is not None:
                 actual["signature"] = sig.signature
         else:
-            if pf.field == "real":
-                rep = index_mod.real_gsv_index(pf.problem)
-            else:
-                rep = index_mod.complex_gsv_index(pf.problem)
+            rep = _gsv_entry(pf.field)(pf.problem)
             actual = {
                 "index": rep.index,
                 "dim_B0": rep.dim_B0,

@@ -1,11 +1,15 @@
 """End-to-end index computations for vector fields tangent to curves.
 
-The complex index of a tangent field X on the curve {f_1 = ... = f_{n-1} = 0}
-is the dimension of C0 = B0 / ann(DF), where B0 is the local quotient by
-(f_1, ..., f_{n-1}, X_1) in coordinates making that ideal zero-dimensional
-and DF is the Jacobian minor on the trailing n-1 columns. The real index is
-the signature of the pairing induced on C0 by any functional positive on the
-degree-one coefficient of det(1 + t DX) / det(1 + t C).
+Both GSV indices of a tangent field X on the curve {f_1 = ... = f_{n-1} = 0}
+come from one construction, run by one driver. B0 is the local quotient by
+(f_1, ..., f_{n-1}, X_1) in coordinates making that ideal zero-dimensional,
+DF is the Jacobian minor on the trailing n-1 columns, C0 = B0 / ann(DF), and
+c1 is the degree-one coefficient of det(1 + t DX) / det(1 + t C). The fields
+differ only where the index is read off: the complex index is dim C0, the
+real index is the signature of the pairing (a, b) -> l(ab) on C0 for any
+functional l positive on the class of c1. The Eisenbud-Levine index of a
+map germ is the same signature on its local algebra, with l positive on the
+Jacobian determinant.
 """
 
 from __future__ import annotations
@@ -134,7 +138,6 @@ class IndexReport:
     goodness: "GoodnessResult | None" = None
     deformation: "tuple | None" = None
     deformation_vars: "tuple | None" = None
-    seed: "int | None" = None
 
 
 def verify_tangency(f, X, C: PolyMatrix):
@@ -200,16 +203,13 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
 
 
 def _normalize_with(problem: Problem, A, attempts_used: int):
-    """The normalization by A with its algebra B0, or None if B0 is infinite.
+    """The normalization by A with its algebra B0.
 
-    A degree-cap overrun also yields None: the search moves on to the next
-    coordinate change instead of reporting a verdict on this one.
+    Raises InfiniteDimensionError when B0 is infinite and
+    DegreeCapExceededError when the standard basis overruns the degree cap.
     """
     transformed = _substitute_problem(problem, A)
-    try:
-        B0 = build_algebra(list(transformed.f) + [transformed.X[0]])
-    except (InfiniteDimensionError, DegreeCapExceededError):
-        return None
+    B0 = build_algebra(list(transformed.f) + [transformed.X[0]])
     return CoordinateNormalization(
         transform=A, problem=transformed, attempts_used=attempts_used,
         algebra=B0,
@@ -222,104 +222,64 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
 
     Tries the identity, then all coordinate permutations, then seeded random
     unimodular integer matrices; the search order is fixed so reports are
-    reproducible.
+    reproducible. An attempt that hits the degree cap is skipped like an
+    infinite one, but the final error counts the two apart: only infinite
+    attempts are evidence that the zero is not isolated.
     """
-    attempts = 0
-    for A in _candidate_transforms(problem.nvars, seed, max_attempts):
-        attempts += 1
-        norm = _normalize_with(problem, A, attempts)
-        if norm is not None:
-            return norm
+    infinite = capped = 0
+    for attempts, A in enumerate(
+        _candidate_transforms(problem.nvars, seed, max_attempts), start=1
+    ):
+        try:
+            return _normalize_with(problem, A, attempts)
+        except InfiniteDimensionError:
+            infinite += 1
+        except DegreeCapExceededError:
+            capped += 1
+    verdict = ("the zero on the curve is likely not isolated" if not capped
+               else "attempts that hit the degree cap leave this undecided")
     raise NormalizationError(
         f"no coordinate change out of {attempts} made (f, X_1) "
-        "zero-dimensional; the zero on the curve is likely not isolated"
+        f"zero-dimensional ({infinite} infinite, {capped} capped by the "
+        f"degree limit); {verdict}"
     )
 
 
-class _Series:
-    """Truncated power series in t with Polynomial coefficients."""
-
-    def __init__(self, coeffs, order):
-        self.order = order
-        n = coeffs[0].nvars
-        self.coeffs = list(coeffs) + [
-            Polynomial.zero(n) for _ in range(order + 1 - len(coeffs))
-        ]
-
-    def __add__(self, other):
-        return _Series(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other):
-        return _Series(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __mul__(self, other):
-        n = self.coeffs[0].nvars
-        out = [Polynomial.zero(n) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return _Series(out, self.order)
-
-
-def _series_det(entries, size, order, nvars):
-    if size == 0:
-        return _Series([Polynomial.one(nvars)], order)
-    if size == 1:
-        return entries[0][0]
-    total = _Series([Polynomial.zero(nvars)], order)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        piece = entries[0][j] * _series_det(minor, size - 1, order, nvars)
-        total = total + piece if j % 2 == 0 else total - piece
-    return total
+def _power_traces(M: PolyMatrix, k: int, nvars: int):
+    """[tr(M), tr(M^2), ..., tr(M^k)]."""
+    zero = Polynomial.zero(nvars)
+    size = M.rows
+    rows = [M.row(i) for i in range(size)]
+    power, traces = rows, []
+    for j in range(k):
+        if j:
+            power = [[sum((a * row[c] for a, row in zip(prow, rows)
+                           if not a.is_zero), zero) for c in range(size)]
+                     for prow in power]
+        traces.append(sum((power[i][i] for i in range(size)), zero))
+    return traces
 
 
 def c_coefficient(DX: PolyMatrix, C: PolyMatrix, k: int) -> Polynomial:
-    """Coefficient of t^k in det(1 + t DX) / det(1 + t C).
+    """Coefficient e_k of t^k in det(1 + t DX) / det(1 + t C).
 
-    For k = 1 this is trace(DX) - trace(C).
+    By Newton's identities, with power sums p_j = tr(DX^j) - tr(C^j):
+    e_0 = 1 and k e_k = sum_{j=1..k} (-1)^(j-1) p_j e_(k-j), exactly over
+    the rationals. For k = 1 this is trace(DX) - trace(C).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n = DX.rows
     nvars = DX.entries[0].nvars
-    zero = Polynomial.zero(nvars)
-    one = Polynomial.one(nvars)
-
-    def matrix_series(M, size):
-        return [
-            [
-                _Series(
-                    [one if i == j else zero, M.entry(i, j)], k
-                )
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-
-    num = _series_det(matrix_series(DX, n), n, k, nvars)
-    den = _series_det(matrix_series(C, C.rows), C.rows, k, nvars)
-    # invert den: constant coefficient is det(identity) = 1
-    if den.coeffs[0] != one:
-        raise AssertionError("tangency-matrix series does not start at 1")
-    inv = [one] + [zero] * k
-    for j in range(1, k + 1):
-        acc = zero
-        for i in range(1, j + 1):
-            acc = acc + den.coeffs[i] * inv[j - i]
-        inv[j] = -acc
-    result = zero
-    for i in range(k + 1):
-        result = result + num.coeffs[i] * inv[k - i]
-    return result
+    p = [a - b for a, b in zip(_power_traces(DX, k, nvars),
+                               _power_traces(C, k, nvars))]
+    e = [Polynomial.one(nvars)]
+    for m in range(1, k + 1):
+        acc = Polynomial.zero(nvars)
+        for j in range(1, m + 1):
+            term = p[j - 1] * e[m - j]
+            acc = acc + term if j % 2 else acc - term
+        e.append(acc.scale(Fraction(1, m)))
+    return e[k]
 
 
 def _require_curve(problem: Problem):
@@ -341,60 +301,42 @@ def _check_tangency(problem: Problem):
         raise TangencyError(residuals)
 
 
-def _curve_algebra_data(norm: CoordinateNormalization):
-    """(B0, DF, trailing-minor dims) for the normalized problem."""
+def _c0_algebra(norm: CoordinateNormalization) -> QuotientAlgebra:
+    """C0 = B0 / ann(DF) for the normalized problem."""
     P = norm.problem
     n, q = P.nvars, P.ncurve_eqs
     DF = minor_det(jacobian(list(P.f), n), list(range(q)), list(range(1, n)))
-    C0 = annihilator_quotient(norm.algebra, DF)
-    return norm.algebra, DF, C0
+    return annihilator_quotient(norm.algebra, DF)
 
 
-def complex_gsv_index(problem: Problem, seed: int = 0, max_attempts: int = 25,
-                      check_goodness: bool = False,
-                      build_deformation: bool = False) -> IndexReport:
-    """Complex index = dim C0, with the full dimension bookkeeping."""
-    _require_curve(problem)
-    _check_tangency(problem)
-    norm = ensure_regular_sequence(problem, seed=seed, max_attempts=max_attempts)
-    B0, DF, C0 = _curve_algebra_data(norm)
-    P = norm.problem
-    c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C, 1)
-    goodness, deformation, defo_vars = _optional_goodness(
-        problem, check_goodness, build_deformation
-    )
-    return IndexReport(
-        dim_B0=B0.dim,
-        dim_B0_mod_DF=B0.dim - C0.dim,
-        dim_C0=C0.dim,
-        index=C0.dim,
-        signature=None,
-        c1=c1,
-        normalization=norm,
-        goodness=goodness,
-        deformation=deformation,
-        deformation_vars=defo_vars,
-        seed=seed,
-    )
+def _pairing_signature(algebra, element: Polynomial, seed) -> SignatureResult:
+    """Signature of (a, b) -> l(ab) for a functional l positive on element.
+
+    The zero algebra has signature 0; a zero class of element raises
+    C1ClassZeroError (from choose_linear_form).
+    """
+    if algebra.dim == 0:
+        return SignatureResult(0, 0, 0)
+    l, _ = choose_linear_form(algebra, element, seed=seed)
+    return signature_of(gram_of_form(algebra, l))
 
 
-def real_gsv_index(problem: Problem, seed: "int | None" = None,
-                   max_attempts: int = 25, check_goodness: bool = False,
-                   build_deformation: bool = False) -> IndexReport:
-    """Real index = signature of the pairing on C0 induced by an admissible l."""
+def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
+               check_goodness: bool, build_deformation: bool) -> IndexReport:
+    """The GSV pipeline; the field decides only how the index is read off C0.
+
+    seed drives the normalization search (None means 0) and, for the real
+    index, the choice of functional (None means the default policy).
+    """
     _require_curve(problem)
     _check_tangency(problem)
     norm = ensure_regular_sequence(
         problem, seed=seed if seed is not None else 0, max_attempts=max_attempts
     )
-    B0, DF, C0 = _curve_algebra_data(norm)
+    B0, C0 = norm.algebra, _c0_algebra(norm)
     P = norm.problem
     c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C, 1)
-    if C0.dim == 0:
-        sig = SignatureResult(0, 0, 0)
-    else:
-        l, _ = choose_linear_form(C0, c1, seed=seed)
-        sig = signature_of(gram_of_form(C0, l))
+    sig = _pairing_signature(C0, c1, seed) if real else None
     goodness, deformation, defo_vars = _optional_goodness(
         problem, check_goodness, build_deformation
     )
@@ -402,15 +344,30 @@ def real_gsv_index(problem: Problem, seed: "int | None" = None,
         dim_B0=B0.dim,
         dim_B0_mod_DF=B0.dim - C0.dim,
         dim_C0=C0.dim,
-        index=sig.signature,
+        index=sig.signature if real else C0.dim,
         signature=sig,
         c1=c1,
         normalization=norm,
         goodness=goodness,
         deformation=deformation,
         deformation_vars=defo_vars,
-        seed=seed,
     )
+
+
+def complex_gsv_index(problem: Problem, seed: int = 0, max_attempts: int = 25,
+                      check_goodness: bool = False,
+                      build_deformation: bool = False) -> IndexReport:
+    """Complex index = dim C0, with the full dimension bookkeeping."""
+    return _gsv_index(problem, False, seed, max_attempts, check_goodness,
+                      build_deformation)
+
+
+def real_gsv_index(problem: Problem, seed: "int | None" = None,
+                   max_attempts: int = 25, check_goodness: bool = False,
+                   build_deformation: bool = False) -> IndexReport:
+    """Real index = signature of the pairing on C0 induced by an admissible l."""
+    return _gsv_index(problem, True, seed, max_attempts, check_goodness,
+                      build_deformation)
 
 
 def _optional_goodness(problem, check_goodness, build_deformation):
@@ -441,20 +398,14 @@ def eisenbud_levine_index(g, seed: "int | None" = None):
     n = g[0].nvars
     if len(g) != n:
         raise ShapeError("the map must be square (n components in n variables)")
-    Q = build_algebra(g)
-    if Q.dim == 0:  # the map does not vanish at the origin: a regular point
-        return 0, SignatureResult(0, 0, 0)
+    Q = build_algebra(g)  # zero where the map does not vanish: index 0
     Jg = minor_det(jacobian(g, n), list(range(n)), list(range(n)))
-    if all(v == 0 for v in Q.coords(Jg)):
+    try:
+        sig = _pairing_signature(Q, Jg, seed)
+    except C1ClassZeroError:
         raise JacobianZeroClassError(
             "the Jacobian determinant vanishes in the quotient algebra"
-        )
-    C = annihilator_quotient(Q, Polynomial.one(n))  # ann(1) = 0: C iso Q
-    try:
-        l, _ = choose_linear_form(C, Jg, seed=seed)
-    except C1ClassZeroError as exc:  # unreachable after the class check
-        raise JacobianZeroClassError(str(exc))
-    sig = signature_of(gram_of_form(C, l))
+        ) from None
     return sig.signature, sig
 
 
@@ -644,7 +595,7 @@ def _signature_on_relative_class(parent: FiniteAlgebra, rel: QuotientAlgebra,
 
     The division is solved in the parent algebra; any solution there has a
     well-determined class in rel = parent/ann(multiplier). A trivial rel
-    contributes signature 0.
+    contributes signature 0 before any division is tried.
     """
     if rel.dim == 0:
         return 0
@@ -654,9 +605,7 @@ def _signature_on_relative_class(parent: FiniteAlgebra, rel: QuotientAlgebra,
             "relative class does not exist: hypothesis violation "
             "(target is not a multiple of the tangency factor)"
         )
-    rep = parent.from_coords(h)
-    l, _ = choose_linear_form(rel, rep, seed=seed)
-    return signature_of(gram_of_form(rel, l)).signature
+    return _pairing_signature(rel, parent.from_coords(h), seed).signature
 
 
 def gm_signature_index(f: Polynomial, X, c: Polynomial,
@@ -698,11 +647,11 @@ def coordinate_invariance_check(problem: Problem, seed: int = 0,
     while done < trials and attempts < trials * 20:
         attempts += 1
         A = random_unimodular(problem.nvars, rng)
-        norm = _normalize_with(problem, tuple(tuple(r) for r in A), 1)
-        if norm is None:
+        try:
+            norm = _normalize_with(problem, tuple(tuple(r) for r in A), 1)
+        except (InfiniteDimensionError, DegreeCapExceededError):
             continue
-        _, _, C0 = _curve_algebra_data(norm)
-        if C0.dim != base.dim_C0:
+        if _c0_algebra(norm).dim != base.dim_C0:
             return False
         done += 1
     return done == trials

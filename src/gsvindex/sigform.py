@@ -90,9 +90,10 @@ def signature_of(form: GramForm) -> SignatureResult:
 def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):
     """A functional l on the quotient with l(c1) > 0, as a coordinate row.
 
-    Default policy (seed None): the dual of the first complement coordinate
-    where the class of c1 is nonzero, scaled so l(c1) = 1. With a seed:
-    small random integer entries in [-9, 9], sign-flipped to make l(c1) > 0.
+    C is a FiniteAlgebra or a QuotientAlgebra. Default policy (seed None):
+    the dual of the first coordinate where the class of c1 is nonzero,
+    scaled so l(c1) = 1. With a seed: small random integer entries in
+    [-9, 9], sign-flipped to make l(c1) > 0.
 
     Returns (l, value) with value = l(c1).
     """

@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +26,9 @@ from gsvindex import (
     socle,
     verify_tangency,
 )
+from gsvindex.cli import parse_problem_file
 from gsvindex.errors import (
+    DegreeCapExceededError,
     NormalizationError,
     ShapeError,
     TangencyError,
@@ -34,6 +38,7 @@ from gsvindex.index import annihilator_quotient, minor_det
 
 from graded_oracle import graded_quotient_data
 from problems import (
+    CORPUS_DIR,
     as_problem,
     cusp_instance,
     dk_problem,
@@ -99,6 +104,33 @@ def test_normalization_failure():
         ensure_regular_sequence(p, max_attempts=6)
 
 
+def _line_problem():
+    # X = (x, 0) is nowhere transverse on {x = 0}: (f, X1) = (x, x) is 1-dim
+    return Problem(
+        vars=("x", "y"), f=(x,), X=(x, zero2), C=PolyMatrix(1, 1, [one2]),
+        field="complex",
+    )
+
+
+def test_normalization_failure_counts_infinite_attempts():
+    with pytest.raises(NormalizationError, match=r"\(6 infinite, 0 capped "):
+        ensure_regular_sequence(_line_problem(), max_attempts=6)
+
+
+def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
+    import gsvindex.index as index_mod
+
+    def capped(gens):
+        raise DegreeCapExceededError("degree cap exceeded")
+
+    monkeypatch.setattr(index_mod, "build_algebra", capped)
+    with pytest.raises(NormalizationError) as info:
+        ensure_regular_sequence(dk_problem(4, 3), max_attempts=3)
+    message = str(info.value)
+    assert "(0 infinite, 3 capped " in message
+    assert "not isolated" not in message
+
+
 # ---------------------------------------------------------- c coefficients
 
 def test_c_coefficient_zero_matrices():
@@ -128,6 +160,39 @@ def test_c_coefficient_higher_order_against_series_expansion():
     assert c_coefficient(DX, C, 1) == a - c
     assert c_coefficient(DX, C, 2) == c * c - a * c
     assert c_coefficient(DX, C, 3) == a * c * c - c * c * c
+
+
+def _principal_minor_sum(M, i):
+    """e_i(M): the sum of the principal i x i minors (e_0 = 1)."""
+    if i == 0:
+        return one2
+    return sum((minor_det(M, list(S), list(S))
+                for S in combinations(range(M.rows), i)), zero2)
+
+
+def test_c_coefficient_satisfies_principal_minor_identity():
+    # det(1 + t DX) = det(1 + t C) * sum_k c_k t^k, coefficient by coefficient:
+    # e_k(DX) = sum_{i=0..k} e_i(C) c_(k-i), with c_0 = 1
+    rng = random.Random(20)
+
+    def rpoly():
+        p = zero2
+        for _ in range(rng.randint(0, 3)):
+            p = p + Polynomial.term(
+                2, (rng.randint(0, 2), rng.randint(0, 2)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+            )
+        return p
+
+    for a, b in ((2, 1), (3, 2)):
+        for _ in range(4):
+            DX = PolyMatrix(a, a, [rpoly() for _ in range(a * a)])
+            C = PolyMatrix(b, b, [rpoly() for _ in range(b * b)])
+            c = [one2] + [c_coefficient(DX, C, k) for k in range(1, 5)]
+            for k in range(1, 5):
+                rhs = sum((_principal_minor_sum(C, i) * c[k - i]
+                           for i in range(k + 1)), zero2)
+                assert _principal_minor_sum(DX, k) == rhs
 
 
 # ------------------------------------------------------------- complex GSV
@@ -226,6 +291,22 @@ def test_real_index_parity_and_bound():
         assert (rep.index - rep.dim_C0) % 2 == 0
         if rep.dim_C0 > 0:
             assert rep.signature.rank == rep.dim_C0  # non-degenerate pairing
+
+
+def test_complex_and_real_entry_points_share_one_pipeline():
+    tangency_files = [
+        pf for pf in map(parse_problem_file, sorted(CORPUS_DIR.glob("*.prob")))
+        if pf.problem is not None
+    ]
+    assert len(tangency_files) >= 7
+    for pf in tangency_files:
+        cx = complex_gsv_index(dataclasses.replace(pf.problem, field="complex"))
+        re = real_gsv_index(dataclasses.replace(pf.problem, field="real"))
+        for key in ("dim_B0", "dim_B0_mod_DF", "dim_C0", "c1"):
+            assert getattr(cx, key) == getattr(re, key), (pf.path, key)
+        assert cx.normalization.transform == re.normalization.transform
+        assert cx.index == cx.dim_C0 and cx.signature is None
+        assert re.signature.rank == re.dim_C0, pf.path
 
 
 # ------------------------------------------------------------ socle and c1
