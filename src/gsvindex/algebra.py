@@ -158,7 +158,7 @@ def build_algebra(gens, order: "LocalOrder | None" = None,
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise InfiniteDimensionError("zero ideal has an infinite quotient")
-    sb = localstd.standard_basis(gens, order, degree_cap)
+    sb = localstd.standard_basis(gens, order, degree_cap, certify=False)
     stairs = localstd.staircase(sb)
     if not stairs.finite:
         raise InfiniteDimensionError(

@@ -458,6 +458,9 @@ def _gsv_entry(field: str):
 def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
                 check_good=False, deform=False):
     """Run the tangency pipeline on one file. Returns (exit_code, output)."""
+    if max_attempts < 1:
+        return (EXIT_PARSE,
+                f"error: --max-attempts must be at least 1, got {max_attempts}\n")
     try:
         pf = parse_problem_file(path)
     except (ParseError, ShapeError, OSError) as exc:
@@ -587,15 +590,21 @@ def _verify_case(prob_path: str):
 
 
 def cmd_verify(directory, jobs: int = 1):
-    """Evaluate every problem in a corpus directory against expectations."""
+    """Evaluate every problem in a corpus directory against expectations.
+
+    Runs at most `jobs` worker processes, and never more than one per case.
+    """
+    if jobs < 1:
+        return EXIT_PARSE, f"error: --jobs must be at least 1, got {jobs}\n"
     root = Path(directory)
     if not root.is_dir():
         return EXIT_PARSE, f"error: {directory} is not a directory\n"
     cases = sorted(str(p) for p in root.glob("*.prob"))
     if not cases:
         return EXIT_OK, f"warning: no problem files in {directory}\n"
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_case, cases))
     else:
         results = [_verify_case(c) for c in cases]
@@ -613,6 +622,17 @@ def cmd_verify(directory, jobs: int = 1):
     return (EXIT_MISMATCH if failures else EXIT_OK), "\n".join(lines) + "\n"
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts that must be positive integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_arg_parser():
     parser = argparse.ArgumentParser(
         prog="gsvindex",
@@ -625,7 +645,7 @@ def _build_arg_parser():
     compute.add_argument("file")
     compute.add_argument("--json", action="store_true")
     compute.add_argument("--seed", type=int, default=None)
-    compute.add_argument("--max-attempts", type=int, default=25)
+    compute.add_argument("--max-attempts", type=_at_least_one, default=25)
     compute.add_argument("--check-good", action="store_true")
     compute.add_argument("--deform", action="store_true")
 
@@ -637,7 +657,7 @@ def _build_arg_parser():
 
     verify = sub.add_parser("verify", help="run a corpus of expected values")
     verify.add_argument("directory")
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_at_least_one, default=1)
     return parser
 
 

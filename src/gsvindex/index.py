@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from . import _linalg, localstd, sigform
 from .algebra import (
@@ -183,23 +183,22 @@ def random_unimodular(nvars: int, rng: random.Random):
 
 
 def _candidate_transforms(nvars: int, seed: int, limit: int):
-    yield tuple(tuple(r) for r in _linalg.identity(nvars))
-    count = 1
-    for perm in permutations(range(nvars)):
-        if perm == tuple(range(nvars)):
-            continue
-        A = [
-            [Fraction(1 if j == perm[i] else 0) for j in range(nvars)]
-            for i in range(nvars)
-        ]
-        count += 1
-        yield tuple(tuple(r) for r in A)
-        if count >= limit:
-            return
-    rng = random.Random(seed)
-    while count < limit:
-        count += 1
-        yield tuple(tuple(r) for r in random_unimodular(nvars, rng))
+    """The first `limit` coordinate changes of the fixed search order."""
+
+    def candidates():
+        yield tuple(tuple(r) for r in _linalg.identity(nvars))
+        for perm in permutations(range(nvars)):
+            if perm == tuple(range(nvars)):
+                continue
+            yield tuple(
+                tuple(Fraction(1 if j == perm[i] else 0) for j in range(nvars))
+                for i in range(nvars)
+            )
+        rng = random.Random(seed)
+        while True:
+            yield tuple(tuple(r) for r in random_unimodular(nvars, rng))
+
+    return islice(candidates(), limit)
 
 
 def _normalize_with(problem: Problem, A, attempts_used: int):
@@ -224,8 +223,11 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
     unimodular integer matrices; the search order is fixed so reports are
     reproducible. An attempt that hits the degree cap is skipped like an
     infinite one, but the final error counts the two apart: only infinite
-    attempts are evidence that the zero is not isolated.
+    attempts are evidence that the zero is not isolated. Raises ValueError
+    when max_attempts is less than 1.
     """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     infinite = capped = 0
     for attempts, A in enumerate(
         _candidate_transforms(problem.nvars, seed, max_attempts), start=1

@@ -6,13 +6,19 @@ algorithm: when a reduction would raise the ecart, the current working
 polynomial itself joins the reducer set, which folds a unit multiplier
 into the division and restores termination.
 
-Every division is certified. A basis element b_i comes with a row
-(denominator_i, coefficients) satisfying
+A basis built for membership (certify=True, the default) is certified: a
+basis element b_i comes with a row (denominator_i, coefficients) satisfying
 
     denominator_i * b_i == sum_j coefficients[j] * generators[j]
 
 exactly, with denominator_i(0) != 0, and membership witnesses have the
 same shape. Witness identities are re-verified before being returned.
+A basis built only for its quotient (certify=False) skips that bookkeeping
+and carries no lifts; the basis itself is the same, because the
+certificates never steer a reduction. standard_basis does not re-verify
+lifts itself, so skipping them loses no check; an algebra built on such a
+basis is certified by CanonicalQuotient, which checks that every generator
+gets zero coordinates.
 
 The same basis gives exact coordinates when the quotient is finite. If the
 staircase has top degree delta, every monomial of degree delta+1 lies in
@@ -99,22 +105,25 @@ class _Reducer:
         self.vec = vec
 
 
-def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder):
+def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
+                  certify: bool = True):
     """Weak normal form with certificate.
 
     Returns (h, den, vec) with den*p == sum_i vec[i]*reducers[i] + h exactly,
     den(0) != 0, and the leading monomial of h (if any) not divisible by any
-    reducer leading monomial.
+    reducer leading monomial. With certify false, den and vec are not
+    tracked and come back as None; h is the same.
     """
     n = p.nvars
-    zero = Polynomial.zero(n)
     T = []
     for i, g in enumerate(reducers):
         lm = order.leading_monomial(g)
         T.append(_Reducer(g, lm, g.terms[lm], _ecart(g, lm), gen_index=i))
     h = p
-    den = Polynomial.one(n)
-    vec = [zero] * len(reducers)
+    den = vec = None
+    if certify:
+        den = Polynomial.one(n)
+        vec = [Polynomial.zero(n)] * len(reducers)
     while not h.is_zero:
         lm_h = order.leading_monomial(h)
         candidates = [t for t in T if mono_divides(t.lm, lm_h)]
@@ -123,19 +132,20 @@ def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder):
         g = min(candidates, key=lambda t: t.ecart)
         e_h = _ecart(h, lm_h)
         if g.ecart > e_h:
-            T.append(
-                _Reducer(h, lm_h, h.terms[lm_h], e_h, den=den, vec=list(vec))
-            )
+            T.append(_Reducer(h, lm_h, h.terms[lm_h], e_h, den=den,
+                              vec=list(vec) if certify else None))
         c = h.terms[lm_h] / g.lc
         m = mono_div(lm_h, g.lm)
         h = h - g.poly.mul_term(m, c)
+        if not certify:
+            continue
         if g.gen_index is not None:
             j = g.gen_index
             vec[j] = vec[j] + Polynomial.term(n, m, c)
         else:
             den = den - g.den.mul_term(m, c)
             vec = [v - gv.mul_term(m, c) for v, gv in zip(vec, g.vec)]
-    if den.constant_term == 0:
+    if certify and den.constant_term == 0:
         raise AssertionError("Mora certificate lost its unit denominator")
     return h, den, vec
 
@@ -165,13 +175,14 @@ class StandardBasis:
     """Standard basis of a localized polynomial ideal, with lift witnesses.
 
     lift[i] = (denominator, coefficients) certifies
-    denominator * basis[i] == sum_j coefficients[j] * generators[j].
+    denominator * basis[i] == sum_j coefficients[j] * generators[j];
+    lift is None for a basis built with certify=False.
     """
 
     order: LocalOrder
     generators: tuple
     basis: tuple
-    lift: tuple
+    lift: "tuple | None"
 
     @property
     def leading_monomials(self):
@@ -200,11 +211,17 @@ class MembershipWitness:
 
 
 def standard_basis(gens, order: "LocalOrder | None" = None,
-                   degree_cap: int = DEFAULT_DEGREE_CAP) -> StandardBasis:
+                   degree_cap: int = DEFAULT_DEGREE_CAP, *,
+                   certify: bool = True) -> StandardBasis:
     """Complete `gens` to a standard basis with Mora normal forms.
 
     Deterministic for a fixed input and order. Raises DegreeCapExceededError
     if completion produces a leading monomial beyond `degree_cap`.
+
+    With certify true every basis element carries its lift over the
+    generators (membership_by_basis needs them). With certify false no lift
+    bookkeeping is done and `lift` is None; basis, leading monomials and
+    staircase are the same. Quotient-algebra builds use that form.
     """
     gens = tuple(gens)
     nonzero = [(j, g) for j, g in enumerate(gens) if not g.is_zero]
@@ -218,15 +235,16 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
 
     G = []  # monic basis candidates
     lms = []
-    certs = []  # (den, coeff list over gens)
+    certs = []  # (den, coeff list over gens); empty when not certifying
     for j, g in nonzero:
         lm = order.leading_monomial(g)
         lc = g.terms[lm]
-        coeffs = [zero] * len(gens)
-        coeffs[j] = Polynomial.constant(n, 1 / lc)
         G.append(g.scale(1 / lc))
         lms.append(lm)
-        certs.append((one, coeffs))
+        if certify:
+            coeffs = [zero] * len(gens)
+            coeffs[j] = Polynomial.constant(n, 1 / lc)
+            certs.append((one, coeffs))
 
     heap = []
     for i in range(len(G)):
@@ -242,21 +260,9 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
         s = G[i].mul_term(mi, 1) - G[j].mul_term(mj, 1)
         if s.is_zero:
             continue
-        h, den, vec = _mora_weak_nf(s, G, order)
+        h, den, vec = _mora_weak_nf(s, G, order, certify)
         if h.is_zero:
             continue
-        # h = den*s - sum_k vec[k]*G[k]; fold s = x^mi G[i] - x^mj G[j]
-        u = [-v for v in vec]
-        u[i] = u[i] + den.mul_term(mi, 1)
-        u[j] = u[j] - den.mul_term(mj, 1)
-        support = [k for k, uk in enumerate(u) if not uk.is_zero]
-        total, cof = _combine_units([certs[k][0] for k in support])
-        coeffs = [zero] * len(gens)
-        for pos, k in enumerate(support):
-            factor = u[k] * cof[pos]
-            for jj, w in enumerate(certs[k][1]):
-                if not w.is_zero:
-                    coeffs[jj] = coeffs[jj] + factor * w
         lm = order.leading_monomial(h)
         if mono_degree(lm) > degree_cap:
             raise DegreeCapExceededError(
@@ -266,7 +272,20 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
         lc = h.terms[lm]
         G.append(h.scale(1 / lc))
         lms.append(lm)
-        certs.append((total, [c.scale(1 / lc) for c in coeffs]))
+        if certify:
+            # h = den*s - sum_k vec[k]*G[k]; fold s = x^mi G[i] - x^mj G[j]
+            u = [-v for v in vec]
+            u[i] = u[i] + den.mul_term(mi, 1)
+            u[j] = u[j] - den.mul_term(mj, 1)
+            support = [k for k, uk in enumerate(u) if not uk.is_zero]
+            total, cof = _combine_units([certs[k][0] for k in support])
+            coeffs = [zero] * len(gens)
+            for pos, k in enumerate(support):
+                factor = u[k] * cof[pos]
+                for jj, w in enumerate(certs[k][1]):
+                    if not w.is_zero:
+                        coeffs[jj] = coeffs[jj] + factor * w
+            certs.append((total, [c.scale(1 / lc) for c in coeffs]))
         k = len(G) - 1
         for t in range(k):
             heapq.heappush(
@@ -284,7 +303,8 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
         if not dominated:
             keep.append(i)
     basis = tuple(G[i] for i in keep)
-    lift = tuple((certs[i][0], tuple(certs[i][1])) for i in keep)
+    lift = (tuple((certs[i][0], tuple(certs[i][1])) for i in keep)
+            if certify else None)
     return StandardBasis(order=order, generators=gens, basis=basis, lift=lift)
 
 
@@ -331,7 +351,7 @@ def quotient_dimension(gens, order: "LocalOrder | None" = None,
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return INFINITE
-    sb = standard_basis(gens, order, degree_cap)
+    sb = standard_basis(gens, order, degree_cap, certify=False)
     st = staircase(sb)
     return len(st.basis_monomials) if st.finite else INFINITE
 
@@ -365,7 +385,11 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
 
     One basis built by the caller serves many tests; sb is not read (and may
     be None) when p is zero. The witness is re-verified as in ideal_membership.
+    Raises ValueError when sb carries no lifts (built with certify=False).
     """
+    if sb is not None and sb.lift is None:
+        raise ValueError("membership needs a standard basis built with lifts "
+                         "(certify=True)")
     gens = tuple(gens)
     if p.is_zero:
         n = p.nvars
@@ -404,7 +428,7 @@ def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
     result = Polynomial.zero(p.nvars)
     h = p
     while not h.is_zero:
-        h, _, _ = _mora_weak_nf(h, list(sb.basis), sb.order)
+        h, _, _ = _mora_weak_nf(h, list(sb.basis), sb.order, certify=False)
         if h.is_zero:
             break
         lm = sb.order.leading_monomial(h)

@@ -4,6 +4,10 @@ A monomial is an exponent tuple (one non-negative int per ring variable).
 A Polynomial stores a map monomial -> nonzero Fraction; the map is the
 canonical form, so two polynomials are equal iff their term maps are equal.
 No monomial order is baked into storage; orders are passed to consumers.
+
+The public constructor validates and normalizes every term. Results of the
+class's own arithmetic are clean by construction (Fraction products and
+sums, zeros dropped, monomials of the right length), so they skip that pass.
 """
 
 from __future__ import annotations
@@ -73,6 +77,15 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap a term map that already holds only nonzero Fractions on
+        exponent tuples of length nvars; the map is taken, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars)
 
@@ -122,7 +135,7 @@ class Polynomial:
                 res[m] = s
             else:
                 res.pop(m, None)
-        return Polynomial(self.nvars, res)
+        return Polynomial._trusted(self.nvars, res)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
@@ -133,10 +146,11 @@ class Polynomial:
                 res[m] = s
             else:
                 res.pop(m, None)
-        return Polynomial(self.nvars, res)
+        return Polynomial._trusted(self.nvars, res)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars,
+                                   {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -150,7 +164,7 @@ class Polynomial:
                         res[m] = s
                     else:
                         del res[m]
-            return Polynomial(self.nvars, res)
+            return Polynomial._trusted(self.nvars, res)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -160,14 +174,21 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted(self.nvars,
+                                   {m: c * v for m, v in self.terms.items()})
 
     def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
         """Multiply by a single term coeff * x^mono."""
+        if len(mono) != self.nvars:
+            raise ValueError(
+                f"monomial {mono} has wrong length for {self.nvars} variables"
+            )
+        if any(e < 0 for e in mono):
+            raise ValueError(f"negative exponent in {mono}")
         c = Fraction(coeff)
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial(
+        return Polynomial._trusted(
             self.nvars, {mono_mul(m, mono): c * v for m, v in self.terms.items()}
         )
 
@@ -190,9 +211,8 @@ class Polynomial:
         for m, c in self.terms.items():
             e = m[index]
             if e:
-                m2 = m[:index] + (e - 1,) + m[index + 1 :]
-                res[m2] = res.get(m2, 0) + c * e
-        return Polynomial(self.nvars, res)
+                res[m[:index] + (e - 1,) + m[index + 1 :]] = c * e
+        return Polynomial._trusted(self.nvars, res)
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
@@ -212,7 +232,8 @@ class Polynomial:
         if new_nvars < self.nvars:
             raise ValueError("cannot shrink the ring")
         pad = (0,) * (new_nvars - self.nvars)
-        return Polynomial(new_nvars, {m + pad: c for m, c in self.terms.items()})
+        return Polynomial._trusted(new_nvars,
+                                   {m + pad: c for m, c in self.terms.items()})
 
     def substitute(self, images: "list[Polynomial]") -> "Polynomial":
         """Evaluate at variable images (all in one common target ring)."""

@@ -4,7 +4,10 @@ Inertia is computed by symmetric congruence diagonalization over the
 rationals: pivots come from the first nonzero diagonal entry in index
 order; when the whole remaining diagonal vanishes, a symmetric add turns
 the first nonzero off-diagonal pair into a usable pivot, which makes each
-hyperbolic block contribute (+1, -1).
+hyperbolic block contribute (+1, -1). Eliminating a pivot p with row w
+leaves the trailing block's Schur complement A' = A - w^T w / p, so only
+that block changes; it is symmetric, so only its upper triangle is stored
+and updated, and only where w is nonzero.
 """
 
 from __future__ import annotations
@@ -46,44 +49,54 @@ class SignatureResult:
 def signature_of(form: GramForm) -> SignatureResult:
     """Exact inertia (p_plus, p_minus, rank) by congruence diagonalization."""
     d = form.dim
-    a = [[Fraction(x) for x in row] for row in form.matrix]
+    # only the upper triangle a[u][v], u <= v, is stored and kept current
+    a = [[None] * i + [Fraction(x) for x in row[i:]]
+         for i, row in enumerate(form.matrix)]
+
+    def entry(u, v):
+        return a[u][v] if u <= v else a[v][u]
+
+    live = list(range(d))  # the trailing block, in pivot-search order
     plus = minus = 0
-    for k in range(d):
-        piv = next((j for j in range(k, d) if a[j][j] != 0), None)
+    while live:
+        piv = next((s for s, u in enumerate(live) if a[u][u] != 0), None)
         if piv is None:
             pair = next(
                 (
-                    (i, j)
-                    for i in range(k, d)
-                    for j in range(i + 1, d)
-                    if a[i][j] != 0
+                    (s, v)
+                    for s, u in enumerate(live)
+                    for v in live[s + 1:]
+                    if entry(u, v) != 0
                 ),
                 None,
             )
             if pair is None:
                 break  # remaining block is zero
-            i, j = pair
-            for t in range(d):  # row/col add: makes a[i][i] = 2 a[i][j] != 0
-                a[i][t] += a[j][t]
-            for t in range(d):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for t in range(d):
-                a[t][k], a[t][piv] = a[t][piv], a[t][k]
+            piv, v = pair
+            u = live[piv]
+            # row/col u += row/col v; with a zero diagonal, a[u][u] = 2 a[u][v]
+            for t in live:
+                if t != u and t != v:
+                    value = entry(u, t) + entry(v, t)
+                    if u <= t:
+                        a[u][t] = value
+                    else:
+                        a[t][u] = value
+            a[u][u] = 2 * entry(u, v)
+        live[0], live[piv] = live[piv], live[0]
+        k = live.pop(0)
         p = a[k][k]
         if p > 0:
             plus += 1
         else:
             minus += 1
-        for r in range(k + 1, d):
-            if a[r][k]:
-                f = a[r][k] / p
-                for t in range(d):
-                    a[r][t] -= f * a[k][t]
-                for t in range(d):
-                    a[t][r] -= f * a[t][k]
+        # trailing block -= (pivot row)^T (pivot row) / p, over its support
+        row = sorted((t, w) for t in live if (w := entry(k, t)) != 0)
+        for pos, (r, ar) in enumerate(row):
+            f = ar / p
+            target = a[r]
+            for t, at in row[pos:]:
+                target[t] -= f * at
     return SignatureResult(p_plus=plus, p_minus=minus, rank=plus + minus)
 
 

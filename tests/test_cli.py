@@ -159,6 +159,31 @@ def test_compute_normalization_failure(tmp_path):
     assert code == EXIT_NORMALIZATION
 
 
+def _line_file(tmp_path):
+    # (f, X_1) = (x, x) is one-dimensional in every coordinate system
+    path = tmp_path / "line.prob"
+    path.write_text("ring: x, y\nfield: complex\nf: x\nX: x; 0\nC: [1]\n")
+    return str(path)
+
+
+def test_compute_max_attempts_one_tries_exactly_one(tmp_path):
+    code, out = cmd_compute(_line_file(tmp_path), max_attempts=1)
+    assert code == EXIT_NORMALIZATION
+    assert "out of 1 " in out
+    assert "(1 infinite, 0 capped" in out
+
+
+def test_compute_rejects_max_attempts_below_one(tmp_path, capsys):
+    path = _line_file(tmp_path)
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", path, "--max-attempts", value])
+        assert info.value.code == EXIT_PARSE
+        assert "usage:" in capsys.readouterr().err
+    code, out = cmd_compute(path, max_attempts=0)
+    assert code == EXIT_PARSE and "--max-attempts" in out
+
+
 def test_compute_regular_point_has_index_zero(tmp_path):
     # X(0) != 0: (f, X_1) is the unit ideal, B0 = 0 and the index is 0
     for field in ("complex", "real"):
@@ -227,6 +252,47 @@ def test_verify_parallel_matches_serial():
     code1, out1 = cmd_verify(str(CORPUS_DIR), jobs=1)
     code2, out2 = cmd_verify(str(CORPUS_DIR), jobs=2)
     assert (code1, out1) == (code2, out2)
+
+
+class _InProcessPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_verify_jobs_never_exceed_case_count(monkeypatch):
+    import gsvindex.cli as cli
+
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    ncases = len(list(CORPUS_DIR.glob("*.prob")))
+    code, out = cmd_verify(str(CORPUS_DIR), jobs=10 ** 6)
+    assert code == EXIT_OK, out
+    assert f"{ncases}/{ncases} cases passed" in out
+    assert _InProcessPool.sizes == [ncases]
+    assert cmd_verify(str(CORPUS_DIR), jobs=1) == (code, out)
+    assert _InProcessPool.sizes == [ncases]  # one job: no pool at all
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    code, out = cmd_verify(str(CORPUS_DIR), jobs=0)
+    assert code == EXIT_PARSE and "--jobs" in out
+    with pytest.raises(SystemExit) as info:
+        main(["verify", str(CORPUS_DIR), "--jobs", "0"])
+    assert info.value.code == EXIT_PARSE
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_verify_flags_corrupted_expectation(tmp_path):

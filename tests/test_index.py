@@ -117,6 +117,19 @@ def test_normalization_failure_counts_infinite_attempts():
         ensure_regular_sequence(_line_problem(), max_attempts=6)
 
 
+def test_normalization_honours_max_attempts_of_one():
+    with pytest.raises(NormalizationError) as info:
+        ensure_regular_sequence(_line_problem(), max_attempts=1)
+    assert "out of 1 " in str(info.value)
+    assert "(1 infinite, 0 capped " in str(info.value)
+
+
+def test_normalization_rejects_max_attempts_below_one():
+    for limit in (0, -3):
+        with pytest.raises(ValueError):
+            ensure_regular_sequence(dk_problem(4, 3), max_attempts=limit)
+
+
 def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
     import gsvindex.index as index_mod
 

@@ -7,16 +7,21 @@ from gsvindex import (
     INFINITE,
     Polynomial,
     ideal_membership,
+    linear_substitute,
     negdeglex,
     negdegrevlex,
     normal_form,
     quotient_dimension,
     staircase,
     standard_basis,
+    transform_vector_field,
 )
 from gsvindex.errors import DegreeCapExceededError
+from gsvindex.index import random_unimodular
+from gsvindex.localstd import membership_by_basis
 
 from graded_oracle import staircase_count
+from problems import dk_problem
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -214,3 +219,50 @@ def test_negdeglex_cross_check():
         assert quotient_dimension(gens, negdeglex(2)) == quotient_dimension(
             gens, negdegrevlex(2)
         )
+
+
+TEST_IDEALS = (
+    [y - x * x],
+    [y, x],
+    [x * x * y + y ** 3, x ** 4],
+    [x * x, y * y],
+    [y - x * x, x ** 3],
+    [x * x - y * y, x * y],
+    [x * x - y * y, 2 * x * y],
+    [x - x * x],
+    [x * x, x * y, y * y, x ** 3],
+)
+
+
+def _mixed_dk_ideal(seed):
+    """(f, X_1) of dk(5, 4) after a seeded unimodular coordinate change."""
+    P = dk_problem(5, 4)
+    A = random_unimodular(2, random.Random(seed))
+    return [linear_substitute(P.f[0], A), transform_vector_field(list(P.X), A)[0]]
+
+
+def test_lift_free_completion_gives_the_certified_basis():
+    ideals = list(TEST_IDEALS) + [_mixed_dk_ideal(s) for s in (2, 4, 5)]
+    finite = 0
+    for gens in ideals:
+        for order in (negdegrevlex(2), negdeglex(2)):
+            certified = standard_basis(gens, order)
+            bare = standard_basis(gens, order, certify=False)
+            assert bare.lift is None
+            assert certified.lift is not None
+            assert bare.basis == certified.basis
+            assert bare.leading_monomials == certified.leading_monomials
+            assert staircase(bare) == staircase(certified)
+            finite += staircase(bare).finite
+    assert finite == 2 * 9  # 7 test ideals, and the seed 2 and 5 dk(5, 4) ideals
+    with pytest.raises(DegreeCapExceededError):
+        standard_basis([x * x * y + y ** 39, x ** 4], degree_cap=8, certify=False)
+
+
+def test_membership_needs_a_basis_with_lifts():
+    gens = [x * x * y + y ** 3, x ** 4]
+    bare = standard_basis(gens, certify=False)
+    with pytest.raises(ValueError):
+        membership_by_basis(x ** 4, bare, gens)
+    ok, _ = membership_by_basis(x ** 4, standard_basis(gens), gens)
+    assert ok

@@ -41,6 +41,48 @@ def test_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
 
 
+def assert_clean(p, nvars):
+    """What the public constructor guarantees: nonzero Fractions on exponent
+    tuples of length nvars with no negative entry."""
+    assert p.nvars == nvars
+    for mono, coeff in p.terms.items():
+        assert type(mono) is tuple and len(mono) == nvars
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+def test_arithmetic_results_are_canonical():
+    rng = random.Random(23)
+    for _ in range(150):
+        a, b = random_poly(rng), random_poly(rng)
+        mono = (rng.randint(0, 2), rng.randint(0, 2))
+        for result in (
+            a + b, a - b, -a, a * b, a.scale(3), a.scale(Fraction(-2, 5)),
+            2 * a, a.mul_term(mono, 4), a.mul_term(mono, Fraction(1, 3)),
+            a.diff(0), a.diff(1),
+        ):
+            assert_clean(result, 2)
+        assert_clean(a.extend(3), 3)
+    # every term cancels
+    p = x * x * y - Fraction(1, 3) * y + Polynomial.constant(2, 2)
+    for result in (
+        p - p, p + (-p), -(p - p), p * Polynomial.zero(2),
+        (x + y) * (x - y) - x * x + y * y, p.scale(0), p.mul_term((1, 1), 0),
+        Polynomial.constant(2, 5).diff(0), Polynomial.zero(2).mul_term((1, 0), 3),
+    ):
+        assert_clean(result, 2)
+        assert result.terms == {}
+    assert_clean(Polynomial.zero(2).extend(3), 3)
+    assert_clean((x * x - y * y).diff(0), 2)
+
+
+def test_mul_term_checks_its_monomial():
+    p = x * y + Polynomial.one(2)
+    for mono in ((1,), (1, 0, 0), (-1, 0), (0, -2)):
+        with pytest.raises(ValueError):
+            p.mul_term(mono, 1)
+
+
 def test_derivative_is_a_derivation():
     rng = random.Random(11)
     for _ in range(120):

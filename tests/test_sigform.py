@@ -79,6 +79,90 @@ def test_congruence_invariance():
         assert signature_of(gram(H)) == signature_of(gram(G))
 
 
+def _reference_signature(form):
+    """Full-matrix congruence diagonalization (rows, then columns, at every
+    step), kept as an independent reference for signature_of."""
+    d = form.dim
+    a = [[Fraction(x) for x in row] for row in form.matrix]
+    plus = minus = 0
+    for k in range(d):
+        piv = next((j for j in range(k, d) if a[j][j] != 0), None)
+        if piv is None:
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(k, d)
+                    for j in range(i + 1, d)
+                    if a[i][j] != 0
+                ),
+                None,
+            )
+            if pair is None:
+                break
+            i, j = pair
+            for t in range(d):
+                a[i][t] += a[j][t]
+            for t in range(d):
+                a[t][i] += a[t][j]
+            piv = i
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for t in range(d):
+                a[t][k], a[t][piv] = a[t][piv], a[t][k]
+        p = a[k][k]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        for r in range(k + 1, d):
+            if a[r][k]:
+                f = a[r][k] / p
+                for t in range(d):
+                    a[r][t] -= f * a[k][t]
+                for t in range(d):
+                    a[t][r] -= f * a[t][k]
+    return plus, minus, plus + minus
+
+
+def _sparse_symmetric(rng, d, density, zero_diagonal):
+    m = [[F(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1):
+            if (i != j or not zero_diagonal) and rng.random() < density:
+                m[i][j] = m[j][i] = F(rng.randint(-5, 5), rng.randint(1, 4))
+    return m
+
+
+def _low_rank_symmetric(rng, d, density):
+    """B^T D B with B of r < d rows, D = diag(+-1): rank at most r."""
+    r = rng.randint(0, d - 1)
+    B = [[rng.randint(-3, 3) if rng.random() < density else 0
+          for _ in range(d)] for _ in range(r)]
+    D = [rng.choice((-1, 1)) for _ in range(r)]
+    return [[F(sum(D[k] * B[k][i] * B[k][j] for k in range(r)))
+             for j in range(d)] for i in range(d)]
+
+
+def test_signature_matches_full_matrix_reference():
+    rng = random.Random(2024)
+    kinds = {"dense": 0, "zero diagonal": 0, "low rank": 0}
+    for trial in range(1200):
+        d = rng.randint(1, rng.choice((6, 12)))
+        density = (0.15, 0.4, 0.7, 1.0)[trial % 4]
+        kind = ("dense", "zero diagonal", "low rank")[trial % 3]
+        if kind == "low rank":
+            m = _low_rank_symmetric(rng, d, density)
+        else:
+            m = _sparse_symmetric(rng, d, density, kind == "zero diagonal")
+        form = gram(m)
+        s = signature_of(form)
+        assert (s.p_plus, s.p_minus, s.rank) == _reference_signature(form), m
+        if kind == "low rank":
+            assert s.rank < d
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 400
+
+
 def test_choose_linear_form_default_policy():
     A = build_algebra([y, x * x])
     C = annihilator_quotient(A, Polynomial.one(2))
