@@ -16,9 +16,17 @@ b_a); the Gram rows w_a[b] = l(b_a * b_b) of a functional l satisfy
 w_{a+e_k} = w_a M_k. Neither needs the d x d x d multiplication table,
 which is derived only when `mult_table` is first read.
 
-A QuotientAlgebra is the further quotient by the annihilator of a fixed
-element, with deterministic coset representatives. Its Gram matrix is read
-off the parent's recurrence for the pulled-back functional l o projection.
+A QuotientAlgebra, such as C0 = B0 / ann(DF), is the quotient by the
+annihilator of a fixed element, and a FiniteAlgebra on its own staircase:
+the parent staircase monomials that are not RREF pivots of the annihilator.
+They form an order ideal (Greuel-Pfister, A Singular Introduction to
+Commutative Algebra, 1.6-1.7). The parent basis descends in the local
+order, so a pivot is the largest monomial of its kernel vector; x_k times
+that vector stays in the kernel and, as local division only produces
+smaller monomials, has largest monomial x_k times the pivot whenever that
+is a staircase monomial. So the pivots are closed under multiplication by
+the variables, and the complement under division. Its M_k are the
+parent's columns, projected.
 """
 
 from __future__ import annotations
@@ -32,45 +40,32 @@ from .poly import Polynomial
 from .localstd import LocalOrder, Staircase, StandardBasis
 
 
-def _multiply(table, u, v):
-    """Product of two coordinate vectors via a multiplication table."""
-    d = len(u)
-    out = [Fraction(0)] * d
-    for i in range(d):
-        if not u[i]:
-            continue
-        for j in range(d):
-            if not v[j]:
-                continue
-            f = u[i] * v[j]
-            row = table[i][j]
-            for k in range(d):
-                if row[k]:
-                    out[k] += f * row[k]
-    return out
-
-
 class FiniteAlgebra:
     """Local quotient algebra with staircase basis b_1 = 1, b_2, ..., b_d."""
 
     def __init__(self, sb: StandardBasis, stairs: Staircase, canonical):
         self.sb = sb
         self.staircase = stairs
-        self.basis = stairs.basis_monomials  # descending local order, 1 first
-        self.dim = len(self.basis)
-        self.nvars = sb.basis[0].nvars
         self._canon = canonical
-        index = canonical.index
+        self._set_up(stairs.basis_monomials, sb.basis[0].nvars)
+
+    def _set_up(self, basis, nvars):
+        """The core on an order ideal of monomials in descending local order."""
+        self.basis = basis
+        self.dim = len(basis)
+        self.nvars = nvars
+        index = {m: i for i, m in enumerate(basis)}
         # var_matrices[k][i], column i of M_k: the index j when x_k * b_i is
-        # the staircase monomial b_j, otherwise the sparse coordinates
+        # the basis monomial b_j, otherwise the sparse coordinates
         # ((row, coeff), ...) of x_k * b_i
         self.var_matrices = tuple(
-            tuple(self._column(self._shift(m, k), index) for m in self.basis)
-            for k in range(self.nvars)
+            tuple(self._column(k, i, index) for i in range(self.dim))
+            for k in range(nvars)
         )
-        # b_i = x_k * b_a with a < i, for each i >= 1 (1 comes first)
+        # b_i = x_k * b_a with a < i, for each i >= 1; the lookup raises
+        # KeyError if the basis were not an order ideal
         steps = []
-        for m in self.basis[1:]:
+        for m in basis[1:]:
             k = next(t for t, e in enumerate(m) if e)
             steps.append((k, index[self._shift(m, k, -1)]))
         self._steps = tuple(steps)
@@ -79,11 +74,17 @@ class FiniteAlgebra:
     def _shift(m, k, by=1):
         return m[:k] + (m[k] + by,) + m[k + 1:]
 
-    def _column(self, m, index):
+    def _column(self, k, i, index):
+        m = self._shift(self.basis[i], k)
         if m in index:
             return index[m]
-        coords = self._canon.coordinates(Polynomial.term(self.nvars, m, 1))
-        return tuple((r, c) for r, c in enumerate(coords) if c)
+        return tuple((r, c) for r, c in enumerate(self._shift_coords(k, i))
+                     if c)
+
+    def _shift_coords(self, k, i):
+        """Coordinates of x_k * b_i when that is not a basis monomial."""
+        m = self._shift(self.basis[i], k)
+        return self._canon.coordinates(Polynomial.term(self.nvars, m, 1))
 
     def _walk(self, start, step):
         """[v_1, ..., v_d] with v_1 = start and v_i = step(v_a, k) for b_i = x_k b_a."""
@@ -149,11 +150,22 @@ class FiniteAlgebra:
 
     def multiply_coords(self, u, v):
         """Product of two coordinate vectors via the multiplication table."""
-        return _multiply(self.mult_table, u, v)
+        out = [Fraction(0)] * self.dim
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                f = ui * vj
+                for k, c in enumerate(self.mult_table[i][j]):
+                    if c:
+                        out[k] += f * c
+        return out
 
 
 def build_algebra(gens, order: "LocalOrder | None" = None,
-                  degree_cap: int = localstd.DEFAULT_DEGREE_CAP) -> FiniteAlgebra:
+                  degree_cap: "int | None" = None) -> FiniteAlgebra:
     """Quotient algebra by (gens), with its variable multiplication matrices."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -173,7 +185,7 @@ def mult_matrix(algebra, g: Polynomial):
     return algebra.mult_matrix(g)
 
 
-class QuotientAlgebra:
+class QuotientAlgebra(FiniteAlgebra):
     """parent / ann_parent(g), in deterministic complement coordinates.
 
     The complement basis is the set of staircase coordinates that are not
@@ -184,7 +196,6 @@ class QuotientAlgebra:
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
         self.element = g
-        self.nvars = parent.nvars
         M = parent.mult_matrix(g)
         kernel = _linalg.nullspace(M, ncols=parent.dim)
         rows, pivots = _linalg.rref(kernel)
@@ -193,50 +204,37 @@ class QuotientAlgebra:
         self.complement_indices = tuple(
             i for i in range(parent.dim) if i not in pivot_set
         )
-        self.dim = len(self.complement_indices)
-        self._pivots = tuple(pivots)
         # projection parent coords -> complement coords (kills the kernel)
         proj = []
-        for j, cj in enumerate(self.complement_indices):
+        for cj in self.complement_indices:
             row = [Fraction(0)] * parent.dim
             row[cj] = Fraction(1)
             for krow, p in zip(self.kernel_basis, pivots):
                 row[p] -= krow[cj]
             proj.append(row)
         self.projection = proj
+        # column r of the projection, sparse: the class of parent basis b_r
+        self._projected_units = [
+            [(j, row[r]) for j, row in enumerate(proj) if row[r]]
+            for r in range(parent.dim)
+        ]
+        self._set_up(tuple(parent.basis[c] for c in self.complement_indices),
+                     parent.nvars)
+
+    def _shift_coords(self, k, i):
+        """The projection of the parent's column for x_k * b_i."""
+        col = self.parent.var_matrices[k][self.complement_indices[i]]
+        out = [Fraction(0)] * self.dim
+        for r, c in ((col, 1),) if type(col) is int else col:
+            for j, v in self._projected_units[r]:
+                out[j] += c * v
+        return out
 
     def project(self, parent_coords):
         return _linalg.mat_vec(self.projection, list(parent_coords))
 
     def coords(self, p: Polynomial):
         return self.project(self.parent.coords(p))
-
-    def gram_matrix(self, l):
-        """G_ij = l(e_i * e_j): the parent's Gram rows for l o projection,
-        restricted to the complement indices (each e_i is a staircase
-        monomial, so this is the same matrix entry for entry)."""
-        pulled = [sum((a * row[b] for a, row in zip(l, self.projection) if a),
-                      Fraction(0))
-                  for b in range(self.parent.dim)]
-        rows = self.parent.gram_rows(pulled)
-        idx = self.complement_indices
-        return tuple(tuple(rows[i][j] for j in idx) for i in idx)
-
-    @cached_property
-    def mult_table(self):
-        """mult_table[i][j] = coords(e_i * e_j), derived on first access."""
-        parent_table = self.parent.mult_table
-        idx = self.complement_indices
-        return [[tuple(self.project(parent_table[i][j])) for j in idx]
-                for i in idx]
-
-    def multiply_coords(self, u, v):
-        return _multiply(self.mult_table, u, v)
-
-    def mult_matrix(self, g: Polynomial):
-        cols = self.parent.product_columns(g)
-        images = [self.project(cols[c]) for c in self.complement_indices]
-        return [[col[i] for col in images] for i in range(self.dim)]
 
 
 def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
@@ -247,9 +245,9 @@ def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
 def socle(algebra):
     """Basis of {a : a * m = 0 for every m in the maximal ideal}.
 
-    Accepts a FiniteAlgebra or a QuotientAlgebra; returns RREF coordinate
-    vectors of the intersection of the kernels of multiplication by each
-    variable class.
+    Accepts any FiniteAlgebra, annihilator quotients included; returns RREF
+    coordinate vectors of the intersection of the kernels of multiplication
+    by each variable class.
     """
     if algebra.dim == 0:
         return []

@@ -30,8 +30,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, index as index_mod
+from .algebra import build_algebra
 from .errors import (
     C1ClassZeroError,
+    CertificateError,
     DegreeCapExceededError,
     GsvError,
     InfiniteDimensionError,
@@ -42,7 +44,7 @@ from .errors import (
     TangencyError,
     VerificationError,
 )
-from .index import Problem, eisenbud_levine_index, poincare_hopf_complex
+from .index import Problem, poincare_hopf_complex
 from .poly import Polynomial, PolyMatrix
 
 
@@ -442,6 +444,7 @@ EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_NORMALIZATION = 4
 EXIT_TANGENCY = 5
+EXIT_CERTIFICATE = 6  # compute/el: an internal certificate failed
 
 
 def _hash_file(path) -> str:
@@ -453,6 +456,26 @@ def _gsv_entry(field: str):
     if field == "real":
         return index_mod.real_gsv_index
     return index_mod.complex_gsv_index
+
+
+def _map_index(g, field: str, seed=None):
+    """(index, SignatureResult or None, dim) of a square map germ.
+
+    The real index is read off the one algebra that also gives the
+    dimension. In either field a quotient that is not finite means the zero
+    of the map is not isolated.
+    """
+    g = list(g)
+    if field != "real":
+        dim = poincare_hopf_complex(g)
+        return dim, None, dim
+    try:
+        Q = build_algebra(g)
+    except InfiniteDimensionError:
+        raise InfiniteDimensionError(
+            "the zero of the map is not isolated") from None
+    idx, sig = index_mod._el_signature(Q, g, seed)
+    return idx, sig, Q.dim
 
 
 def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
@@ -485,6 +508,8 @@ def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
     except (NormalizationError, InfiniteDimensionError,
             DegreeCapExceededError) as exc:
         return EXIT_NORMALIZATION, f"error: {exc}\n"
+    except CertificateError as exc:
+        return EXIT_CERTIFICATE, f"error: internal certificate failed: {exc}\n"
     except (C1ClassZeroError, VerificationError) as exc:
         return EXIT_FAILURE, f"error: {exc}\n"
     elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -504,14 +529,12 @@ def cmd_el(path, *, json_output=False, seed=None, mode=None):
     field = mode or pf.field
     started = time.perf_counter()
     try:
-        dim = poincare_hopf_complex(list(pf.map_components))
-        if field == "real":
-            idx, sig = eisenbud_levine_index(list(pf.map_components), seed=seed)
-        else:
-            idx, sig = dim, None
+        idx, sig, dim = _map_index(pf.map_components, field, seed)
     except (InfiniteDimensionError, DegreeCapExceededError,
             JacobianZeroClassError) as exc:
         return EXIT_NORMALIZATION, f"error: {exc}\n"
+    except CertificateError as exc:
+        return EXIT_CERTIFICATE, f"error: internal certificate failed: {exc}\n"
     except ShapeError as exc:
         return EXIT_SHAPE, f"error: {exc}\n"
     elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -559,11 +582,7 @@ def _verify_case(prob_path: str):
         return name, False, f"bad problem file: {exc}"
     try:
         if pf.map_components is not None:
-            dim = poincare_hopf_complex(list(pf.map_components))
-            if pf.field == "real":
-                idx, sig = eisenbud_levine_index(list(pf.map_components))
-            else:
-                idx, sig = dim, None
+            idx, sig, dim = _map_index(pf.map_components, pf.field)
             actual = {"index": idx, "dim_B0": dim}
             if sig is not None:
                 actual["signature"] = sig.signature

@@ -59,3 +59,7 @@ class JacobianZeroClassError(GsvError):
 
 class VerificationError(GsvError):
     """An internal symbolic post-check failed or a hypothesis is violated."""
+
+
+class CertificateError(VerificationError):
+    """An internal certificate (a witness or coordinate check) failed."""

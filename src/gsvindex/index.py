@@ -400,7 +400,15 @@ def eisenbud_levine_index(g, seed: "int | None" = None):
     n = g[0].nvars
     if len(g) != n:
         raise ShapeError("the map must be square (n components in n variables)")
-    Q = build_algebra(g)  # zero where the map does not vanish: index 0
+    return _el_signature(build_algebra(g), g, seed)
+
+
+def _el_signature(Q: FiniteAlgebra, g, seed):
+    """eisenbud_levine_index of the square map g on Q, its local algebra.
+
+    Q is zero where the map does not vanish, with index 0.
+    """
+    n = len(g)
     Jg = minor_det(jacobian(g, n), list(range(n)), list(range(n)))
     try:
         sig = _pairing_signature(Q, Jg, seed)

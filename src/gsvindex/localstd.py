@@ -33,8 +33,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .errors import DegreeCapExceededError
+from .errors import CertificateError, DegreeCapExceededError
 from .poly import (
     Monomial,
     Polynomial,
@@ -48,7 +49,7 @@ from .poly import (
 
 INFINITE = float("inf")
 
-DEFAULT_DEGREE_CAP = 64
+DEGREE_CAP_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
             den = den - g.den.mul_term(m, c)
             vec = [v - gv.mul_term(m, c) for v, gv in zip(vec, g.vec)]
     if certify and den.constant_term == 0:
-        raise AssertionError("Mora certificate lost its unit denominator")
+        raise CertificateError("Mora certificate lost its unit denominator")
     return h, den, vec
 
 
@@ -211,12 +212,16 @@ class MembershipWitness:
 
 
 def standard_basis(gens, order: "LocalOrder | None" = None,
-                   degree_cap: int = DEFAULT_DEGREE_CAP, *,
+                   degree_cap: "int | None" = None, *,
                    certify: bool = True) -> StandardBasis:
     """Complete `gens` to a standard basis with Mora normal forms.
 
     Deterministic for a fixed input and order. Raises DegreeCapExceededError
-    if completion produces a leading monomial beyond `degree_cap`.
+    if completion produces a leading monomial beyond `degree_cap`. The
+    default cap is the product of the nvars largest generator degrees, or
+    DEGREE_CAP_FLOOR if that is larger: for n generators in n variables the
+    product is Bezout's bound on the colength, which exceeds the staircase's
+    top degree. Reaching the cap is a limit, not a verdict on the quotient.
 
     With certify true every basis element carries its lift over the
     generators (membership_by_basis needs them). With certify false no lift
@@ -230,6 +235,9 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     n = nonzero[0][1].nvars
     if order is None:
         order = negdegrevlex(n)
+    if degree_cap is None:
+        degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
+        degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
     zero = Polynomial.zero(n)
     one = Polynomial.one(n)
 
@@ -346,7 +354,7 @@ def staircase(sb: StandardBasis) -> Staircase:
 
 
 def quotient_dimension(gens, order: "LocalOrder | None" = None,
-                       degree_cap: int = DEFAULT_DEGREE_CAP):
+                       degree_cap: "int | None" = None):
     """Number of staircase monomials, or INFINITE."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -405,7 +413,7 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
     for c, g in zip(witness.coefficients, gens):
         rhs = rhs + c * g
     if lhs != rhs or witness.denominator.constant_term == 0:
-        raise AssertionError("membership witness failed re-verification")
+        raise CertificateError("membership witness failed re-verification")
     return True, witness
 
 
@@ -465,7 +473,7 @@ class CanonicalQuotient:
             self._reducers.append((lm, b.terms[lm], tail))
         for g in sb.generators:
             if any(self.coordinates(g)):
-                raise AssertionError(
+                raise CertificateError(
                     "a generator has nonzero coordinates in its own quotient"
                 )
 

@@ -103,10 +103,10 @@ def signature_of(form: GramForm) -> SignatureResult:
 def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):
     """A functional l on the quotient with l(c1) > 0, as a coordinate row.
 
-    C is a FiniteAlgebra or a QuotientAlgebra. Default policy (seed None):
-    the dual of the first coordinate where the class of c1 is nonzero,
-    scaled so l(c1) = 1. With a seed: small random integer entries in
-    [-9, 9], sign-flipped to make l(c1) > 0.
+    C is a FiniteAlgebra, annihilator quotients included. Default policy
+    (seed None): the dual of the first coordinate where the class of c1 is
+    nonzero, scaled so l(c1) = 1. With a seed: small random integer entries
+    in [-9, 9], sign-flipped to make l(c1) > 0.
 
     Returns (l, value) with value = l(c1).
     """
@@ -134,8 +134,9 @@ def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):
 def gram_of_form(C, l) -> GramForm:
     """Gram matrix G_ij = l(e_i * e_j) of the induced pairing.
 
-    The algebra reads it off its staircase recurrence (algebra module), so
-    no multiplication table is built.
+    C is a FiniteAlgebra, annihilator quotients included; it reads the
+    matrix off its own staircase recurrence (algebra module), so no
+    multiplication table is built.
     """
     d = C.dim
     if len(l) != d:

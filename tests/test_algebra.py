@@ -17,13 +17,13 @@ from gsvindex import (
     solve_multiplication,
     transform_vector_field,
 )
-from gsvindex import _linalg
+from gsvindex import _linalg, ensure_regular_sequence
 from gsvindex.errors import InfiniteDimensionError
-from gsvindex.index import random_unimodular
+from gsvindex.index import _c0_algebra, _substitute_problem, random_unimodular
 from gsvindex.poly import monomials_of_degree
 from gsvindex.sigform import SignatureResult
 
-from problems import dk_problem
+from problems import dk_problem, space_curve_problem
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -277,6 +277,72 @@ def test_gram_matches_table_on_annihilator_quotient():
             for i in range(C0.dim)
         )
         assert gram_of_form(C0, l).matrix == expected
+
+
+def _pullback_gram(Q, l):
+    """Reference Gram matrix of a quotient: the parent's Gram rows for the
+    pulled-back functional l o projection, restricted to the complement."""
+    pulled = [sum((a * row[b] for a, row in zip(l, Q.projection) if a),
+                  Fraction(0))
+              for b in range(Q.parent.dim)]
+    rows = Q.parent.gram_rows(pulled)
+    idx = Q.complement_indices
+    return tuple(tuple(rows[i][j] for j in idx) for i in idx)
+
+
+def _projected_table(Q):
+    """Reference multiplication table of a quotient: the parent's, projected."""
+    parent_table = Q.parent.mult_table
+    idx = Q.complement_indices
+    return [[tuple(Q.project(parent_table[i][j])) for j in idx] for i in idx]
+
+
+def _check_against_parent(Q, rng, functionals=2, table=True):
+    basis = set(Q.basis)
+    assert Q.basis == tuple(Q.parent.basis[c] for c in Q.complement_indices)
+    assert not Q.basis or Q.basis[0] == (0,) * Q.nvars
+    for m in Q.basis:  # an order ideal: closed under division by variables
+        for k, e in enumerate(m):
+            if e:
+                assert m[:k] + (e - 1,) + m[k + 1:] in basis
+    for _ in range(functionals):
+        l = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+             for _ in range(Q.dim)]
+        assert gram_of_form(Q, l).matrix == _pullback_gram(Q, l)
+    if table:
+        assert Q.mult_table == _projected_table(Q)
+
+
+def test_c0_core_matches_parent_pullback_on_ladders():
+    rng = random.Random(3)
+    problems = []
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6)):
+        P = dk_problem(k, m)
+        problems.append(P)
+        problems += [_substitute_problem(P, random_unimodular(2, random.Random(s)))
+                     for s in (2, 5, 9)]
+    problems += [space_curve_problem(l) for l in range(1, 7)]
+    for P in problems:
+        C0 = _c0_algebra(ensure_regular_sequence(P))
+        assert 0 < C0.dim < C0.parent.dim
+        _check_against_parent(C0, rng)
+
+
+def test_random_annihilator_quotients_match_parent_pullback():
+    parents = []
+    for s in (2, 5, 9):
+        P = _substitute_problem(dk_problem(6, 5),
+                                random_unimodular(2, random.Random(s)))
+        parents.append(ensure_regular_sequence(P).algebra)
+    rng = random.Random(17)
+    for trial in range(102):
+        g = Polynomial(2, {(rng.randint(0, 4), rng.randint(0, 4)):
+                           rng.randint(-3, 3)
+                           for _ in range(rng.randint(1, 4))})
+        # the projected reference table costs dim C0^3 dim B0, so every
+        # fourth quotient checks it
+        _check_against_parent(annihilator_quotient(parents[trial % 3], g), rng,
+                              functionals=1, table=trial % 4 == 0)
 
 
 def test_zero_algebra_builds_and_has_index_zero():

@@ -3,11 +3,14 @@ import random
 import string
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gsvindex import Polynomial, parse_poly
+from gsvindex import localstd
 from gsvindex.cli import (
+    EXIT_CERTIFICATE,
     EXIT_MISMATCH,
     EXIT_NORMALIZATION,
     EXIT_OK,
@@ -220,6 +223,50 @@ def test_el_examples(tmp_path):
     simple.write_text("ring: x, y\nfield: real\ng: x; y\n")
     code, out = cmd_el(str(simple), json_output=True)
     assert json.loads(out)["index"] == 1
+
+
+def test_el_builds_one_standard_basis_per_mode(monkeypatch):
+    calls = []
+    original = localstd.standard_basis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localstd, "standard_basis", counted)
+    path = str(CORPUS_DIR / "el_plane_quadratic_real.prob")
+    for mode in ("real", "complex"):
+        calls.clear()
+        code, _ = cmd_el(path, json_output=True, mode=mode)
+        assert code == EXIT_OK and len(calls) == 1, mode
+
+
+def test_el_non_isolated_zero_exits_4_in_both_modes(tmp_path, capsys):
+    path = tmp_path / "line.prob"
+    path.write_text("ring: x, y\nfield: real\ng: x; x^2\n")
+    for mode in ("real", "complex"):
+        assert main(["el", str(path), "--mode", mode]) == EXIT_NORMALIZATION
+        err = capsys.readouterr().err
+        assert err == "error: the zero of the map is not isolated\n", mode
+
+
+def test_failed_internal_certificate_has_its_own_exit_code(tmp_path,
+                                                           monkeypatch):
+    def corrupt(self, p):
+        return [Fraction(1)] * len(self.index)
+
+    monkeypatch.setattr(localstd.CanonicalQuotient, "coordinates", corrupt)
+    code, out = cmd_compute(str(CORPUS_DIR / "dk_k4_m3.prob"))
+    assert code == EXIT_CERTIFICATE == 6
+    assert "internal certificate failed" in out
+    code, out = cmd_el(str(CORPUS_DIR / "el_plane_quadratic_real.prob"))
+    assert code == EXIT_CERTIFICATE and "internal certificate failed" in out
+    (tmp_path / "case.prob").write_text(
+        (CORPUS_DIR / "dk_k4_m3.prob").read_text())
+    (tmp_path / "case.expect").write_text(
+        (CORPUS_DIR / "dk_k4_m3.expect").read_text())
+    code, out = cmd_verify(str(tmp_path))
+    assert code == EXIT_MISMATCH and out.startswith("FAIL  case.prob")
 
 
 def test_el_rejects_tangency_file():

@@ -214,6 +214,15 @@ def test_degree_cap_guard():
         standard_basis([x * x * y + y ** 39, x ** 4], degree_cap=8)
 
 
+def test_default_degree_cap_follows_the_generator_degrees():
+    # the staircase of (x y, y - x^70) reaches x^70, past a fixed cap of 64;
+    # the derived cap is the degree product 2 * 70
+    assert quotient_dimension([x * y, y - x ** 70]) == 71
+    assert quotient_dimension([x * y + y * y, y - x ** 66]) == 67
+    with pytest.raises(DegreeCapExceededError):
+        quotient_dimension([x * y, y - x ** 70], degree_cap=64)
+
+
 def test_negdeglex_cross_check():
     for gens in ([x * x * y + y ** 3, x ** 4], [x * x - y * y, 2 * x * y]):
         assert quotient_dimension(gens, negdeglex(2)) == quotient_dimension(
