@@ -1,14 +1,83 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on small dense matrices, by one
+fraction-free integer elimination.
 
-Matrices are lists of lists of Fraction. Everything is deterministic:
-pivots are always the first usable entry in index order.
+Matrices are lists of rows of Fractions (ints are accepted too), and
+results are Fractions, but no elimination loop does Fraction arithmetic:
+each row is scaled to integers once, by the lcm of its denominators, and
+Gauss-Jordan elimination runs in Python ints (Bareiss 1968; Geddes,
+Czapor, Labahn, Algorithms for Computer Algebra, ch. 9). Everything is
+deterministic: the pivot of column c is the first row, at or below the
+current one, whose entry is nonzero, so pivot columns and row swaps are
+those of elimination over the rationals.
+
+Eliminating column c with pivot row r and pivot P replaces every other row
+i whose entry f in column c is nonzero by (P row_i - f row_r) // last_i,
+where last_i is the pivot that was current when row i was last updated (1
+at the start). A row with a zero in column c is left alone: the P/prev
+factor that Bareiss applies to it is kept lazily in last_i, so the Bareiss
+row is always the stored row times (current pivot / last_i). A Bareiss row
+holds minors of the scaled matrix, so it is integral and every division is
+exact; a pivot row is brought up to date (`refresh`) before it is used.
+sigform.signature_of runs the same scaling and steps on a symmetric matrix.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
-def copy_matrix(M):
-    return [[Fraction(x) for x in row] for row in M]
+def common_denominator(entries):
+    return lcm(*(x.denominator for x in entries))
+
+
+def integer_row(row, den):
+    """den * row as ints, for den a multiple of every denominator in row."""
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def refresh(row, prev, last):
+    """The stored row brought up to the current pivot prev: row * prev / last."""
+    return row if prev == last else [x * prev // last for x in row]
+
+
+def bareiss_step(row, f, pivot_row, p, last):
+    """(p * row - f * pivot_row) / last, an exact division."""
+    return [(p * x - f * y) // last for x, y in zip(row, pivot_row)]
+
+
+def _eliminate(M):
+    """Fraction-free Gauss-Jordan elimination of the rows of M.
+
+    Returns (rows, pivots, sign, den): the nonzero rows as ints, row k a
+    nonzero multiple of RREF row k with pivot column pivots[k]; the sign of
+    the row swaps; and den, the product of the row scales. For M square and
+    invertible, the last pivot is det(M) * den * sign.
+    """
+    rows, den = [], 1
+    for row in M:
+        s = common_denominator(row)
+        rows.append(integer_row(row, s))
+        den *= s
+    lasts = [1] * len(rows)
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            lasts[r], lasts[piv] = lasts[piv], lasts[r]
+            sign = -sign
+        prow = rows[r] = refresh(rows[r], prev, lasts[r])
+        p = prev = lasts[r] = prow[c]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = bareiss_step(row, row[c], prow, p, lasts[i])
+                lasts[i] = p
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[:len(pivots)], pivots, sign, den
 
 
 def identity(n):
@@ -30,64 +99,29 @@ def mat_vec(A, v):
 
 
 def det(M):
-    n = len(M)
-    a = copy_matrix(M)
-    sign = 1
-    result = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        result *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i]:
-                f = a[r][i] * inv
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    return result * sign
+    rows, pivots, sign, den = _eliminate(M)
+    if len(pivots) < len(M):
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1], den) if M else Fraction(1)
 
 
 def rref(M):
     """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    if not M:
-        return [], []
-    a = copy_matrix(M)
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
+    rows, pivots, _, _ = _eliminate(M)
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(rows, pivots)], pivots
 
 
 def rank(M):
-    return len(rref(M)[1])
+    return len(_eliminate(M)[1])
 
 
 def nullspace(M, ncols=None):
     """Basis of the right kernel, one vector per free column, RREF-derived."""
     if not M:
-        n = ncols or 0
-        return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        return identity(ncols or 0)
     n = len(M[0])
-    rows, pivots = rref(M)
+    rows, pivots, _, _ = _eliminate(M)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -96,32 +130,30 @@ def nullspace(M, ncols=None):
         v = [Fraction(0)] * n
         v[free] = Fraction(1)
         for row, p in zip(rows, pivots):
-            v[p] = -row[free]
+            if row[free]:
+                v[p] = Fraction(-row[free], row[p])
         basis.append(v)
     return basis
 
 
 def solve(M, b):
     """One particular solution of M x = b (free variables 0), or None."""
-    n_rows = len(M)
-    if n_rows == 0:
+    if not M:
         return [] if all(x == 0 for x in b) else None
     n = len(M[0])
-    aug = [list(row) + [bv] for row, bv in zip(M, b)]
-    rows, pivots = rref(aug)
+    rows, pivots, _, _ = _eliminate([list(row) + [bv] for row, bv in zip(M, b)])
+    if pivots and pivots[-1] == n:
+        return None  # pivot in the augmented column: inconsistent
     x = [Fraction(0)] * n
     for row, p in zip(rows, pivots):
-        if p == n:
-            return None  # pivot in the augmented column: inconsistent
-        x[p] = row[n]
+        x[p] = Fraction(row[n], row[p])
     return x
 
 
 def inverse(M):
     n = len(M)
     eye = identity(n)
-    aug = [list(map(Fraction, row)) + eye[i] for i, row in enumerate(M)]
-    rows, pivots = rref(aug)
+    rows, pivots, _, _ = _eliminate([list(row) + eye[i] for i, row in enumerate(M)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]

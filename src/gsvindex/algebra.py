@@ -54,14 +54,7 @@ class FiniteAlgebra:
         self.basis = basis
         self.dim = len(basis)
         self.nvars = nvars
-        index = {m: i for i, m in enumerate(basis)}
-        # var_matrices[k][i], column i of M_k: the index j when x_k * b_i is
-        # the basis monomial b_j, otherwise the sparse coordinates
-        # ((row, coeff), ...) of x_k * b_i
-        self.var_matrices = tuple(
-            tuple(self._column(k, i, index) for i in range(self.dim))
-            for k in range(nvars)
-        )
+        self._index = index = {m: i for i, m in enumerate(basis)}
         # b_i = x_k * b_a with a < i, for each i >= 1; the lookup raises
         # KeyError if the basis were not an order ideal
         steps = []
@@ -70,14 +63,23 @@ class FiniteAlgebra:
             steps.append((k, index[self._shift(m, k, -1)]))
         self._steps = tuple(steps)
 
+    @cached_property
+    def var_matrices(self):
+        """var_matrices[k][i], column i of M_k: the index j when x_k * b_i is
+        the basis monomial b_j, otherwise the sparse coordinates
+        ((row, coeff), ...) of x_k * b_i. Built on first read: a complex
+        index reads only the dimension of C0."""
+        return tuple(tuple(self._column(k, i) for i in range(self.dim))
+                     for k in range(self.nvars))
+
     @staticmethod
     def _shift(m, k, by=1):
         return m[:k] + (m[k] + by,) + m[k + 1:]
 
-    def _column(self, k, i, index):
+    def _column(self, k, i):
         m = self._shift(self.basis[i], k)
-        if m in index:
-            return index[m]
+        if m in self._index:
+            return self._index[m]
         return tuple((r, c) for r, c in enumerate(self._shift_coords(k, i))
                      if c)
 
@@ -171,13 +173,13 @@ def build_algebra(gens, order: "LocalOrder | None" = None,
     if not gens:
         raise InfiniteDimensionError("zero ideal has an infinite quotient")
     sb = localstd.standard_basis(gens, order, degree_cap, certify=False)
-    stairs = localstd.staircase(sb)
-    if not stairs.finite:
+    stairs, canonical = sb.quotient
+    if canonical is None:
         raise InfiniteDimensionError(
             "quotient is not finite dimensional: some variable has no pure "
             "power in the leading ideal"
         )
-    return FiniteAlgebra(sb, stairs, localstd.CanonicalQuotient(sb, stairs))
+    return FiniteAlgebra(sb, stairs, canonical)
 
 
 def mult_matrix(algebra, g: Polynomial):

@@ -86,6 +86,14 @@ def _tokenize(text: str):
     return tokens
 
 
+# Term pairs that the products in one polynomial may multiply in all (a
+# product of two single terms is not counted); an input past it is reported
+# as too large (exit 2) instead of being expanded.
+# The largest power of x+y+z it admits is the 39th, which parses in 1.3 s on
+# a 2-core host with 30-digit coefficients and 0.3 s with coefficients 1.
+PARSE_PRODUCT_BUDGET = 50_000
+
+
 class _PolyParser:
     def __init__(self, text: str, names):
         self.text = text
@@ -93,6 +101,7 @@ class _PolyParser:
         self.index_of = {v: i for i, v in enumerate(self.names)}
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.budget = PARSE_PRODUCT_BUDGET
 
     def peek(self):
         return self.tokens[self.pos]
@@ -122,9 +131,17 @@ class _PolyParser:
     def term(self) -> Polynomial:
         p = self.factor()
         while self.peek()[:2] == ("sym", "*"):
-            self.advance()
-            p = p * self.factor()
+            pos = self.advance()[2]
+            p = self._product(p, self.factor(), pos)
         return p
+
+    def _product(self, p: Polynomial, q: Polynomial, pos) -> Polynomial:
+        pairs = len(p.terms) * len(q.terms)
+        if pairs > 1:  # a product of two single terms costs no more than a sum
+            self.budget -= pairs
+            if self.budget < 0:
+                raise ParseError("expression too large", position=pos)
+        return p * q
 
     def factor(self) -> Polynomial:
         kind, value, pos = self.peek()
@@ -156,7 +173,14 @@ class _PolyParser:
             if kind != "num":
                 raise ParseError("exponent must be a natural number", position=pos)
             self.advance()
-            p = p ** value
+            # square-and-multiply, each product checked against the budget
+            base, p = p, Polynomial.one(len(self.names))
+            while value:
+                if value & 1:
+                    p = self._product(p, base, pos)
+                value >>= 1
+                if value:
+                    base = self._product(base, base, pos)
         return p
 
     def _rational(self, negative: bool) -> Polynomial:

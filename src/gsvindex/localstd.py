@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 
@@ -188,6 +189,12 @@ class StandardBasis:
     @property
     def leading_monomials(self):
         return tuple(self.order.leading_monomial(b) for b in self.basis)
+
+    @cached_property
+    def quotient(self):
+        """(staircase, its CanonicalQuotient or None when infinite), built once."""
+        stairs = staircase(self)
+        return stairs, CanonicalQuotient(self, stairs) if stairs.finite else None
 
 
 @dataclass(frozen=True)
@@ -424,9 +431,9 @@ def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
     representative of the class of p in the localized quotient; it is 0
     exactly when p lies in the localized ideal.
     """
-    st = staircase(sb)
-    if st.finite:
-        coords = CanonicalQuotient(sb, st).coordinates(p)
+    st, canonical = sb.quotient
+    if canonical is not None:
+        coords = canonical.coordinates(p)
         out = Polynomial.zero(p.nvars)
         for c, m in zip(coords, st.basis_monomials):
             if c:

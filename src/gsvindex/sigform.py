@@ -1,13 +1,15 @@
 """Exact signatures of symmetric bilinear forms, and admissible functionals.
 
-Inertia is computed by symmetric congruence diagonalization over the
-rationals: pivots come from the first nonzero diagonal entry in index
-order; when the whole remaining diagonal vanishes, a symmetric add turns
-the first nonzero off-diagonal pair into a usable pivot, which makes each
-hyperbolic block contribute (+1, -1). Eliminating a pivot p with row w
-leaves the trailing block's Schur complement A' = A - w^T w / p, so only
-that block changes; it is symmetric, so only its upper triangle is stored
-and updated, and only where w is nonzero.
+Inertia is computed by symmetric congruence diagonalization: pivots come
+from the first nonzero diagonal entry in pivot-search order; when the whole
+remaining diagonal vanishes, a symmetric add turns the first nonzero
+off-diagonal pair into a usable pivot, which makes each hyperbolic block
+contribute (+1, -1). The matrix is scaled to integers by one positive lcm,
+so it stays symmetric and keeps its inertia, and elimination is the integer
+Bareiss kernel of _linalg with its lazy per-row factor, over full rows of
+the trailing block. The rational pivot, the entry of the Schur complement,
+is the Bareiss pivot over the previous one, which is the stored pivot over
+its row's factor, so its sign is the product of their signs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _linalg
 from .errors import C1ClassZeroError
 from .poly import Polynomial
 
@@ -48,55 +51,47 @@ class SignatureResult:
 
 def signature_of(form: GramForm) -> SignatureResult:
     """Exact inertia (p_plus, p_minus, rank) by congruence diagonalization."""
-    d = form.dim
-    # only the upper triangle a[u][v], u <= v, is stored and kept current
-    a = [[None] * i + [Fraction(x) for x in row[i:]]
-         for i, row in enumerate(form.matrix)]
-
-    def entry(u, v):
-        return a[u][v] if u <= v else a[v][u]
-
-    live = list(range(d))  # the trailing block, in pivot-search order
+    den = _linalg.common_denominator(x for row in form.matrix for x in row)
+    # rows and columns of the trailing block, in pivot-search order; row i is
+    # stored lazily as (Bareiss row) * lasts[i] / prev, see _linalg
+    rows = [_linalg.integer_row(row, den) for row in form.matrix]
+    lasts = [1] * form.dim
+    prev = 1
     plus = minus = 0
-    while live:
-        piv = next((s for s, u in enumerate(live) if a[u][u] != 0), None)
+    while rows:
+        piv = next((s for s, row in enumerate(rows) if row[s]), None)
         if piv is None:
-            pair = next(
-                (
-                    (s, v)
-                    for s, u in enumerate(live)
-                    for v in live[s + 1:]
-                    if entry(u, v) != 0
-                ),
-                None,
-            )
+            pair = next(((s, t) for s, row in enumerate(rows)
+                         for t in range(s + 1, len(rows)) if row[t]), None)
             if pair is None:
                 break  # remaining block is zero
-            piv, v = pair
-            u = live[piv]
-            # row/col u += row/col v; with a zero diagonal, a[u][u] = 2 a[u][v]
-            for t in live:
-                if t != u and t != v:
-                    value = entry(u, t) + entry(v, t)
-                    if u <= t:
-                        a[u][t] = value
-                    else:
-                        a[t][u] = value
-            a[u][u] = 2 * entry(u, v)
-        live[0], live[piv] = live[piv], live[0]
-        k = live.pop(0)
-        p = a[k][k]
-        if p > 0:
+            piv, t = pair
+            # row/col piv += row/col t; with a zero diagonal the new diagonal
+            # entry is twice the pair's; both entries of a column add share
+            # one row, hence one lazy factor
+            u, v = (_linalg.refresh(rows[s], prev, lasts[s]) for s in (piv, t))
+            rows[piv], rows[t] = [a + b for a, b in zip(u, v)], v
+            lasts[piv] = lasts[t] = prev
+            for row in rows:
+                row[piv] += row[t]
+        # the pivot's rational value is rows[piv][piv] / lasts[piv]
+        if (rows[piv][piv] > 0) == (lasts[piv] > 0):
             plus += 1
         else:
             minus += 1
-        # trailing block -= (pivot row)^T (pivot row) / p, over its support
-        row = sorted((t, w) for t in live if (w := entry(k, t)) != 0)
-        for pos, (r, ar) in enumerate(row):
-            f = ar / p
-            target = a[r]
-            for t, at in row[pos:]:
-                target[t] -= f * at
+        prow = _linalg.refresh(rows[piv], prev, lasts[piv])
+        rows[piv], lasts[piv] = rows[0], lasts[0]
+        del rows[0], lasts[0]
+        # swap the pivot to the front of the order and drop it, from every row
+        for row in (prow, *rows):
+            row[0], row[piv] = row[piv], row[0]
+        p = prev = prow.pop(0)
+        # Schur complement, skipping rows with no entry in the pivot column
+        for i, row in enumerate(rows):
+            f = row.pop(0)
+            if f:
+                rows[i] = _linalg.bareiss_step(row, f, prow, p, lasts[i])
+                lasts[i] = p
     return SignatureResult(p_plus=plus, p_minus=minus, rank=plus + minus)
 
 

@@ -351,3 +351,21 @@ def test_zero_algebra_builds_and_has_index_zero():
     C = annihilator_quotient(A, one)
     assert C.dim == 0 and gram_of_form(C, ()).matrix == ()
     assert eisenbud_levine_index([one + x, y]) == (0, SignatureResult(0, 0, 0))
+
+
+def test_complex_index_never_builds_the_variable_matrices_of_c0(monkeypatch):
+    from gsvindex import complex_gsv_index, index
+
+    built = []
+    original = index.annihilator_quotient
+
+    def kept(A, g):
+        built.append(original(A, g))
+        return built[-1]
+
+    monkeypatch.setattr(index, "annihilator_quotient", kept)
+    report = complex_gsv_index(space_curve_problem(6))
+    (C0,) = built
+    assert report.index == C0.dim > 0
+    assert "var_matrices" not in C0.__dict__
+    assert "var_matrices" in C0.parent.__dict__  # read by mult_matrix(DF)

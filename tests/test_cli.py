@@ -3,6 +3,7 @@ import random
 import string
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,55 @@ def test_parser_totality_fuzz():
             parse_poly(text, ("x", "y"))
         except ParseError:
             pass  # the only acceptable failure mode
+
+
+def test_parser_rejects_an_oversized_expansion_quickly(tmp_path):
+    big = tmp_path / "big.prob"
+    big.write_text("ring: x, y, z\nfield: complex\n"
+                   "f: (x+y+z)^5000; x*y\nX: x; y; z\nC: [1, 0; 0, 1]\n")
+    start = time.perf_counter()
+    code, out = cmd_compute(str(big))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_PARSE and "expression too large" in out
+    with pytest.raises(ParseError):
+        parse_poly("(x+1)*" * 400 + "1", ("x", "y"))  # products add up
+    assert parse_poly("x^5000", ("x", "y")) == x ** 5000
+    assert parse_poly("(x+y)^39", ("x", "y")) == (x + y) ** 39
+    # products of two single terms are not counted: a long sum of powers
+    # costs about as much as its length
+    long_sum = " + ".join(f"x^{i}*y^{i}" for i in range(2500))
+    assert len(parse_poly(long_sum, ("x", "y")).terms) == 2500
+
+
+def test_parser_budget_keeps_every_shipped_input(monkeypatch):
+    from problems import (cusp_instance, dk_problem, gm_family,
+                          hyperbola_problem, smooth_line_problem,
+                          space_curve_problem)
+
+    problems = [dk_problem(k, m) for k, m in ((4, 3), (6, 5), (8, 6), (14, 12))]
+    problems += [space_curve_problem(l) for l in range(1, 7)]
+    problems += [hyperbola_problem(), smooth_line_problem(multiplicity=3)]
+    for P in problems:
+        polys = list(P.f) + list(P.X) + list(P.C.entries)
+        for p in polys:
+            assert parse_poly(p.render(P.vars), P.vars) == p
+    for f, X, c in [gm_family(k, l) for k in (2, 3, 4) for l in (1, 2, 3)] + [
+            cusp_instance()]:
+        for p in (f, *X, c):
+            assert parse_poly(p.render(("x", "y")), ("x", "y")) == p
+    monkeypatch.syspath_prepend(str(CORPUS_DIR.parent / "perfbench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        ops, _ = workloads.build(name, 1)
+        for op in ops:
+            if op["kind"] == "cli":
+                parse_problem_text(op["text"])
+                continue
+            texts = op["g"] if op["kind"] == "map" else (
+                op["f"] + op["X"] + [c for row in op["C"] for c in row])
+            for text in texts:
+                parse_poly(text, op["vars"])
 
 
 # ------------------------------------------------------------ problem files

@@ -18,6 +18,7 @@ from gsvindex import (
 )
 from gsvindex.errors import DegreeCapExceededError
 from gsvindex.index import random_unimodular
+from gsvindex import localstd
 from gsvindex.localstd import membership_by_basis
 
 from graded_oracle import staircase_count
@@ -275,3 +276,21 @@ def test_membership_needs_a_basis_with_lifts():
         membership_by_basis(x ** 4, bare, gens)
     ok, _ = membership_by_basis(x ** 4, standard_basis(gens), gens)
     assert ok
+
+
+def test_normal_form_builds_one_canonical_quotient_per_basis(monkeypatch):
+    sb = standard_basis([x * x * y + y ** 7, x ** 6])
+    built = []
+    original = localstd.CanonicalQuotient.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(localstd.CanonicalQuotient, "__init__", counted)
+    results = [normal_form(x ** i * y ** (9 - i), sb) for i in range(10)]
+    assert len(built) == 1
+    fresh = standard_basis([x * x * y + y ** 7, x ** 6])
+    assert fresh == sb and "quotient" not in vars(fresh)
+    assert [normal_form(x ** i * y ** (9 - i), fresh)
+            for i in range(10)] == results
