@@ -86,12 +86,20 @@ def _tokenize(text: str):
     return tokens
 
 
-# Term pairs that the products in one polynomial may multiply in all (a
-# product of two single terms is not counted); an input past it is reported
-# as too large (exit 2) instead of being expanded.
-# The largest power of x+y+z it admits is the 39th, which parses in 1.3 s on
-# a 2-core host with 30-digit coefficients and 0.3 s with coefficients 1.
+# Work that the products in one polynomial may do in all, past which the
+# input is reported as too large (exit 2) instead of being expanded. A
+# product of p and q costs its term pairs times the size of the largest
+# coefficient of p and of q in 64-bit words (numerator and denominator
+# together); a product of two single terms is not counted. The largest power
+# of x+y+z it admits is the 39th, which parses in 0.3 s on a 2-core host;
+# with 30-digit coefficients it is the 11th.
 PARSE_PRODUCT_BUDGET = 50_000
+
+
+def _coefficient_words(p: Polynomial) -> int:
+    """Size of the largest coefficient of p in 64-bit words, at least 1."""
+    return 1 + max(c.numerator.bit_length() + c.denominator.bit_length()
+                   for c in p.terms.values()) // 64
 
 
 class _PolyParser:
@@ -121,12 +129,17 @@ class _PolyParser:
         return p
 
     def expr(self) -> Polynomial:
-        p = self.term()
+        # the terms of a sum go into one map, so a sum costs its length
+        acc = dict(self.term().terms)
         while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
-            op = self.advance()[1]
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            sign = 1 if self.advance()[1] == "+" else -1
+            for m, c in self.term().terms.items():
+                s = acc.get(m, 0) + sign * c
+                if s:
+                    acc[m] = s
+                else:
+                    acc.pop(m, None)
+        return Polynomial(len(self.names), acc)
 
     def term(self) -> Polynomial:
         p = self.factor()
@@ -138,7 +151,7 @@ class _PolyParser:
     def _product(self, p: Polynomial, q: Polynomial, pos) -> Polynomial:
         pairs = len(p.terms) * len(q.terms)
         if pairs > 1:  # a product of two single terms costs no more than a sum
-            self.budget -= pairs
+            self.budget -= pairs * _coefficient_words(p) * _coefficient_words(q)
             if self.budget < 0:
                 raise ParseError("expression too large", position=pos)
         return p * q
@@ -173,6 +186,11 @@ class _PolyParser:
             if kind != "num":
                 raise ParseError("exponent must be a natural number", position=pos)
             self.advance()
+            if len(p.terms) == 1:  # a single term: exponents and coefficient
+                (m, c), = p.terms.items()
+                p = Polynomial(len(self.names),
+                               {tuple(e * value for e in m): c ** value})
+                continue
             # square-and-multiply, each product checked against the budget
             base, p = p, Polynomial.one(len(self.names))
             while value:

@@ -26,6 +26,21 @@ the localized ideal (the highest corner), so CanonicalQuotient divides in
 the local order and drops every term of degree above delta. That division
 terminates, needs no unit denominators, and its remainder is the unique
 staircase representative of the class.
+
+Polynomial, with Fraction coefficients, is the type at the boundary, but
+the completion, weak-normal-form and coordinate loops run in Python ints.
+A polynomial there is a primitive integer term map (monomial -> int, the
+gcd of the coefficients 1), a nonzero rational multiple of the polynomial
+that the same loop over the rationals would hold. A reduction step
+h <- a*h - b*x^m*g with a = lc(g)/q, b = lc(h)/q, q = gcd(lc(h), lc(g)) is
+a times the rational step h <- h - (lc(h)/lc(g)) x^m g, and removing the
+content divides by a rational again. Multiples have the same leading
+monomial and ecart, so every reducer choice, every addition to Mora's set
+T and the degree-cap check are those of the rational loop, and the
+monic basis, lifts and witnesses handed back are identical to it. No
+coefficient gcd is paid per term, only one content per step (Bareiss-style
+fraction-free reduction; Geddes, Czapor, Labahn, Algorithms for Computer
+Algebra, ch. 9).
 """
 
 from __future__ import annotations
@@ -34,8 +49,10 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
+from operator import add, mul, neg
 
+from ._linalg import common_denominator, integer_row
 from .errors import CertificateError, DegreeCapExceededError
 from .poly import (
     Monomial,
@@ -67,8 +84,8 @@ class LocalOrder:
     def key(self, mono: Monomial):
         """Sort key: larger key = larger monomial (so 1 is maximal)."""
         if self.kind == "negdegrevlex":
-            return (-mono_degree(mono), tuple(-e for e in reversed(mono)))
-        return (-mono_degree(mono), mono)
+            return (-sum(mono), tuple(map(neg, reversed(mono))))
+        return (-sum(mono), mono)
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
@@ -88,23 +105,145 @@ def negdeglex(nvars: int) -> LocalOrder:
     return LocalOrder("negdeglex", nvars)
 
 
-def _ecart(p: Polynomial, lm: Monomial) -> int:
-    return p.total_degree() - mono_degree(lm)
+def _integer_terms(terms):
+    """(ints, scale): ints = scale * terms, a primitive integer term map."""
+    den = common_denominator(terms.values())
+    ints = integer_row(terms.values(), den)
+    g = gcd(*ints) or 1
+    return {m: c // g for m, c in zip(terms, ints)}, Fraction(den, g)
+
+
+def _rational_terms(nvars, ints, num, den):
+    """The Polynomial ints * num / den."""
+    return Polynomial._trusted(
+        nvars, {m: Fraction(c * num, den) for m, c in ints.items()})
+
+
+def _combine(h, a, b, m, g):
+    """a*h - b*x^m*g on integer term maps, a new map."""
+    out = dict(h) if a == 1 else {k: a * c for k, c in h.items()}
+    for gm, gc in g.items():
+        k = mono_mul(gm, m)
+        c = out.get(k, 0) - b * gc
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _scaled(h, a):
+    return h if a == 1 else {k: a * c for k, c in h.items()}
+
+
+def _product(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mono_mul(m1, m2)
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def _content(g, maps):
+    """gcd of g and every coefficient in maps, stopping early at 1."""
+    for terms in maps:
+        for c in terms.values():
+            if g == 1:
+                return 1
+            g = gcd(g, c)
+    return g
 
 
 class _Reducer:
-    """Entry of the Mora reducer set T with its division certificate."""
+    """Entry of the Mora reducer set T with its division certificate.
+
+    poly, den and vec are integer term maps; see _weak_nf.
+    """
 
     __slots__ = ("poly", "lm", "lc", "ecart", "gen_index", "den", "vec")
 
-    def __init__(self, poly, lm, lc, ecart, gen_index=None, den=None, vec=None):
+    def __init__(self, poly, lm, ecart, gen_index=None, den=None, vec=None):
         self.poly = poly
         self.lm = lm
-        self.lc = lc
+        self.lc = poly[lm]
         self.ecart = ecart
         self.gen_index = gen_index  # index into the fixed reducer list, or None
         self.den = den  # for intermediates: den*p = sum(vec_i R_i) + poly
         self.vec = vec
+
+
+def _generator(poly, order, gen_index):
+    lm = max(poly, key=order.key)
+    return _Reducer(poly, lm, max(map(mono_degree, poly)) - mono_degree(lm),
+                    gen_index)
+
+
+def _weak_nf(h, T, order, certify):
+    """Mora's weak normal form on integer term maps.
+
+    h is the input p, nonzero. T starts with the fixed reducers R_i
+    (gen_index = i) and gains the working polynomials that Mora's rule adds.
+    Returns (h, den, vec, num, dnm) with
+
+        den*p == sum_i vec[i]*R_i + h
+
+    in integer term maps, and (h, den, vec) equal to num/dnm times what the
+    same loop over the rationals returns for p and the R_i. Each step
+    h <- a*h - b*x^m*g (module docstring) multiplies that scalar by a, and
+    dividing out the content divides it by the content. With certify, den
+    and vec take the same row operations and the content is taken over h,
+    den and vec together, so the identity survives; otherwise den and vec
+    are None and h is kept primitive.
+    """
+    zero = (0,) * len(next(iter(h)))
+    den = vec = None
+    if certify:
+        den = {zero: 1}
+        vec = [{}] * sum(t.gen_index is not None for t in T)
+    num = dnm = 1
+    while h:
+        lm_h = max(h, key=order.key)
+        candidates = [t for t in T if mono_divides(t.lm, lm_h)]
+        if not candidates:
+            break
+        g = min(candidates, key=lambda t: t.ecart)
+        e_h = max(map(mono_degree, h)) - mono_degree(lm_h)
+        if g.ecart > e_h:
+            T.append(_Reducer(h, lm_h, e_h, den=den,
+                              vec=list(vec) if certify else None))
+        q = gcd(h[lm_h], g.lc)
+        a, b = g.lc // q, h[lm_h] // q
+        if a < 0:
+            a, b = -a, -b
+        m = mono_div(lm_h, g.lm)
+        h = _combine(h, a, b, m, g.poly)
+        num *= a
+        if certify:
+            if g.gen_index is not None:
+                den = _scaled(den, a)
+                vec = [_scaled(v, a) for v in vec]
+                vec[g.gen_index] = _combine(vec[g.gen_index], 1, -b, m,
+                                            {zero: 1})
+            else:
+                den = _combine(den, a, b, m, g.den)
+                vec = [_combine(v, a, b, m, gv) for v, gv in zip(vec, g.vec)]
+        c = _content(0, [h])
+        if certify and c != 1:
+            c = _content(c, [den, *vec])
+        if c > 1:
+            h = {k: v // c for k, v in h.items()}
+            if certify:
+                den = {k: v // c for k, v in den.items()}
+                vec = [{k: x // c for k, x in v.items()} for v in vec]
+            dnm *= c
+    if certify and not den.get(zero):
+        raise CertificateError("Mora certificate lost its unit denominator")
+    return h, den, vec, num, dnm
 
 
 def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
@@ -115,61 +254,85 @@ def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
     den(0) != 0, and the leading monomial of h (if any) not divisible by any
     reducer leading monomial. With certify false, den and vec are not
     tracked and come back as None; h is the same.
+
+    The division runs in _weak_nf on the primitive integer multiples
+    p_int = k*p and R_int_i = k_i*R_i, and returns s = num/dnm times the
+    rational results for p_int and the R_int_i. Those are k*h, den and
+    vec_i*k/k_i for p and the R_i, so the values are scaled back here, once:
+    h = h_int/(s*k), den = den_int/s, vec_i = vec_int_i*k_i/(s*k).
     """
     n = p.nvars
-    T = []
+    if p.is_zero:
+        vec = [Polynomial.zero(n)] * len(reducers) if certify else None
+        return p, Polynomial.one(n) if certify else None, vec
+    h0, kp = _integer_terms(p.terms)
+    T, ks = [], []
     for i, g in enumerate(reducers):
-        lm = order.leading_monomial(g)
-        T.append(_Reducer(g, lm, g.terms[lm], _ecart(g, lm), gen_index=i))
-    h = p
-    den = vec = None
-    if certify:
-        den = Polynomial.one(n)
-        vec = [Polynomial.zero(n)] * len(reducers)
-    while not h.is_zero:
-        lm_h = order.leading_monomial(h)
-        candidates = [t for t in T if mono_divides(t.lm, lm_h)]
-        if not candidates:
-            break
-        g = min(candidates, key=lambda t: t.ecart)
-        e_h = _ecart(h, lm_h)
-        if g.ecart > e_h:
-            T.append(_Reducer(h, lm_h, h.terms[lm_h], e_h, den=den,
-                              vec=list(vec) if certify else None))
-        c = h.terms[lm_h] / g.lc
-        m = mono_div(lm_h, g.lm)
-        h = h - g.poly.mul_term(m, c)
-        if not certify:
-            continue
-        if g.gen_index is not None:
-            j = g.gen_index
-            vec[j] = vec[j] + Polynomial.term(n, m, c)
-        else:
-            den = den - g.den.mul_term(m, c)
-            vec = [v - gv.mul_term(m, c) for v, gv in zip(vec, g.vec)]
-    if certify and den.constant_term == 0:
-        raise CertificateError("Mora certificate lost its unit denominator")
+        r, k = _integer_terms(g.terms)
+        T.append(_generator(r, order, i))
+        ks.append(k)
+    h, den, vec, num, dnm = _weak_nf(h0, T, order, certify)
+    h = _rational_terms(n, h, dnm * kp.denominator, num * kp.numerator)
+    if not certify:
+        return h, None, None
+    den = _rational_terms(n, den, dnm, num)
+    vec = [_rational_terms(n, v, dnm * k.numerator * kp.denominator,
+                           num * k.denominator * kp.numerator)
+           for v, k in zip(vec, ks)]
     return h, den, vec
 
 
-def _combine_units(dens):
-    """Product of unit polynomials together with the partial cofactors.
+def _fold_lifts(u, lifts, ngens, one, zero, mul, add):
+    """Rewrite a combination of basis elements over the generators.
 
-    Returns (product, cofactors) with cofactors[i] = product of all dens
-    except dens[i].
+    lifts[k] starts with (unit_k, coeffs_k), unit_k * b_k == sum_j
+    coeffs_k[j] * gens[j]. Returns (P, coeffs) with P the product of the
+    unit_k over the support of u and P * sum_k u[k] b_k == sum_j coeffs[j]
+    * gens[j]. Serves Polynomials and integer term maps alike, through one,
+    zero, mul and add.
     """
-    n = dens[0].nvars if dens else 0
-    total = Polynomial.one(n)
-    for d in dens:
-        total = total * d
-    cof = []
-    for i in range(len(dens)):
-        c = Polynomial.one(n)
-        for j, d in enumerate(dens):
-            if j != i:
-                c = c * d
-        cof.append(c)
-    return total, cof
+    support = [k for k, uk in enumerate(u) if uk]
+    prefix = [one]  # prefix[t]: product of the first t units
+    for k in support:
+        prefix.append(mul(prefix[-1], lifts[k][0]))
+    coeffs = [zero] * ngens
+    suffix = one  # product of the units after the current one
+    for pos in reversed(range(len(support))):
+        k = support[pos]
+        factor = mul(u[k], mul(prefix[pos], suffix))
+        for j, w in enumerate(lifts[k][1]):
+            if w:
+                coeffs[j] = add(coeffs[j], mul(factor, w))
+        suffix = mul(suffix, lifts[k][0])
+    return prefix[-1], coeffs
+
+
+def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
+    """Certificate of a new candidate h over the generators.
+
+    den*s == sum_k vec[k]*G_k + h for s = sum of a x^m G_k over s_terms,
+    the (k, a, m) of the S-polynomial, so h = sum_k u_k G_k. G_k is lc_k
+    times its monic candidate, whose certificate folds it over the
+    generators. Returns (den, coeffs, tau) as in standard_basis: tau =
+    lc(h) times the tau_k of the support, with the joint content divided
+    out, turns it into the lift of the monic h.
+    """
+    zero = (0,) * len(G[0].lm)
+    u = [{m: -c for m, c in v.items()} for v in vec]
+    for k, a, m in s_terms:
+        u[k] = _combine(u[k], 1, -a, m, den)
+    u = [_scaled(uk, G[k].lc) for k, uk in enumerate(u)]
+    total, coeffs = _fold_lifts(
+        u, certs, len(certs[0][1]), {zero: 1}, {}, _product,
+        lambda p, q: _combine(p, 1, -1, zero, q))
+    den_h = _scaled(total, lc_h)
+    tau = lc_h * prod(certs[k][2] for k, uk in enumerate(u) if uk)
+    c = _content(tau, [den_h, *coeffs])
+    if c > 1:
+        den_h = {m: v // c for m, v in den_h.items()}
+        coeffs = [{m: v // c for m, v in w.items()} for w in coeffs]
+        tau //= c
+    return den_h, coeffs, tau
 
 
 @dataclass(frozen=True)
@@ -234,6 +397,14 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     generators (membership_by_basis needs them). With certify false no lift
     bookkeeping is done and `lift` is None; basis, leading monomials and
     staircase are the same. Quotient-algebra builds use that form.
+
+    Both forms run one loop in Python ints (module docstring). Generators
+    are scaled to primitive integer term maps once; a candidate pair gives
+    lc_j x^mi G_i - lc_i x^mj G_j over gcd(lc_i, lc_j), a multiple of the
+    S-polynomial of the monic candidates, and _weak_nf reduces it. Lifts
+    are kept as integer maps with one integer scale each. The basis and
+    lifts are turned into Fraction polynomials once, at the end, and equal
+    the monic basis and the lifts of the same loop over the rationals.
     """
     gens = tuple(gens)
     nonzero = [(j, g) for j, g in enumerate(gens) if not g.is_zero]
@@ -245,21 +416,21 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     if degree_cap is None:
         degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
         degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
-    zero = Polynomial.zero(n)
-    one = Polynomial.one(n)
+    zero = (0,) * n
 
-    G = []  # monic basis candidates
-    lms = []
-    certs = []  # (den, coeff list over gens); empty when not certifying
+    G = []  # basis candidates as _Reducers on primitive integer term maps
+    # certs[k] = (den, coeffs, tau): integer term maps with
+    # den * G_k == sum_j coeffs[j] * gens[j] for G_k the monic candidate,
+    # tau times its rational lift (den/tau, coeffs/tau)
+    certs = []
     for j, g in nonzero:
-        lm = order.leading_monomial(g)
-        lc = g.terms[lm]
-        G.append(g.scale(1 / lc))
-        lms.append(lm)
+        G.append(_generator(_integer_terms(g.terms)[0], order, len(G)))
         if certify:
-            coeffs = [zero] * len(gens)
-            coeffs[j] = Polynomial.constant(n, 1 / lc)
-            certs.append((one, coeffs))
+            lc = g.terms[G[-1].lm]
+            coeffs = [{}] * len(gens)
+            coeffs[j] = {zero: lc.denominator}
+            certs.append(({zero: lc.numerator}, coeffs, lc.numerator))
+    lms = [t.lm for t in G]
 
     heap = []
     for i in range(len(G)):
@@ -272,35 +443,28 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # product criterion
         mi, mj = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
-        s = G[i].mul_term(mi, 1) - G[j].mul_term(mj, 1)
-        if s.is_zero:
+        # s = lc_j x^mi G_i - lc_i x^mj G_j, over gcd(lc_i, lc_j): a
+        # multiple of the S-polynomial of the monic candidates
+        q = gcd(G[i].lc, G[j].lc)
+        al, be = G[j].lc // q, G[i].lc // q
+        s = _combine(_combine({}, 1, -al, mi, G[i].poly), 1, be, mj, G[j].poly)
+        if not s:
             continue
-        h, den, vec = _mora_weak_nf(s, G, order, certify)
-        if h.is_zero:
+        h, den, vec, _, _ = _weak_nf(s, list(G), order, certify)
+        if not h:
             continue
-        lm = order.leading_monomial(h)
+        lm = max(h, key=order.key)
         if mono_degree(lm) > degree_cap:
             raise DegreeCapExceededError(
                 f"standard-basis completion passed degree cap {degree_cap}; "
                 "raise the cap if the ideal is expected to be this deep"
             )
-        lc = h.terms[lm]
-        G.append(h.scale(1 / lc))
-        lms.append(lm)
         if certify:
-            # h = den*s - sum_k vec[k]*G[k]; fold s = x^mi G[i] - x^mj G[j]
-            u = [-v for v in vec]
-            u[i] = u[i] + den.mul_term(mi, 1)
-            u[j] = u[j] - den.mul_term(mj, 1)
-            support = [k for k, uk in enumerate(u) if not uk.is_zero]
-            total, cof = _combine_units([certs[k][0] for k in support])
-            coeffs = [zero] * len(gens)
-            for pos, k in enumerate(support):
-                factor = u[k] * cof[pos]
-                for jj, w in enumerate(certs[k][1]):
-                    if not w.is_zero:
-                        coeffs[jj] = coeffs[jj] + factor * w
-            certs.append((total, [c.scale(1 / lc) for c in coeffs]))
+            certs.append(_fold_certificate(
+                h[lm], den, vec, ((i, al, mi), (j, -be, mj)), G, certs))
+        c = _content(0, [h])
+        G.append(_generator({k: v // c for k, v in h.items()}, order, len(G)))
+        lms.append(lm)
         k = len(G) - 1
         for t in range(k):
             heapq.heappush(
@@ -317,9 +481,13 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
                 break
         if not dominated:
             keep.append(i)
-    basis = tuple(G[i] for i in keep)
-    lift = (tuple((certs[i][0], tuple(certs[i][1])) for i in keep)
-            if certify else None)
+    basis = tuple(_rational_terms(n, G[i].poly, 1, G[i].lc) for i in keep)
+    lift = None
+    if certify:
+        lift = tuple(
+            (_rational_terms(n, certs[i][0], 1, certs[i][2]),
+             tuple(_rational_terms(n, c, 1, certs[i][2]) for c in certs[i][1]))
+            for i in keep)
     return StandardBasis(order=order, generators=gens, basis=basis, lift=lift)
 
 
@@ -374,14 +542,8 @@ def quotient_dimension(gens, order: "LocalOrder | None" = None,
 def _witness_over_generators(sb: StandardBasis, den, vec):
     """Rewrite den*p = sum vec_i basis_i into a witness over sb.generators."""
     n = den.nvars
-    support = [i for i, v in enumerate(vec) if not v.is_zero]
-    total, cof = _combine_units([sb.lift[i][0] for i in support])
-    coeffs = [Polynomial.zero(n)] * len(sb.generators)
-    for pos, i in enumerate(support):
-        factor = vec[i] * cof[pos]
-        for j, w in enumerate(sb.lift[i][1]):
-            if not w.is_zero:
-                coeffs[j] = coeffs[j] + factor * w
+    total, coeffs = _fold_lifts(vec, sb.lift, len(sb.generators),
+                                Polynomial.one(n), Polynomial.zero(n), mul, add)
     return MembershipWitness(denominator=den * total, coefficients=tuple(coeffs))
 
 
@@ -462,6 +624,14 @@ class CanonicalQuotient:
     dropped because m^(delta+1) lies in the localized ideal (Greuel-Pfister,
     A Singular Introduction to Commutative Algebra, 1.6-1.7). Construction
     checks that every generator gets zero coordinates.
+
+    Each reducer is kept as a primitive integer (lm, lc, tail), truncated at
+    delta. coordinates divides on integer numerators over one common
+    denominator D: rewriting a term c by a reducer first multiplies D and
+    every pending numerator by lc/gcd(c, lc), so the step stays integral.
+    Terms are taken largest first and a rewrite only adds smaller
+    monomials, so a staircase term is final when it is taken and is
+    emitted then, as Fraction(c, D).
     """
 
     def __init__(self, sb: StandardBasis, stairs: Staircase):
@@ -475,9 +645,11 @@ class CanonicalQuotient:
         self._rank = {m: r for r, m in enumerate(self._monos)}
         self._reducers = []
         for b, lm in zip(sb.basis, sb.leading_monomials):
-            tail = [(m, c) for m, c in b.terms.items()
-                    if m != lm and mono_degree(m) <= self.delta]
-            self._reducers.append((lm, b.terms[lm], tail))
+            kept, _ = _integer_terms({m: c for m, c in b.terms.items()
+                                      if m == lm or mono_degree(m) <= self.delta})
+            lc = kept.pop(lm)
+            self._reducers.append((lm, lc, list(kept.items())))
+        self._rewrites = {}  # rank -> its rewrite, made on first use
         for g in sb.generators:
             if any(self.coordinates(g)):
                 raise CertificateError(
@@ -486,11 +658,11 @@ class CanonicalQuotient:
 
     def coordinates(self, p: Polynomial):
         """Coordinates of the class of p in the local staircase basis."""
-        rank, work = self._rank, {}
-        for m, c in p.terms.items():
-            r = rank.get(m)  # None above degree delta: such terms are in I
-            if r is not None:
-                work[r] = c
+        rank = self._rank
+        # terms above degree delta have no rank: they lie in the ideal
+        kept = {rank[m]: c for m, c in p.terms.items() if m in rank}
+        den = common_denominator(kept.values())
+        work = dict(zip(kept, integer_row(kept.values(), den)))
         heap = list(work)
         heapq.heapify(heap)
         out = [Fraction(0)] * len(self.index)
@@ -502,19 +674,35 @@ class CanonicalQuotient:
             m = self._monos[r]
             i = self.index.get(m)
             if i is not None:
-                out[i] = c
+                out[i] = Fraction(c, den)
                 continue
-            lm, lc, tail = next(
-                red for red in self._reducers if mono_divides(red[0], m)
-            )
-            q, f = mono_div(m, lm), c / lc
-            for tm, tc in tail:
-                r2 = rank.get(mono_mul(q, tm))
-                if r2 is None:
-                    continue
+            lc, tail = self._rewrites.get(r) or self._rewrite(r)
+            g = gcd(c, lc)
+            a, b = lc // g, c // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for r2 in work:
+                    work[r2] *= a
+                den *= a
+            for r2, tc in tail:
                 if r2 in work:
-                    work[r2] -= f * tc
+                    work[r2] -= b * tc
                 else:
-                    work[r2] = -f * tc
+                    work[r2] = -b * tc
                     heapq.heappush(heap, r2)
+        return out
+
+    def _rewrite(self, r):
+        """(lc, tail) for the r-th monomial m: the first reducer whose leading
+        monomial divides m, shifted onto m, its tail as (rank, coefficient)
+        pairs with the terms above delta dropped."""
+        m, rank = self._monos[r], self._rank
+        lm, lc, tail = next(
+            red for red in self._reducers if mono_divides(red[0], m)
+        )
+        q = mono_div(m, lm)
+        shifted = ((rank.get(mono_mul(q, tm)), tc) for tm, tc in tail)
+        out = self._rewrites[r] = (lc, [(r2, tc) for r2, tc in shifted
+                                        if r2 is not None])
         return out

@@ -92,6 +92,48 @@ def test_parser_rejects_an_oversized_expansion_quickly(tmp_path):
     assert len(parse_poly(long_sum, ("x", "y")).terms) == 2500
 
 
+def test_parser_parses_long_sums_in_linear_time():
+    n = 20_000
+    text = " + ".join(f"x^{i}" for i in range(1, n + 1))
+    start = time.perf_counter()
+    p = parse_poly(text, ("x", "y"))
+    assert time.perf_counter() - start < 4.0  # 8.3 s when each + copied the sum
+    assert p == Polynomial(2, {(i, 0): 1 for i in range(1, n + 1)})
+    # mixed signs, with every other term cancelled by a later one
+    rng = random.Random(3)
+    pieces, expected = [], {}
+    for i in range(4000):
+        m, c = (i % 50, i // 50), rng.randint(1, 9)
+        pieces.append(("+", f"{c}*x^{m[0]}*y^{m[1]}"))
+        expected[m] = expected.get(m, 0) + c
+        if i % 2:
+            pieces.append(("-", f"{c}*x^{m[0]}*y^{m[1]}"))
+            expected[m] -= c
+    text = "0 " + " ".join(f"{op} {t}" for op, t in pieces)
+    assert parse_poly(text, ("x", "y")) == Polynomial(2, expected)
+    assert len(parse_poly(text, ("x", "y")).terms) == 2000
+
+
+def test_parser_budget_weighs_coefficient_size(tmp_path):
+    A, B = "7" * 101, "3" * 100 + "1"
+    base = f"({A}/{B}*x + {B}/{A}*y - {A}/7*z)"
+    assert len(base + "^30") == 526
+    for power in ("^30", "^39"):
+        path = tmp_path / "wide.prob"
+        path.write_text("ring: x, y, z\nfield: complex\n"
+                        f"f: {base}{power}; x*y\nX: x; y; z\nC: [1, 0; 0, 1]\n")
+        start = time.perf_counter()
+        code, out = cmd_compute(str(path))
+        assert time.perf_counter() - start < 0.5  # 2.0 s and 6.4 s when counted by pairs
+        assert code == EXIT_PARSE and "expression too large" in out
+    # small coefficients keep their old allowance, wide single terms are free
+    assert parse_poly("(x+y+z)^39", ("x", "y", "z")) == (
+        Polynomial.variable(3, 0) + Polynomial.variable(3, 1)
+        + Polynomial.variable(3, 2)) ** 39
+    assert parse_poly(f"({A}*x)^40", ("x", "y")) == Polynomial(
+        2, {(40, 0): int(A) ** 40})
+
+
 def test_parser_budget_keeps_every_shipped_input(monkeypatch):
     from problems import (cusp_instance, dk_problem, gm_family,
                           hyperbola_problem, smooth_line_problem,

@@ -294,3 +294,329 @@ def test_normal_form_builds_one_canonical_quotient_per_basis(monkeypatch):
     assert fresh == sb and "quotient" not in vars(fresh)
     assert [normal_form(x ** i * y ** (9 - i), fresh)
             for i in range(10)] == results
+
+
+# ------------------------------------------- integer kernels against Fraction
+# The references below are the Fraction versions of the Mora weak normal
+# form, the completion and the truncated staircase division that ran before
+# those loops moved to Python ints. Bases, lifts, witnesses, remainders and
+# coordinates must be identical, not just equivalent.
+
+class _RefReducer:
+    __slots__ = ("poly", "lm", "lc", "ecart", "gen_index", "den", "vec")
+
+    def __init__(self, poly, lm, lc, ecart, gen_index=None, den=None, vec=None):
+        self.poly, self.lm, self.lc, self.ecart = poly, lm, lc, ecart
+        self.gen_index, self.den, self.vec = gen_index, den, vec
+
+
+def _ref_ecart(p, lm):
+    return p.total_degree() - sum(lm)
+
+
+def _ref_mora_weak_nf(p, reducers, order, certify=True):
+    n = p.nvars
+    T = []
+    for i, g in enumerate(reducers):
+        lm = order.leading_monomial(g)
+        T.append(_RefReducer(g, lm, g.terms[lm], _ref_ecart(g, lm), gen_index=i))
+    h = p
+    den = vec = None
+    if certify:
+        den = Polynomial.one(n)
+        vec = [Polynomial.zero(n)] * len(reducers)
+    while not h.is_zero:
+        lm_h = order.leading_monomial(h)
+        candidates = [t for t in T if localstd.mono_divides(t.lm, lm_h)]
+        if not candidates:
+            break
+        g = min(candidates, key=lambda t: t.ecart)
+        e_h = _ref_ecart(h, lm_h)
+        if g.ecart > e_h:
+            T.append(_RefReducer(h, lm_h, h.terms[lm_h], e_h, den=den,
+                                 vec=list(vec) if certify else None))
+        c = h.terms[lm_h] / g.lc
+        m = localstd.mono_div(lm_h, g.lm)
+        h = h - g.poly.mul_term(m, c)
+        if not certify:
+            continue
+        if g.gen_index is not None:
+            j = g.gen_index
+            vec[j] = vec[j] + Polynomial.term(n, m, c)
+        else:
+            den = den - g.den.mul_term(m, c)
+            vec = [v - gv.mul_term(m, c) for v, gv in zip(vec, g.vec)]
+    return h, den, vec
+
+
+def _ref_combine_units(dens):
+    n = dens[0].nvars if dens else 0
+    total = Polynomial.one(n)
+    for d in dens:
+        total = total * d
+    cof = []
+    for i in range(len(dens)):
+        c = Polynomial.one(n)
+        for j, d in enumerate(dens):
+            if j != i:
+                c = c * d
+        cof.append(c)
+    return total, cof
+
+
+def _ref_witness_over_generators(sb, den, vec):
+    n = den.nvars
+    support = [i for i, v in enumerate(vec) if not v.is_zero]
+    total, cof = _ref_combine_units([sb.lift[i][0] for i in support])
+    coeffs = [Polynomial.zero(n)] * len(sb.generators)
+    for pos, i in enumerate(support):
+        factor = vec[i] * cof[pos]
+        for j, w in enumerate(sb.lift[i][1]):
+            if not w.is_zero:
+                coeffs[j] = coeffs[j] + factor * w
+    return den * total, tuple(coeffs)
+
+
+def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
+    from math import prod
+    from gsvindex.localstd import (DEGREE_CAP_FLOOR, mono_lcm, mono_mul,
+                                   mono_div, mono_divides)
+    import heapq
+
+    gens = tuple(gens)
+    nonzero = [(j, g) for j, g in enumerate(gens) if not g.is_zero]
+    n = nonzero[0][1].nvars
+    if degree_cap is None:
+        degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
+        degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
+    zero, one = Polynomial.zero(n), Polynomial.one(n)
+    G, lms, certs = [], [], []
+    for j, g in nonzero:
+        lm = order.leading_monomial(g)
+        lc = g.terms[lm]
+        G.append(g.scale(1 / lc))
+        lms.append(lm)
+        if certify:
+            coeffs = [zero] * len(gens)
+            coeffs[j] = Polynomial.constant(n, 1 / lc)
+            certs.append((one, coeffs))
+    heap = []
+    for i in range(len(G)):
+        for j in range(i):
+            heapq.heappush(heap, (sum(mono_lcm(lms[i], lms[j])), j, i))
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]):
+            continue
+        mi, mj = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
+        s = G[i].mul_term(mi, 1) - G[j].mul_term(mj, 1)
+        if s.is_zero:
+            continue
+        h, den, vec = _ref_mora_weak_nf(s, G, order, certify)
+        if h.is_zero:
+            continue
+        lm = order.leading_monomial(h)
+        if sum(lm) > degree_cap:
+            raise DegreeCapExceededError("cap")
+        lc = h.terms[lm]
+        G.append(h.scale(1 / lc))
+        lms.append(lm)
+        if certify:
+            u = [-v for v in vec]
+            u[i] = u[i] + den.mul_term(mi, 1)
+            u[j] = u[j] - den.mul_term(mj, 1)
+            support = [k for k, uk in enumerate(u) if not uk.is_zero]
+            total, cof = _ref_combine_units([certs[k][0] for k in support])
+            coeffs = [zero] * len(gens)
+            for pos, k in enumerate(support):
+                factor = u[k] * cof[pos]
+                for jj, w in enumerate(certs[k][1]):
+                    if not w.is_zero:
+                        coeffs[jj] = coeffs[jj] + factor * w
+            certs.append((total, [c.scale(1 / lc) for c in coeffs]))
+        k = len(G) - 1
+        for t in range(k):
+            heapq.heappush(heap, (sum(mono_lcm(lms[t], lm)), t, k))
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and mono_divides(other, lm) and (other != lm or j < i)
+                       for j, other in enumerate(lms))]
+    basis = tuple(G[i] for i in keep)
+    lift = (tuple((certs[i][0], tuple(certs[i][1])) for i in keep)
+            if certify else None)
+    return basis, lift
+
+
+def _ref_coordinates(sb, stairs, p):
+    import heapq
+
+    index = {m: i for i, m in enumerate(stairs.basis_monomials)}
+    delta = max(map(sum, stairs.basis_monomials), default=-1)
+    nvars = sb.basis[0].nvars
+    monos = sb.order.sort_descending(
+        m for e in range(delta + 1)
+        for m in localstd.monomials_of_degree(nvars, e))
+    rank = {m: r for r, m in enumerate(monos)}
+    reducers = []
+    for b, lm in zip(sb.basis, sb.leading_monomials):
+        tail = [(m, c) for m, c in b.terms.items() if m != lm and sum(m) <= delta]
+        reducers.append((lm, b.terms[lm], tail))
+    work = {}
+    for m, c in p.terms.items():
+        r = rank.get(m)
+        if r is not None:
+            work[r] = c
+    heap = list(work)
+    heapq.heapify(heap)
+    out = [Fraction(0)] * len(index)
+    while heap:
+        r = heapq.heappop(heap)
+        c = work.pop(r)
+        if not c:
+            continue
+        m = monos[r]
+        i = index.get(m)
+        if i is not None:
+            out[i] = c
+            continue
+        lm, lc, tail = next(red for red in reducers
+                            if localstd.mono_divides(red[0], m))
+        q, f = localstd.mono_div(m, lm), c / lc
+        for tm, tc in tail:
+            r2 = rank.get(localstd.mono_mul(q, tm))
+            if r2 is None:
+                continue
+            if r2 in work:
+                work[r2] -= f * tc
+            else:
+                work[r2] = -f * tc
+                heapq.heappush(heap, r2)
+    return out
+
+
+def _random_poly(rng, nvars, terms, degree, bits=6):
+    return Polynomial(nvars, {
+        tuple(rng.randint(0, degree) for _ in range(nvars)):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** bits),
+                     rng.randint(1, 2 ** bits))
+        for _ in range(terms)})
+
+
+def _kernel_ideals():
+    """(name, generators) covering the cases the integer kernels must match."""
+    from problems import space_curve_problem
+
+    out = []
+    for seed in (2, 5, 9):
+        A = random_unimodular(2, random.Random(seed))
+        for k, m in ((4, 3), (5, 4), (6, 5)):
+            P = dk_problem(k, m)
+            out.append((f"dk({k},{m}) seed {seed}",
+                        [linear_substitute(P.f[0], A),
+                         transform_vector_field(list(P.X), A)[0]]))
+    for l in range(1, 5):
+        P = space_curve_problem(l)
+        A = random_unimodular(3, random.Random(2))
+        out.append((f"space l={l}",
+                    [linear_substitute(f, A) for f in P.f]
+                    + [transform_vector_field(list(P.X), A)[0]]))
+    P = space_curve_problem(1)
+    out.append(("space l=1, infinite", list(P.f) + [P.X[0]]))
+    rng = random.Random(40)
+    for t in range(4):
+        # non-unit leading coefficients and 40-bit coefficients
+        big = [Fraction(rng.randint(2, 2 ** 40), rng.randint(1, 2 ** 40))
+               for _ in range(6)]
+        out.append((f"wide {t}", [
+            big[0] * x * x * y + big[1] * y ** 4 + big[2] * x ** 3 * y,
+            big[3] * x ** 3 + big[4] * x * y * y + big[5] * y ** 5,
+        ]))
+    out.append(("unit", [3 * x - 5 * x * x, 7 * y + 2 * x * y]))
+    return out
+
+
+def test_integer_kernels_match_the_fraction_references():
+    rng = random.Random(8)
+    members = 0
+    for name, gens in _kernel_ideals():
+        n = gens[0].nvars
+        for order in (negdegrevlex(n), negdeglex(n)):
+            ref_basis, ref_lift = _ref_standard_basis(gens, order)
+            sb = standard_basis(gens, order)
+            assert sb.basis == ref_basis, name
+            assert sb.lift == ref_lift, name
+            bare = standard_basis(gens, order, certify=False)
+            assert bare.basis == ref_basis and bare.lift is None, name
+            probes = [_random_poly(rng, n, 3, 3) for _ in range(2)]
+            probes += [g * _random_poly(rng, n, 2, 2) for g in gens]
+            for p in probes:
+                ref = _ref_mora_weak_nf(p, list(sb.basis), order)
+                assert localstd._mora_weak_nf(p, list(sb.basis), order) == ref
+                assert localstd._mora_weak_nf(p, list(sb.basis), order,
+                                              False) == (ref[0], None, None)
+                ok, witness = membership_by_basis(p, sb, gens)
+                assert ok == ref[0].is_zero, name
+                members += ok
+                if ok:
+                    assert (witness.denominator, witness.coefficients) == \
+                        _ref_witness_over_generators(sb, *ref[1:]), name
+            stairs, canonical = sb.quotient
+            if canonical is None:
+                continue
+            top = max(map(sum, stairs.basis_monomials)) + 1
+            for p in probes + [_random_poly(rng, n, 8, top) for _ in range(4)]:
+                assert canonical.coordinates(p) == _ref_coordinates(
+                    sb, stairs, p), name
+    assert members >= 2 * 2 * len(_kernel_ideals())  # the multiples of gens
+
+
+def test_integer_weak_normal_form_stays_primitive():
+    # the working polynomial is a primitive integer multiple of the rational
+    # one; with certify the content is taken over h, den and vec together
+    rng = random.Random(12)
+    removed = 0
+    for name, gens in _kernel_ideals():
+        n = gens[0].nvars
+        order = negdegrevlex(n)
+        T = [localstd._generator(localstd._integer_terms(g.terms)[0], order, i)
+             for i, g in enumerate(gens)]
+        # the first S-polynomial of the completion, and a random combination
+        lcm = localstd.mono_lcm(T[0].lm, T[1].lm)
+        s = localstd._combine(
+            localstd._combine({}, 1, -T[1].lc, localstd.mono_div(lcm, T[0].lm),
+                              T[0].poly),
+            1, T[0].lc, localstd.mono_div(lcm, T[1].lm), T[1].poly)
+        p = sum((g * _random_poly(rng, n, 3, 2) for g in gens),
+                _random_poly(rng, n, 3, 4))
+        c = localstd._content(0, [s])
+        for h0 in ({m: v // c for m, v in s.items()},
+                   localstd._integer_terms(p.terms)[0]):
+            for certify in (True, False):
+                h, den, vec, _, dnm = localstd._weak_nf(h0, list(T), order,
+                                                        certify)
+                removed += dnm > 1
+                assert localstd._content(
+                    0, [h, den or {}] + (vec or [])) in (0, 1), name
+    assert removed >= 3  # some runs had a content to remove
+
+
+def test_integer_completion_hits_the_degree_cap_where_the_reference_does():
+    dk = _kernel_ideals()[2][1]  # passes from cap 16 on, in both orders
+    for gens, caps in (([x * x * y + y ** 39, x ** 4], (8, 38, 75, 76, 77)),
+                       ([x * y, y - x ** 70], (69, 70, 71)),
+                       (dk, range(12, 18))):
+        for order in (negdegrevlex(2), negdeglex(2)):
+            outcomes = []
+            for cap in caps:
+                outcome = []
+                for run in (lambda: _ref_standard_basis(gens, order, cap, False),
+                            lambda: standard_basis(gens, order, cap, certify=False),
+                            lambda: standard_basis(gens, order, cap)):
+                    try:
+                        run()
+                        outcome.append(False)
+                    except DegreeCapExceededError:
+                        outcome.append(True)
+                assert len(set(outcome)) == 1, (gens, cap)
+                outcomes.append(outcome[0])
+            assert outcomes[0] and not outcomes[-1]  # the scan crosses the cap
