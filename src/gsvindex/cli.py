@@ -90,7 +90,9 @@ def _tokenize(text: str):
 # input is reported as too large (exit 2) instead of being expanded. A
 # product of p and q costs its term pairs times the size of the largest
 # coefficient of p and of q in 64-bit words (numerator and denominator
-# together); a product of two single terms is not counted. The largest power
+# together); a product of two single terms is not counted, and a power of a
+# single term costs the size of its coefficient in words when that is more
+# than one, charged before the power is computed. The largest power
 # of x+y+z it admits is the 39th, which parses in 0.3 s on a 2-core host;
 # with 30-digit coefficients it is the 11th.
 PARSE_PRODUCT_BUDGET = 50_000
@@ -148,12 +150,15 @@ class _PolyParser:
             p = self._product(p, self.factor(), pos)
         return p
 
+    def _charge(self, cost: int, pos):
+        self.budget -= cost
+        if self.budget < 0:
+            raise ParseError("expression too large", position=pos)
+
     def _product(self, p: Polynomial, q: Polynomial, pos) -> Polynomial:
         pairs = len(p.terms) * len(q.terms)
         if pairs > 1:  # a product of two single terms costs no more than a sum
-            self.budget -= pairs * _coefficient_words(p) * _coefficient_words(q)
-            if self.budget < 0:
-                raise ParseError("expression too large", position=pos)
+            self._charge(pairs * _coefficient_words(p) * _coefficient_words(q), pos)
         return p * q
 
     def factor(self) -> Polynomial:
@@ -188,6 +193,12 @@ class _PolyParser:
             self.advance()
             if len(p.terms) == 1:  # a single term: exponents and coefficient
                 (m, c), = p.terms.items()
+                # the words of c ** value, from v ** value having at least
+                # value * (v.bit_length() - 1) + 1 bits, before it is computed
+                words = 1 + sum(value * (abs(v).bit_length() - 1) + 1
+                                for v in (c.numerator, c.denominator)) // 64
+                if words > 1:
+                    self._charge(words, pos)
                 p = Polynomial(len(self.names),
                                {tuple(e * value for e in m): c ** value})
                 continue

@@ -9,7 +9,8 @@ differ only where the index is read off: the complex index is dim C0, the
 real index is the signature of the pairing (a, b) -> l(ab) on C0 for any
 functional l positive on the class of c1. The Eisenbud-Levine index of a
 map germ is the same signature on its local algebra, with l positive on the
-Jacobian determinant.
+Jacobian determinant. Coordinate changes are applied by kind (LinearChange),
+and C is transformed only for the change whose B0 is finite.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ from .errors import (
 )
 from .localstd import INFINITE, quotient_dimension
 from .poly import (
+    LinearChange,
     Polynomial,
     PolyMatrix,
     jacobian,
     linear_substitute,
     minor_det,
+    permutation_of,
     transform_vector_field,
 )
 from .sigform import SignatureResult, choose_linear_form, gram_of_form, signature_of
@@ -91,23 +94,11 @@ class CoordinateNormalization:
 
     @property
     def is_identity(self) -> bool:
-        n = len(self.transform)
-        return all(
-            self.transform[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        return permutation_of(self.transform) == tuple(range(len(self.transform)))
 
     @property
     def is_permutation(self) -> bool:
-        n = len(self.transform)
-        return all(
-            sorted(row).count(0) == n - 1 and sorted(row)[-1] == 1
-            for row in self.transform
-        ) and all(
-            sum(1 for i in range(n) if self.transform[i][j] == 1) == 1
-            for j in range(n)
-        )
+        return permutation_of(self.transform) is not None
 
 
 @dataclass(frozen=True)
@@ -156,15 +147,23 @@ def verify_tangency(f, X, C: PolyMatrix):
     return all(r.is_zero for r in residuals), residuals
 
 
+def _substitute_curve(problem: Problem, change: LinearChange):
+    """f and X of problem in the coordinates y of the change z = A y."""
+    if change.is_identity:
+        return problem.f, problem.X
+    return (tuple(linear_substitute(p, change) for p in problem.f),
+            tuple(transform_vector_field(problem.X, change)))
+
+
 def _substitute_problem(problem: Problem, A) -> Problem:
-    f2 = tuple(linear_substitute(p, A) for p in problem.f)
-    X2 = tuple(transform_vector_field(list(problem.X), A))
-    C2 = PolyMatrix(
-        problem.C.rows,
-        problem.C.cols,
-        [linear_substitute(e, A) for e in problem.C.entries],
-    )
-    return Problem(vars=problem.vars, f=f2, X=X2, C=C2, field=problem.field)
+    """problem in coordinates y, where z = A y; the identity returns problem."""
+    change = LinearChange(A)
+    if change.is_identity:
+        return problem
+    f, X = _substitute_curve(problem, change)
+    C = PolyMatrix(problem.C.rows, problem.C.cols,
+                   [linear_substitute(e, change) for e in problem.C.entries])
+    return Problem(vars=problem.vars, f=f, X=X, C=C, field=problem.field)
 
 
 def random_unimodular(nvars: int, rng: random.Random):
@@ -186,10 +185,7 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
     """The first `limit` coordinate changes of the fixed search order."""
 
     def candidates():
-        yield tuple(tuple(r) for r in _linalg.identity(nvars))
-        for perm in permutations(range(nvars)):
-            if perm == tuple(range(nvars)):
-                continue
+        for perm in permutations(range(nvars)):  # the identity comes first
             yield tuple(
                 tuple(Fraction(1 if j == perm[i] else 0) for j in range(nvars))
                 for i in range(nvars)
@@ -207,11 +203,15 @@ def _normalize_with(problem: Problem, A, attempts_used: int):
     Raises InfiniteDimensionError when B0 is infinite and
     DegreeCapExceededError when the standard basis overruns the degree cap.
     """
-    transformed = _substitute_problem(problem, A)
-    B0 = build_algebra(list(transformed.f) + [transformed.X[0]])
+    change = LinearChange(A)
+    f, X = _substitute_curve(problem, change)
+    B0 = build_algebra(list(f) + [X[0]])
+    if not change.is_identity:  # C only for a change whose B0 is finite
+        C = PolyMatrix(problem.C.rows, problem.C.cols,
+                       [linear_substitute(e, change) for e in problem.C.entries])
+        problem = Problem(vars=problem.vars, f=f, X=X, C=C, field=problem.field)
     return CoordinateNormalization(
-        transform=A, problem=transformed, attempts_used=attempts_used,
-        algebra=B0,
+        transform=A, problem=problem, attempts_used=attempts_used, algebra=B0,
     )
 
 
@@ -221,10 +221,11 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
 
     Tries the identity, then all coordinate permutations, then seeded random
     unimodular integer matrices; the search order is fixed so reports are
-    reproducible. An attempt that hits the degree cap is skipped like an
-    infinite one, but the final error counts the two apart: only infinite
-    attempts are evidence that the zero is not isolated. Raises ValueError
-    when max_attempts is less than 1.
+    reproducible. An attempt transforms only f and X (the identity neither);
+    C is transformed once, for the accepted change. An attempt that hits the
+    degree cap is skipped like an infinite one, but the final error counts
+    the two apart: only infinite attempts are evidence that the zero is not
+    isolated. Raises ValueError when max_attempts is less than 1.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")

@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, le, sub
 
+from . import _linalg
+
 Monomial = tuple  # exponent tuple, length == nvars
 
 
@@ -241,22 +243,23 @@ class Polynomial:
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         tgt = images[0].nvars if images else self.nvars
-        out = Polynomial.zero(tgt)
         powers = [{0: Polynomial.one(tgt)} for _ in range(self.nvars)]
+        out = {}  # one term map, updated like __add__ would
         for m, c in self.terms.items():
             part = Polynomial.constant(tgt, c)
             for i, e in enumerate(m):
                 if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        best = max(k for k in cache if k <= e)
-                        acc = cache[best]
-                        for k in range(best + 1, e + 1):
-                            acc = acc * images[i]
-                            cache[k] = acc
+                    cache = powers[i]  # holds the powers 0, 1, ..., len - 1
+                    for k in range(len(cache), e + 1):
+                        cache[k] = cache[k - 1] * images[i]
                     part = part * cache[e]
-            out = out + part
-        return out
+            for mono, v in part.terms.items():
+                s = out.get(mono, 0) + v
+                if s:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+        return Polynomial._trusted(tgt, out)
 
     def _check_ring(self, other: "Polynomial"):
         if self.nvars != other.nvars:
@@ -422,45 +425,72 @@ def minor_det(matrix: PolyMatrix, rows, cols) -> Polynomial:
     return _det_bareiss(sub)
 
 
-def linear_substitute(p: Polynomial, A) -> Polynomial:
-    """p(A . y): substitute z_i = sum_j A[i][j] * y_j and expand."""
-    from . import _linalg
+def permutation_of(A) -> "tuple | None":
+    """The s with A[i][s[i]] = 1 and every other entry 0, or None."""
+    s = tuple(j for row in A for j, a in enumerate(row) if a)
+    ok = sorted(s) == list(range(len(A))) and all(r[j] == 1 for r, j in zip(A, s))
+    return s if ok else None
 
-    n = p.nvars
-    A = [[Fraction(x) for x in row] for row in A]
-    if len(A) != n or any(len(row) != n for row in A):
-        raise ValueError("substitution matrix has the wrong shape")
-    if _linalg.det(A) == 0:
-        raise ValueError("singular substitution matrix")
-    images = []
-    for i in range(n):
-        img = Polynomial.zero(n)
-        for j, c in enumerate(A[i]):
-            if c:
-                img = img + Polynomial.variable(n, j).scale(c)
-        images.append(img)
-    return p.substitute(images)
+
+class LinearChange:
+    """The coordinate change z = A y, checked and inverted once for all its uses.
+
+    A permutation matrix (z_i = y_s(i)) only moves exponents and field
+    components. Any other A must be nonsingular; it is inverted once.
+    """
+
+    def __init__(self, A):
+        A = [[Fraction(x) for x in row] for row in A]
+        n = self.nvars = len(A)
+        if any(len(row) != n for row in A):
+            raise ValueError("substitution matrix has the wrong shape")
+        self.perm = permutation_of(A)
+        if self.perm is None:
+            self.inverse = _linalg.inverse(A)  # raises on singular A
+            self.images = [sum((Polynomial.variable(n, j).scale(c)
+                                for j, c in enumerate(row) if c), Polynomial.zero(n))
+                           for row in A]
+        else:  # exponent k of an image is exponent source[k] of its preimage
+            self.source = sorted(range(n), key=self.perm.__getitem__)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.perm == tuple(range(self.nvars))
+
+    def polynomial(self, p: Polynomial) -> Polynomial:
+        """p(A . y), with its terms in the order of p's."""
+        if p.nvars != self.nvars:
+            raise ValueError("substitution matrix has the wrong shape")
+        if self.perm is None:
+            return p.substitute(self.images)
+        return Polynomial._trusted(p.nvars, {tuple(map(m.__getitem__, self.source)): c
+                                             for m, c in p.terms.items()})
+
+    def vector_field(self, X) -> "list[Polynomial]":
+        """A^{-1} (X o A), entrywise canonical."""
+        if self.perm is not None:
+            return [self.polynomial(X[i]) for i in self.source]
+        pulled = [self.polynomial(comp) for comp in X]
+        return [sum((comp.scale(a) for a, comp in zip(row, pulled) if a),
+                    Polynomial.zero(self.nvars)) for row in self.inverse]
+
+
+def as_linear_change(A) -> LinearChange:
+    """A itself if it is a LinearChange, else the LinearChange of the matrix A."""
+    return A if isinstance(A, LinearChange) else LinearChange(A)
+
+
+def linear_substitute(p: Polynomial, A) -> Polynomial:
+    """p(A . y) for a square matrix A or a LinearChange built from one."""
+    return as_linear_change(A).polynomial(p)
 
 
 def transform_vector_field(X, A) -> "list[Polynomial]":
-    """Components of the same field in coordinates y, where z = A . y.
+    """The field X in coordinates y, where z = A . y: A^{-1} (X o A).
 
-    For linear A this is A^{-1} (X o A), entrywise canonical.
+    A is a square matrix or a LinearChange built from one.
     """
-    from . import _linalg
-
     X = list(X)
-    n = X[0].nvars
-    if len(X) != n:
+    if len(X) != X[0].nvars:
         raise ValueError("need one component per variable")
-    A = [[Fraction(x) for x in row] for row in A]
-    Ainv = _linalg.inverse(A)  # raises on singular input
-    pulled = [linear_substitute(comp, A) for comp in X]
-    out = []
-    for i in range(n):
-        acc = Polynomial.zero(n)
-        for j in range(n):
-            if Ainv[i][j]:
-                acc = acc + pulled[j].scale(Ainv[i][j])
-        out.append(acc)
-    return out
+    return as_linear_change(A).vector_field(X)

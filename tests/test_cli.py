@@ -134,6 +134,25 @@ def test_parser_budget_weighs_coefficient_size(tmp_path):
         2, {(40, 0): int(A) ** 40})
 
 
+def test_parser_budget_charges_powers_of_single_terms(tmp_path):
+    path = tmp_path / "tall.prob"
+    path.write_text("ring: x, y\nfield: complex\n"
+                    "f: 3^20000000*x + y\nX: x; y\nC: [1]\n")
+    start = time.perf_counter()
+    code, out = cmd_compute(str(path))
+    assert time.perf_counter() - start < 0.5  # 7.1 s when single terms were free
+    assert code == EXIT_PARSE and "expression too large" in out
+    for text in ("(1/3)^5000000", "(3^200000)^100", "3^2000000*3^2000000*x",
+                 "2^" + "9" * 400):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="expression too large"):
+            parse_poly(text, ("x", "y"))
+        assert time.perf_counter() - start < 0.5
+    # coefficients of one word are free, wider ones are charged but admitted
+    assert parse_poly("(-1)^1000000*x^1000000", ("x", "y")) == x ** 1000000
+    assert parse_poly("2^64*x", ("x", "y")) == (2 ** 64) * x
+
+
 def test_parser_budget_keeps_every_shipped_input(monkeypatch):
     from problems import (cusp_instance, dk_problem, gm_family,
                           hyperbola_problem, smooth_line_problem,

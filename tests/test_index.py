@@ -29,6 +29,7 @@ from gsvindex import (
 from gsvindex.cli import parse_problem_file
 from gsvindex.errors import (
     DegreeCapExceededError,
+    InfiniteDimensionError,
     NormalizationError,
     ShapeError,
     TangencyError,
@@ -142,6 +143,146 @@ def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
     message = str(info.value)
     assert "(0 infinite, 3 capped " in message
     assert "not isolated" not in message
+
+
+def test_normalization_general_change_for_sheared_node():
+    # (x y, x^2) is not zero-dimensional, nor (x y, -y^2) after the swap
+    pf = parse_problem_file(CORPUS_DIR / "node_sheared_real.prob")
+    norm = ensure_regular_sequence(pf.problem)
+    assert norm.attempts_used == 3 and not norm.is_permutation
+    assert norm.transform == ((1, 2), (1, 1))
+    assert norm.algebra.dim == 4
+
+
+# The coordinate change as every attempt applied it before changes were
+# applied by kind: each polynomial expanded over the rationals, with its
+# own determinant check, and the accumulated sum copied once per term.
+
+def _reference_expand(p, images):
+    tgt = images[0].nvars
+    out = Polynomial.zero(tgt)
+    powers = [{0: Polynomial.one(tgt)} for _ in range(p.nvars)]
+    for m, c in p.terms.items():
+        part = Polynomial.constant(tgt, c)
+        for i, e in enumerate(m):
+            if e:
+                cache = powers[i]
+                if e not in cache:
+                    best = max(k for k in cache if k <= e)
+                    acc = cache[best]
+                    for k in range(best + 1, e + 1):
+                        acc = acc * images[i]
+                        cache[k] = acc
+                part = part * cache[e]
+        out = out + part
+    return out
+
+
+def _reference_linear_substitute(p, A):
+    from gsvindex import _linalg
+
+    n = p.nvars
+    A = [[Fraction(v) for v in row] for row in A]
+    if _linalg.det(A) == 0:
+        raise ValueError("singular substitution matrix")
+    images = []
+    for i in range(n):
+        img = Polynomial.zero(n)
+        for j, c in enumerate(A[i]):
+            if c:
+                img = img + Polynomial.variable(n, j).scale(c)
+        images.append(img)
+    return _reference_expand(p, images)
+
+
+def _reference_transform_vector_field(X, A):
+    from gsvindex import _linalg
+
+    n = X[0].nvars
+    A = [[Fraction(v) for v in row] for row in A]
+    Ainv = _linalg.inverse(A)
+    pulled = [_reference_linear_substitute(comp, A) for comp in X]
+    out = []
+    for i in range(n):
+        acc = Polynomial.zero(n)
+        for j in range(n):
+            if Ainv[i][j]:
+                acc = acc + pulled[j].scale(Ainv[i][j])
+        out.append(acc)
+    return out
+
+
+def _reference_substitute_problem(problem, A):
+    f2 = tuple(_reference_linear_substitute(p, A) for p in problem.f)
+    X2 = tuple(_reference_transform_vector_field(list(problem.X), A))
+    C2 = PolyMatrix(problem.C.rows, problem.C.cols,
+                    [_reference_linear_substitute(e, A) for e in problem.C.entries])
+    return Problem(vars=problem.vars, f=f2, X=X2, C=C2, field=problem.field)
+
+
+def _all_polys(problem):
+    return list(problem.f) + list(problem.X) + list(problem.C.entries)
+
+
+def test_substitution_matches_the_expanding_reference():
+    from gsvindex.index import _candidate_transforms, _substitute_problem
+    from gsvindex.poly import permutation_of
+
+    problems = [pf.problem for pf in map(parse_problem_file,
+                                         sorted(CORPUS_DIR.glob("*.prob")))
+                if pf.problem is not None]
+    problems += [dk_problem(k, k - 1) for k in (4, 5, 6)]
+    problems += [space_curve_problem(l) for l in range(1, 7)]
+    kinds = set()
+    for P in problems:
+        for seed in (0, 3):
+            for A in _candidate_transforms(P.nvars, seed, 12):
+                got = _substitute_problem(P, A)
+                want = _reference_substitute_problem(P, A)
+                assert got == want
+                for a, b in zip(_all_polys(got), _all_polys(want)):
+                    assert list(a.terms) == list(b.terms)
+                kinds.add(permutation_of(A) is not None)
+    assert kinds == {True, False}  # both kinds of change are compared
+
+
+def test_attempts_transform_only_what_they_need(monkeypatch):
+    import gsvindex.index as index_mod
+    from gsvindex.index import _normalize_with, _substitute_problem
+
+    events = []
+    real_substitute, real_build = (index_mod.linear_substitute,
+                                   index_mod.build_algebra)
+
+    def substitute(p, A):
+        events.append("C" if any(p is e for e in P.C.entries) else "p")
+        return real_substitute(p, A)
+
+    def build(gens):
+        events.append("build")
+        return real_build(gens)
+
+    monkeypatch.setattr(index_mod, "linear_substitute", substitute)
+    monkeypatch.setattr(index_mod, "build_algebra", build)
+    P = space_curve_problem(6)
+    norm = ensure_regular_sequence(P)
+    assert norm.attempts_used > 1 and not norm.is_identity
+    last_build = len(events) - 1 - events[::-1].index("build")
+    assert events.count("build") == norm.attempts_used
+    # C is substituted once, entry by entry, after the accepted attempt only
+    assert events[last_build + 1:] == ["C"] * len(P.C.entries)
+    assert "C" not in events[:last_build]
+
+    # the identity substitutes nothing and hands back the problem itself
+    events.clear()
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _substitute_problem(P, identity) is P
+    with pytest.raises(InfiniteDimensionError):
+        _normalize_with(P, identity, 1)
+    assert events == ["build"]
+    D = dk_problem(6, 5)
+    assert _normalize_with(D, ((1, 0), (0, 1)), 1).problem is D
+    assert ensure_regular_sequence(D).problem is D
 
 
 # ---------------------------------------------------------- c coefficients

@@ -160,6 +160,21 @@ def test_linear_substitute_rejects_singular():
         linear_substitute(x, [[1, 1], [1, 1]])
 
 
+def test_permutation_of_detects_exactly_the_permutation_matrices():
+    from gsvindex.poly import permutation_of
+
+    assert permutation_of([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == (1, 2, 0)
+    assert permutation_of([[1, 0], [0, 1]]) == (0, 1)
+    for A in ([[1, 1], [0, 0]], [[0, 2], [1, 0]], [[1, 0], [1, 0]],
+              [[-1, 0], [0, 1]], [[1, 0], [0, 1], [0, 0]], [[0, 0], [0, 0]]):
+        assert permutation_of(A) is None
+    # a permutation relabels exponents and keeps the order of the terms
+    p = x ** 3 + 2 * x * y - y ** 2
+    q = linear_substitute(p, [[0, 1], [1, 0]])
+    assert q == y ** 3 + 2 * x * y - x ** 2
+    assert list(q.terms) == [(0, 3), (1, 1), (2, 0)]
+
+
 def random_unimodular_int(rng, n=2):
     L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     U = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
