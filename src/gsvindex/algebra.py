@@ -68,7 +68,7 @@ class FiniteAlgebra:
         """var_matrices[k][i], column i of M_k: the index j when x_k * b_i is
         the basis monomial b_j, otherwise the sparse coordinates
         ((row, coeff), ...) of x_k * b_i. Built on first read: a complex
-        index reads only the dimension of C0."""
+        index builds no C0 and never reads these of B0."""
         return tuple(tuple(self._column(k, i) for i in range(self.dim))
                      for k in range(self.nvars))
 

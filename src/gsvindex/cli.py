@@ -51,6 +51,9 @@ from .poly import Polynomial, PolyMatrix
 # ---------------------------------------------------------------- tokenizer
 
 _SYMBOLS = set("+-*/^()")
+# Longest numeral accepted: the default digit limit of int() on Python 3.11+,
+# enforced here so that every supported Python rejects the same inputs.
+MAX_NUMERAL_DIGITS = 4300
 
 
 def _tokenize(text: str):
@@ -63,10 +66,13 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} "
+                                 "digits", position=i)
             tokens.append(("num", int(text[i:j]), i))
             i = j
             continue
@@ -361,10 +367,6 @@ def render_problem_file(pf: ProblemFile) -> str:
 
 # ------------------------------------------------------------------ reports
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 class ReportDocument:
     """JSON-friendly rendering of a computation; all numbers exact."""
 
@@ -401,8 +403,9 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
 
-def _transform_json(transform):
-    return [[_frac_str(x) for x in row] for row in transform]
+def _signature_json(sig):
+    return None if sig is None else {
+        "plus": sig.p_plus, "minus": sig.p_minus, "rank": sig.rank}
 
 
 def _goodness_json(goodness, names):
@@ -432,13 +435,6 @@ def _goodness_json(goodness, names):
 def build_report(pf: ProblemFile, rep, problem_hash: str, seed,
                  elapsed_ms: int) -> ReportDocument:
     names = list(pf.variables)
-    sig = None
-    if rep.signature is not None:
-        sig = {
-            "plus": rep.signature.p_plus,
-            "minus": rep.signature.p_minus,
-            "rank": rep.signature.rank,
-        }
     deformation = None
     if rep.deformation is not None:
         dnames = list(rep.deformation_vars)
@@ -449,12 +445,13 @@ def build_report(pf: ProblemFile, rep, problem_hash: str, seed,
     payload = {
         "problem_hash": problem_hash,
         "field": pf.field,
-        "transform": _transform_json(rep.normalization.transform),
+        "transform": [[str(x) for x in row]
+                      for row in rep.normalization.transform],
         "dim_B0": rep.dim_B0,
         "dim_B0_mod_DF": rep.dim_B0_mod_DF,
         "dim_C0": rep.dim_C0,
         "index": rep.index,
-        "signature": sig,
+        "signature": _signature_json(rep.signature),
         "c1": rep.c1.render(names),
         "goodness": _goodness_json(rep.goodness, names),
         "deformation": deformation,
@@ -475,9 +472,7 @@ def build_el_report(pf: ProblemFile, idx: int, sig, problem_hash: str, seed,
         "dim_B0_mod_DF": None,
         "dim_C0": None,
         "index": idx,
-        "signature": None
-        if sig is None
-        else {"plus": sig.p_plus, "minus": sig.p_minus, "rank": sig.rank},
+        "signature": _signature_json(sig),
         "c1": None,
         "goodness": None,
         "deformation": None,

@@ -5,12 +5,13 @@ come from one construction, run by one driver. B0 is the local quotient by
 (f_1, ..., f_{n-1}, X_1) in coordinates making that ideal zero-dimensional,
 DF is the Jacobian minor on the trailing n-1 columns, C0 = B0 / ann(DF), and
 c1 is the degree-one coefficient of det(1 + t DX) / det(1 + t C). The fields
-differ only where the index is read off: the complex index is dim C0, the
-real index is the signature of the pairing (a, b) -> l(ab) on C0 for any
-functional l positive on the class of c1. The Eisenbud-Levine index of a
-map germ is the same signature on its local algebra, with l positive on the
-Jacobian determinant. Coordinate changes are applied by kind (LinearChange),
-and C is transformed only for the change whose B0 is finite.
+differ only where the index is read off: the complex index is dim C0 =
+dim B0 - dim O/(f, X_1, DF) by rank-nullity for multiplication by DF, so no
+C0 is built; the real index is the signature of the pairing (a, b) -> l(ab)
+on C0 for any functional l positive on the class of c1. The Eisenbud-Levine
+index of a map germ is the same signature on its local algebra, with l
+positive on the Jacobian determinant. Coordinate changes are applied by kind
+(LinearChange), and C is transformed only for the change whose B0 is finite.
 """
 
 from __future__ import annotations
@@ -298,18 +299,30 @@ def _require_curve(problem: Problem):
         )
 
 
-def _check_tangency(problem: Problem):
-    ok, residuals = verify_tangency(problem.f, problem.X, problem.C)
+def _check_tangency(f, X, C: PolyMatrix):
+    ok, residuals = verify_tangency(f, X, C)
     if not ok:
         raise TangencyError(residuals)
 
 
+def _jacobian_minor(problem: Problem) -> Polynomial:
+    """DF, the minor of the Jacobian of f on the trailing n-1 columns."""
+    n, q = problem.nvars, problem.ncurve_eqs
+    return minor_det(jacobian(list(problem.f), n), range(q), range(1, n))
+
+
 def _c0_algebra(norm: CoordinateNormalization) -> QuotientAlgebra:
     """C0 = B0 / ann(DF) for the normalized problem."""
+    return annihilator_quotient(norm.algebra, _jacobian_minor(norm.problem))
+
+
+def _c0_dimension(norm: CoordinateNormalization) -> int:
+    """dim C0 = dim B0 - dim O/(f, X_1, DF), by rank-nullity for the map
+    B0 -> B0 of multiplication by DF; its default degree cap is at least
+    that of (f, X_1). No C0 is built."""
     P = norm.problem
-    n, q = P.nvars, P.ncurve_eqs
-    DF = minor_det(jacobian(list(P.f), n), list(range(q)), list(range(1, n)))
-    return annihilator_quotient(norm.algebra, DF)
+    return norm.algebra.dim - quotient_dimension(
+        list(P.f) + [P.X[0], _jacobian_minor(P)])
 
 
 def _pairing_signature(algebra, element: Polynomial, seed) -> SignatureResult:
@@ -332,12 +345,13 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
     index, the choice of functional (None means the default policy).
     """
     _require_curve(problem)
-    _check_tangency(problem)
+    _check_tangency(problem.f, problem.X, problem.C)
     norm = ensure_regular_sequence(
         problem, seed=seed if seed is not None else 0, max_attempts=max_attempts
     )
-    B0, C0 = norm.algebra, _c0_algebra(norm)
-    P = norm.problem
+    B0, P = norm.algebra, norm.problem
+    C0 = _c0_algebra(norm) if real else None  # the functional needs C0
+    dim_C0 = C0.dim if real else _c0_dimension(norm)
     c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C, 1)
     sig = _pairing_signature(C0, c1, seed) if real else None
     goodness, deformation, defo_vars = _optional_goodness(
@@ -345,9 +359,9 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
     )
     return IndexReport(
         dim_B0=B0.dim,
-        dim_B0_mod_DF=B0.dim - C0.dim,
-        dim_C0=C0.dim,
-        index=sig.signature if real else C0.dim,
+        dim_B0_mod_DF=B0.dim - dim_C0,
+        dim_C0=dim_C0,
+        index=sig.signature if real else dim_C0,
         signature=sig,
         c1=c1,
         normalization=norm,
@@ -360,7 +374,7 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
 def complex_gsv_index(problem: Problem, seed: int = 0, max_attempts: int = 25,
                       check_goodness: bool = False,
                       build_deformation: bool = False) -> IndexReport:
-    """Complex index = dim C0, with the full dimension bookkeeping."""
+    """Complex index = dim C0 = dim B0 - dim O/(f, X_1, DF); no C0 is built."""
     return _gsv_index(problem, False, seed, max_attempts, check_goodness,
                       build_deformation)
 
@@ -554,10 +568,9 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
 def cramer_identity_check(problem: Problem) -> bool:
     """Check (-1)^i m_i X_1 + DF X_i = 0 modulo (f_1, ..., f_{n-1}) for all i."""
     _require_curve(problem)
-    _check_tangency(problem)
+    _check_tangency(problem.f, problem.X, problem.C)
     n, q = problem.nvars, problem.ncurve_eqs
-    Df = jacobian(list(problem.f), n)
-    DF = minor_det(Df, list(range(q)), list(range(1, n)))
+    Df, DF = jacobian(list(problem.f), n), _jacobian_minor(problem)
     for i in range(1, n + 1):
         cols = [c for c in range(n) if c != i - 1]
         mi = minor_det(Df, list(range(q)), cols)
@@ -580,9 +593,7 @@ def gm_identity_check(f: Polynomial, X, c: Polynomial):
     if n != 2 or len(X) != 2:
         raise ShapeError("the comparison identity applies to plane curves")
     Cmat = PolyMatrix(1, 1, [c])
-    ok, residuals = verify_tangency([f], X, Cmat)
-    if not ok:
-        raise TangencyError(residuals)
+    _check_tangency([f], X, Cmat)
     B = build_algebra(X)
     DX = jacobian(X, n)
     c1 = c_coefficient(DX, Cmat, 1)
@@ -592,9 +603,7 @@ def gm_identity_check(f: Polynomial, X, c: Polynomial):
         return None
     k = next(i for i, v in enumerate(lhs) if v != 0)
     r = rhs[k] / lhs[k]
-    if r <= 0:
-        return None
-    if any(r * a != b for a, b in zip(lhs, rhs)):
+    if r <= 0 or any(r * a != b for a, b in zip(lhs, rhs)):
         return None
     return r
 
@@ -627,9 +636,7 @@ def gm_signature_index(f: Polynomial, X, c: Polynomial,
     if n != 2 or len(X) != 2:
         raise ShapeError("the signature comparison applies to plane curves")
     Cmat = PolyMatrix(1, 1, [c])
-    ok, residuals = verify_tangency([f], X, Cmat)
-    if not ok:
-        raise TangencyError(residuals)
+    _check_tangency([f], X, Cmat)
     partials = [f.diff(0), f.diff(1)]
     A = build_algebra(partials)
     B = build_algebra(X)
@@ -653,8 +660,7 @@ def coordinate_invariance_check(problem: Problem, seed: int = 0,
     """dim C0 must agree across random unimodular coordinate changes."""
     base = complex_gsv_index(problem, seed=seed)
     rng = random.Random(seed)
-    done = 0
-    attempts = 0
+    done = attempts = 0
     while done < trials and attempts < trials * 20:
         attempts += 1
         A = random_unimodular(problem.nvars, rng)
@@ -662,7 +668,7 @@ def coordinate_invariance_check(problem: Problem, seed: int = 0,
             norm = _normalize_with(problem, tuple(tuple(r) for r in A), 1)
         except (InfiniteDimensionError, DegreeCapExceededError):
             continue
-        if _c0_algebra(norm).dim != base.dim_C0:
+        if _c0_dimension(norm) != base.dim_C0:
             return False
         done += 1
     return done == trials

@@ -534,9 +534,8 @@ def quotient_dimension(gens, order: "LocalOrder | None" = None,
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return INFINITE
-    sb = standard_basis(gens, order, degree_cap, certify=False)
-    st = staircase(sb)
-    return len(st.basis_monomials) if st.finite else INFINITE
+    return staircase(standard_basis(gens, order, degree_cap,
+                                    certify=False)).dimension
 
 
 def _witness_over_generators(sb: StandardBasis, den, vec):

@@ -353,19 +353,18 @@ def test_zero_algebra_builds_and_has_index_zero():
     assert eisenbud_levine_index([one + x, y]) == (0, SignatureResult(0, 0, 0))
 
 
-def test_complex_index_never_builds_the_variable_matrices_of_c0(monkeypatch):
-    from gsvindex import complex_gsv_index, index
+def test_complex_index_builds_no_c0_and_no_elimination(monkeypatch):
+    from gsvindex import complex_gsv_index, coordinate_invariance_check, index
 
-    built = []
-    original = index.annihilator_quotient
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the complex index must not eliminate")
 
-    def kept(A, g):
-        built.append(original(A, g))
-        return built[-1]
-
-    monkeypatch.setattr(index, "annihilator_quotient", kept)
+    for module, name in ((index, "annihilator_quotient"),
+                         (_linalg, "nullspace"), (_linalg, "rref")):
+        monkeypatch.setattr(module, name, forbidden)
     report = complex_gsv_index(space_curve_problem(6))
-    (C0,) = built
-    assert report.index == C0.dim > 0
-    assert "var_matrices" not in C0.__dict__
-    assert "var_matrices" in C0.parent.__dict__  # read by mult_matrix(DF)
+    assert report.index == report.dim_C0 == 24
+    assert (report.dim_B0, report.dim_B0_mod_DF) == (32, 8)
+    assert "var_matrices" not in report.normalization.algebra.__dict__
+    # the invariance check reads dim C0 the same way, under general changes
+    assert coordinate_invariance_check(space_curve_problem(2), trials=2)

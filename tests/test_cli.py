@@ -18,6 +18,7 @@ from gsvindex.cli import (
     EXIT_PARSE,
     EXIT_SHAPE,
     EXIT_TANGENCY,
+    MAX_NUMERAL_DIGITS,
     cmd_compute,
     cmd_el,
     cmd_verify,
@@ -26,7 +27,7 @@ from gsvindex.cli import (
     parse_problem_text,
     render_problem_file,
 )
-from gsvindex.errors import ParseError
+from gsvindex.errors import DegreeCapExceededError, ParseError
 
 from problems import CORPUS_DIR
 
@@ -153,6 +154,24 @@ def test_parser_budget_charges_powers_of_single_terms(tmp_path):
     assert parse_poly("2^64*x", ("x", "y")) == (2 ** 64) * x
 
 
+def test_numerals_past_the_digit_bound_exit_2_on_every_python(tmp_path):
+    # int() refuses more than 4300 digits by default from Python 3.11 on and
+    # accepts any length on 3.10; the tokenizer's own bound decides on both
+    assert MAX_NUMERAL_DIGITS == 4300
+    long = "7" * (MAX_NUMERAL_DIGITS + 1)
+    path = tmp_path / "long.prob"
+    for f in (f"{long}*x + y", f"x + 1/{long}*y", f"x^{long} + y"):
+        path.write_text(f"ring: x, y\nfield: complex\nf: {f}\nX: x; y\nC: [1]\n")
+        code, out = cmd_compute(str(path))
+        assert code == EXIT_PARSE and "numeral longer than 4300 digits" in out
+    assert main(["compute", str(path)]) == EXIT_PARSE
+    assert parse_poly("7" * MAX_NUMERAL_DIGITS + "*x", ("x", "y")) == (
+        (10 ** MAX_NUMERAL_DIGITS - 1) // 9 * 7 * x)
+    # a digit that is not a decimal digit, such as a superscript, is no numeral
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_poly("x^\u00b2", ("x", "y"))
+
+
 def test_parser_budget_keeps_every_shipped_input(monkeypatch):
     from problems import (cusp_instance, dk_problem, gm_family,
                           hyperbola_problem, smooth_line_problem,
@@ -271,6 +290,18 @@ def test_compute_normalization_failure(tmp_path):
     bad.write_text("ring: x, y\nfield: complex\nf: x\nX: x; 0\nC: [1]\n")
     code, out = cmd_compute(str(bad), max_attempts=6)
     assert code == EXIT_NORMALIZATION
+
+
+def test_degree_cap_in_the_complex_dimension_is_a_limit(monkeypatch):
+    import gsvindex.index as index_mod
+
+    def capped(gens, *args, **kwargs):
+        raise DegreeCapExceededError("standard-basis completion passed degree cap 1")
+
+    monkeypatch.setattr(index_mod, "quotient_dimension", capped)
+    code, out = cmd_compute(str(CORPUS_DIR / "space_curve_l1.prob"))
+    assert code == EXIT_NORMALIZATION and "degree cap" in out
+    assert cmd_compute(str(CORPUS_DIR / "hyperbola_real.prob"))[0] == EXIT_OK
 
 
 def _line_file(tmp_path):

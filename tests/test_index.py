@@ -22,6 +22,7 @@ from gsvindex import (
     is_good_sufficient,
     jacobian,
     poincare_hopf_complex,
+    quotient_dimension,
     real_gsv_index,
     socle,
     verify_tangency,
@@ -675,6 +676,39 @@ def test_gm_gradient_side_vanishes_when_c_in_gradient_ideal():
 
 
 # ------------------------------------------------- coordinate invariance
+
+def test_complex_dimension_matches_the_annihilator_route():
+    # dim B0 - dim O/(f, X_1, DF) against C0 = B0 / ann(DF) built by kernel
+    # and RREF, the route the real index still takes
+    from gsvindex.index import _c0_algebra, _substitute_problem, random_unimodular
+
+    sheared = parse_problem_file(CORPUS_DIR / "node_sheared_real.prob").problem
+    problems = [dataclasses.replace(pf.problem, field=field)
+                for pf in map(parse_problem_file, sorted(CORPUS_DIR.glob("*.prob")))
+                if pf.problem is not None for field in ("complex", "real")]
+    assert sheared in problems
+    for k in (4, 5, 6):
+        P = dk_problem(k, k - 1)
+        problems += [P] + [_substitute_problem(P, random_unimodular(
+            2, random.Random(s))) for s in range(5)]
+    problems += [space_curve_problem(l) for l in range(1, 9)]
+    # the deepest rung known: dim B0 = 159, leading monomials of degree 75
+    shear = tuple(tuple(map(Fraction, r)) for r in ((-1, -1), (-2, -3)))
+    problems.append(_substitute_problem(dk_problem(14, 12), shear))
+    for P in problems:
+        norm = ensure_regular_sequence(P)
+        Q, n = norm.problem, P.nvars
+        DF = minor_det(jacobian(list(Q.f), n), list(range(n - 1)),
+                       list(range(1, n)))
+        term = quotient_dimension(list(Q.f) + [Q.X[0], DF])
+        assert norm.algebra.dim - term == _c0_algebra(norm).dim
+        report = complex_gsv_index(P)
+        assert report.dim_B0_mod_DF == term
+        assert report.index == report.dim_C0 == norm.algebra.dim - term
+        if P.field == "real":
+            assert real_gsv_index(P).dim_B0_mod_DF == term
+    assert not ensure_regular_sequence(sheared).is_permutation
+
 
 def test_coordinate_invariance_dk():
     assert coordinate_invariance_check(dk_problem(4, 3), seed=1, trials=5)
