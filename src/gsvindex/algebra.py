@@ -14,7 +14,7 @@ its value at 1 by the staircase recurrence. The matrix of multiplication by
 g has columns coords(g * b_i), with coords(g * x_k * b_a) = M_k coords(g *
 b_a); the Gram rows w_a[b] = l(b_a * b_b) of a functional l satisfy
 w_{a+e_k} = w_a M_k. Neither needs the d x d x d multiplication table,
-which is derived only when `mult_table` is first read.
+so no algebra builds one.
 
 A QuotientAlgebra, such as C0 = B0 / ann(DF), is the quotient by the
 annihilator of a fixed element, and a FiniteAlgebra on its own staircase:
@@ -142,28 +142,6 @@ class FiniteAlgebra:
 
     def gram_matrix(self, l):
         return tuple(tuple(row) for row in self.gram_rows(l))
-
-    @cached_property
-    def mult_table(self):
-        """mult_table[i][j] = coords(b_i * b_j), derived on first access."""
-        return [[tuple(col) for col in
-                 self.product_columns(Polynomial.term(self.nvars, m, 1))]
-                for m in self.basis]
-
-    def multiply_coords(self, u, v):
-        """Product of two coordinate vectors via the multiplication table."""
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                for k, c in enumerate(self.mult_table[i][j]):
-                    if c:
-                        out[k] += f * c
-        return out
 
 
 def build_algebra(gens, order: "LocalOrder | None" = None,

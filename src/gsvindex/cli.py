@@ -26,6 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .errors import (
     TangencyError,
     VerificationError,
 )
-from .index import Problem, poincare_hopf_complex
+from .index import IndexReport, Problem
 from .poly import Polynomial, PolyMatrix
 
 
@@ -73,7 +74,9 @@ def _tokenize(text: str):
             if j - i > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} "
                                  "digits", position=i)
-            tokens.append(("num", int(text[i:j]), i))
+            # Decimal converts without the interpreter's digit limit, which
+            # may be set below MAX_NUMERAL_DIGITS
+            tokens.append(("num", int(Decimal(text[i:j])), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -251,9 +254,24 @@ class ProblemFile:
     field: str
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def _read_entries(text: str, keys, what: str = "key") -> dict:
+    """{key: (value, lineno)} of the `key: value` lines of a problem or
+    expectation file, each of `keys` at most once; `#` starts a comment."""
+    entries = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError("expected 'key: value'", line=lineno)
+        key, _, value = line.partition(":")
+        key = key.strip()
+        if key not in keys:
+            raise ParseError(f"unknown {what} {key!r}", line=lineno)
+        if key in entries:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        entries[key] = (value.strip(), lineno)
+    return entries
 
 
 def _parse_name_list(value: str, lineno: int):
@@ -271,21 +289,7 @@ def _parse_name_list(value: str, lineno: int):
 
 
 def parse_problem_text(text: str, path: "str | None" = None) -> ProblemFile:
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected 'key: value'", line=lineno)
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key not in ("ring", "field", "f", "X", "C", "g"):
-            raise ParseError(f"unknown key {key!r}", line=lineno)
-        if key in entries:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
-        entries[key] = (value.strip(), lineno)
-
+    entries = _read_entries(text, ("ring", "field", "f", "X", "C", "g"))
     if "ring" not in entries:
         raise ParseError("missing 'ring' declaration")
     variables = _parse_name_list(*entries["ring"])
@@ -296,12 +300,12 @@ def parse_problem_text(text: str, path: "str | None" = None) -> ProblemFile:
             raise ParseError(f"field must be complex or real, got {field!r}",
                              line=lineno)
 
-    def polys(key):
+    def polys(key, text=None, sep=";"):
+        """The polynomials of key's value, or of text within it, split at sep."""
         value, lineno = entries[key]
+        parts = (value if text is None else text).split(sep)
         try:
-            return tuple(
-                parse_poly(part, variables) for part in value.split(";")
-            )
+            return tuple(parse_poly(part, variables) for part in parts)
         except ParseError as exc:
             raise ParseError(f"in {key!r}: {exc}", line=lineno)
 
@@ -324,14 +328,7 @@ def parse_problem_text(text: str, path: "str | None" = None) -> ProblemFile:
     value, lineno = entries["C"]
     if not (value.startswith("[") and value.endswith("]")):
         raise ParseError("C must be a bracketed matrix [a, b; c, d]", line=lineno)
-    rows = value[1:-1].split(";")
-    try:
-        centries = [
-            [parse_poly(cell, variables) for cell in row.split(",")]
-            for row in rows
-        ]
-    except ParseError as exc:
-        raise ParseError(f"in 'C': {exc}", line=lineno)
+    centries = [polys("C", row, ",") for row in value[1:-1].split(";")]
     width = len(centries[0])
     if any(len(r) != width for r in centries):
         raise ParseError("ragged tangency matrix", line=lineno)
@@ -403,11 +400,6 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
 
-def _signature_json(sig):
-    return None if sig is None else {
-        "plus": sig.p_plus, "minus": sig.p_minus, "rank": sig.rank}
-
-
 def _goodness_json(goodness, names):
     if goodness is None:
         return None
@@ -432,9 +424,11 @@ def _goodness_json(goodness, names):
     }
 
 
-def build_report(pf: ProblemFile, rep, problem_hash: str, seed,
-                 elapsed_ms: int) -> ReportDocument:
+def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
+             elapsed_ms: int) -> dict:
+    """The report record; a map's index leaves the GSV-only fields None."""
     names = list(pf.variables)
+    sig = rep.signature
     deformation = None
     if rep.deformation is not None:
         dnames = list(rep.deformation_vars)
@@ -442,88 +436,120 @@ def build_report(pf: ProblemFile, rep, problem_hash: str, seed,
             "vars": dnames,
             "components": [p.render(dnames) for p in rep.deformation],
         }
-    payload = {
-        "problem_hash": problem_hash,
-        "field": pf.field,
-        "transform": [[str(x) for x in row]
-                      for row in rep.normalization.transform],
+    return {
+        "problem_hash": hashlib.sha256(Path(pf.path).read_bytes()).hexdigest(),
+        "field": field,
+        "transform": None if rep.normalization is None else [
+            [str(x) for x in row] for row in rep.normalization.transform],
         "dim_B0": rep.dim_B0,
         "dim_B0_mod_DF": rep.dim_B0_mod_DF,
         "dim_C0": rep.dim_C0,
         "index": rep.index,
-        "signature": _signature_json(rep.signature),
-        "c1": rep.c1.render(names),
+        "signature": None if sig is None else {
+            "plus": sig.p_plus, "minus": sig.p_minus, "rank": sig.rank},
+        "c1": None if rep.c1 is None else rep.c1.render(names),
         "goodness": _goodness_json(rep.goodness, names),
         "deformation": deformation,
         "seed": seed,
         "version": __version__,
         "timing": elapsed_ms,
     }
-    return ReportDocument(payload)
 
 
-def build_el_report(pf: ProblemFile, idx: int, sig, problem_hash: str, seed,
-                    dim: int, elapsed_ms: int) -> ReportDocument:
-    payload = {
-        "problem_hash": problem_hash,
-        "field": pf.field,
-        "transform": None,
-        "dim_B0": dim,
-        "dim_B0_mod_DF": None,
-        "dim_C0": None,
-        "index": idx,
-        "signature": _signature_json(sig),
-        "c1": None,
-        "goodness": None,
-        "deformation": None,
-        "seed": seed,
-        "version": __version__,
-        "timing": elapsed_ms,
-    }
-    return ReportDocument(payload)
+def _evaluate(pf: ProblemFile, field: str, seed, **options) -> dict:
+    """The report payload of a parsed file, its index read in `field`.
+
+    The one place that picks the index: the complex or real GSV index of a
+    tangency problem (options go to its entry point), or the Poincare-Hopf
+    or Eisenbud-Levine index of a map. A map's real index is read off the
+    one algebra that also gives its dimension; in either field a quotient
+    that is not finite means the zero of the map is not isolated. timing
+    covers the computation only.
+    """
+    started = time.perf_counter()
+    g = pf.map_components
+    if g is None:
+        entry = (index_mod.real_gsv_index if field == "real"
+                 else index_mod.complex_gsv_index)
+        rep = entry(pf.problem, seed=seed, **options)
+    else:
+        if field == "real":
+            try:
+                Q = build_algebra(g)
+            except InfiniteDimensionError:
+                raise InfiniteDimensionError(
+                    "the zero of the map is not isolated") from None
+            dim = Q.dim
+            index, sig = index_mod._el_signature(Q, g, seed)
+        else:
+            index = dim = index_mod.poincare_hopf_complex(g)
+            sig = None
+        rep = IndexReport(dim_B0=dim, dim_B0_mod_DF=None, dim_C0=None,
+                          index=index, signature=sig, c1=None,
+                          normalization=None)
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    return _payload(pf, rep, field, seed, elapsed_ms)
 
 
 # ----------------------------------------------------------------- commands
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1  # verify: some expectation failed
-EXIT_FAILURE = 1  # compute/el: uncategorized computation failure
+EXIT_FAILURE = 1  # compute/el: an internal check, not a certificate, failed
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_NORMALIZATION = 4
 EXIT_TANGENCY = 5
 EXIT_CERTIFICATE = 6  # compute/el: an internal certificate failed
 
+# The exit code of each failure category of compute and el. The first row
+# that matches decides, so CertificateError precedes VerificationError, its
+# base class.
+_EXIT_CODES = (
+    ((ParseError, OSError, UnicodeDecodeError), EXIT_PARSE),
+    ((ShapeError,), EXIT_SHAPE),
+    ((NormalizationError, InfiniteDimensionError, DegreeCapExceededError,
+      JacobianZeroClassError), EXIT_NORMALIZATION),
+    ((TangencyError,), EXIT_TANGENCY),
+    ((CertificateError,), EXIT_CERTIFICATE),
+    ((C1ClassZeroError, VerificationError), EXIT_FAILURE),
+)
+_CATEGORIZED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 
-def _hash_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+_OTHER_COMMAND = {
+    "compute": "this file declares a map 'g'; use the el command",
+    "el": "this file declares f/X/C; use the compute command",
+}
 
 
-def _gsv_entry(field: str):
-    """The GSV index entry point for a problem file's field."""
-    if field == "real":
-        return index_mod.real_gsv_index
-    return index_mod.complex_gsv_index
+def _failure_message(exc, pf) -> str:
+    if isinstance(exc, TangencyError):
+        names = list(pf.variables)
+        lines = ["error: the vector field is not tangent; residuals of Xf - Cf:"]
+        lines += [f"  [{i}] {r.render(names)}"
+                  for i, r in enumerate(exc.residuals)]
+        return "\n".join(lines) + "\n"
+    if isinstance(exc, CertificateError):
+        return f"error: internal certificate failed: {exc}\n"
+    return f"error: {exc}\n"
 
 
-def _map_index(g, field: str, seed=None):
-    """(index, SignatureResult or None, dim) of a square map germ.
+def _run(path, command: str, json_output: bool, seed, field=None,
+         **options):
+    """Parse, evaluate and report one file for compute or el.
 
-    The real index is read off the one algebra that also gives the
-    dimension. In either field a quotient that is not finite means the zero
-    of the map is not isolated.
+    field overrides the file's own; returns (exit_code, output).
     """
-    g = list(g)
-    if field != "real":
-        dim = poincare_hopf_complex(g)
-        return dim, None, dim
+    pf = None
     try:
-        Q = build_algebra(g)
-    except InfiniteDimensionError:
-        raise InfiniteDimensionError(
-            "the zero of the map is not isolated") from None
-    idx, sig = index_mod._el_signature(Q, g, seed)
-    return idx, sig, Q.dim
+        pf = parse_problem_file(path)
+        if (pf.map_components is not None) != (command == "el"):
+            raise ShapeError(_OTHER_COMMAND[command])
+        doc = ReportDocument(_evaluate(pf, field or pf.field, seed, **options))
+    except _CATEGORIZED as exc:
+        code = next(c for classes, c in _EXIT_CODES if isinstance(exc, classes))
+        return code, _failure_message(exc, pf)
+    return EXIT_OK, (doc.to_json() + "\n") if json_output else doc.to_text()
 
 
 def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
@@ -532,81 +558,23 @@ def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
     if max_attempts < 1:
         return (EXIT_PARSE,
                 f"error: --max-attempts must be at least 1, got {max_attempts}\n")
-    try:
-        pf = parse_problem_file(path)
-    except (ParseError, ShapeError, OSError) as exc:
-        code = EXIT_SHAPE if isinstance(exc, ShapeError) else EXIT_PARSE
-        return code, f"error: {exc}\n"
-    if pf.problem is None:
-        return EXIT_SHAPE, "error: this file declares a map 'g'; use the el command\n"
-    started = time.perf_counter()
-    try:
-        rep = _gsv_entry(pf.field)(
-            pf.problem, seed=seed, max_attempts=max_attempts,
-            check_goodness=check_good, build_deformation=deform,
-        )
-    except TangencyError as exc:
-        names = list(pf.variables)
-        lines = ["error: the vector field is not tangent; residuals of Xf - Cf:"]
-        lines += [f"  [{i}] {r.render(names)}"
-                  for i, r in enumerate(exc.residuals)]
-        return EXIT_TANGENCY, "\n".join(lines) + "\n"
-    except ShapeError as exc:
-        return EXIT_SHAPE, f"error: {exc}\n"
-    except (NormalizationError, InfiniteDimensionError,
-            DegreeCapExceededError) as exc:
-        return EXIT_NORMALIZATION, f"error: {exc}\n"
-    except CertificateError as exc:
-        return EXIT_CERTIFICATE, f"error: internal certificate failed: {exc}\n"
-    except (C1ClassZeroError, VerificationError) as exc:
-        return EXIT_FAILURE, f"error: {exc}\n"
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    doc = build_report(pf, rep, _hash_file(path), seed, elapsed_ms)
-    return EXIT_OK, (doc.to_json() + "\n") if json_output else doc.to_text()
+    return _run(path, "compute", json_output, seed, max_attempts=max_attempts,
+                check_goodness=check_good, build_deformation=deform)
 
 
 def cmd_el(path, *, json_output=False, seed=None, mode=None):
     """Classical-map index of a square map file. Returns (exit_code, output)."""
-    try:
-        pf = parse_problem_file(path)
-    except (ParseError, ShapeError, OSError) as exc:
-        code = EXIT_SHAPE if isinstance(exc, ShapeError) else EXIT_PARSE
-        return code, f"error: {exc}\n"
-    if pf.map_components is None:
-        return EXIT_SHAPE, "error: this file declares f/X/C; use the compute command\n"
-    field = mode or pf.field
-    started = time.perf_counter()
-    try:
-        idx, sig, dim = _map_index(pf.map_components, field, seed)
-    except (InfiniteDimensionError, DegreeCapExceededError,
-            JacobianZeroClassError) as exc:
-        return EXIT_NORMALIZATION, f"error: {exc}\n"
-    except CertificateError as exc:
-        return EXIT_CERTIFICATE, f"error: internal certificate failed: {exc}\n"
-    except ShapeError as exc:
-        return EXIT_SHAPE, f"error: {exc}\n"
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    pf = ProblemFile(path=pf.path, problem=None,
-                     map_components=pf.map_components,
-                     variables=pf.variables, field=field)
-    doc = build_el_report(pf, idx, sig, _hash_file(path), seed, dim, elapsed_ms)
-    return EXIT_OK, (doc.to_json() + "\n") if json_output else doc.to_text()
+    return _run(path, "el", json_output, seed, field=mode)
 
 
 def _parse_expectations(path):
+    entries = _read_entries(Path(path).read_text(encoding="utf-8"),
+                            ("index", "dim_B0", "dim_B0_mod_DF", "signature"),
+                            "expectation key")
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected 'key: value'", line=lineno)
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key not in ("index", "dim_B0", "dim_B0_mod_DF", "signature"):
-            raise ParseError(f"unknown expectation key {key!r}", line=lineno)
+    for key, (value, lineno) in entries.items():
         try:
-            out[key] = int(value.strip())
+            out[key] = int(value)
         except ValueError:
             raise ParseError(f"expectation {key!r} is not an integer",
                              line=lineno)
@@ -622,33 +590,22 @@ def _verify_case(prob_path: str):
         return name, False, "missing expectation record"
     try:
         expected = _parse_expectations(expect_path)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         return name, False, f"bad expectation record: {exc}"
     try:
         pf = parse_problem_file(prob)
-    except (ParseError, ShapeError) as exc:
+    except (ParseError, ShapeError, UnicodeDecodeError) as exc:
         return name, False, f"bad problem file: {exc}"
     try:
-        if pf.map_components is not None:
-            idx, sig, dim = _map_index(pf.map_components, pf.field)
-            actual = {"index": idx, "dim_B0": dim}
-            if sig is not None:
-                actual["signature"] = sig.signature
-        else:
-            rep = _gsv_entry(pf.field)(pf.problem)
-            actual = {
-                "index": rep.index,
-                "dim_B0": rep.dim_B0,
-                "dim_B0_mod_DF": rep.dim_B0_mod_DF,
-            }
-            if rep.signature is not None:
-                actual["signature"] = rep.signature.signature
+        actual = _evaluate(pf, pf.field, None)
     except GsvError as exc:
         return name, False, f"evaluation failed: {exc}"
+    sig = actual["signature"]
+    actual["signature"] = None if sig is None else sig["plus"] - sig["minus"]
     mismatches = [
-        f"{key}: expected {want}, got {actual.get(key)}"
+        f"{key}: expected {want}, got {actual[key]}"
         for key, want in sorted(expected.items())
-        if actual.get(key) != want
+        if actual[key] != want
     ]
     if mismatches:
         return name, False, "; ".join(mismatches)
@@ -676,16 +633,10 @@ def cmd_verify(directory, jobs: int = 1):
     else:
         results = [_verify_case(c) for c in cases]
     results.sort(key=lambda r: r[0])
-    lines = []
-    failures = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        lines.append(f"{status}  {name}  {detail}")
-    lines.append(
-        f"{len(results) - failures}/{len(results)} cases passed"
-    )
+    failures = sum(not ok for _, ok, _ in results)
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  {detail}"
+             for name, ok, detail in results]
+    lines.append(f"{len(results) - failures}/{len(results)} cases passed")
     return (EXIT_MISMATCH if failures else EXIT_OK), "\n".join(lines) + "\n"
 
 
@@ -709,16 +660,16 @@ def _build_arg_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="tangency-problem index pipeline")
-    compute.add_argument("file")
-    compute.add_argument("--json", action="store_true")
+    compute.add_argument("path", metavar="file")
+    compute.add_argument("--json", action="store_true", dest="json_output")
     compute.add_argument("--seed", type=int, default=None)
     compute.add_argument("--max-attempts", type=_at_least_one, default=25)
     compute.add_argument("--check-good", action="store_true")
     compute.add_argument("--deform", action="store_true")
 
     el = sub.add_parser("el", help="classical index of a square map germ")
-    el.add_argument("file")
-    el.add_argument("--json", action="store_true")
+    el.add_argument("path", metavar="file")
+    el.add_argument("--json", action="store_true", dest="json_output")
     el.add_argument("--seed", type=int, default=None)
     el.add_argument("--mode", choices=("real", "complex"), default=None)
 
@@ -729,19 +680,10 @@ def _build_arg_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
-    if args.command == "compute":
-        code, output = cmd_compute(
-            args.file, json_output=args.json, seed=args.seed,
-            max_attempts=args.max_attempts, check_good=args.check_good,
-            deform=args.deform,
-        )
-    elif args.command == "el":
-        code, output = cmd_el(
-            args.file, json_output=args.json, seed=args.seed, mode=args.mode
-        )
-    else:
-        code, output = cmd_verify(args.directory, jobs=args.jobs)
+    args = vars(_build_arg_parser().parse_args(argv))
+    command = {"compute": cmd_compute, "el": cmd_el,
+               "verify": cmd_verify}[args.pop("command")]
+    code, output = command(**args)
     stream = sys.stdout if code == EXIT_OK else sys.stderr
     stream.write(output)
     return code

@@ -12,6 +12,7 @@ sums, zeros dropped, monomials of the right length), so they skip that pass.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, le, sub
@@ -266,7 +267,11 @@ class Polynomial:
             raise ValueError("polynomials live in different rings")
 
     def render(self, names: "list[str] | None" = None) -> str:
-        """Canonical string, parseable by the problem-file grammar."""
+        """Canonical string, parseable by the problem-file grammar.
+
+        Coefficients are written exactly however long they are, but the
+        grammar re-parses numerals of at most `cli.MAX_NUMERAL_DIGITS` digits.
+        """
         if not self.terms:
             return "0"
         if names is None:
@@ -285,7 +290,7 @@ class Polynomial:
                     factors.append(f"{names[i]}^{e}")
             mag = abs(c)
             if not factors or mag != 1 or (k == 0 and c < 0):
-                factors.insert(0, str(mag))  # a leading "-x" would not re-parse
+                factors.insert(0, _numeral(mag))  # a leading "-x" would not re-parse
             body = "*".join(factors)
             if k == 0:
                 pieces.append(body if c > 0 else f"-{body}")
@@ -295,6 +300,16 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.render()!r})"
+
+
+def _numeral(c: Fraction) -> str:
+    """str(c) for c >= 0, also past the interpreter's limit on the digits
+    that str() may write for an int (Python 3.11+)."""
+    try:
+        return str(c)
+    except ValueError:
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
 def default_names(nvars: int) -> "list[str]":

@@ -12,6 +12,7 @@ from gsvindex import Polynomial, parse_poly
 from gsvindex import localstd
 from gsvindex.cli import (
     EXIT_CERTIFICATE,
+    EXIT_FAILURE,
     EXIT_MISMATCH,
     EXIT_NORMALIZATION,
     EXIT_OK,
@@ -27,7 +28,17 @@ from gsvindex.cli import (
     parse_problem_text,
     render_problem_file,
 )
-from gsvindex.errors import DegreeCapExceededError, ParseError
+from gsvindex.errors import (
+    C1ClassZeroError,
+    CertificateError,
+    DegreeCapExceededError,
+    InfiniteDimensionError,
+    JacobianZeroClassError,
+    NormalizationError,
+    ParseError,
+    ShapeError,
+    VerificationError,
+)
 
 from problems import CORPUS_DIR
 
@@ -170,6 +181,55 @@ def test_numerals_past_the_digit_bound_exit_2_on_every_python(tmp_path):
     # a digit that is not a decimal digit, such as a superscript, is no numeral
     with pytest.raises(ParseError, match="unexpected character"):
         parse_poly("x^\u00b2", ("x", "y"))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter's digit limit exists from 3.11 on")
+def test_numerals_parse_under_a_lowered_digit_limit(tmp_path):
+    # MAX_NUMERAL_DIGITS is the only bound on a numeral, whatever int()'s
+    path = tmp_path / "long.prob"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert parse_poly("7" * 2000 + "*x", ("x", "y")) == (
+            (10 ** 2000 - 1) // 9 * 7 * x)
+        for digits, expected in ((2000, EXIT_OK),
+                                 (MAX_NUMERAL_DIGITS + 1, EXIT_PARSE)):
+            path.write_text("ring: x, y\nfield: complex\n"
+                            f"f: {'7' * digits}*x + y\nX: x; y\nC: [1]\n")
+            assert cmd_compute(str(path))[0] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _unlimited_str(n: int) -> str:
+    """str(n) with the interpreter's digit limit (Python 3.11+) lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_output_coefficients_are_written_exactly(tmp_path):
+    sevens = "7" * 3000
+    path = tmp_path / "long.prob"
+    path.write_text("ring: x, y\nfield: complex\nf: x^2 - y^3\n"
+                    f"X: {sevens}^2*x; y\nC: [2]\n")
+    a = (10 ** 3000 - 1) // 9 * 7
+    code, out = cmd_compute(str(path))
+    assert code == EXIT_TANGENCY
+    assert out == ("error: the vector field is not tangent; residuals of "
+                   f"Xf - Cf:\n  [0] -1*y^3 + {_unlimited_str(2 * a * a - 2)}"
+                   "*x^2\n")
+    big = 10 ** 5000 + 1
+    assert Polynomial(2, {(1, 0): Fraction(big, 3)}).render() == (
+        _unlimited_str(big) + "/3*x")
+    assert Polynomial(2, {(0, 0): Fraction(-1, big)}).render() == (
+        "-1/" + _unlimited_str(big))
 
 
 def test_parser_budget_keeps_every_shipped_input(monkeypatch):
@@ -411,6 +471,33 @@ def test_failed_internal_certificate_has_its_own_exit_code(tmp_path,
     assert code == EXIT_MISMATCH and out.startswith("FAIL  case.prob")
 
 
+@pytest.mark.parametrize("error, code", [
+    (ShapeError, EXIT_SHAPE),
+    (NormalizationError, EXIT_NORMALIZATION),
+    (InfiniteDimensionError, EXIT_NORMALIZATION),
+    (DegreeCapExceededError, EXIT_NORMALIZATION),
+    (JacobianZeroClassError, EXIT_NORMALIZATION),
+    (CertificateError, EXIT_CERTIFICATE),
+    (C1ClassZeroError, EXIT_FAILURE),
+    (VerificationError, EXIT_FAILURE),
+])
+def test_compute_and_el_share_one_exit_code_table(monkeypatch, error, code):
+    import gsvindex.index as index_mod
+
+    def fail(*args, **kwargs):
+        raise error("planted failure")
+
+    for entry in ("complex_gsv_index", "real_gsv_index",
+                  "poincare_hopf_complex", "_el_signature"):
+        monkeypatch.setattr(index_mod, entry, fail)
+    runs = [cmd_compute(str(CORPUS_DIR / name))
+            for name in ("dk_k4_m3.prob", "hyperbola_real.prob")]
+    runs += [cmd_el(str(CORPUS_DIR / "el_plane_quadratic_real.prob"), mode=mode)
+             for mode in ("real", "complex")]
+    prefix = "internal certificate failed: " if error is CertificateError else ""
+    assert runs == [(code, f"error: {prefix}planted failure\n")] * 4
+
+
 def test_el_rejects_tangency_file():
     code, _ = cmd_el(str(CORPUS_DIR / "dk_k4_m3.prob"))
     assert code == EXIT_SHAPE
@@ -492,6 +579,34 @@ def test_verify_flags_corrupted_expectation(tmp_path):
     code, out = cmd_verify(str(tmp_path))
     assert code == EXIT_MISMATCH
     assert "FAIL" in out and "expected 99" in out
+
+
+def test_verify_rejects_a_duplicate_expectation_key(tmp_path):
+    (tmp_path / "case.prob").write_text(
+        (CORPUS_DIR / "smooth_line.prob").read_text()
+    )
+    (tmp_path / "case.expect").write_text("index: 1\nindex: 99\n")
+    code, out = cmd_verify(str(tmp_path))
+    assert code == EXIT_MISMATCH
+    assert out.startswith("FAIL  case.prob  bad expectation record: "
+                          "duplicate key 'index' (line 2)\n")
+
+
+def test_files_that_are_not_utf8_are_parse_errors(tmp_path):
+    message = "error: 'utf-8' codec can't decode byte 0xff in position 14"
+    (tmp_path / "case.prob").write_bytes(b"ring: x, y\ng: \xff; y\n")
+    for command in (cmd_compute, cmd_el):
+        code, out = command(str(tmp_path / "case.prob"))
+        assert code == EXIT_PARSE and out.startswith(message)
+    (tmp_path / "case.expect").write_text("index: 1\n")
+    code, out = cmd_verify(str(tmp_path))
+    assert code == EXIT_MISMATCH
+    assert out.startswith("FAIL  case.prob  bad problem file: 'utf-8' codec")
+    (tmp_path / "case.prob").write_text("ring: x, y\ng: x; y\n")
+    (tmp_path / "case.expect").write_bytes(b"index: \xff\n")
+    code, out = cmd_verify(str(tmp_path))
+    assert code == EXIT_MISMATCH
+    assert out.startswith("FAIL  case.prob  bad expectation record: 'utf-8'")
 
 
 def test_verify_empty_directory(tmp_path):
