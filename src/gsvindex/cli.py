@@ -456,14 +456,14 @@ def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
     }
 
 
-def _evaluate(pf: ProblemFile, field: str, seed, **options) -> dict:
-    """The report payload of a parsed file, its index read in `field`.
+def _evaluate(pf: ProblemFile, field: str, seed, **options):
+    """(IndexReport, elapsed ms) of a parsed file, its index read in `field`.
 
     The one place that picks the index: the complex or real GSV index of a
     tangency problem (options go to its entry point), or the Poincare-Hopf
     or Eisenbud-Levine index of a map. A map's real index is read off the
     one algebra that also gives its dimension; in either field a quotient
-    that is not finite means the zero of the map is not isolated. timing
+    that is not finite means the zero of the map is not isolated. The time
     covers the computation only.
     """
     started = time.perf_counter()
@@ -487,8 +487,7 @@ def _evaluate(pf: ProblemFile, field: str, seed, **options) -> dict:
         rep = IndexReport(dim_B0=dim, dim_B0_mod_DF=None, dim_C0=None,
                           index=index, signature=sig, c1=None,
                           normalization=None)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return _payload(pf, rep, field, seed, elapsed_ms)
+    return rep, int((time.perf_counter() - started) * 1000)
 
 
 # ----------------------------------------------------------------- commands
@@ -545,7 +544,9 @@ def _run(path, command: str, json_output: bool, seed, field=None,
         pf = parse_problem_file(path)
         if (pf.map_components is not None) != (command == "el"):
             raise ShapeError(_OTHER_COMMAND[command])
-        doc = ReportDocument(_evaluate(pf, field or pf.field, seed, **options))
+        field = field or pf.field
+        rep, elapsed_ms = _evaluate(pf, field, seed, **options)
+        doc = ReportDocument(_payload(pf, rep, field, seed, elapsed_ms))
     except _CATEGORIZED as exc:
         code = next(c for classes, c in _EXIT_CODES if isinstance(exc, classes))
         return code, _failure_message(exc, pf)
@@ -597,11 +598,15 @@ def _verify_case(prob_path: str):
     except (ParseError, ShapeError, UnicodeDecodeError) as exc:
         return name, False, f"bad problem file: {exc}"
     try:
-        actual = _evaluate(pf, pf.field, None)
+        rep, _ = _evaluate(pf, pf.field, None)
     except GsvError as exc:
         return name, False, f"evaluation failed: {exc}"
-    sig = actual["signature"]
-    actual["signature"] = None if sig is None else sig["plus"] - sig["minus"]
+    actual = {
+        "index": rep.index,
+        "dim_B0": rep.dim_B0,
+        "dim_B0_mod_DF": rep.dim_B0_mod_DF,
+        "signature": None if rep.signature is None else rep.signature.signature,
+    }
     mismatches = [
         f"{key}: expected {want}, got {actual[key]}"
         for key, want in sorted(expected.items())

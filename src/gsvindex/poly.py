@@ -304,12 +304,10 @@ class Polynomial:
 
 def _numeral(c: Fraction) -> str:
     """str(c) for c >= 0, also past the interpreter's limit on the digits
-    that str() may write for an int (Python 3.11+)."""
-    try:
-        return str(c)
-    except ValueError:
-        num = str(Decimal(c.numerator))
-        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+    that str() may write for an int (Python 3.11+): an int converts to a
+    Decimal of exponent 0, which always prints in plain digits."""
+    num = str(Decimal(c.numerator))
+    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
 def default_names(nvars: int) -> "list[str]":
