@@ -18,11 +18,12 @@ factor that Bareiss applies to it is kept lazily in last_i, so the Bareiss
 row is always the stored row times (current pivot / last_i). A Bareiss row
 holds minors of the scaled matrix, so it is integral and every division is
 exact; a pivot row is brought up to date (`refresh`) before it is used.
-sigform.signature_of runs the same scaling and steps on a symmetric matrix.
+sigform.signature_of runs the same scaling and steps on a symmetric matrix;
+the algebra layer hands its int rows to integer_eliminate directly.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def common_denominator(entries):
@@ -32,6 +33,17 @@ def common_denominator(entries):
 def integer_row(row, den):
     """den * row as ints, for den a multiple of every denominator in row."""
     return [x.numerator * (den // x.denominator) for x in row]
+
+
+def fractions(ints, den, zero=Fraction(0)):
+    """ints / den as a list of Fractions, every zero the same object."""
+    return [Fraction(x, den) if x else zero for x in ints]
+
+
+def reduced(v, den):
+    """v / den as (ints, den), with the gcd of den and v divided out."""
+    g = gcd(den, *v)
+    return ([x // g for x in v], den // g) if g != 1 else (v, den)
 
 
 def refresh(row, prev, last):
@@ -47,16 +59,25 @@ def bareiss_step(row, f, pivot_row, p, last):
 def _eliminate(M):
     """Fraction-free Gauss-Jordan elimination of the rows of M.
 
-    Returns (rows, pivots, sign, den): the nonzero rows as ints, row k a
-    nonzero multiple of RREF row k with pivot column pivots[k]; the sign of
-    the row swaps; and den, the product of the row scales. For M square and
-    invertible, the last pivot is det(M) * den * sign.
+    Returns (rows, pivots, sign, den): those of integer_eliminate on the
+    rows scaled to integers, and den, the product of the row scales. For M
+    square and invertible, the last pivot is det(M) * den * sign.
     """
     rows, den = [], 1
     for row in M:
         s = common_denominator(row)
         rows.append(integer_row(row, s))
         den *= s
+    return (*integer_eliminate(rows), den)
+
+
+def integer_eliminate(rows):
+    """Gauss-Jordan elimination of a list of int rows, in place.
+
+    Returns (rows, pivots, sign): the nonzero rows, row k a nonzero
+    multiple of RREF row k with pivot column pivots[k], and the sign of
+    the row swaps.
+    """
     lasts = [1] * len(rows)
     pivots, sign, prev = [], 1, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -77,7 +98,7 @@ def _eliminate(M):
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows[:len(pivots)], pivots, sign, den
+    return rows[:len(pivots)], pivots, sign
 
 
 def identity(n):
@@ -108,32 +129,39 @@ def det(M):
 def rref(M):
     """Reduced row echelon form. Returns (rows, pivot_columns)."""
     rows, pivots, _, _ = _eliminate(M)
-    return [[Fraction(x, row[c]) for x in row]
-            for row, c in zip(rows, pivots)], pivots
+    return [fractions(row, row[c]) for row, c in zip(rows, pivots)], pivots
 
 
 def rank(M):
     return len(_eliminate(M)[1])
 
 
-def nullspace(M, ncols=None):
-    """Basis of the right kernel, one vector per free column, RREF-derived."""
-    if not M:
-        return identity(ncols or 0)
-    n = len(M[0])
-    rows, pivots, _, _ = _eliminate(M)
+def integer_kernel(rows, pivots, n):
+    """Basis of the right kernel of the rows and pivots integer_eliminate
+    returns for a matrix of n columns, one (ints, s) per free column f, in
+    order: the RREF kernel vector with 1 at f is ints / s, for s > 0 the
+    lcm of the pivots it divides by."""
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            if row[free]:
-                v[p] = Fraction(-row[free], row[p])
-        basis.append(v)
+        used = [(row, p) for row, p in zip(rows, pivots) if row[free]]
+        s = lcm(*(row[p] for row, p in used))
+        v = [0] * n
+        v[free] = s
+        for row, p in used:
+            v[p] = -row[free] * (s // row[p])
+        basis.append((v, s))
     return basis
+
+
+def nullspace(M, ncols=None):
+    """Basis of the right kernel, one vector per free column, RREF-derived."""
+    if not M:
+        return identity(ncols or 0)
+    rows, pivots, _, _ = _eliminate(M)
+    return [fractions(v, s) for v, s in integer_kernel(rows, pivots, len(M[0]))]
 
 
 def solve(M, b):
@@ -156,4 +184,4 @@ def inverse(M):
     rows, pivots, _, _ = _eliminate([list(row) + eye[i] for i, row in enumerate(M)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    return [fractions(row[n:], row[i]) for i, row in enumerate(rows)]

@@ -27,17 +27,38 @@ smaller monomials, has largest monomial x_k times the pivot whenever that
 is a staircase monomial. So the pivots are closed under multiplication by
 the variables, and the complement under division. Its M_k are the
 parent's columns, projected.
+
+Every vector here is integer numerators over one positive denominator,
+(ints, den), reduced by one gcd per step; M_k holds its columns over one
+scale, and the kernel of g, its RREF and the projection are integers over
+one denominator. A matrix is scaled to integers only as a whole, by a
+positive number (per-row scaling is not a congruence). The rational
+results (coords, gram_rows, projection, ...) are Fraction views.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import _linalg, localstd
 from .errors import InfiniteDimensionError
 from .poly import Polynomial
 from .localstd import LocalOrder, Staircase, StandardBasis
+
+
+class ScaledColumns(tuple):
+    """The columns of one M_k as integers over one scale > 0, the lcm of
+    their denominators: column i is the index j when x_k * b_i = b_j, else
+    the sparse numerators ((row, c), ...) of x_k * b_i."""
+
+    def __new__(cls, columns, scale):
+        out = super().__new__(cls, columns)
+        out.scale = scale
+        return out
+
+    def __getnewargs__(self):  # for copy and pickle
+        return tuple(self), self.scale
 
 
 class FiniteAlgebra:
@@ -65,28 +86,30 @@ class FiniteAlgebra:
 
     @cached_property
     def var_matrices(self):
-        """var_matrices[k][i], column i of M_k: the index j when x_k * b_i is
-        the basis monomial b_j, otherwise the sparse coordinates
-        ((row, coeff), ...) of x_k * b_i. Built on first read: a complex
-        index builds no C0 and never reads these of B0."""
-        return tuple(tuple(self._column(k, i) for i in range(self.dim))
-                     for k in range(self.nvars))
+        """var_matrices[k], the ScaledColumns of M_k. Built on first read: a
+        complex index builds no C0 and never reads these of B0."""
+        return tuple(self._scaled_columns(k) for k in range(self.nvars))
 
     @staticmethod
     def _shift(m, k, by=1):
         return m[:k] + (m[k] + by,) + m[k + 1:]
 
-    def _column(self, k, i):
-        m = self._shift(self.basis[i], k)
-        if m in self._index:
-            return self._index[m]
-        return tuple((r, c) for r, c in enumerate(self._shift_coords(k, i))
-                     if c)
+    def _scaled_columns(self, k):
+        cols = [self._index.get(self._shift(m, k)) for m in self.basis]
+        cols = [self._shift_coords(k, i) if j is None else j
+                for i, j in enumerate(cols)]
+        s = lcm(*(c[1] for c in cols if type(c) is not int))
+        return ScaledColumns([c if type(c) is int else tuple(
+            (r, x * (s // c[1])) for r, x in enumerate(c[0]) if x)
+            for c in cols], s)
 
     def _shift_coords(self, k, i):
-        """Coordinates of x_k * b_i when that is not a basis monomial."""
+        """(ints, den) of x_k * b_i when that is not a basis monomial."""
         m = self._shift(self.basis[i], k)
-        return self._canon.coordinates(Polynomial.term(self.nvars, m, 1))
+        return self._canon.integer_coordinates(Polynomial.term(self.nvars, m, 1))
+
+    def _integer_coords(self, p: Polynomial):
+        return self._canon.integer_coordinates(p)
 
     def _walk(self, start, step):
         """[v_1, ..., v_d] with v_1 = start and v_i = step(v_a, k) for b_i = x_k b_a."""
@@ -97,28 +120,40 @@ class FiniteAlgebra:
             out.append(step(out[a], k))
         return out
 
-    def _times_variable(self, v, k):
-        """M_k v: coordinates of x_k times the element with coordinates v."""
-        out = [Fraction(0)] * self.dim
-        for vb, col in zip(v, self.var_matrices[k]):
+    def _times_variable(self, vec, k):
+        """M_k v: x_k times the element with coordinates ints / den."""
+        v, den = vec
+        cols = self.var_matrices[k]
+        s = cols.scale
+        out = [0] * self.dim
+        for vb, col in zip(v, cols):
             if not vb:
                 continue
             if type(col) is int:
-                out[col] += vb
+                out[col] += vb * s
             else:
                 for r, c in col:
                     out[r] += vb * c
-        return out
+        return _linalg.reduced(out, den * s)
 
-    def _row_times_variable(self, w, k):
-        """w M_k: the functional b -> w(x_k * b)."""
-        return [w[col] if type(col) is int
-                else sum((w[r] * c for r, c in col), Fraction(0))
-                for col in self.var_matrices[k]]
+    def _row_times_variable(self, vec, k):
+        """w M_k: the functional b -> w(x_k * b), for w = ints / den."""
+        w, den = vec
+        cols = self.var_matrices[k]
+        s = cols.scale
+        return _linalg.reduced([w[col] * s if type(col) is int
+                                else sum(w[r] * c for r, c in col)
+                                for col in cols], den * s)
+
+    def _gram_walk(self, l):
+        """Gram rows w_a[b] = l(b_a * b_b) as (ints, den)."""
+        den = _linalg.common_denominator(l)
+        return self._walk((_linalg.integer_row(l, den), den),
+                          self._row_times_variable)
 
     def coords(self, p: Polynomial):
         """Coordinates of the class of p in the staircase basis."""
-        return list(self._canon.coordinates(p))
+        return _linalg.fractions(*self._integer_coords(p))
 
     def from_coords(self, coords) -> Polynomial:
         out = Polynomial.zero(self.nvars)
@@ -127,21 +162,32 @@ class FiniteAlgebra:
                 out = out + Polynomial.term(self.nvars, m, c)
         return out
 
-    def product_columns(self, g: Polynomial):
+    def _product_columns(self, g: Polynomial):
         """[coords(g * b_1), ..., coords(g * b_d)] by the staircase recurrence."""
-        return self._walk(self.coords(g), self._times_variable)
+        return self._walk(self._integer_coords(g), self._times_variable)
+
+    def product_columns(self, g: Polynomial):
+        return [_linalg.fractions(*col) for col in self._product_columns(g)]
 
     def mult_matrix(self, g: Polynomial):
         """Matrix of the map [h] -> [g*h] (columns = images of the basis)."""
-        cols = self.product_columns(g)
-        return [[col[i] for col in cols] for i in range(self.dim)]
+        return [list(row) for row in zip(*self.product_columns(g))]
 
     def gram_rows(self, l):
         """Rows w_a[b] = l(b_a * b_b) of the pairing induced by the functional l."""
-        return self._walk(list(l), self._row_times_variable)
+        return [_linalg.fractions(*row) for row in self._gram_walk(l)]
 
     def gram_matrix(self, l):
         return tuple(tuple(row) for row in self.gram_rows(l))
+
+    def scaled_gram_matrix(self, l):
+        """s * gram_matrix(l) as ints, for s > 0 the lcm of the row
+        denominators: the whole matrix is scaled by one positive number,
+        which keeps it symmetric and keeps its inertia."""
+        rows = self._gram_walk(l)
+        s = lcm(*(den for _, den in rows))
+        return tuple(tuple(w) if den == s else tuple(x * (s // den) for x in w)
+                     for w, den in rows)
 
 
 def build_algebra(gens, order: "LocalOrder | None" = None,
@@ -176,45 +222,70 @@ class QuotientAlgebra(FiniteAlgebra):
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
         self.element = g
-        M = parent.mult_matrix(g)
-        kernel = _linalg.nullspace(M, ncols=parent.dim)
-        rows, pivots = _linalg.rref(kernel)
-        self.kernel_basis = [tuple(r) for r in rows]
-        pivot_set = set(pivots)
+        # M_g scaled as a whole to integers has the kernel of M_g
+        cols = parent._product_columns(g)
+        s = lcm(*(den for _, den in cols))
+        M = [list(r) for r in zip(*([x * (s // den) for x in v] for v, den in cols))]
+        rows, pivots, _ = _linalg.integer_eliminate(M)
+        kernel = [v for v, _ in _linalg.integer_kernel(rows, pivots, parent.dim)]
+        rows, self._pivots, _ = _linalg.integer_eliminate(kernel)
+        # the kernel's RREF rows, primitive with positive pivots
+        self._kernel = [[x // q for x in row] for row, p in zip(rows, self._pivots)
+                        for q in [gcd(*row) if row[p] > 0 else -gcd(*row)]]
+        pivot_set = set(self._pivots)
         self.complement_indices = tuple(
             i for i in range(parent.dim) if i not in pivot_set
         )
-        # projection parent coords -> complement coords (kills the kernel)
-        proj = []
-        for cj in self.complement_indices:
-            row = [Fraction(0)] * parent.dim
-            row[cj] = Fraction(1)
-            for krow, p in zip(self.kernel_basis, pivots):
-                row[p] -= krow[cj]
-            proj.append(row)
-        self.projection = proj
-        # column r of the projection, sparse: the class of parent basis b_r
-        self._projected_units = [
-            [(j, row[r]) for j, row in enumerate(proj) if row[r]]
-            for r in range(parent.dim)
-        ]
+        # the class of b_r as sparse numerators over self._den: e_j for the
+        # j-th complement index, -sum_j row[c_j] / row[p] e_j for the kernel
+        # row with pivot p
+        self._den = lcm(*(row[p] for row, p in zip(self._kernel, self._pivots)))
+        units = {c: [(j, self._den)] for j, c in enumerate(self.complement_indices)}
+        for row, p in zip(self._kernel, self._pivots):
+            units[p] = [(j, -row[c] * (self._den // row[p]))
+                        for j, c in enumerate(self.complement_indices) if row[c]]
+        self._projected_units = [units[r] for r in range(parent.dim)]
         self._set_up(tuple(parent.basis[c] for c in self.complement_indices),
                      parent.nvars)
 
+    @cached_property
+    def kernel_basis(self):
+        """The RREF rows of ann(g)."""
+        return [tuple(_linalg.fractions(row, row[p]))
+                for row, p in zip(self._kernel, self._pivots)]
+
+    @cached_property
+    def projection(self):
+        """The matrix of parent coords -> complement coords."""
+        proj = [[0] * self.parent.dim for _ in range(self.dim)]
+        for r, units in enumerate(self._projected_units):
+            for j, c in units:
+                proj[j][r] = c
+        return [_linalg.fractions(row, self._den) for row in proj]
+
+    def _project(self, pairs, den):
+        """The class of the parent element sum of c b_r / den over (r, c)."""
+        out = [0] * self.dim
+        for r, c in pairs:
+            for j, u in self._projected_units[r]:
+                out[j] += c * u
+        return _linalg.reduced(out, den * self._den)
+
     def _shift_coords(self, k, i):
         """The projection of the parent's column for x_k * b_i."""
-        col = self.parent.var_matrices[k][self.complement_indices[i]]
-        out = [Fraction(0)] * self.dim
-        for r, c in ((col, 1),) if type(col) is int else col:
-            for j, v in self._projected_units[r]:
-                out[j] += c * v
-        return out
+        cols = self.parent.var_matrices[k]
+        col = cols[self.complement_indices[i]]
+        return self._project(((col, cols.scale),) if type(col) is int else col,
+                             cols.scale)
+
+    def _integer_coords(self, p: Polynomial):
+        v, den = self.parent._integer_coords(p)
+        return self._project(enumerate(v), den)
 
     def project(self, parent_coords):
-        return _linalg.mat_vec(self.projection, list(parent_coords))
-
-    def coords(self, p: Polynomial):
-        return self.project(self.parent.coords(p))
+        den = _linalg.common_denominator(parent_coords)
+        return _linalg.fractions(*self._project(
+            enumerate(_linalg.integer_row(parent_coords, den)), den))
 
 
 def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:

@@ -24,7 +24,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -616,6 +615,14 @@ def _verify_case(prob_path: str):
         return name, False, "; ".join(mismatches)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(expected.items()))
     return name, True, summary
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures.ProcessPoolExecutor, imported on call: only
+    verify --jobs >= 2 loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def cmd_verify(directory, jobs: int = 1):

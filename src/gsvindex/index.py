@@ -50,7 +50,7 @@ from .poly import (
     permutation_of,
     transform_vector_field,
 )
-from .sigform import SignatureResult, choose_linear_form, gram_of_form, signature_of
+from .sigform import GramForm, SignatureResult, choose_linear_form, signature_of
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def _pairing_signature(algebra, element: Polynomial, seed) -> SignatureResult:
     if algebra.dim == 0:
         return SignatureResult(0, 0, 0)
     l, _ = choose_linear_form(algebra, element, seed=seed)
-    return signature_of(gram_of_form(algebra, l))
+    return signature_of(GramForm(algebra.dim, algebra.scaled_gram_matrix(l)))
 
 
 def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,

@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import add, mul, neg
 
-from ._linalg import common_denominator, integer_row
+from ._linalg import common_denominator, fractions, integer_row, reduced
 from .errors import CertificateError, DegreeCapExceededError
 from .poly import (
     Monomial,
@@ -625,12 +625,13 @@ class CanonicalQuotient:
     checks that every generator gets zero coordinates.
 
     Each reducer is kept as a primitive integer (lm, lc, tail), truncated at
-    delta. coordinates divides on integer numerators over one common
-    denominator D: rewriting a term c by a reducer first multiplies D and
-    every pending numerator by lc/gcd(c, lc), so the step stays integral.
-    Terms are taken largest first and a rewrite only adds smaller
-    monomials, so a staircase term is final when it is taken and is
-    emitted then, as Fraction(c, D).
+    delta. integer_coordinates divides on integer numerators over one
+    common denominator D: rewriting a term c by a reducer first multiplies
+    D and every pending numerator by a = lc/gcd(c, lc), so the step stays
+    integral. Terms are taken largest first and a rewrite only adds smaller
+    monomials, so a staircase term is final when it is taken; it is emitted
+    with the D of that moment and multiplied by every later a at the end.
+    coordinates is the Fraction view of the same division.
     """
 
     def __init__(self, sb: StandardBasis, stairs: Staircase):
@@ -657,6 +658,11 @@ class CanonicalQuotient:
 
     def coordinates(self, p: Polynomial):
         """Coordinates of the class of p in the local staircase basis."""
+        return fractions(*self.integer_coordinates(p))
+
+    def integer_coordinates(self, p: Polynomial):
+        """(ints, den): the coordinates of p are ints / den, with den > 0 and
+        the gcd of den and ints 1."""
         rank = self._rank
         # terms above degree delta have no rank: they lie in the ideal
         kept = {rank[m]: c for m, c in p.terms.items() if m in rank}
@@ -664,7 +670,7 @@ class CanonicalQuotient:
         work = dict(zip(kept, integer_row(kept.values(), den)))
         heap = list(work)
         heapq.heapify(heap)
-        out = [Fraction(0)] * len(self.index)
+        emitted = []  # (index, numerator, den when emitted)
         while heap:
             r = heapq.heappop(heap)
             c = work.pop(r)
@@ -673,7 +679,7 @@ class CanonicalQuotient:
             m = self._monos[r]
             i = self.index.get(m)
             if i is not None:
-                out[i] = Fraction(c, den)
+                emitted.append((i, c, den))
                 continue
             lc, tail = self._rewrites.get(r) or self._rewrite(r)
             g = gcd(c, lc)
@@ -690,7 +696,10 @@ class CanonicalQuotient:
                 else:
                     work[r2] = -b * tc
                     heapq.heappush(heap, r2)
-        return out
+        out = [0] * len(self.index)
+        for i, c, d in emitted:
+            out[i] = c if d == den else c * (den // d)
+        return reduced(out, den)
 
     def _rewrite(self, r):
         """(lc, tail) for the r-th monomial m: the first reducer whose leading

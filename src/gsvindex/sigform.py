@@ -4,12 +4,14 @@ Inertia is computed by symmetric congruence diagonalization: pivots come
 from the first nonzero diagonal entry in pivot-search order; when the whole
 remaining diagonal vanishes, a symmetric add turns the first nonzero
 off-diagonal pair into a usable pivot, which makes each hyperbolic block
-contribute (+1, -1). The matrix is scaled to integers by one positive lcm,
-so it stays symmetric and keeps its inertia, and elimination is the integer
-Bareiss kernel of _linalg with its lazy per-row factor, over full rows of
-the trailing block. The rational pivot, the entry of the Schur complement,
-is the Bareiss pivot over the previous one, which is the stored pivot over
-its row's factor, so its sign is the product of their signs.
+contribute (+1, -1). The matrix is scaled to integers as a whole, by one
+positive lcm (the indices hand in FiniteAlgebra.scaled_gram_matrix, whose
+lcm is 1), so it stays symmetric and keeps its inertia; a scaling per row
+is not a congruence. Elimination is the integer Bareiss kernel of _linalg
+with its lazy per-row factor, over full rows of the trailing block. The
+rational pivot, the entry of the Schur complement, is the Bareiss pivot
+over the previous one, which is the stored pivot over its row's factor, so
+its sign is the product of their signs.
 """
 
 from __future__ import annotations

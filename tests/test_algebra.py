@@ -1,29 +1,43 @@
+import copy
+import heapq
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from gsvindex import (
+    GramForm,
     Polynomial,
     annihilator_quotient,
     build_algebra,
+    choose_linear_form,
     eisenbud_levine_index,
     gram_of_form,
     ideal_membership,
     linear_substitute,
     mult_matrix,
     quotient_dimension,
+    real_gsv_index,
+    signature_of,
     socle,
     solve_multiplication,
     transform_vector_field,
 )
 from gsvindex import _linalg, ensure_regular_sequence
-from gsvindex.errors import InfiniteDimensionError
-from gsvindex.index import _c0_algebra, _substitute_problem, random_unimodular
-from gsvindex.poly import monomials_of_degree
+from gsvindex.errors import C1ClassZeroError, InfiniteDimensionError
+from gsvindex.index import (
+    _c0_algebra,
+    _jacobian_minor,
+    _substitute_problem,
+    c_coefficient,
+    random_unimodular,
+)
+from gsvindex.poly import jacobian, monomials_of_degree
 from gsvindex.sigform import SignatureResult
 
-from problems import dk_problem, space_curve_problem
+from problems import dk_problem, smooth_line_problem, space_curve_problem
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -247,11 +261,13 @@ def test_solve_multiplication_examples():
 
 
 def _dense_var_matrix(A, k):
-    """M_k as a dense matrix from its columns (an int column is a unit vector)."""
+    """M_k as a dense matrix from its columns (an int column is a unit
+    vector; the other columns are numerators over the matrix's scale)."""
     M = [[Fraction(0)] * A.dim for _ in range(A.dim)]
+    s = A.var_matrices[k].scale
     for i, col in enumerate(A.var_matrices[k]):
-        for r, c in ([(col, Fraction(1))] if isinstance(col, int) else col):
-            M[r][i] = c
+        for r, c in ([(col, s)] if isinstance(col, int) else col):
+            M[r][i] = Fraction(c, s)
     return M
 
 
@@ -277,6 +293,16 @@ def test_variable_matrices_are_coordinates_and_commute():
     for M in mats:
         for N in mats:
             assert _linalg.matmul(M, N) == _linalg.matmul(N, M)
+
+
+def test_variable_matrices_copy_and_pickle_with_their_scale():
+    B, DF = _dense_dk_algebra()
+    for A in (B, annihilator_quotient(B, DF)):
+        mats = A.var_matrices
+        for twin in (copy.deepcopy(mats), pickle.loads(pickle.dumps(mats)),
+                     copy.copy(A).var_matrices):
+            assert twin == mats
+            assert [M.scale for M in twin] == [M.scale for M in mats]
 
 
 def test_mult_matrix_matches_table():
@@ -398,3 +424,240 @@ def test_complex_index_builds_no_c0_and_no_elimination(monkeypatch):
     assert "var_matrices" not in report.normalization.algebra.__dict__
     # the invariance check reads dim C0 the same way, under general changes
     assert coordinate_invariance_check(space_curve_problem(2), trials=2)
+
+
+# ------------------------------------------- Fraction references (integer layer)
+# The algebra layer before it carried integer vectors over one denominator:
+# CanonicalQuotient.coordinates, the FiniteAlgebra walks and
+# QuotientAlgebra.__init__, kept verbatim in Fractions as references.
+
+def _ref_coordinates(canon, p):
+    """CanonicalQuotient.coordinates, emitting Fraction(c, D) on the spot."""
+    rank = canon._rank
+    kept = {rank[m]: c for m, c in p.terms.items() if m in rank}
+    den = _linalg.common_denominator(kept.values())
+    work = dict(zip(kept, _linalg.integer_row(kept.values(), den)))
+    heap = list(work)
+    heapq.heapify(heap)
+    out = [Fraction(0)] * len(canon.index)
+    while heap:
+        r = heapq.heappop(heap)
+        c = work.pop(r)
+        if not c:
+            continue
+        i = canon.index.get(canon._monos[r])
+        if i is not None:
+            out[i] = Fraction(c, den)
+            continue
+        lc, tail = canon._rewrites.get(r) or canon._rewrite(r)
+        g = gcd(c, lc)
+        a, b = lc // g, c // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for r2 in work:
+                work[r2] *= a
+            den *= a
+        for r2, tc in tail:
+            if r2 in work:
+                work[r2] -= b * tc
+            else:
+                work[r2] = -b * tc
+                heapq.heappush(heap, r2)
+    return out
+
+
+class _RefAlgebra:
+    """FiniteAlgebra in Fractions: var_matrices[k][i] is the index j when
+    x_k * b_i = b_j, else the sparse Fraction coordinates of x_k * b_i."""
+
+    def __init__(self, basis, nvars, canon=None):
+        self.basis, self.dim, self.nvars = basis, len(basis), nvars
+        self._canon = canon
+        self._index = {m: i for i, m in enumerate(basis)}
+        steps = []
+        for m in basis[1:]:
+            k = next(t for t, e in enumerate(m) if e)
+            steps.append((k, self._index[self._shift(m, k, -1)]))
+        self._steps = tuple(steps)
+        self.var_matrices = tuple(
+            tuple(self._column(k, i) for i in range(self.dim))
+            for k in range(nvars))
+
+    @staticmethod
+    def _shift(m, k, by=1):
+        return m[:k] + (m[k] + by,) + m[k + 1:]
+
+    def _column(self, k, i):
+        m = self._shift(self.basis[i], k)
+        if m in self._index:
+            return self._index[m]
+        return tuple((r, c) for r, c in enumerate(self._shift_coords(k, i))
+                     if c)
+
+    def _shift_coords(self, k, i):
+        m = self._shift(self.basis[i], k)
+        return self.coords(Polynomial.term(self.nvars, m, 1))
+
+    def coords(self, p):
+        return _ref_coordinates(self._canon, p)
+
+    def _walk(self, start, step):
+        if not self.dim:
+            return []
+        out = [start]
+        for k, a in self._steps:
+            out.append(step(out[a], k))
+        return out
+
+    def _times_variable(self, v, k):
+        out = [Fraction(0)] * self.dim
+        for vb, col in zip(v, self.var_matrices[k]):
+            if not vb:
+                continue
+            if type(col) is int:
+                out[col] += vb
+            else:
+                for r, c in col:
+                    out[r] += vb * c
+        return out
+
+    def _row_times_variable(self, w, k):
+        return [w[col] if type(col) is int
+                else sum((w[r] * c for r, c in col), Fraction(0))
+                for col in self.var_matrices[k]]
+
+    def mult_matrix(self, g):
+        cols = self._walk(self.coords(g), self._times_variable)
+        return [[col[i] for col in cols] for i in range(self.dim)]
+
+    def gram_matrix(self, l):
+        return tuple(tuple(row) for row in
+                     self._walk(list(l), self._row_times_variable))
+
+
+class _RefQuotient(_RefAlgebra):
+    """QuotientAlgebra.__init__ in Fractions: nullspace, its RREF, a dense
+    projection and its sparse columns."""
+
+    def __init__(self, parent, g):
+        self.parent = parent
+        M = parent.mult_matrix(g)
+        kernel = _linalg.nullspace(M, ncols=parent.dim)
+        rows, pivots = _linalg.rref(kernel)
+        self.kernel_basis = [tuple(r) for r in rows]
+        pivot_set = set(pivots)
+        self.complement_indices = tuple(
+            i for i in range(parent.dim) if i not in pivot_set)
+        proj = []
+        for cj in self.complement_indices:
+            row = [Fraction(0)] * parent.dim
+            row[cj] = Fraction(1)
+            for krow, p in zip(self.kernel_basis, pivots):
+                row[p] -= krow[cj]
+            proj.append(row)
+        self.projection = proj
+        self._projected_units = [
+            [(j, row[r]) for j, row in enumerate(proj) if row[r]]
+            for r in range(parent.dim)]
+        super().__init__(tuple(parent.basis[c] for c in self.complement_indices),
+                         parent.nvars)
+
+    def _shift_coords(self, k, i):
+        col = self.parent.var_matrices[k][self.complement_indices[i]]
+        out = [Fraction(0)] * self.dim
+        for r, c in ((col, 1),) if type(col) is int else col:
+            for j, v in self._projected_units[r]:
+                out[j] += c * v
+        return out
+
+    def coords(self, p):
+        return _linalg.mat_vec(self.projection, self.parent.coords(p))
+
+
+def _rational_var_matrices(A):
+    """var_matrices with each numerator divided by its matrix's scale."""
+    return tuple(tuple(col if isinstance(col, int)
+                       else tuple((r, Fraction(c, M.scale)) for r, c in col)
+                       for col in M)
+                 for M in A.var_matrices)
+
+
+def _positive_multiple(scaled, exact):
+    """The one s > 0 with scaled == s * exact entrywise, or None."""
+    pairs = [(a, b) for ra, rb in zip(scaled, exact) for a, b in zip(ra, rb)]
+    s = next((Fraction(a) / b for a, b in pairs if b), Fraction(1))
+    if s <= 0 or any(a != s * b for a, b in pairs):
+        return None
+    return s
+
+
+def _integer_layer_cases():
+    shear = [[-1, -1], [-2, -3]]
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6)):
+        P = dk_problem(k, m, field="real")
+        yield P
+        yield _substitute_problem(P, shear)
+        for s in range(4):
+            yield _substitute_problem(P, random_unimodular(2, random.Random(s)))
+
+
+def test_integer_layer_matches_the_fraction_references():
+    for P in _integer_layer_cases():
+        norm = ensure_regular_sequence(P)
+        B0, C0 = norm.algebra, _c0_algebra(norm)
+        ref_B0 = _RefAlgebra(B0.basis, B0.nvars, B0._canon)
+        assert _rational_var_matrices(B0) == ref_B0.var_matrices
+        ref_C0 = _RefQuotient(ref_B0, _jacobian_minor(norm.problem))
+        assert C0.complement_indices == ref_C0.complement_indices
+        assert C0.kernel_basis == ref_C0.kernel_basis
+        assert C0.projection == ref_C0.projection
+        assert _rational_var_matrices(C0) == ref_C0.var_matrices
+        Q = norm.problem
+        c1 = c_coefficient(jacobian(list(Q.X), Q.nvars), Q.C, 1)
+        assert C0.coords(c1) == ref_C0.coords(c1)
+        for seed in (None, 1, 2):
+            l, value = choose_linear_form(C0, c1, seed=seed)
+            assert (l, value) == choose_linear_form(ref_C0, c1, seed=seed)
+            exact = ref_C0.gram_matrix(l)
+            scaled = C0.scaled_gram_matrix(l)
+            assert all(type(x) is int for row in scaled for x in row)
+            assert _positive_multiple(scaled, exact) is not None
+            assert gram_of_form(C0, l).matrix == exact
+            sig = signature_of(GramForm(C0.dim, scaled))
+            assert sig == signature_of(GramForm(C0.dim, exact))
+            assert sig == real_gsv_index(P, seed=seed).signature
+
+
+def test_integer_b0_matches_the_fraction_references_on_space_curves():
+    rng = random.Random(5)
+    for l in range(1, 7):
+        norm = ensure_regular_sequence(space_curve_problem(l))
+        B0, DF = norm.algebra, _jacobian_minor(norm.problem)
+        ref = _RefAlgebra(B0.basis, B0.nvars, B0._canon)
+        assert _rational_var_matrices(B0) == ref.var_matrices
+        assert mult_matrix(B0, DF) == ref.mult_matrix(DF)
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(B0.dim)]
+        assert gram_of_form(B0, f).matrix == ref.gram_matrix(f)
+        assert _positive_multiple(B0.scaled_gram_matrix(f),
+                                  ref.gram_matrix(f)) is not None
+
+
+def test_regular_point_has_real_index_zero():
+    # X_1 is a unit, so B0 is the zero algebra
+    zero = Polynomial.zero(2)
+    P = smooth_line_problem("real")
+    P = type(P)(vars=P.vars, f=P.f, X=(one, zero), C=P.C, field="real")
+    report = real_gsv_index(P)
+    assert (report.dim_B0, report.dim_C0, report.index) == (0, 0, 0)
+    assert report.signature == SignatureResult(0, 0, 0)
+
+
+def test_class_projecting_to_zero_raises():
+    # x is nonzero in O/(y, x^3) but lies in ann(x^2), so its class in the
+    # annihilator quotient is zero
+    A = build_algebra([y, x ** 3])
+    C = annihilator_quotient(A, x * x)
+    assert any(A.coords(x)) and not any(C.coords(x))
+    with pytest.raises(C1ClassZeroError):
+        choose_linear_form(C, x)

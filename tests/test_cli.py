@@ -562,6 +562,19 @@ def test_verify_jobs_never_exceed_case_count(monkeypatch):
     assert _InProcessPool.sizes == [ncases]  # one job: no pool at all
 
 
+def test_el_exits_with_the_jacobian_code_when_its_class_vanishes(monkeypatch):
+    # the Jacobian of a finite map germ never vanishes in its local algebra,
+    # so the class is zeroed by hand; the real path through the integer
+    # coordinates, choose_linear_form and _el_signature then runs as is
+    from gsvindex.algebra import FiniteAlgebra
+
+    monkeypatch.setattr(FiniteAlgebra, "_integer_coords",
+                        lambda self, p: ([0] * self.dim, 1))
+    code, out = cmd_el(str(CORPUS_DIR / "el_plane_quadratic_real.prob"))
+    assert code == EXIT_NORMALIZATION
+    assert out == "error: the Jacobian determinant vanishes in the quotient algebra\n"
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     code, out = cmd_verify(str(CORPUS_DIR), jobs=0)
     assert code == EXIT_PARSE and "--jobs" in out
