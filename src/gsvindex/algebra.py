@@ -222,13 +222,8 @@ class QuotientAlgebra(FiniteAlgebra):
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
         self.element = g
-        # M_g scaled as a whole to integers has the kernel of M_g
-        cols = parent._product_columns(g)
-        s = lcm(*(den for _, den in cols))
-        M = [list(r) for r in zip(*([x * (s // den) for x in v] for v, den in cols))]
-        rows, pivots, _ = _linalg.integer_eliminate(M)
-        kernel = [v for v, _ in _linalg.integer_kernel(rows, pivots, parent.dim)]
-        rows, self._pivots, _ = _linalg.integer_eliminate(kernel)
+        rows, self._pivots = _kernel_echelon(
+            _integer_matrix(parent._product_columns(g)), parent.dim)
         # the kernel's RREF rows, primitive with positive pivots
         self._kernel = [[x // q for x in row] for row, p in zip(rows, self._pivots)
                         for q in [gcd(*row) if row[p] > 0 else -gcd(*row)]]
@@ -288,6 +283,19 @@ class QuotientAlgebra(FiniteAlgebra):
             enumerate(_linalg.integer_row(parent_coords, den)), den))
 
 
+def _integer_matrix(cols):
+    """The columns (ints, den) as one int matrix, scaled by the lcm of the dens."""
+    s = lcm(*(den for _, den in cols))
+    return [list(r) for r in zip(*([x * (s // den) for x in v] for v, den in cols))]
+
+
+def _kernel_echelon(M, n):
+    """(rows, pivots): the right kernel of M, n columns, in echelon form."""
+    rows, pivots, _ = _linalg.integer_eliminate(M)
+    kernel = [v for v, _ in _linalg.integer_kernel(rows, pivots, n)]
+    return _linalg.integer_eliminate(kernel)[:2]
+
+
 def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
     """A / ann_A(g), computed as the kernel of multiplication by g."""
     return QuotientAlgebra(A, g)
@@ -298,24 +306,23 @@ def socle(algebra):
 
     Accepts any FiniteAlgebra, annihilator quotients included; returns RREF
     coordinate vectors of the intersection of the kernels of multiplication
-    by each variable class.
+    by each variable class: the M_k stacked, each by its positive scale.
     """
-    if algebra.dim == 0:
+    d = algebra.dim
+    if d == 0:
         return []
-    nvars = algebra.nvars
-    stacked = []
-    for i in range(nvars):
-        v = Polynomial.variable(nvars, i)
-        stacked.extend(mult_matrix(algebra, v))
-    kernel = _linalg.nullspace(stacked, ncols=algebra.dim)
-    rows, _ = _linalg.rref(kernel)
-    return [tuple(r) for r in rows]
+    stacked = [[0] * d for _ in range(d * algebra.nvars)]
+    for k, cols in enumerate(algebra.var_matrices):
+        for i, col in enumerate(cols):
+            for r, c in ((col, cols.scale),) if type(col) is int else col:
+                stacked[k * d + r][i] = c
+    rows, pivots = _kernel_echelon(stacked, d)
+    return [tuple(_linalg.fractions(row, row[p])) for row, p in zip(rows, pivots)]
 
 
 def solve_multiplication(algebra, g: Polynomial, v: Polynomial):
     """One coordinate solution h of g*h = v in the algebra, or None."""
-    M = mult_matrix(algebra, g)
-    target = algebra.coords(v)
     if algebra.dim == 0:
         return []
-    return _linalg.solve(M, target)
+    M = _integer_matrix(algebra._product_columns(g) + [algebra._integer_coords(v)])
+    return _linalg.solve([row[:-1] for row in M], [row[-1] for row in M])

@@ -105,6 +105,8 @@ def _tokenize(text: str):
 # with 30-digit coefficients it is the 11th.
 PARSE_PRODUCT_BUDGET = 50_000
 
+MAX_DEGREE = 1_000_000  # of a term, checked before a product or power (exit 2)
+
 
 def _coefficient_words(p: Polynomial) -> int:
     """Size of the largest coefficient of p in 64-bit words, at least 1."""
@@ -163,7 +165,12 @@ class _PolyParser:
         if self.budget < 0:
             raise ParseError("expression too large", position=pos)
 
+    def _check_degree(self, degree: int, pos):
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree above {MAX_DEGREE}", position=pos)
+
     def _product(self, p: Polynomial, q: Polynomial, pos) -> Polynomial:
+        self._check_degree(p.total_degree() + q.total_degree(), pos)
         pairs = len(p.terms) * len(q.terms)
         if pairs > 1:  # a product of two single terms costs no more than a sum
             self._charge(pairs * _coefficient_words(p) * _coefficient_words(q), pos)
@@ -199,6 +206,7 @@ class _PolyParser:
             if kind != "num":
                 raise ParseError("exponent must be a natural number", position=pos)
             self.advance()
+            self._check_degree(p.total_degree() * value, pos)
             if len(p.terms) == 1:  # a single term: exponents and coefficient
                 (m, c), = p.terms.items()
                 # the words of c ** value, from v ** value having at least

@@ -41,6 +41,18 @@ monic basis, lifts and witnesses handed back are identical to it. No
 coefficient gcd is paid per term, only one content per step (Bareiss-style
 fraction-free reduction; Geddes, Czapor, Labahn, Algorithms for Computer
 Algebra, ch. 9).
+
+Those term maps are keyed by packed monomials, one int each (Monagan,
+Pearce, CASC 2007). LocalOrder.key gives the code, -(d B^n + sum e_i B^i)
+in negdegrevlex and -d B^n + sum e_i B^(n-1-i) in negdeglex for x^e of
+degree d in n variables, B = 2^WIDTH: comparing codes as ints is the order,
+the code of a product is the sum and that of 1 is 0, so lm(h) is max(h),
+the term of highest degree min(h), and x^m g adds m to every key of g.
+a | b exactly when no field's top (guard) bit is set in the difference of
+the exponent parts, which holds while degrees stay below DEGREE_LIMIT =
+2^(WIDTH-1); encoding, decoding and each _weak_nf step raise
+DegreeCapExceededError at or past it. Maps are encoded on entry and decoded
+into Polynomials; S-pair lcms use decoded monomials.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, prod
-from operator import add, mul, neg
+from operator import add, mul
 
 from ._linalg import common_denominator, fractions, integer_row, reduced
 from .errors import CertificateError, DegreeCapExceededError
@@ -69,10 +81,14 @@ INFINITE = float("inf")
 
 DEGREE_CAP_FLOOR = 64
 
+WIDTH = 32  # bits per exponent field of a packed monomial
+FIELD = (1 << WIDTH) - 1
+DEGREE_LIMIT = 1 << (WIDTH - 1)  # the guard bit of a field
+
 
 @dataclass(frozen=True)
 class LocalOrder:
-    """A monomial order in which 1 is the largest monomial."""
+    """A monomial order in which 1 is the largest monomial; key is its code."""
 
     kind: str  # "negdegrevlex" | "negdeglex"
     nvars: int
@@ -80,12 +96,36 @@ class LocalOrder:
     def __post_init__(self):
         if self.kind not in ("negdegrevlex", "negdeglex"):
             raise ValueError(f"unknown local order {self.kind!r}")
+        n, lex = self.nvars, self.kind == "negdeglex"
+        shifts = [WIDTH * (n - 1 - i if lex else i) for i in range(n)]
+        sign, top = (1 if lex else -1), WIDTH * n
+        # sign * code is the exponent part mod B^n; offset absorbs it when the
+        # degree is read; codes <= floor have degree DEGREE_LIMIT or more
+        offset = (1 << top) - 1 if lex else 0
+        self.__dict__.update(
+            _shifts=shifts, _top=top, _sign=sign, _offset=offset,
+            _weights=[(sign << s) - (1 << top) for s in shifts],
+            _floor=offset - (DEGREE_LIMIT << top),
+            _guards=sum([DEGREE_LIMIT << s for s in shifts]))
 
-    def key(self, mono: Monomial):
-        """Sort key: larger key = larger monomial (so 1 is maximal)."""
-        if self.kind == "negdegrevlex":
-            return (-sum(mono), tuple(map(neg, reversed(mono))))
-        return (-sum(mono), mono)
+    def key(self, mono: Monomial) -> int:
+        """The code of mono: larger code = larger monomial (so 1 is maximal)."""
+        code = sum(map(mul, mono, self._weights))
+        if code <= self._floor:
+            raise _past_limit(sum(mono))
+        return code
+
+    def decode(self, code: int) -> Monomial:
+        if code <= self._floor:
+            raise _past_limit(self.degree(code))
+        return tuple([(self._sign * code >> s) & FIELD for s in self._shifts])
+
+    def degree(self, code: int) -> int:
+        return (self._offset - code) >> self._top
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial of code a divides that of code b."""
+        return not (self._sign * (b - a)) & self._guards
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
@@ -97,6 +137,11 @@ class LocalOrder:
         return sorted(monos, key=self.key, reverse=True)
 
 
+def _past_limit(degree):
+    return DegreeCapExceededError(f"monomial degree {degree} reaches the "
+                                  f"packed-exponent limit 2^{WIDTH - 1}")
+
+
 def negdegrevlex(nvars: int) -> LocalOrder:
     return LocalOrder("negdegrevlex", nvars)
 
@@ -105,25 +150,26 @@ def negdeglex(nvars: int) -> LocalOrder:
     return LocalOrder("negdeglex", nvars)
 
 
-def _integer_terms(terms):
-    """(ints, scale): ints = scale * terms, a primitive integer term map."""
+def _integer_terms(terms, order=None):
+    """(ints, scale): ints = scale * terms, primitive, on codes given an order."""
     den = common_denominator(terms.values())
     ints = integer_row(terms.values(), den)
     g = gcd(*ints) or 1
-    return {m: c // g for m, c in zip(terms, ints)}, Fraction(den, g)
+    keys = terms if order is None else map(order.key, terms)
+    return {m: c // g for m, c in zip(keys, ints)}, Fraction(den, g)
 
 
-def _rational_terms(nvars, ints, num, den):
+def _rational_terms(order, ints, num, den):
     """The Polynomial ints * num / den."""
-    return Polynomial._trusted(
-        nvars, {m: Fraction(c * num, den) for m, c in ints.items()})
+    return Polynomial._trusted(order.nvars, {
+        order.decode(m): Fraction(c * num, den) for m, c in ints.items()})
 
 
 def _combine(h, a, b, m, g):
     """a*h - b*x^m*g on integer term maps, a new map."""
     out = dict(h) if a == 1 else {k: a * c for k, c in h.items()}
-    for gm, gc in g.items():
-        k = mono_mul(gm, m)
+    for k, gc in g.items():
+        k += m
         c = out.get(k, 0) - b * gc
         if c:
             out[k] = c
@@ -140,7 +186,7 @@ def _product(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             c = out.get(m, 0) + c1 * c2
             if c:
                 out[m] = c
@@ -162,7 +208,7 @@ def _content(g, maps):
 class _Reducer:
     """Entry of the Mora reducer set T with its division certificate.
 
-    poly, den and vec are integer term maps; see _weak_nf.
+    poly, den and vec are integer term maps and lm a code; see _weak_nf.
     """
 
     __slots__ = ("poly", "lm", "lc", "ecart", "gen_index", "den", "vec")
@@ -178,8 +224,8 @@ class _Reducer:
 
 
 def _generator(poly, order, gen_index):
-    lm = max(poly, key=order.key)
-    return _Reducer(poly, lm, max(map(mono_degree, poly)) - mono_degree(lm),
+    lm = max(poly)
+    return _Reducer(poly, lm, order.degree(min(poly)) - order.degree(lm),
                     gen_index)
 
 
@@ -200,19 +246,22 @@ def _weak_nf(h, T, order, certify):
     den and vec together, so the identity survives; otherwise den and vec
     are None and h is kept primitive.
     """
-    zero = (0,) * len(next(iter(h)))
     den = vec = None
     if certify:
-        den = {zero: 1}
+        den = {0: 1}
         vec = [{}] * sum(t.gen_index is not None for t in T)
     num = dnm = 1
+    degree, sign, guards = order.degree, order._sign, order._guards
     while h:
-        lm_h = max(h, key=order.key)
-        candidates = [t for t in T if mono_divides(t.lm, lm_h)]
+        lm_h, top = max(h), degree(min(h))
+        if top >= DEGREE_LIMIT:
+            raise _past_limit(top)
+        # order.divides(t.lm, lm_h), inlined
+        candidates = [t for t in T if not (sign * (lm_h - t.lm)) & guards]
         if not candidates:
             break
         g = min(candidates, key=lambda t: t.ecart)
-        e_h = max(map(mono_degree, h)) - mono_degree(lm_h)
+        e_h = top - degree(lm_h)
         if g.ecart > e_h:
             T.append(_Reducer(h, lm_h, e_h, den=den,
                               vec=list(vec) if certify else None))
@@ -220,15 +269,14 @@ def _weak_nf(h, T, order, certify):
         a, b = g.lc // q, h[lm_h] // q
         if a < 0:
             a, b = -a, -b
-        m = mono_div(lm_h, g.lm)
+        m = lm_h - g.lm
         h = _combine(h, a, b, m, g.poly)
         num *= a
         if certify:
             if g.gen_index is not None:
                 den = _scaled(den, a)
                 vec = [_scaled(v, a) for v in vec]
-                vec[g.gen_index] = _combine(vec[g.gen_index], 1, -b, m,
-                                            {zero: 1})
+                vec[g.gen_index] = _combine(vec[g.gen_index], 1, -b, m, {0: 1})
             else:
                 den = _combine(den, a, b, m, g.den)
                 vec = [_combine(v, a, b, m, gv) for v, gv in zip(vec, g.vec)]
@@ -241,7 +289,7 @@ def _weak_nf(h, T, order, certify):
                 den = {k: v // c for k, v in den.items()}
                 vec = [{k: x // c for k, x in v.items()} for v in vec]
             dnm *= c
-    if certify and not den.get(zero):
+    if certify and not den.get(0):
         raise CertificateError("Mora certificate lost its unit denominator")
     return h, den, vec, num, dnm
 
@@ -265,18 +313,18 @@ def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
     if p.is_zero:
         vec = [Polynomial.zero(n)] * len(reducers) if certify else None
         return p, Polynomial.one(n) if certify else None, vec
-    h0, kp = _integer_terms(p.terms)
+    h0, kp = _integer_terms(p.terms, order)
     T, ks = [], []
     for i, g in enumerate(reducers):
-        r, k = _integer_terms(g.terms)
+        r, k = _integer_terms(g.terms, order)
         T.append(_generator(r, order, i))
         ks.append(k)
     h, den, vec, num, dnm = _weak_nf(h0, T, order, certify)
-    h = _rational_terms(n, h, dnm * kp.denominator, num * kp.numerator)
+    h = _rational_terms(order, h, dnm * kp.denominator, num * kp.numerator)
     if not certify:
         return h, None, None
-    den = _rational_terms(n, den, dnm, num)
-    vec = [_rational_terms(n, v, dnm * k.numerator * kp.denominator,
+    den = _rational_terms(order, den, dnm, num)
+    vec = [_rational_terms(order, v, dnm * k.numerator * kp.denominator,
                            num * k.denominator * kp.numerator)
            for v, k in zip(vec, ks)]
     return h, den, vec
@@ -317,14 +365,13 @@ def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
     lc(h) times the tau_k of the support, with the joint content divided
     out, turns it into the lift of the monic h.
     """
-    zero = (0,) * len(G[0].lm)
     u = [{m: -c for m, c in v.items()} for v in vec]
     for k, a, m in s_terms:
         u[k] = _combine(u[k], 1, -a, m, den)
     u = [_scaled(uk, G[k].lc) for k, uk in enumerate(u)]
     total, coeffs = _fold_lifts(
-        u, certs, len(certs[0][1]), {zero: 1}, {}, _product,
-        lambda p, q: _combine(p, 1, -1, zero, q))
+        u, certs, len(certs[0][1]), {0: 1}, {}, _product,
+        lambda p, q: _combine(p, 1, -1, 0, q))
     den_h = _scaled(total, lc_h)
     tau = lc_h * prod(certs[k][2] for k, uk in enumerate(u) if uk)
     c = _content(tau, [den_h, *coeffs])
@@ -416,33 +463,36 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     if degree_cap is None:
         degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
         degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
-    zero = (0,) * n
 
     G = []  # basis candidates as _Reducers on primitive integer term maps
+    lms = []  # their leading monomials, decoded
     # certs[k] = (den, coeffs, tau): integer term maps with
     # den * G_k == sum_j coeffs[j] * gens[j] for G_k the monic candidate,
     # tau times its rational lift (den/tau, coeffs/tau)
     certs = []
-    for j, g in nonzero:
-        G.append(_generator(_integer_terms(g.terms)[0], order, len(G)))
-        if certify:
-            lc = g.terms[G[-1].lm]
-            coeffs = [{}] * len(gens)
-            coeffs[j] = {zero: lc.denominator}
-            certs.append(({zero: lc.numerator}, coeffs, lc.numerator))
-    lms = [t.lm for t in G]
+    heap = []  # (degree of the lcm, t, k) for the pairs t < k
 
-    heap = []
-    for i in range(len(G)):
-        for j in range(i):
-            lcm = mono_lcm(lms[i], lms[j])
-            heapq.heappush(heap, (mono_degree(lcm), j, i))
+    def append(poly):
+        k = len(G)
+        G.append(_generator(poly, order, k))
+        lms.append(order.decode(G[k].lm))
+        for t in range(k):
+            heapq.heappush(heap, (mono_degree(mono_lcm(lms[t], lms[k])), t, k))
+
+    for j, g in nonzero:
+        append(_integer_terms(g.terms, order)[0])
+        if certify:
+            lc = g.terms[lms[-1]]
+            coeffs = [{}] * len(gens)
+            coeffs[j] = {0: lc.denominator}
+            certs.append(({0: lc.numerator}, coeffs, lc.numerator))
     while heap:
         _, i, j = heapq.heappop(heap)
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # product criterion
-        mi, mj = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
+        lcm = order.key(lcm)
+        mi, mj = lcm - G[i].lm, lcm - G[j].lm
         # s = lc_j x^mi G_i - lc_i x^mj G_j, over gcd(lc_i, lc_j): a
         # multiple of the S-polynomial of the monic candidates
         q = gcd(G[i].lc, G[j].lc)
@@ -453,8 +503,8 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
         h, den, vec, _, _ = _weak_nf(s, list(G), order, certify)
         if not h:
             continue
-        lm = max(h, key=order.key)
-        if mono_degree(lm) > degree_cap:
+        lm = max(h)
+        if order.degree(lm) > degree_cap:
             raise DegreeCapExceededError(
                 f"standard-basis completion passed degree cap {degree_cap}; "
                 "raise the cap if the ideal is expected to be this deep"
@@ -463,31 +513,18 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
             certs.append(_fold_certificate(
                 h[lm], den, vec, ((i, al, mi), (j, -be, mj)), G, certs))
         c = _content(0, [h])
-        G.append(_generator({k: v // c for k, v in h.items()}, order, len(G)))
-        lms.append(lm)
-        k = len(G) - 1
-        for t in range(k):
-            heapq.heappush(
-                heap, (mono_degree(mono_lcm(lms[t], lm)), t, k)
-            )
+        append({k: v // c for k, v in h.items()})
 
     # minimal basis: drop elements with divisible leading monomials
-    keep = []
-    for i, lm in enumerate(lms):
-        dominated = False
-        for j, other in enumerate(lms):
-            if j != i and mono_divides(other, lm) and (other != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    basis = tuple(_rational_terms(n, G[i].poly, 1, G[i].lc) for i in keep)
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and mono_divides(other, lm) and (other != lm or j < i)
+                       for j, other in enumerate(lms))]
+    basis = tuple(_rational_terms(order, G[i].poly, 1, G[i].lc) for i in keep)
     lift = None
     if certify:
-        lift = tuple(
-            (_rational_terms(n, certs[i][0], 1, certs[i][2]),
-             tuple(_rational_terms(n, c, 1, certs[i][2]) for c in certs[i][1]))
-            for i in keep)
+        lift = tuple((_rational_terms(order, den, 1, tau),
+                      tuple(_rational_terms(order, c, 1, tau) for c in coeffs))
+                     for den, coeffs, tau in map(certs.__getitem__, keep))
     return StandardBasis(order=order, generators=gens, basis=basis, lift=lift)
 
 

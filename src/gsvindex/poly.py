@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from operator import add, le, sub
 
 from . import _linalg
@@ -45,13 +44,10 @@ def mono_degree(a: Monomial) -> int:
 
 def monomials_of_degree(nvars: int, degree: int):
     """All exponent tuples of the given total degree, sorted."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return sorted(out)
+    if nvars == 1:
+        return [(degree,)]
+    return [(e,) + rest for e in range(degree + 1)
+            for rest in monomials_of_degree(nvars - 1, degree - e)]
 
 
 class Polynomial:
@@ -220,9 +216,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     @property
     def constant_term(self) -> Fraction:

@@ -629,6 +629,54 @@ def test_integer_layer_matches_the_fraction_references():
             assert sig == real_gsv_index(P, seed=seed).signature
 
 
+def _ref_socle(A):
+    """socle by the Fraction route: the stacked mult_matrix of each
+    variable, its nullspace and that nullspace's RREF."""
+    if A.dim == 0:
+        return []
+    stacked = []
+    for k in range(A.nvars):
+        stacked.extend(mult_matrix(A, Polynomial.variable(A.nvars, k)))
+    rows, _ = _linalg.rref(_linalg.nullspace(stacked, ncols=A.dim))
+    return [tuple(r) for r in rows]
+
+
+def _ref_solve_multiplication(A, g, v):
+    """solve_multiplication by the Fraction route: mult_matrix and coords."""
+    if A.dim == 0:
+        return []
+    return _linalg.solve(mult_matrix(A, g), A.coords(v))
+
+
+def test_socle_and_division_match_the_fraction_route():
+    shear = [[-1, -1], [-2, -3]]
+    cases = []  # (algebra, an element to divide by)
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6)):
+        P = dk_problem(k, m, field="real")
+        for Q in (P, _substitute_problem(P, shear)):
+            norm = ensure_regular_sequence(Q)
+            g = _jacobian_minor(norm.problem)
+            cases += [(norm.algebra, g), (_c0_algebra(norm), g)]
+    # socles that mix a unit column of some M_k with a reduced one, so the
+    # scale of each stacked block matters
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for gens in ([3 * half * x ** 4 - x * x + 2 * x * y, 2 * y * y - 3 * half * x * x],
+                 [x * x * y - x * y * y, 2 * x * x - 2 * third * x ** 3 - half * y * y],
+                 [x ** 4 - half * x ** 3 + x * x * y, y ** 4 - 2 * x * y * y]):
+        A = build_algebra(gens)
+        cases += [(A, x - y), (annihilator_quotient(A, x + 2 * y), x - y)]
+    solved = unsolved = 0
+    for A, g in cases:
+        assert socle(A) == _ref_socle(A), A.basis
+        for mult, v in ((g, g * (3 * x - y * y)), (x + 2 * y, x * x),
+                        (y, x), (x, one), (one, x * y - 5 * y)):
+            h = solve_multiplication(A, mult, v)
+            assert h == _ref_solve_multiplication(A, mult, v), A.basis
+            solved += h is not None
+            unsolved += h is None
+    assert solved and unsolved
+
+
 def test_integer_b0_matches_the_fraction_references_on_space_curves():
     rng = random.Random(5)
     for l in range(1, 7):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import neg
 
 import pytest
 
@@ -33,6 +34,61 @@ def test_local_orders_make_one_largest():
         assert order.greater((0, 0), (1, 0))
         assert order.greater((1, 0), (2, 0))
         assert order.greater((1, 0), (0, 1))  # x before y on ties
+
+
+def _ref_key(order, mono):
+    """The tuple sort key of the local orders before packed codes."""
+    if order.kind == "negdegrevlex":
+        return (-sum(mono), tuple(map(neg, reversed(mono))))
+    return (-sum(mono), mono)
+
+
+def test_packed_codes_match_the_tuple_orders():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # every degree below DEGREE_LIMIT / 2, so products stay below it too
+    exponent = st.integers(0, 4) | st.integers(0, localstd.DEGREE_LIMIT // 8 - 1)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=400,
+                         deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        order = data.draw(st.sampled_from((negdegrevlex(n), negdeglex(n))))
+        monos = st.lists(exponent, min_size=n, max_size=n).map(tuple)
+        a = data.draw(monos)
+        # a permutation of a is a tie within a degree
+        b = data.draw(monos | st.permutations(a).map(tuple))
+        ka, kb = order.key(a), order.key(b)
+        assert (ka > kb) == (_ref_key(order, a) > _ref_key(order, b))
+        assert (ka == kb) == (a == b)
+        assert order.greater(a, b) == (ka > kb)
+        assert order.key(localstd.mono_mul(a, b)) == ka + kb
+        assert order.key((0,) * n) == 0
+        assert order.divides(ka, kb) == localstd.mono_divides(a, b)
+        assert order.divides(kb, ka) == localstd.mono_divides(b, a)
+        assert order.divides(ka, ka + kb)
+        assert order.degree(ka) == sum(a)
+        assert order.decode(ka) == a
+
+    check()
+
+
+def test_degrees_at_the_packed_limit_raise():
+    limit = localstd.DEGREE_LIMIT
+    with pytest.raises(DegreeCapExceededError):
+        standard_basis([x ** limit - y, y])
+    with pytest.raises(DegreeCapExceededError):
+        negdeglex(2).key((limit - 1, 1))
+    assert negdeglex(2).decode(negdeglex(2).key((limit - 1, 0))) == (limit - 1, 0)
+    # y^2 -> x^K y -> x^2K: the weak normal form reaches the limit mid-way
+    g = y - x ** (limit // 2)
+    with pytest.raises(DegreeCapExceededError):
+        ideal_membership(y ** 2, [g])
+    order = negdegrevlex(2)
+    T = [localstd._generator(localstd._integer_terms(g.terms, order)[0], order, 0)]
+    with pytest.raises(DegreeCapExceededError):
+        localstd._weak_nf({order.key((0, 2)): 1}, T, order, False)
 
 
 def test_leading_monomial_picks_lowest_degree():
@@ -578,19 +634,20 @@ def test_integer_weak_normal_form_stays_primitive():
     for name, gens in _kernel_ideals():
         n = gens[0].nvars
         order = negdegrevlex(n)
-        T = [localstd._generator(localstd._integer_terms(g.terms)[0], order, i)
+        T = [localstd._generator(localstd._integer_terms(g.terms, order)[0],
+                                 order, i)
              for i, g in enumerate(gens)]
         # the first S-polynomial of the completion, and a random combination
-        lcm = localstd.mono_lcm(T[0].lm, T[1].lm)
+        lcm = order.key(localstd.mono_lcm(order.decode(T[0].lm),
+                                          order.decode(T[1].lm)))
         s = localstd._combine(
-            localstd._combine({}, 1, -T[1].lc, localstd.mono_div(lcm, T[0].lm),
-                              T[0].poly),
-            1, T[0].lc, localstd.mono_div(lcm, T[1].lm), T[1].poly)
+            localstd._combine({}, 1, -T[1].lc, lcm - T[0].lm, T[0].poly),
+            1, T[0].lc, lcm - T[1].lm, T[1].poly)
         p = sum((g * _random_poly(rng, n, 3, 2) for g in gens),
                 _random_poly(rng, n, 3, 4))
         c = localstd._content(0, [s])
         for h0 in ({m: v // c for m, v in s.items()},
-                   localstd._integer_terms(p.terms)[0]):
+                   localstd._integer_terms(p.terms, order)[0]):
             for certify in (True, False):
                 h, den, vec, _, dnm = localstd._weak_nf(h0, list(T), order,
                                                         certify)
