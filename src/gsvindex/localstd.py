@@ -53,6 +53,10 @@ the exponent parts, which holds while degrees stay below DEGREE_LIMIT =
 2^(WIDTH-1); encoding, decoding and each _weak_nf step raise
 DegreeCapExceededError at or past it. Maps are encoded on entry and decoded
 into Polynomials; S-pair lcms use decoded monomials.
+
+CanonicalQuotient's truncated division is keyed by the same codes. A
+polynomial's terms above delta are dropped before they are encoded, so a
+term past DEGREE_LIMIT lies in the ideal and does not raise there.
 """
 
 from __future__ import annotations
@@ -70,11 +74,9 @@ from .poly import (
     Monomial,
     Polynomial,
     mono_degree,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomials_of_degree,
 )
 
 INFINITE = float("inf")
@@ -150,12 +152,12 @@ def negdeglex(nvars: int) -> LocalOrder:
     return LocalOrder("negdeglex", nvars)
 
 
-def _integer_terms(terms, order=None):
-    """(ints, scale): ints = scale * terms, primitive, on codes given an order."""
+def _integer_terms(terms, order):
+    """(ints, scale): ints = scale * terms, primitive, keyed by codes."""
     den = common_denominator(terms.values())
     ints = integer_row(terms.values(), den)
     g = gcd(*ints) or 1
-    keys = terms if order is None else map(order.key, terms)
+    keys = map(order.key, terms)
     return {m: c // g for m, c in zip(keys, ints)}, Fraction(den, g)
 
 
@@ -516,9 +518,9 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
         append({k: v // c for k, v in h.items()})
 
     # minimal basis: drop elements with divisible leading monomials
-    keep = [i for i, lm in enumerate(lms)
-            if not any(j != i and mono_divides(other, lm) and (other != lm or j < i)
-                       for j, other in enumerate(lms))]
+    keep = [i for i, g in enumerate(G)
+            if not any(j != i and order.divides(h.lm, g.lm)
+                       and (h.lm != g.lm or j < i) for j, h in enumerate(G))]
     basis = tuple(_rational_terms(order, G[i].poly, 1, G[i].lc) for i in keep)
     lift = None
     if certify:
@@ -529,29 +531,22 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
 
 
 def staircase_monomials(lms, nvars):
-    """Monomials below the staircase of the leading ideal, or None if infinite."""
-    bounds = []
-    for i in range(nvars):
-        pure = [
-            m[i]
-            for m in lms
-            if all(e == 0 for k, e in enumerate(m) if k != i)
-        ]
-        if not pure:
-            return None
-        bounds.append(min(pure))
+    """Monomials below the staircase of the leading ideal, or None if infinite.
+
+    Walks the order ideal up from 1: a monomial below the staircase is
+    reached once, from its quotient by the last variable it involves.
+    """
+    if len({i for m in lms for i in range(nvars) if m[i] == sum(m)}) < nvars:
+        return None  # some variable has no pure power in the leading ideal
     out = []
-
-    def rec(prefix):
-        if len(prefix) == nvars:
-            m = tuple(prefix)
-            if not any(mono_divides(lm, m) for lm in lms):
-                out.append(m)
-            return
-        for e in range(bounds[len(prefix)]):
-            rec(prefix + [e])
-
-    rec([])
+    todo = [((0,) * nvars, 0)]  # (monomial, first variable it may be raised in)
+    while todo:
+        m, first = todo.pop()
+        if any(mono_divides(lm, m) for lm in lms):
+            continue
+        out.append(m)
+        todo.extend((m[:k] + (m[k] + 1,) + m[k + 1:], k)
+                    for k in range(first, nvars))
     return out
 
 
@@ -661,32 +656,35 @@ class CanonicalQuotient:
     A Singular Introduction to Commutative Algebra, 1.6-1.7). Construction
     checks that every generator gets zero coordinates.
 
-    Each reducer is kept as a primitive integer (lm, lc, tail), truncated at
-    delta. integer_coordinates divides on integer numerators over one
-    common denominator D: rewriting a term c by a reducer first multiplies
-    D and every pending numerator by a = lc/gcd(c, lc), so the step stays
-    integral. Terms are taken largest first and a rewrite only adds smaller
-    monomials, so a staircase term is final when it is taken; it is emitted
-    with the D of that moment and multiplied by every later a at the end.
-    coordinates is the Fraction view of the same division.
+    The staircase index, the reducers, the rewrites and the work heap are
+    keyed by LocalOrder codes. Each reducer is kept as a primitive integer
+    (lm, lc, tail), truncated at delta. The rewrite of a monomial m shifts
+    a tail by m - lm, drops the terms past delta and is made on first use,
+    so only the staircase and the rewrites the division reaches are keyed.
+    integer_coordinates divides on integer numerators over one common
+    denominator D: rewriting a term c by a reducer first multiplies D and
+    every pending numerator by a = lc/gcd(c, lc), so the step stays
+    integral. Terms are taken largest first (the heap holds -code) and a
+    rewrite only adds smaller monomials, so a staircase term is final when
+    it is taken; it is emitted with the D of that moment and multiplied by
+    every later a at the end. coordinates is the Fraction view of the same
+    division.
     """
 
     def __init__(self, sb: StandardBasis, stairs: Staircase):
-        self.index = {m: i for i, m in enumerate(stairs.basis_monomials)}
+        self.order = order = sb.order
+        self.index = {order.key(m): i
+                      for i, m in enumerate(stairs.basis_monomials)}
         self.delta = max(map(mono_degree, stairs.basis_monomials), default=-1)
-        nvars = sb.basis[0].nvars
-        # every monomial of degree <= delta, ranked from largest to smallest
-        self._monos = sb.order.sort_descending(
-            m for e in range(self.delta + 1) for m in monomials_of_degree(nvars, e)
-        )
-        self._rank = {m: r for r, m in enumerate(self._monos)}
         self._reducers = []
         for b, lm in zip(sb.basis, sb.leading_monomials):
             kept, _ = _integer_terms({m: c for m, c in b.terms.items()
-                                      if m == lm or mono_degree(m) <= self.delta})
+                                      if m == lm or mono_degree(m) <= self.delta},
+                                     order)
+            lm = order.key(lm)
             lc = kept.pop(lm)
             self._reducers.append((lm, lc, list(kept.items())))
-        self._rewrites = {}  # rank -> its rewrite, made on first use
+        self._rewrites = {}  # code -> its rewrite, made on first use
         for g in sb.generators:
             if any(self.coordinates(g)):
                 raise CertificateError(
@@ -700,54 +698,51 @@ class CanonicalQuotient:
     def integer_coordinates(self, p: Polynomial):
         """(ints, den): the coordinates of p are ints / den, with den > 0 and
         the gcd of den and ints 1."""
-        rank = self._rank
-        # terms above degree delta have no rank: they lie in the ideal
-        kept = {rank[m]: c for m, c in p.terms.items() if m in rank}
+        # terms above degree delta lie in the ideal: dropped before encoding
+        kept = {m: c for m, c in p.terms.items()
+                if mono_degree(m) <= self.delta}
         den = common_denominator(kept.values())
-        work = dict(zip(kept, integer_row(kept.values(), den)))
-        heap = list(work)
+        work = dict(zip(map(self.order.key, kept),
+                        integer_row(kept.values(), den)))
+        heap = [-m for m in work]
         heapq.heapify(heap)
         emitted = []  # (index, numerator, den when emitted)
         while heap:
-            r = heapq.heappop(heap)
-            c = work.pop(r)
+            m = -heapq.heappop(heap)
+            c = work.pop(m)
             if not c:
                 continue
-            m = self._monos[r]
             i = self.index.get(m)
             if i is not None:
                 emitted.append((i, c, den))
                 continue
-            lc, tail = self._rewrites.get(r) or self._rewrite(r)
+            lc, tail = self._rewrites.get(m) or self._rewrite(m)
             g = gcd(c, lc)
             a, b = lc // g, c // g
             if a < 0:
                 a, b = -a, -b
             if a != 1:
-                for r2 in work:
-                    work[r2] *= a
+                for m2 in work:
+                    work[m2] *= a
                 den *= a
-            for r2, tc in tail:
-                if r2 in work:
-                    work[r2] -= b * tc
+            for m2, tc in tail:
+                if m2 in work:
+                    work[m2] -= b * tc
                 else:
-                    work[r2] = -b * tc
-                    heapq.heappush(heap, r2)
+                    work[m2] = -b * tc
+                    heapq.heappush(heap, -m2)
         out = [0] * len(self.index)
         for i, c, d in emitted:
             out[i] = c if d == den else c * (den // d)
         return reduced(out, den)
 
-    def _rewrite(self, r):
-        """(lc, tail) for the r-th monomial m: the first reducer whose leading
-        monomial divides m, shifted onto m, its tail as (rank, coefficient)
-        pairs with the terms above delta dropped."""
-        m, rank = self._monos[r], self._rank
-        lm, lc, tail = next(
-            red for red in self._reducers if mono_divides(red[0], m)
-        )
-        q = mono_div(m, lm)
-        shifted = ((rank.get(mono_mul(q, tm)), tc) for tm, tc in tail)
-        out = self._rewrites[r] = (lc, [(r2, tc) for r2, tc in shifted
-                                        if r2 is not None])
+    def _rewrite(self, m):
+        """(lc, tail) for the monomial of code m: the first reducer whose
+        leading monomial divides m, shifted onto m, its tail as (code,
+        coefficient) pairs with the terms above delta dropped."""
+        divides, degree, delta = self.order.divides, self.order.degree, self.delta
+        lm, lc, tail = next(red for red in self._reducers if divides(red[0], m))
+        q = m - lm
+        out = self._rewrites[m] = (lc, [(t + q, tc) for t, tc in tail
+                                        if degree(t + q) <= delta])
         return out

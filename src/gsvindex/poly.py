@@ -42,14 +42,6 @@ def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
-def monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, sorted."""
-    if nvars == 1:
-        return [(degree,)]
-    return [(e,) + rest for e in range(degree + 1)
-            for rest in monomials_of_degree(nvars - 1, degree - e)]
-
-
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 

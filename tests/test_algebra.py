@@ -2,6 +2,7 @@ import copy
 import heapq
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +35,7 @@ from gsvindex.index import (
     c_coefficient,
     random_unimodular,
 )
-from gsvindex.poly import jacobian, monomials_of_degree
+from gsvindex.poly import jacobian
 from gsvindex.sigform import SignatureResult
 
 from problems import dk_problem, smooth_line_problem, space_curve_problem
@@ -89,6 +90,30 @@ def test_build_algebra_rejects_infinite():
         build_algebra([y - x * x])
 
 
+def test_tall_staircase_keys_only_what_the_division_reaches():
+    # (x^801, y): delta = 800; a rank table of every monomial of degree
+    # <= delta peaked at about 55 MB, the staircase and its rewrites at 6 MB
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        A = build_algebra([y ** 2 - x ** 801, y])
+        assert A.dim == 801 and len(A.var_matrices) == 2
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16_000_000
+
+
+def test_terms_past_the_packed_limit_lie_in_the_ideal():
+    # degree 2^31 cannot be packed, and need not be: it is above delta
+    A = build_algebra([x * x * y + y ** 3, x ** 4])
+    assert A.coords(x ** (2 ** 31) + one) == A.coords(one)
+    assert not any(A.coords(x ** (2 ** 31) * y))
+
+
 def test_coordinates_over_dense_bases():
     # after a unimodular change every standard-basis element is dense, so
     # each coordinate vector comes out of a long truncated reduction
@@ -111,8 +136,8 @@ def test_coordinates_over_dense_bases():
     for i, m in enumerate(B.basis):
         unit = [Fraction(int(j == i)) for j in range(B.dim)]
         assert B.coords(Polynomial.term(2, m, 1)) == unit
-    for m in monomials_of_degree(2, delta + 1):
-        assert not any(B.coords(Polynomial.term(2, m, 1)))
+    for a in range(delta + 2):
+        assert not any(B.coords(Polynomial.term(2, (a, delta + 1 - a), 1)))
 
 
 def test_mult_table_symmetric_and_unital():
@@ -433,37 +458,37 @@ def test_complex_index_builds_no_c0_and_no_elimination(monkeypatch):
 
 def _ref_coordinates(canon, p):
     """CanonicalQuotient.coordinates, emitting Fraction(c, D) on the spot."""
-    rank = canon._rank
-    kept = {rank[m]: c for m, c in p.terms.items() if m in rank}
+    kept = {canon.order.key(m): c for m, c in p.terms.items()
+            if sum(m) <= canon.delta}
     den = _linalg.common_denominator(kept.values())
     work = dict(zip(kept, _linalg.integer_row(kept.values(), den)))
-    heap = list(work)
+    heap = [-m for m in work]
     heapq.heapify(heap)
     out = [Fraction(0)] * len(canon.index)
     while heap:
-        r = heapq.heappop(heap)
-        c = work.pop(r)
+        m = -heapq.heappop(heap)
+        c = work.pop(m)
         if not c:
             continue
-        i = canon.index.get(canon._monos[r])
+        i = canon.index.get(m)
         if i is not None:
             out[i] = Fraction(c, den)
             continue
-        lc, tail = canon._rewrites.get(r) or canon._rewrite(r)
+        lc, tail = canon._rewrites.get(m) or canon._rewrite(m)
         g = gcd(c, lc)
         a, b = lc // g, c // g
         if a < 0:
             a, b = -a, -b
         if a != 1:
-            for r2 in work:
-                work[r2] *= a
+            for m2 in work:
+                work[m2] *= a
             den *= a
-        for r2, tc in tail:
-            if r2 in work:
-                work[r2] -= b * tc
+        for m2, tc in tail:
+            if m2 in work:
+                work[m2] -= b * tc
             else:
-                work[r2] = -b * tc
-                heapq.heappush(heap, r2)
+                work[m2] = -b * tc
+                heapq.heappush(heap, -m2)
     return out
 
 

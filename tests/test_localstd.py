@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from operator import neg
 
 import pytest
@@ -21,6 +23,7 @@ from gsvindex.errors import DegreeCapExceededError
 from gsvindex.index import random_unimodular
 from gsvindex import localstd
 from gsvindex.localstd import membership_by_basis
+from gsvindex.poly import mono_div, mono_divides, mono_lcm, mono_mul
 
 from graded_oracle import staircase_count
 from problems import dk_problem
@@ -265,6 +268,81 @@ def test_staircase_count_matches_dimension():
     )
 
 
+def _ref_staircase_monomials(lms, nvars):
+    """The staircase as the box the pure powers bound, filtered."""
+    bounds = []
+    for i in range(nvars):
+        pure = [m[i] for m in lms if sum(m) == m[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return [m for m in product(*map(range, bounds))
+            if not any(mono_divides(lm, m) for lm in lms)]
+
+
+def test_staircase_walk_matches_the_box_enumeration():
+    rng = random.Random(21)
+    finite = 0
+    for t in range(400):
+        n = 2 + t % 2
+        lms = [tuple(rng.randint(0, 4) for _ in range(n))
+               for _ in range(rng.randint(1, 4))]
+        lms = [m for m in lms if any(m)]
+        for i in range(n):
+            if rng.random() < 0.8:  # a pure power of x_i, mostly
+                lms.append(tuple(rng.randint(1, 6) if k == i else 0
+                                 for k in range(n)))
+        walk = localstd.staircase_monomials(lms, n)
+        ref = _ref_staircase_monomials(lms, n)
+        if ref is None:
+            assert walk is None, lms
+        else:
+            assert len(walk) == len(ref) and sorted(walk) == ref, lms
+            finite += 1
+    assert finite >= 100
+    assert localstd.staircase_monomials([(0, 0, 0), (1, 0, 0)], 3) == []
+    assert localstd.staircase_monomials([(2, 0), (1, 1)], 2) is None
+
+
+def test_thin_staircase_walk_touches_only_its_monomials():
+    # (x^N, y^N, z^N, xy, xz, yz): 3N - 2 monomials in a box of N^3
+    N = 400
+    lms = [(N, 0, 0), (0, N, 0), (0, 0, N), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    walk = localstd.staircase_monomials(lms, 3)
+    assert len(walk) == 3 * N - 2
+    assert set(walk) == {(0, 0, 0)} | {
+        tuple(e if k == i else 0 for k in range(3))
+        for i in range(3) for e in range(1, N)}
+
+
+def test_integer_coordinates_match_the_rank_table_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(-9, 9, max_denominator=6).filter(bool)
+
+    def polys(degree, min_size):
+        monos = st.tuples(st.integers(0, degree), st.integers(0, degree))
+        return st.dictionaries(monos, coeff, min_size=min_size,
+                               max_size=5).map(lambda t: Polynomial(2, t))
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=50,
+                         deadline=None)
+    @hypothesis.given(st.lists(polys(3, 2).filter(lambda g: not g.constant_term),
+                               min_size=1, max_size=2),
+                      st.integers(2, 8), st.integers(2, 8), polys(5, 1))
+    def check(gens, a, b, p):
+        gens = gens + [x ** a, y ** b]
+        for order in (negdegrevlex(2), negdeglex(2)):
+            sb = standard_basis(gens, order, certify=False)
+            stairs, canonical = sb.quotient
+            ints, den = canonical.integer_coordinates(p)
+            assert den > 0 and gcd(den, *ints) == 1
+            assert [Fraction(c, den) for c in ints] == \
+                _ref_coordinates(sb, stairs, p)
+
+    check()
+
+
 def test_degree_cap_guard():
     # completion of this pair needs a pure y power of degree 2k-3 = 77
     with pytest.raises(DegreeCapExceededError):
@@ -392,7 +470,7 @@ def _ref_mora_weak_nf(p, reducers, order, certify=True):
             T.append(_RefReducer(h, lm_h, h.terms[lm_h], e_h, den=den,
                                  vec=list(vec) if certify else None))
         c = h.terms[lm_h] / g.lc
-        m = localstd.mono_div(lm_h, g.lm)
+        m = mono_div(lm_h, g.lm)
         h = h - g.poly.mul_term(m, c)
         if not certify:
             continue
@@ -435,8 +513,7 @@ def _ref_witness_over_generators(sb, den, vec):
 
 def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
     from math import prod
-    from gsvindex.localstd import (DEGREE_CAP_FLOOR, mono_lcm, mono_mul,
-                                   mono_div, mono_divides)
+    from gsvindex.localstd import DEGREE_CAP_FLOOR
     import heapq
 
     gens = tuple(gens)
@@ -510,8 +587,7 @@ def _ref_coordinates(sb, stairs, p):
     delta = max(map(sum, stairs.basis_monomials), default=-1)
     nvars = sb.basis[0].nvars
     monos = sb.order.sort_descending(
-        m for e in range(delta + 1)
-        for m in localstd.monomials_of_degree(nvars, e))
+        m for m in product(range(delta + 1), repeat=nvars) if sum(m) <= delta)
     rank = {m: r for r, m in enumerate(monos)}
     reducers = []
     for b, lm in zip(sb.basis, sb.leading_monomials):
@@ -535,11 +611,10 @@ def _ref_coordinates(sb, stairs, p):
         if i is not None:
             out[i] = c
             continue
-        lm, lc, tail = next(red for red in reducers
-                            if localstd.mono_divides(red[0], m))
-        q, f = localstd.mono_div(m, lm), c / lc
+        lm, lc, tail = next(red for red in reducers if mono_divides(red[0], m))
+        q, f = mono_div(m, lm), c / lc
         for tm, tc in tail:
-            r2 = rank.get(localstd.mono_mul(q, tm))
+            r2 = rank.get(mono_mul(q, tm))
             if r2 is None:
                 continue
             if r2 in work:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gsvindex import Polynomial, PolyMatrix, jacobian, linear_substitute, minor_det
-from gsvindex.poly import monomials_of_degree, transform_vector_field
+from gsvindex.poly import transform_vector_field
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -265,16 +265,3 @@ def test_minor_det_permuted_triangular_6x6_needs_row_swaps():
     M = PolyMatrix(6, 6, [e for row in cycled for e in row])
     assert M.entry(0, 0).is_zero
     assert minor_det(M, range(6), range(6)) == -_prod(diag)
-
-
-def test_monomials_of_degree_match_the_combination_reference():
-    from itertools import combinations_with_replacement, product
-
-    for n in range(1, 5):
-        for d in range(9):
-            ref = sorted(e for e in product(range(d + 1), repeat=n) if sum(e) == d)
-            assert monomials_of_degree(n, d) == ref
-            assert len(ref) == len(list(combinations_with_replacement(range(n), d)))
-    # one tuple of work per monomial: degree 100000 in two variables is quick
-    top = monomials_of_degree(2, 100000)
-    assert len(top) == 100001 and top[0] == (0, 100000) and top[-1] == (100000, 0)
