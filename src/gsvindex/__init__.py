@@ -47,7 +47,6 @@ from .algebra import (
     QuotientAlgebra,
     annihilator_quotient,
     build_algebra,
-    mult_matrix,
     socle,
     solve_multiplication,
 )

@@ -1,14 +1,15 @@
-"""Exact rational linear algebra on small dense matrices, by one
-fraction-free integer elimination.
+"""Exact linear algebra by one fraction-free integer elimination.
 
-Matrices are lists of rows of Fractions (ints are accepted too), and
-results are Fractions, but no elimination loop does Fraction arithmetic:
-each row is scaled to integers once, by the lcm of its denominators, and
-Gauss-Jordan elimination runs in Python ints (Bareiss 1968; Geddes,
-Czapor, Labahn, Algorithms for Computer Algebra, ch. 9). Everything is
+integer_eliminate runs Gauss-Jordan elimination on int rows (Bareiss 1968;
+Geddes, Czapor, Labahn, Algorithms for Computer Algebra, ch. 9). It is
 deterministic: the pivot of column c is the first row, at or below the
 current one, whose entry is nonzero, so pivot columns and row swaps are
-those of elimination over the rationals.
+those of elimination over the rationals. The algebra layer hands it int
+rows directly; inverse, the one Fraction-matrix routine (coordinate
+changes), scales each row to integers once, by the lcm of its
+denominators, and divides by the pivots only at the end. Rational vectors
+elsewhere travel as (ints, den), int numerators over one positive
+denominator, with Fraction views (fractions) at the edges.
 
 Eliminating column c with pivot row r and pivot P replaces every other row
 i whose entry f in column c is nonzero by (P row_i - f row_r) // last_i,
@@ -18,8 +19,7 @@ factor that Bareiss applies to it is kept lazily in last_i, so the Bareiss
 row is always the stored row times (current pivot / last_i). A Bareiss row
 holds minors of the scaled matrix, so it is integral and every division is
 exact; a pivot row is brought up to date (`refresh`) before it is used.
-sigform.signature_of runs the same scaling and steps on a symmetric matrix;
-the algebra layer hands its int rows to integer_eliminate directly.
+sigform.signature_of runs the same scaling and steps on a symmetric matrix.
 """
 
 from fractions import Fraction
@@ -56,30 +56,14 @@ def bareiss_step(row, f, pivot_row, p, last):
     return [(p * x - f * y) // last for x, y in zip(row, pivot_row)]
 
 
-def _eliminate(M):
-    """Fraction-free Gauss-Jordan elimination of the rows of M.
-
-    Returns (rows, pivots, sign, den): those of integer_eliminate on the
-    rows scaled to integers, and den, the product of the row scales. For M
-    square and invertible, the last pivot is det(M) * den * sign.
-    """
-    rows, den = [], 1
-    for row in M:
-        s = common_denominator(row)
-        rows.append(integer_row(row, s))
-        den *= s
-    return (*integer_eliminate(rows), den)
-
-
 def integer_eliminate(rows):
     """Gauss-Jordan elimination of a list of int rows, in place.
 
-    Returns (rows, pivots, sign): the nonzero rows, row k a nonzero
-    multiple of RREF row k with pivot column pivots[k], and the sign of
-    the row swaps.
+    Returns (rows, pivots): the nonzero rows, row k a nonzero multiple of
+    RREF row k with pivot column pivots[k].
     """
     lasts = [1] * len(rows)
-    pivots, sign, prev = [], 1, 1
+    pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -88,7 +72,6 @@ def integer_eliminate(rows):
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             lasts[r], lasts[piv] = lasts[piv], lasts[r]
-            sign = -sign
         prow = rows[r] = refresh(rows[r], prev, lasts[r])
         p = prev = lasts[r] = prow[c]
         for i, row in enumerate(rows):
@@ -98,7 +81,7 @@ def integer_eliminate(rows):
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows[:len(pivots)], pivots, sign
+    return rows[:len(pivots)], pivots
 
 
 def identity(n):
@@ -114,74 +97,13 @@ def matmul(A, B):
     ]
 
 
-def mat_vec(A, v):
-    nonzero = [j for j, x in enumerate(v) if x]
-    return [sum((row[j] * v[j] for j in nonzero), Fraction(0)) for row in A]
-
-
-def det(M):
-    rows, pivots, sign, den = _eliminate(M)
-    if len(pivots) < len(M):
-        return Fraction(0)
-    return Fraction(sign * rows[-1][-1], den) if M else Fraction(1)
-
-
-def rref(M):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    rows, pivots, _, _ = _eliminate(M)
-    return [fractions(row, row[c]) for row, c in zip(rows, pivots)], pivots
-
-
-def rank(M):
-    return len(_eliminate(M)[1])
-
-
-def integer_kernel(rows, pivots, n):
-    """Basis of the right kernel of the rows and pivots integer_eliminate
-    returns for a matrix of n columns, one (ints, s) per free column f, in
-    order: the RREF kernel vector with 1 at f is ints / s, for s > 0 the
-    lcm of the pivots it divides by."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        used = [(row, p) for row, p in zip(rows, pivots) if row[free]]
-        s = lcm(*(row[p] for row, p in used))
-        v = [0] * n
-        v[free] = s
-        for row, p in used:
-            v[p] = -row[free] * (s // row[p])
-        basis.append((v, s))
-    return basis
-
-
-def nullspace(M, ncols=None):
-    """Basis of the right kernel, one vector per free column, RREF-derived."""
-    if not M:
-        return identity(ncols or 0)
-    rows, pivots, _, _ = _eliminate(M)
-    return [fractions(v, s) for v, s in integer_kernel(rows, pivots, len(M[0]))]
-
-
-def solve(M, b):
-    """One particular solution of M x = b (free variables 0), or None."""
-    if not M:
-        return [] if all(x == 0 for x in b) else None
-    n = len(M[0])
-    rows, pivots, _, _ = _eliminate([list(row) + [bv] for row, bv in zip(M, b)])
-    if pivots and pivots[-1] == n:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * n
-    for row, p in zip(rows, pivots):
-        x[p] = Fraction(row[n], row[p])
-    return x
-
-
 def inverse(M):
+    """M^-1 for a square matrix of Fractions; raises ValueError if M is singular."""
     n = len(M)
     eye = identity(n)
-    rows, pivots, _, _ = _eliminate([list(row) + eye[i] for i, row in enumerate(M)])
+    rows, pivots = integer_eliminate([integer_row(list(row) + eye[i],
+                                                  common_denominator(row))
+                                      for i, row in enumerate(M)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [fractions(row[n:], row[i]) for i, row in enumerate(rows)]

@@ -18,28 +18,31 @@ so no algebra builds one.
 
 A QuotientAlgebra, such as C0 = B0 / ann(DF), is the quotient by the
 annihilator of a fixed element, and a FiniteAlgebra on its own staircase:
-the parent staircase monomials that are not RREF pivots of the annihilator.
-They form an order ideal (Greuel-Pfister, A Singular Introduction to
-Commutative Algebra, 1.6-1.7). The parent basis descends in the local
-order, so a pivot is the largest monomial of its kernel vector; x_k times
-that vector stays in the kernel and, as local division only produces
-smaller monomials, has largest monomial x_k times the pivot whenever that
-is a staircase monomial. So the pivots are closed under multiplication by
-the variables, and the complement under division. Its M_k are the
-parent's columns, projected.
+the parent staircase monomials that are not RREF pivots of the annihilator,
+read off one elimination of the multiplication matrix with its columns
+taken right to left (QuotientAlgebra). They form an order ideal
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6-1.7).
+The parent basis descends in the local order, so a pivot is the largest
+monomial of its kernel vector; x_k times that vector stays in the kernel
+and, as local division only produces smaller monomials, has largest
+monomial x_k times the pivot whenever that is a staircase monomial. So the
+pivots are closed under multiplication by the variables, and the
+complement under division. Its M_k are the parent's columns, projected.
 
 Every vector here is integer numerators over one positive denominator,
 (ints, den), reduced by one gcd per step; M_k holds its columns over one
-scale, and the kernel of g, its RREF and the projection are integers over
-one denominator. A matrix is scaled to integers only as a whole, by a
+scale, and the projection onto a quotient is integers over one
+denominator. A matrix is scaled to integers only as a whole, by a
 positive number (per-row scaling is not a congruence). The rational
-results (coords, gram_rows, projection, ...) are Fraction views.
+results (coords, gram_rows, projection, kernel_basis, ...) are Fraction
+views.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from . import _linalg, localstd
 from .errors import InfiniteDimensionError
@@ -96,12 +99,13 @@ class FiniteAlgebra:
 
     def _scaled_columns(self, k):
         cols = [self._index.get(self._shift(m, k)) for m in self.basis]
-        cols = [self._shift_coords(k, i) if j is None else j
-                for i, j in enumerate(cols)]
+        for i, j in enumerate(cols):
+            if j is None:  # made sparse at once: a dense column is d long
+                v, den = self._shift_coords(k, i)
+                cols[i] = [(r, x) for r, x in enumerate(v) if x], den
         s = lcm(*(c[1] for c in cols if type(c) is not int))
         return ScaledColumns([c if type(c) is int else tuple(
-            (r, x * (s // c[1])) for r, x in enumerate(c[0]) if x)
-            for c in cols], s)
+            (r, x * (s // c[1])) for r, x in c[0]) for c in cols], s)
 
     def _shift_coords(self, k, i):
         """(ints, den) of x_k * b_i when that is not a basis monomial."""
@@ -206,48 +210,35 @@ def build_algebra(gens, order: "LocalOrder | None" = None,
     return FiniteAlgebra(sb, stairs, canonical)
 
 
-def mult_matrix(algebra, g: Polynomial):
-    """Matrix of the map [h] -> [g*h] in the algebra's basis (columns = images)."""
-    return algebra.mult_matrix(g)
-
-
 class QuotientAlgebra(FiniteAlgebra):
     """parent / ann_parent(g), in deterministic complement coordinates.
 
-    The complement basis is the set of staircase coordinates that are not
-    pivotal in the reduced row echelon form of the annihilator, so reports
-    and tests see reproducible coset representatives.
+    One elimination of M_g, the matrix of multiplication by g, with its
+    columns read right to left gives everything (_column_relations). The
+    complement basis is the parent staircase monomials whose columns are
+    not combinations of later columns: column r is such a combination
+    exactly when ann(g) has a vector whose first nonzero coordinate is r,
+    that is, when r is an RREF pivot of the annihilator. A dependent column
+    r that equals sum_j a_j times the independent columns c_j gives
+    b_r = sum_j a_j b_{c_j} modulo ann(g): the projection, and the kernel
+    row e_r - sum_j a_j e_{c_j}.
     """
 
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
         self.element = g
-        rows, self._pivots = _kernel_echelon(
+        # the class of b_r as sparse numerators over self._den
+        independent, self._projected_units, self._den = _column_relations(
             _integer_matrix(parent._product_columns(g)), parent.dim)
-        # the kernel's RREF rows, primitive with positive pivots
-        self._kernel = [[x // q for x in row] for row, p in zip(rows, self._pivots)
-                        for q in [gcd(*row) if row[p] > 0 else -gcd(*row)]]
-        pivot_set = set(self._pivots)
-        self.complement_indices = tuple(
-            i for i in range(parent.dim) if i not in pivot_set
-        )
-        # the class of b_r as sparse numerators over self._den: e_j for the
-        # j-th complement index, -sum_j row[c_j] / row[p] e_j for the kernel
-        # row with pivot p
-        self._den = lcm(*(row[p] for row, p in zip(self._kernel, self._pivots)))
-        units = {c: [(j, self._den)] for j, c in enumerate(self.complement_indices)}
-        for row, p in zip(self._kernel, self._pivots):
-            units[p] = [(j, -row[c] * (self._den // row[p]))
-                        for j, c in enumerate(self.complement_indices) if row[c]]
-        self._projected_units = [units[r] for r in range(parent.dim)]
+        self.complement_indices = tuple(independent)
         self._set_up(tuple(parent.basis[c] for c in self.complement_indices),
                      parent.nvars)
 
     @cached_property
     def kernel_basis(self):
         """The RREF rows of ann(g)."""
-        return [tuple(_linalg.fractions(row, row[p]))
-                for row, p in zip(self._kernel, self._pivots)]
+        return _kernel_rows(self.complement_indices, self._projected_units,
+                            self._den)
 
     @cached_property
     def projection(self):
@@ -289,11 +280,32 @@ def _integer_matrix(cols):
     return [list(r) for r in zip(*([x * (s // den) for x in v] for v, den in cols))]
 
 
-def _kernel_echelon(M, n):
-    """(rows, pivots): the right kernel of M, n columns, in echelon form."""
-    rows, pivots, _ = _linalg.integer_eliminate(M)
-    kernel = [v for v, _ in _linalg.integer_kernel(rows, pivots, n)]
-    return _linalg.integer_eliminate(kernel)[:2]
+def _column_relations(M, n):
+    """The columns of the int matrix M, n of them, by one elimination read
+    right to left: (independent, units, den) with den > 0, where
+    independent lists, ascending, the columns that are not combinations of
+    later columns, and column r = sum of u / den * column independent[j]
+    over (j, u) in units[r]."""
+    rows, pivots = _linalg.integer_eliminate([row[::-1] for row in M])
+    rows = [(row[::-1], n - 1 - p) for row, p in zip(rows[::-1], pivots[::-1])]
+    den = lcm(*(row[c] for row, c in rows))
+    return ([c for _, c in rows],
+            [[(j, row[r] * (den // row[c])) for j, (row, c) in enumerate(rows)
+              if row[r]] for r in range(n)], den)
+
+
+def _kernel_rows(independent, units, den):
+    """The RREF rows of the right kernel, from _column_relations: for each
+    dependent column r, e_r minus the later columns that column r equals."""
+    free, out = set(independent), []
+    for r in range(len(units)):
+        if r not in free:
+            v = [0] * len(units)
+            v[r] = den
+            for j, u in units[r]:
+                v[independent[j]] = -u
+            out.append(tuple(_linalg.fractions(v, den)))
+    return out
 
 
 def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
@@ -309,20 +321,23 @@ def socle(algebra):
     by each variable class: the M_k stacked, each by its positive scale.
     """
     d = algebra.dim
-    if d == 0:
-        return []
     stacked = [[0] * d for _ in range(d * algebra.nvars)]
     for k, cols in enumerate(algebra.var_matrices):
         for i, col in enumerate(cols):
             for r, c in ((col, cols.scale),) if type(col) is int else col:
                 stacked[k * d + r][i] = c
-    rows, pivots = _kernel_echelon(stacked, d)
-    return [tuple(_linalg.fractions(row, row[p])) for row, p in zip(rows, pivots)]
+    return _kernel_rows(*_column_relations(stacked, d))
 
 
 def solve_multiplication(algebra, g: Polynomial, v: Polynomial):
-    """One coordinate solution h of g*h = v in the algebra, or None."""
-    if algebra.dim == 0:
-        return []
-    M = _integer_matrix(algebra._product_columns(g) + [algebra._integer_coords(v)])
-    return _linalg.solve([row[:-1] for row in M], [row[-1] for row in M])
+    """One coordinate solution h of g*h = v in the algebra, its free
+    coordinates 0, or None."""
+    d = algebra.dim
+    rows, pivots = _linalg.integer_eliminate(_integer_matrix(
+        algebra._product_columns(g) + [algebra._integer_coords(v)]))
+    if pivots and pivots[-1] == d:
+        return None  # pivot in the column of v: inconsistent
+    h = [Fraction(0)] * d
+    for row, p in zip(rows, pivots):
+        h[p] = Fraction(row[d], row[p])
+    return h

@@ -30,7 +30,6 @@ from gsvindex import (
     is_good_sufficient,
     jacobian,
     minor_det,
-    mult_matrix,
     poincare_hopf_complex,
     quotient_dimension,
     real_gsv_index,
@@ -50,6 +49,7 @@ from problems import (
     smooth_line_problem,
     space_curve_problem,
 )
+from reference_linalg import _ref_det, _ref_rref
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -162,7 +162,7 @@ def test_criterion_6_property_suites():
             },
         )
         Q = annihilator_quotient(A, g)
-        seq_ok = seq_ok and Q.dim == _linalg.rank(mult_matrix(A, g))
+        seq_ok = seq_ok and Q.dim == len(_ref_rref(A.mult_matrix(g))[1])
         count += 1
     checks.append(("exact sequence x100", seq_ok))
 
@@ -205,7 +205,7 @@ def test_criterion_6_property_suites():
                 G[i][j] = G[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         while True:
             S = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-            if _linalg.det(S) != 0:
+            if _ref_det(S) != 0:
                 break
         St = [[S[j][i] for j in range(d)] for i in range(d)]
         H = _linalg.matmul(St, _linalg.matmul(G, S))

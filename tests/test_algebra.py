@@ -4,7 +4,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -18,7 +18,6 @@ from gsvindex import (
     gram_of_form,
     ideal_membership,
     linear_substitute,
-    mult_matrix,
     quotient_dimension,
     real_gsv_index,
     signature_of,
@@ -39,6 +38,7 @@ from gsvindex.poly import jacobian
 from gsvindex.sigform import SignatureResult
 
 from problems import dk_problem, smooth_line_problem, space_curve_problem
+from reference_linalg import _ref_nullspace, _ref_rref, _ref_solve
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -107,6 +107,23 @@ def test_tall_staircase_keys_only_what_the_division_reaches():
     assert peak < 16_000_000
 
 
+def test_variable_matrices_hold_no_dense_columns():
+    # every column of M_y is zero on (y^2 - x^801, y); holding each border
+    # column as a dense 801-long list before sparsifying peaked at 5.45 MB
+    A = build_algebra([y ** 2 - x ** 801, y])
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert all(col == () for col in A.var_matrices[1])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_500_000
+
+
 def test_terms_past_the_packed_limit_lie_in_the_ideal():
     # degree 2^31 cannot be packed, and need not be: it is above delta
     A = build_algebra([x * x * y + y ** 3, x ** 4])
@@ -154,13 +171,13 @@ def test_mult_table_symmetric_and_unital():
 def test_mult_matrix_examples():
     A = build_algebra([y, x ** 3])
     assert A.basis == ((0, 0), (1, 0), (2, 0))
-    assert mult_matrix(A, one) == [
+    assert A.mult_matrix(one) == [
         [Fraction(int(i == j)) for j in range(3)] for i in range(3)
     ]
-    assert mult_matrix(A, Polynomial.zero(2)) == [
+    assert A.mult_matrix(Polynomial.zero(2)) == [
         [Fraction(0)] * 3 for _ in range(3)
     ]
-    M = mult_matrix(A, x * x)
+    M = A.mult_matrix(x * x)
     assert M[2][0] == 1
     assert sum(1 for i in range(3) for j in range(3) if M[i][j]) == 1
 
@@ -200,7 +217,7 @@ def test_exact_sequence_identity_randomized():
         )
         trials += 1
         Q = annihilator_quotient(A, g)
-        rank = _linalg.rank(mult_matrix(A, g))
+        rank = len(_ref_rref(A.mult_matrix(g))[1])
         assert Q.dim == rank  # dim C = dim A - dim ann
         # cross-check dim A/(g A) against an independent staircase computation
         if not g.is_zero:
@@ -314,7 +331,7 @@ def test_variable_matrices_are_coordinates_and_commute():
             shifted = tuple(e + (t == k) for t, e in enumerate(m))
             column = [M[r][i] for r in range(B.dim)]
             assert column == B.coords(Polynomial.term(2, shifted, 1))
-        assert mult_matrix(B, Polynomial.variable(2, k)) == M
+        assert B.mult_matrix(Polynomial.variable(2, k)) == M
     for M in mats:
         for N in mats:
             assert _linalg.matmul(M, N) == _linalg.matmul(N, M)
@@ -339,7 +356,7 @@ def test_mult_matrix_matches_table():
         cols = [_multiply_coords(table, gc,
                                  [Fraction(int(t == j)) for t in range(d)])
                 for j in range(d)]
-        assert mult_matrix(B, g) == [[cols[j][i] for j in range(d)]
+        assert B.mult_matrix(g) == [[cols[j][i] for j in range(d)]
                                      for i in range(d)]
 
 
@@ -428,20 +445,22 @@ def test_random_annihilator_quotients_match_parent_pullback():
 
 def test_zero_algebra_builds_and_has_index_zero():
     A = build_algebra([one + x, y])
-    assert A.dim == 0 and A.basis == () and mult_matrix(A, x) == []
+    assert A.dim == 0 and A.basis == () and A.mult_matrix(x) == []
+    assert socle(A) == [] and solve_multiplication(A, x, one) == []
     C = annihilator_quotient(A, one)
     assert C.dim == 0 and gram_of_form(C, ()).matrix == ()
     assert eisenbud_levine_index([one + x, y]) == (0, SignatureResult(0, 0, 0))
 
 
 def test_complex_index_builds_no_c0_and_no_elimination(monkeypatch):
-    from gsvindex import complex_gsv_index, coordinate_invariance_check, index
+    from gsvindex import algebra, complex_gsv_index, coordinate_invariance_check, index
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the complex index must not eliminate")
 
+    # every annihilator, kernel and socle goes through _column_relations
     for module, name in ((index, "annihilator_quotient"),
-                         (_linalg, "nullspace"), (_linalg, "rref")):
+                         (algebra, "_column_relations")):
         monkeypatch.setattr(module, name, forbidden)
     report = complex_gsv_index(space_curve_problem(6))
     assert report.index == report.dim_C0 == 24
@@ -454,14 +473,16 @@ def test_complex_index_builds_no_c0_and_no_elimination(monkeypatch):
 # ------------------------------------------- Fraction references (integer layer)
 # The algebra layer before it carried integer vectors over one denominator:
 # CanonicalQuotient.coordinates, the FiniteAlgebra walks and
-# QuotientAlgebra.__init__, kept verbatim in Fractions as references.
+# QuotientAlgebra.__init__, kept in Fractions as references. Their
+# eliminations come from reference_linalg, which shares no code with
+# gsvindex._linalg.
 
 def _ref_coordinates(canon, p):
     """CanonicalQuotient.coordinates, emitting Fraction(c, D) on the spot."""
     kept = {canon.order.key(m): c for m, c in p.terms.items()
             if sum(m) <= canon.delta}
-    den = _linalg.common_denominator(kept.values())
-    work = dict(zip(kept, _linalg.integer_row(kept.values(), den)))
+    den = lcm(*(c.denominator for c in kept.values()))
+    work = {m: int(c * den) for m, c in kept.items()}
     heap = [-m for m in work]
     heapq.heapify(heap)
     out = [Fraction(0)] * len(canon.index)
@@ -568,8 +589,8 @@ class _RefQuotient(_RefAlgebra):
     def __init__(self, parent, g):
         self.parent = parent
         M = parent.mult_matrix(g)
-        kernel = _linalg.nullspace(M, ncols=parent.dim)
-        rows, pivots = _linalg.rref(kernel)
+        kernel = _ref_nullspace(M, ncols=parent.dim)
+        rows, pivots = _ref_rref(kernel)
         self.kernel_basis = [tuple(r) for r in rows]
         pivot_set = set(pivots)
         self.complement_indices = tuple(
@@ -597,7 +618,9 @@ class _RefQuotient(_RefAlgebra):
         return out
 
     def coords(self, p):
-        return _linalg.mat_vec(self.projection, self.parent.coords(p))
+        v = self.parent.coords(p)
+        return [sum((a * b for a, b in zip(row, v)), Fraction(0))
+                for row in self.projection]
 
 
 def _rational_var_matrices(A):
@@ -661,8 +684,8 @@ def _ref_socle(A):
         return []
     stacked = []
     for k in range(A.nvars):
-        stacked.extend(mult_matrix(A, Polynomial.variable(A.nvars, k)))
-    rows, _ = _linalg.rref(_linalg.nullspace(stacked, ncols=A.dim))
+        stacked.extend(A.mult_matrix(Polynomial.variable(A.nvars, k)))
+    rows, _ = _ref_rref(_ref_nullspace(stacked, ncols=A.dim))
     return [tuple(r) for r in rows]
 
 
@@ -670,7 +693,7 @@ def _ref_solve_multiplication(A, g, v):
     """solve_multiplication by the Fraction route: mult_matrix and coords."""
     if A.dim == 0:
         return []
-    return _linalg.solve(mult_matrix(A, g), A.coords(v))
+    return _ref_solve(A.mult_matrix(g), A.coords(v))
 
 
 def test_socle_and_division_match_the_fraction_route():
@@ -709,7 +732,7 @@ def test_integer_b0_matches_the_fraction_references_on_space_curves():
         B0, DF = norm.algebra, _jacobian_minor(norm.problem)
         ref = _RefAlgebra(B0.basis, B0.nvars, B0._canon)
         assert _rational_var_matrices(B0) == ref.var_matrices
-        assert mult_matrix(B0, DF) == ref.mult_matrix(DF)
+        assert B0.mult_matrix(DF) == ref.mult_matrix(DF)
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(B0.dim)]
         assert gram_of_form(B0, f).matrix == ref.gram_matrix(f)
         assert _positive_multiple(B0.scaled_gram_matrix(f),

@@ -49,6 +49,7 @@ from problems import (
     smooth_line_problem,
     space_curve_problem,
 )
+from reference_linalg import _ref_det, _ref_inverse
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -180,11 +181,9 @@ def _reference_expand(p, images):
 
 
 def _reference_linear_substitute(p, A):
-    from gsvindex import _linalg
-
     n = p.nvars
     A = [[Fraction(v) for v in row] for row in A]
-    if _linalg.det(A) == 0:
+    if _ref_det(A) == 0:
         raise ValueError("singular substitution matrix")
     images = []
     for i in range(n):
@@ -197,11 +196,9 @@ def _reference_linear_substitute(p, A):
 
 
 def _reference_transform_vector_field(X, A):
-    from gsvindex import _linalg
-
     n = X[0].nvars
     A = [[Fraction(v) for v in row] for row in A]
-    Ainv = _linalg.inverse(A)
+    Ainv = _ref_inverse(A)
     pulled = [_reference_linear_substitute(comp, A) for comp in X]
     out = []
     for i in range(n):

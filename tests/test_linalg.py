@@ -1,16 +1,20 @@
-"""The integer elimination kernel against the rational elimination it replaced.
+"""The integer elimination kernel against elimination over the rationals.
 
-The references below are the Fraction versions of rref, nullspace, det,
-solve, inverse and signature_of that ran before the kernel was fraction
-free; every result must be identical, not just equivalent.
+integer_eliminate, the column relations the algebra layer reads off one
+elimination (algebra._column_relations and _kernel_rows), inverse and
+signature_of are checked against pure-Fraction references that share no
+code with them: rref, nullspace, det and inverse from reference_linalg, and
+the signature below. Every result must be identical, not just equivalent.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from gsvindex import _linalg, signature_of
+from gsvindex.algebra import _column_relations, _kernel_rows
 from gsvindex.index import (
     _c0_algebra,
     _substitute_problem,
@@ -21,95 +25,9 @@ from gsvindex.poly import jacobian, minor_det
 from gsvindex.sigform import choose_linear_form, gram_of_form
 
 from problems import dk_problem
+from reference_linalg import _ref_det, _ref_inverse, _ref_nullspace, _ref_rref
 
 F = Fraction
-
-
-def _ref_rref(M):
-    if not M:
-        return [], []
-    a = [[Fraction(x) for x in row] for row in M]
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
-
-
-def _ref_nullspace(M, ncols=None):
-    if not M:
-        n = ncols or 0
-        return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    n = len(M[0])
-    rows, pivots = _ref_rref(M)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
-
-
-def _ref_det(M):
-    n = len(M)
-    a = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    result = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        result *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i]:
-                f = a[r][i] * inv
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    return result * sign
-
-
-def _ref_solve(M, b):
-    n = len(M[0])
-    rows, pivots = _ref_rref([list(row) + [bv] for row, bv in zip(M, b)])
-    x = [Fraction(0)] * n
-    for row, p in zip(rows, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
-    return x
-
-
-def _ref_inverse(M):
-    n = len(M)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(M)]
-    rows, pivots = _ref_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
 
 
 def _ref_signature(form):
@@ -186,23 +104,80 @@ def _cases(seed, count):
         yield rng, _random_matrix(rng, nrows, ncols, density, trial % 5 == 0)
 
 
+def _integer_rows(M):
+    """Each row of M times the lcm of its denominators, as ints."""
+    out = []
+    for row in M:
+        s = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * s) for x in row])
+    return out
+
+
+def _check_relations(M):
+    """_column_relations and _kernel_rows on M against the references: the
+    kernel rows are the RREF of the kernel, the independent columns the
+    rest, and each column is the stated combination of independent ones."""
+    n = len(M[0]) if M else 0
+    independent, units, den = _column_relations(_integer_rows(M), n)
+    ref_kernel, kernel_pivots = _ref_rref(_ref_nullspace(M, ncols=n))
+    assert den > 0
+    assert independent == [c for c in range(n) if c not in kernel_pivots]
+    assert _kernel_rows(independent, units, den) == [tuple(r) for r in ref_kernel]
+    for r, us in enumerate(units):
+        for row in M:
+            assert row[r] == sum((Fraction(u, den) * row[independent[j]]
+                                  for j, u in us), Fraction(0))
+
+
 def test_rref_nullspace_rank_match_rational_elimination():
     for _, M in _cases(7, 700):
-        rows, pivots = _linalg.rref(M)
-        assert (rows, pivots) == _ref_rref(M), M
-        assert all(type(x) is Fraction for row in rows for x in row)
-        assert _linalg.nullspace(M) == _ref_nullspace(M), M
-        assert _linalg.rank(M) == len(pivots)
-    assert _linalg.rref([]) == ([], [])
-    assert _linalg.nullspace([], ncols=3) == _ref_nullspace([], ncols=3)
+        rows, pivots = _linalg.integer_eliminate(_integer_rows(M))
+        assert ([[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)],
+                pivots) == _ref_rref(M), M
+        assert all(type(x) is int for row in rows for x in row)
+        _check_relations(M)
 
 
-def test_det_inverse_solve_match_rational_elimination():
-    singular = inconsistent = 0
+def test_elimination_edge_shapes():
+    assert _linalg.integer_eliminate([]) == ([], [])
+    # no rows but three columns: every column is the empty combination
+    assert _column_relations([], 3) == ([], [[], [], []], 1)
+    assert _kernel_rows(*_column_relations([], 3)) == [
+        tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+    assert _column_relations([], 0) == ([], [], 1)
+    zero = [[F(0)] * 4 for _ in range(3)]
+    assert _linalg.integer_eliminate(_integer_rows(zero)) == ([], [])
+    assert _column_relations(_integer_rows(zero), 4)[0] == []
+    wide = [[F(1), F(2), F(0), F(3), F(-1)], [F(2), F(4), F(1), F(0), F(1, 2)]]
+    tall = [list(col) for col in zip(*wide)]
+    for M in (zero, wide, tall, [[F(5)]], [[F(0)]], [[F(1, 3), F(0)]]):
+        _check_relations(M)
+    assert _column_relations(_integer_rows(wide), 5)[0] == [3, 4]
+    assert _column_relations(_integer_rows(tall), 2)[0] == [0, 1]
+
+
+def test_column_relations_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=100,
+                         deadline=None)
+    @hypothesis.given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                 min_size=n, max_size=n), max_size=6)))
+    def check(M):
+        _check_relations(M)
+        rows, pivots = _linalg.integer_eliminate(_integer_rows(M))
+        assert len(pivots) == len(_ref_rref(M)[1])
+
+    check()
+
+
+def test_inverse_matches_rational_elimination():
+    singular = 0
     for rng, M in _cases(11, 500):
         n = min(len(M), len(M[0]))
         S = [row[:n] for row in M[:n]]
-        assert _linalg.det(S) == _ref_det(S), S
         try:
             expected = _ref_inverse(S)
         except ValueError:
@@ -211,14 +186,9 @@ def test_det_inverse_solve_match_rational_elimination():
                 _linalg.inverse(S)
         else:
             assert _linalg.inverse(S) == expected, S
-        x0 = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in M[0]]
-        for b in (_linalg.mat_vec(M, x0),
-                  [F(rng.randint(-5, 5)) for _ in M]):
-            got = _linalg.solve(M, b)
-            assert got == _ref_solve(M, b), (M, b)
-            inconsistent += got is None
-    assert _linalg.det([]) == 1 and _linalg.inverse([]) == []
-    assert singular >= 40 and inconsistent >= 40
+            assert _ref_det(S) != 0
+    assert _linalg.inverse([]) == []
+    assert singular >= 40
 
 
 def test_signature_and_kernel_on_the_mixed_dk65_workload():
@@ -230,9 +200,11 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
     Q = norm.problem
     DF = minor_det(jacobian(list(Q.f), 2), [0], [1])
     M = norm.algebra.mult_matrix(DF)
-    assert _linalg.rref(M) == _ref_rref(M)
-    assert _linalg.nullspace(M) == _ref_nullspace(M)
     C0 = _c0_algebra(norm)
+    kernel, pivots = _ref_rref(_ref_nullspace(M))
+    assert C0.kernel_basis == [tuple(row) for row in kernel]
+    assert C0.complement_indices == tuple(
+        c for c in range(len(M)) if c not in pivots)
     c1 = c_coefficient(jacobian(list(Q.X), 2), Q.C, 1)
     for fseed in (seed, None):
         l, _ = choose_linear_form(C0, c1, seed=fseed)

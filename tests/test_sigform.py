@@ -14,6 +14,8 @@ from gsvindex import (
 )
 from gsvindex.errors import C1ClassZeroError
 
+from reference_linalg import _ref_det
+
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
 F = Fraction
@@ -47,11 +49,9 @@ def random_symmetric(rng, d):
 
 
 def random_invertible(rng, d):
-    from gsvindex import _linalg
-
     while True:
         S = [[F(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-        if _linalg.det(S) != 0:
+        if _ref_det(S) != 0:
             return S
 
 
