@@ -51,10 +51,8 @@ from .algebra import (
     solve_multiplication,
 )
 from .sigform import (
-    GramForm,
     SignatureResult,
     choose_linear_form,
-    gram_of_form,
     signature_of,
 )
 from .index import (

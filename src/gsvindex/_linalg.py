@@ -7,9 +7,9 @@ current one, whose entry is nonzero, so pivot columns and row swaps are
 those of elimination over the rationals. The algebra layer hands it int
 rows directly; inverse, the one Fraction-matrix routine (coordinate
 changes), scales each row to integers once, by the lcm of its
-denominators, and divides by the pivots only at the end. Rational vectors
-elsewhere travel as (ints, den), int numerators over one positive
-denominator, with Fraction views (fractions) at the edges.
+denominators, and divides by the pivots only at the end. Every other
+rational vector travels as (ints, den), int numerators over one positive
+denominator; fractions turns one into Fractions where the API returns it.
 
 Eliminating column c with pivot row r and pivot P replaces every other row
 i whose entry f in column c is nonzero by (P row_i - f row_r) // last_i,

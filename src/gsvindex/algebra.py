@@ -33,9 +33,8 @@ Every vector here is integer numerators over one positive denominator,
 (ints, den), reduced by one gcd per step; M_k holds its columns over one
 scale, and the projection onto a quotient is integers over one
 denominator. A matrix is scaled to integers only as a whole, by a
-positive number (per-row scaling is not a congruence). The rational
-results (coords, gram_rows, projection, kernel_basis, ...) are Fraction
-views.
+positive number (per-row scaling is not a congruence). Fractions appear
+only at the edges: coords, kernel_basis, socle and solve_multiplication.
 """
 
 from __future__ import annotations
@@ -170,22 +169,9 @@ class FiniteAlgebra:
         """[coords(g * b_1), ..., coords(g * b_d)] by the staircase recurrence."""
         return self._walk(self._integer_coords(g), self._times_variable)
 
-    def product_columns(self, g: Polynomial):
-        return [_linalg.fractions(*col) for col in self._product_columns(g)]
-
-    def mult_matrix(self, g: Polynomial):
-        """Matrix of the map [h] -> [g*h] (columns = images of the basis)."""
-        return [list(row) for row in zip(*self.product_columns(g))]
-
-    def gram_rows(self, l):
-        """Rows w_a[b] = l(b_a * b_b) of the pairing induced by the functional l."""
-        return [_linalg.fractions(*row) for row in self._gram_walk(l)]
-
-    def gram_matrix(self, l):
-        return tuple(tuple(row) for row in self.gram_rows(l))
-
     def scaled_gram_matrix(self, l):
-        """s * gram_matrix(l) as ints, for s > 0 the lcm of the row
+        """s * G as ints, for G_ab = l(b_a * b_b) the Gram matrix of the
+        pairing induced by the functional l and s > 0 the lcm of its
         denominators: the whole matrix is scaled by one positive number,
         which keeps it symmetric and keeps its inertia."""
         rows = self._gram_walk(l)
@@ -240,15 +226,6 @@ class QuotientAlgebra(FiniteAlgebra):
         return _kernel_rows(self.complement_indices, self._projected_units,
                             self._den)
 
-    @cached_property
-    def projection(self):
-        """The matrix of parent coords -> complement coords."""
-        proj = [[0] * self.parent.dim for _ in range(self.dim)]
-        for r, units in enumerate(self._projected_units):
-            for j, c in units:
-                proj[j][r] = c
-        return [_linalg.fractions(row, self._den) for row in proj]
-
     def _project(self, pairs, den):
         """The class of the parent element sum of c b_r / den over (r, c)."""
         out = [0] * self.dim
@@ -267,11 +244,6 @@ class QuotientAlgebra(FiniteAlgebra):
     def _integer_coords(self, p: Polynomial):
         v, den = self.parent._integer_coords(p)
         return self._project(enumerate(v), den)
-
-    def project(self, parent_coords):
-        den = _linalg.common_denominator(parent_coords)
-        return _linalg.fractions(*self._project(
-            enumerate(_linalg.integer_row(parent_coords, den)), den))
 
 
 def _integer_matrix(cols):

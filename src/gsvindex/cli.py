@@ -14,7 +14,10 @@ Classical-map files declare `g:` instead of f/X/C. Polynomial grammar
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
     factor   := rational | var | '(' expr ')' | factor '^' nat
-    rational := int ('/' nat)?
+    rational := '-'? int ('/' nat)?
+
+A '-' before a numeral is its sign: -3*x, x*-3 and 2--3 parse, and -3^2
+is 9. A '-' before anything else, as in -x or (-x), is a parse error.
 """
 
 from __future__ import annotations
@@ -598,11 +601,11 @@ def _verify_case(prob_path: str):
         return name, False, "missing expectation record"
     try:
         expected = _parse_expectations(expect_path)
-    except (ParseError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         return name, False, f"bad expectation record: {exc}"
     try:
         pf = parse_problem_file(prob)
-    except (ParseError, ShapeError, UnicodeDecodeError) as exc:
+    except (ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
         return name, False, f"bad problem file: {exc}"
     try:
         rep, _ = _evaluate(pf, pf.field, None)

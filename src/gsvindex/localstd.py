@@ -68,8 +68,9 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import add, mul
 
-from ._linalg import common_denominator, fractions, integer_row, reduced
-from .errors import CertificateError, DegreeCapExceededError
+from ._linalg import common_denominator, integer_row, reduced
+from .errors import (CertificateError, DegreeCapExceededError,
+                     InfiniteDimensionError)
 from .poly import (
     Monomial,
     Polynomial,
@@ -128,9 +129,6 @@ class LocalOrder:
     def divides(self, a: int, b: int) -> bool:
         """Whether the monomial of code a divides that of code b."""
         return not (self._sign * (b - a)) & self._guards
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
         return max(p.terms, key=self.key)
@@ -296,14 +294,12 @@ def _weak_nf(h, T, order, certify):
     return h, den, vec, num, dnm
 
 
-def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
-                  certify: bool = True):
+def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder):
     """Weak normal form with certificate.
 
     Returns (h, den, vec) with den*p == sum_i vec[i]*reducers[i] + h exactly,
     den(0) != 0, and the leading monomial of h (if any) not divisible by any
-    reducer leading monomial. With certify false, den and vec are not
-    tracked and come back as None; h is the same.
+    reducer leading monomial.
 
     The division runs in _weak_nf on the primitive integer multiples
     p_int = k*p and R_int_i = k_i*R_i, and returns s = num/dnm times the
@@ -313,18 +309,15 @@ def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder,
     """
     n = p.nvars
     if p.is_zero:
-        vec = [Polynomial.zero(n)] * len(reducers) if certify else None
-        return p, Polynomial.one(n) if certify else None, vec
+        return p, Polynomial.one(n), [Polynomial.zero(n)] * len(reducers)
     h0, kp = _integer_terms(p.terms, order)
     T, ks = [], []
     for i, g in enumerate(reducers):
         r, k = _integer_terms(g.terms, order)
         T.append(_generator(r, order, i))
         ks.append(k)
-    h, den, vec, num, dnm = _weak_nf(h0, T, order, certify)
+    h, den, vec, num, dnm = _weak_nf(h0, T, order, True)
     h = _rational_terms(order, h, dnm * kp.denominator, num * kp.numerator)
-    if not certify:
-        return h, None, None
     den = _rational_terms(order, den, dnm, num)
     vec = [_rational_terms(order, v, dnm * k.numerator * kp.denominator,
                            num * k.denominator * kp.numerator)
@@ -618,32 +611,17 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
 
 
 def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
-    """Remainder with no term divisible by a basis leading monomial.
-
-    For finite-dimensional quotients this is the canonical staircase
-    representative of the class of p in the localized quotient; it is 0
-    exactly when p lies in the localized ideal.
+    """The canonical staircase representative of the class of p in the
+    finite-dimensional localized quotient: no term is divisible by a basis
+    leading monomial, and it is 0 exactly when p lies in the localized
+    ideal. Raises InfiniteDimensionError when the quotient is infinite.
     """
     st, canonical = sb.quotient
-    if canonical is not None:
-        coords = canonical.coordinates(p)
-        out = Polynomial.zero(p.nvars)
-        for c, m in zip(coords, st.basis_monomials):
-            if c:
-                out = out + Polynomial.term(p.nvars, m, c)
-        return out
-    # positive-dimensional: Mora weak NF, then peel staircase leading terms
-    result = Polynomial.zero(p.nvars)
-    h = p
-    while not h.is_zero:
-        h, _, _ = _mora_weak_nf(h, list(sb.basis), sb.order, certify=False)
-        if h.is_zero:
-            break
-        lm = sb.order.leading_monomial(h)
-        lt = Polynomial.term(p.nvars, lm, h.terms[lm])
-        result = result + lt
-        h = h - lt
-    return result
+    if canonical is None:
+        raise InfiniteDimensionError("quotient is not finite dimensional")
+    ints, den = canonical.integer_coordinates(p)
+    return Polynomial._trusted(p.nvars, {
+        m: Fraction(c, den) for c, m in zip(ints, st.basis_monomials) if c})
 
 
 class CanonicalQuotient:
@@ -667,8 +645,7 @@ class CanonicalQuotient:
     integral. Terms are taken largest first (the heap holds -code) and a
     rewrite only adds smaller monomials, so a staircase term is final when
     it is taken; it is emitted with the D of that moment and multiplied by
-    every later a at the end. coordinates is the Fraction view of the same
-    division.
+    every later a at the end.
     """
 
     def __init__(self, sb: StandardBasis, stairs: Staircase):
@@ -686,14 +663,10 @@ class CanonicalQuotient:
             self._reducers.append((lm, lc, list(kept.items())))
         self._rewrites = {}  # code -> its rewrite, made on first use
         for g in sb.generators:
-            if any(self.coordinates(g)):
+            if any(self.integer_coordinates(g)[0]):
                 raise CertificateError(
                     "a generator has nonzero coordinates in its own quotient"
                 )
-
-    def coordinates(self, p: Polynomial):
-        """Coordinates of the class of p in the local staircase basis."""
-        return fractions(*self.integer_coordinates(p))
 
     def integer_coordinates(self, p: Polynomial):
         """(ints, den): the coordinates of p are ints / den, with den > 0 and

@@ -4,12 +4,13 @@ Inertia is computed by symmetric congruence diagonalization: pivots come
 from the first nonzero diagonal entry in pivot-search order; when the whole
 remaining diagonal vanishes, a symmetric add turns the first nonzero
 off-diagonal pair into a usable pivot, which makes each hyperbolic block
-contribute (+1, -1). The matrix is scaled to integers as a whole, by one
-positive lcm (the indices hand in FiniteAlgebra.scaled_gram_matrix, whose
-lcm is 1), so it stays symmetric and keeps its inertia; a scaling per row
-is not a congruence. Elimination is the integer Bareiss kernel of _linalg
-with its lazy per-row factor, over full rows of the trailing block. The
-rational pivot, the entry of the Schur complement, is the Bareiss pivot
+contribute (+1, -1). signature_of takes the square symmetric matrix itself,
+of ints or Fractions; the indices hand in FiniteAlgebra.scaled_gram_matrix,
+already integral. A rational matrix is scaled to integers as a whole, by
+one positive lcm, so it stays symmetric and keeps its inertia; a scaling
+per row is not a congruence. Elimination is the integer Bareiss kernel of
+_linalg with its lazy per-row factor, over full rows of the trailing block.
+The rational pivot, the entry of the Schur complement, is the Bareiss pivot
 over the previous one, which is the stored pivot over its row's factor, so
 its sign is the product of their signs.
 """
@@ -26,21 +27,6 @@ from .poly import Polynomial
 
 
 @dataclass(frozen=True)
-class GramForm:
-    dim: int
-    matrix: tuple  # tuple of row tuples, symmetric
-
-    def __post_init__(self):
-        m = self.matrix
-        if len(m) != self.dim or any(len(r) != self.dim for r in m):
-            raise ValueError("Gram matrix has the wrong shape")
-        for i in range(self.dim):
-            for j in range(i):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("Gram matrix is not symmetric")
-
-
-@dataclass(frozen=True)
 class SignatureResult:
     p_plus: int
     p_minus: int
@@ -51,13 +37,20 @@ class SignatureResult:
         return self.p_plus - self.p_minus
 
 
-def signature_of(form: GramForm) -> SignatureResult:
-    """Exact inertia (p_plus, p_minus, rank) by congruence diagonalization."""
-    den = _linalg.common_denominator(x for row in form.matrix for x in row)
+def signature_of(matrix) -> SignatureResult:
+    """Exact inertia (p_plus, p_minus, rank) of a square symmetric matrix of
+    ints or Fractions, by congruence diagonalization. Raises ValueError when
+    the matrix is not square or not symmetric."""
+    d = len(matrix)
+    if any(len(row) != d for row in matrix):
+        raise ValueError("Gram matrix has the wrong shape")
+    if any(matrix[i][j] != matrix[j][i] for i in range(d) for j in range(i)):
+        raise ValueError("Gram matrix is not symmetric")
+    den = _linalg.common_denominator(x for row in matrix for x in row)
     # rows and columns of the trailing block, in pivot-search order; row i is
     # stored lazily as (Bareiss row) * lasts[i] / prev, see _linalg
-    rows = [_linalg.integer_row(row, den) for row in form.matrix]
-    lasts = [1] * form.dim
+    rows = [_linalg.integer_row(row, den) for row in matrix]
+    lasts = [1] * d
     prev = 1
     plus = minus = 0
     while rows:
@@ -126,16 +119,3 @@ def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):
             return tuple(l), value
         if value < 0:
             return tuple(-a for a in l), -value
-
-
-def gram_of_form(C, l) -> GramForm:
-    """Gram matrix G_ij = l(e_i * e_j) of the induced pairing.
-
-    C is a FiniteAlgebra, annihilator quotients included; it reads the
-    matrix off its own staircase recurrence (algebra module), so no
-    multiplication table is built.
-    """
-    d = C.dim
-    if len(l) != d:
-        raise ValueError("functional has the wrong number of coordinates")
-    return GramForm(dim=d, matrix=C.gram_matrix(l))

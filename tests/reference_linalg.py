@@ -7,6 +7,7 @@ compares gsvindex against them does not compare the kernel with itself.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def _ref_rref(M):
@@ -94,3 +95,10 @@ def _ref_inverse(M):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in rows[:n]]
+
+
+def _ref_scaled(G):
+    """s * G as a tuple of int row tuples, for s > 0 the lcm of the
+    denominators of the rational matrix G (s = 1 when G is empty)."""
+    s = lcm(*(Fraction(x).denominator for row in G for x in row))
+    return tuple(tuple(int(Fraction(x) * s) for x in row) for row in G)

@@ -9,13 +9,11 @@ from math import gcd, lcm
 import pytest
 
 from gsvindex import (
-    GramForm,
     Polynomial,
     annihilator_quotient,
     build_algebra,
     choose_linear_form,
     eisenbud_levine_index,
-    gram_of_form,
     ideal_membership,
     linear_substitute,
     quotient_dimension,
@@ -38,17 +36,48 @@ from gsvindex.poly import jacobian
 from gsvindex.sigform import SignatureResult
 
 from problems import dk_problem, smooth_line_problem, space_curve_problem
-from reference_linalg import _ref_nullspace, _ref_rref, _ref_solve
+from reference_linalg import _ref_nullspace, _ref_rref, _ref_scaled, _ref_solve
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
 one = Polynomial.one(2)
 
 
+def _product_columns(A, g):
+    """[coords(g * b_1), ..., coords(g * b_d)] from the integer walk, as
+    Fractions."""
+    return [_linalg.fractions(*col) for col in A._product_columns(g)]
+
+
+def _mult_matrix(A, g):
+    """The matrix of [h] -> [g*h]: its columns are the images of the basis."""
+    return [list(row) for row in zip(*_product_columns(A, g))]
+
+
+def _projection(Q):
+    """The dense matrix of parent coords -> complement coords, from
+    Q._projected_units over Q._den."""
+    proj = [[Fraction(0)] * Q.parent.dim for _ in range(Q.dim)]
+    for r, units in enumerate(Q._projected_units):
+        for j, u in units:
+            proj[j][r] = Fraction(u, Q._den)
+    return proj
+
+
+def _project(Q, v):
+    """The complement coords of the parent element with coords v, summed
+    over the sparse columns of _projection(Q)."""
+    out = [Fraction(0)] * Q.dim
+    for r, c in enumerate(v):
+        for j, u in Q._projected_units[r] if c else ():
+            out[j] += c * u
+    return [a / Q._den for a in out]
+
+
 def _mult_table(A):
     """Reference multiplication table: table[i][j] = coords(b_i * b_j)."""
     return [[tuple(col) for col in
-             A.product_columns(Polynomial.term(A.nvars, m, 1))]
+             _product_columns(A, Polynomial.term(A.nvars, m, 1))]
             for m in A.basis]
 
 
@@ -171,13 +200,13 @@ def test_mult_table_symmetric_and_unital():
 def test_mult_matrix_examples():
     A = build_algebra([y, x ** 3])
     assert A.basis == ((0, 0), (1, 0), (2, 0))
-    assert A.mult_matrix(one) == [
+    assert _mult_matrix(A, one) == [
         [Fraction(int(i == j)) for j in range(3)] for i in range(3)
     ]
-    assert A.mult_matrix(Polynomial.zero(2)) == [
+    assert _mult_matrix(A, Polynomial.zero(2)) == [
         [Fraction(0)] * 3 for _ in range(3)
     ]
-    M = A.mult_matrix(x * x)
+    M = _mult_matrix(A, x * x)
     assert M[2][0] == 1
     assert sum(1 for i in range(3) for j in range(3) if M[i][j]) == 1
 
@@ -217,7 +246,7 @@ def test_exact_sequence_identity_randomized():
         )
         trials += 1
         Q = annihilator_quotient(A, g)
-        rank = len(_ref_rref(A.mult_matrix(g))[1])
+        rank = len(_ref_rref(_mult_matrix(A, g))[1])
         assert Q.dim == rank  # dim C = dim A - dim ann
         # cross-check dim A/(g A) against an independent staircase computation
         if not g.is_zero:
@@ -251,8 +280,9 @@ def test_projection_splits_inclusion():
     for j, cj in enumerate(Q.complement_indices):
         e = [Fraction(0)] * A.dim
         e[cj] = Fraction(1)
-        projected = Q.project(e)
-        assert projected == [Fraction(int(t == j)) for t in range(Q.dim)]
+        unit = [Fraction(int(t == j)) for t in range(Q.dim)]
+        assert _project(Q, e) == unit
+        assert Q.coords(Polynomial.term(2, A.basis[cj], 1)) == unit
 
 
 def test_socle_examples():
@@ -331,7 +361,7 @@ def test_variable_matrices_are_coordinates_and_commute():
             shifted = tuple(e + (t == k) for t, e in enumerate(m))
             column = [M[r][i] for r in range(B.dim)]
             assert column == B.coords(Polynomial.term(2, shifted, 1))
-        assert B.mult_matrix(Polynomial.variable(2, k)) == M
+        assert _mult_matrix(B, Polynomial.variable(2, k)) == M
     for M in mats:
         for N in mats:
             assert _linalg.matmul(M, N) == _linalg.matmul(N, M)
@@ -356,8 +386,8 @@ def test_mult_matrix_matches_table():
         cols = [_multiply_coords(table, gc,
                                  [Fraction(int(t == j)) for t in range(d)])
                 for j in range(d)]
-        assert B.mult_matrix(g) == [[cols[j][i] for j in range(d)]
-                                     for i in range(d)]
+        assert _mult_matrix(B, g) == [[cols[j][i] for j in range(d)]
+                                      for i in range(d)]
 
 
 def test_gram_matches_table_on_annihilator_quotient():
@@ -374,16 +404,16 @@ def test_gram_matches_table_on_annihilator_quotient():
                       Fraction(0)) for j in range(C0.dim))
             for i in range(C0.dim)
         )
-        assert gram_of_form(C0, l).matrix == expected
+        assert C0.scaled_gram_matrix(l) == _ref_scaled(expected)
 
 
 def _pullback_gram(Q, l):
     """Reference Gram matrix of a quotient: the parent's Gram rows for the
     pulled-back functional l o projection, restricted to the complement."""
-    pulled = [sum((a * row[b] for a, row in zip(l, Q.projection) if a),
-                  Fraction(0))
+    proj = _projection(Q)
+    pulled = [sum((a * row[b] for a, row in zip(l, proj) if a), Fraction(0))
               for b in range(Q.parent.dim)]
-    rows = Q.parent.gram_rows(pulled)
+    rows = [_linalg.fractions(*row) for row in Q.parent._gram_walk(pulled)]
     idx = Q.complement_indices
     return tuple(tuple(rows[i][j] for j in idx) for i in idx)
 
@@ -392,7 +422,7 @@ def _projected_table(Q):
     """Reference multiplication table of a quotient: the parent's, projected."""
     parent_table = _mult_table(Q.parent)
     idx = Q.complement_indices
-    return [[tuple(Q.project(parent_table[i][j])) for j in idx] for i in idx]
+    return [[tuple(_project(Q, parent_table[i][j])) for j in idx] for i in idx]
 
 
 def _check_against_parent(Q, rng, functionals=2, table=True):
@@ -406,7 +436,7 @@ def _check_against_parent(Q, rng, functionals=2, table=True):
     for _ in range(functionals):
         l = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
              for _ in range(Q.dim)]
-        assert gram_of_form(Q, l).matrix == _pullback_gram(Q, l)
+        assert Q.scaled_gram_matrix(l) == _ref_scaled(_pullback_gram(Q, l))
     if table:
         assert _mult_table(Q) == _projected_table(Q)
 
@@ -445,10 +475,10 @@ def test_random_annihilator_quotients_match_parent_pullback():
 
 def test_zero_algebra_builds_and_has_index_zero():
     A = build_algebra([one + x, y])
-    assert A.dim == 0 and A.basis == () and A.mult_matrix(x) == []
+    assert A.dim == 0 and A.basis == () and _mult_matrix(A, x) == []
     assert socle(A) == [] and solve_multiplication(A, x, one) == []
     C = annihilator_quotient(A, one)
-    assert C.dim == 0 and gram_of_form(C, ()).matrix == ()
+    assert C.dim == 0 and C.scaled_gram_matrix(()) == ()
     assert eisenbud_levine_index([one + x, y]) == (0, SignatureResult(0, 0, 0))
 
 
@@ -472,13 +502,14 @@ def test_complex_index_builds_no_c0_and_no_elimination(monkeypatch):
 
 # ------------------------------------------- Fraction references (integer layer)
 # The algebra layer before it carried integer vectors over one denominator:
-# CanonicalQuotient.coordinates, the FiniteAlgebra walks and
+# CanonicalQuotient.integer_coordinates, the FiniteAlgebra walks and
 # QuotientAlgebra.__init__, kept in Fractions as references. Their
 # eliminations come from reference_linalg, which shares no code with
 # gsvindex._linalg.
 
 def _ref_coordinates(canon, p):
-    """CanonicalQuotient.coordinates, emitting Fraction(c, D) on the spot."""
+    """CanonicalQuotient.integer_coordinates in Fractions, emitting
+    Fraction(c, D) on the spot."""
     kept = {canon.order.key(m): c for m, c in p.terms.items()
             if sum(m) <= canon.delta}
     den = lcm(*(c.denominator for c in kept.values()))
@@ -631,15 +662,6 @@ def _rational_var_matrices(A):
                  for M in A.var_matrices)
 
 
-def _positive_multiple(scaled, exact):
-    """The one s > 0 with scaled == s * exact entrywise, or None."""
-    pairs = [(a, b) for ra, rb in zip(scaled, exact) for a, b in zip(ra, rb)]
-    s = next((Fraction(a) / b for a, b in pairs if b), Fraction(1))
-    if s <= 0 or any(a != s * b for a, b in pairs):
-        return None
-    return s
-
-
 def _integer_layer_cases():
     shear = [[-1, -1], [-2, -3]]
     for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6)):
@@ -659,7 +681,7 @@ def test_integer_layer_matches_the_fraction_references():
         ref_C0 = _RefQuotient(ref_B0, _jacobian_minor(norm.problem))
         assert C0.complement_indices == ref_C0.complement_indices
         assert C0.kernel_basis == ref_C0.kernel_basis
-        assert C0.projection == ref_C0.projection
+        assert _projection(C0) == ref_C0.projection
         assert _rational_var_matrices(C0) == ref_C0.var_matrices
         Q = norm.problem
         c1 = c_coefficient(jacobian(list(Q.X), Q.nvars), Q.C, 1)
@@ -670,30 +692,29 @@ def test_integer_layer_matches_the_fraction_references():
             exact = ref_C0.gram_matrix(l)
             scaled = C0.scaled_gram_matrix(l)
             assert all(type(x) is int for row in scaled for x in row)
-            assert _positive_multiple(scaled, exact) is not None
-            assert gram_of_form(C0, l).matrix == exact
-            sig = signature_of(GramForm(C0.dim, scaled))
-            assert sig == signature_of(GramForm(C0.dim, exact))
+            assert scaled == _ref_scaled(exact)
+            sig = signature_of(scaled)
+            assert sig == signature_of(exact)
             assert sig == real_gsv_index(P, seed=seed).signature
 
 
 def _ref_socle(A):
-    """socle by the Fraction route: the stacked mult_matrix of each
+    """socle by the Fraction route: the stacked _mult_matrix of each
     variable, its nullspace and that nullspace's RREF."""
     if A.dim == 0:
         return []
     stacked = []
     for k in range(A.nvars):
-        stacked.extend(A.mult_matrix(Polynomial.variable(A.nvars, k)))
+        stacked.extend(_mult_matrix(A, Polynomial.variable(A.nvars, k)))
     rows, _ = _ref_rref(_ref_nullspace(stacked, ncols=A.dim))
     return [tuple(r) for r in rows]
 
 
 def _ref_solve_multiplication(A, g, v):
-    """solve_multiplication by the Fraction route: mult_matrix and coords."""
+    """solve_multiplication by the Fraction route: _mult_matrix and coords."""
     if A.dim == 0:
         return []
-    return _ref_solve(A.mult_matrix(g), A.coords(v))
+    return _ref_solve(_mult_matrix(A, g), A.coords(v))
 
 
 def test_socle_and_division_match_the_fraction_route():
@@ -732,11 +753,9 @@ def test_integer_b0_matches_the_fraction_references_on_space_curves():
         B0, DF = norm.algebra, _jacobian_minor(norm.problem)
         ref = _RefAlgebra(B0.basis, B0.nvars, B0._canon)
         assert _rational_var_matrices(B0) == ref.var_matrices
-        assert B0.mult_matrix(DF) == ref.mult_matrix(DF)
+        assert _mult_matrix(B0, DF) == ref.mult_matrix(DF)
         f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(B0.dim)]
-        assert gram_of_form(B0, f).matrix == ref.gram_matrix(f)
-        assert _positive_multiple(B0.scaled_gram_matrix(f),
-                                  ref.gram_matrix(f)) is not None
+        assert B0.scaled_gram_matrix(f) == _ref_scaled(ref.gram_matrix(f))
 
 
 def test_regular_point_has_real_index_zero():

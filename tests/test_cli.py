@@ -61,6 +61,21 @@ def test_parse_poly_grammar_features():
     assert parse_poly("x^2^3", ("x", "y")) == x ** 6
 
 
+def test_a_minus_sign_binds_only_to_a_numeral():
+    # the grammar's rational := '-'? int ('/' nat)?: the sign belongs to the
+    # numeral after it, and a '-' before a variable or '(' is an error
+    names = ("x", "y")
+    assert parse_poly("-3*x", names) == -3 * x
+    assert parse_poly("x*-3", names) == -3 * x
+    assert parse_poly("2--3", names) == Polynomial.constant(2, 5)
+    assert parse_poly("-3^2", names) == Polynomial.constant(2, 9)
+    for text, column in (("-x", 1), ("(-x)", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, names)
+        assert err.value.position == column - 1
+        assert "expected a rational, a variable, or '('" in str(err.value)
+
+
 def test_parse_poly_rejects_bad_input():
     for text in ("x y", "2x", "x^-1", "x^(2)", "x/2", "1/0", "(x", "x +", "^2"):
         with pytest.raises(ParseError):
@@ -455,9 +470,10 @@ def test_el_non_isolated_zero_exits_4_in_both_modes(tmp_path, capsys):
 def test_failed_internal_certificate_has_its_own_exit_code(tmp_path,
                                                            monkeypatch):
     def corrupt(self, p):
-        return [Fraction(1)] * len(self.index)
+        return [1] * len(self.index), 1
 
-    monkeypatch.setattr(localstd.CanonicalQuotient, "coordinates", corrupt)
+    monkeypatch.setattr(localstd.CanonicalQuotient, "integer_coordinates",
+                        corrupt)
     code, out = cmd_compute(str(CORPUS_DIR / "dk_k4_m3.prob"))
     assert code == EXIT_CERTIFICATE == 6
     assert "internal certificate failed" in out
@@ -620,6 +636,35 @@ def test_files_that_are_not_utf8_are_parse_errors(tmp_path):
     code, out = cmd_verify(str(tmp_path))
     assert code == EXIT_MISMATCH
     assert out.startswith("FAIL  case.prob  bad expectation record: 'utf-8'")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path, jobs):
+    # a directory where a .prob or .expect file should be is a FAIL line,
+    # not a traceback whose exit status would read as a mismatch
+    good = tmp_path / "good"
+    good.mkdir()
+    for suffix in (".prob", ".expect"):
+        (good / f"dk_k4_m3{suffix}").write_text(
+            (CORPUS_DIR / f"dk_k4_m3{suffix}").read_text())
+    (good / "zz.prob").mkdir()
+    (good / "zz.expect").write_text("index: 6\n")
+    code, out = cmd_verify(str(good), jobs=jobs)
+    assert code == EXIT_MISMATCH
+    assert out.startswith("PASS  dk_k4_m3.prob  ")
+    assert "\nFAIL  zz.prob  bad problem file: " in out
+    assert out.endswith("\n1/2 cases passed\n")
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "dk_k4_m3.prob").write_text((CORPUS_DIR / "dk_k4_m3.prob").read_text())
+    (bad / "dk_k4_m3.expect").mkdir()
+    (bad / "other.prob").write_text((CORPUS_DIR / "smooth_line.prob").read_text())
+    (bad / "other.expect").write_text(
+        (CORPUS_DIR / "smooth_line.expect").read_text())
+    code, out = cmd_verify(str(bad), jobs=jobs)
+    assert code == EXIT_MISMATCH
+    assert out.startswith("FAIL  dk_k4_m3.prob  bad expectation record: ")
+    assert out.endswith("\n1/2 cases passed\n")
 
 
 def test_verify_empty_directory(tmp_path):

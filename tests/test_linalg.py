@@ -22,7 +22,7 @@ from gsvindex.index import (
     ensure_regular_sequence,
 )
 from gsvindex.poly import jacobian, minor_det
-from gsvindex.sigform import choose_linear_form, gram_of_form
+from gsvindex.sigform import choose_linear_form
 
 from problems import dk_problem
 from reference_linalg import _ref_det, _ref_inverse, _ref_nullspace, _ref_rref
@@ -30,11 +30,11 @@ from reference_linalg import _ref_det, _ref_inverse, _ref_nullspace, _ref_rref
 F = Fraction
 
 
-def _ref_signature(form):
+def _ref_signature(matrix):
     """Upper-triangle congruence diagonalization over the rationals."""
-    d = form.dim
+    d = len(matrix)
     a = [[None] * i + [Fraction(x) for x in row[i:]]
-         for i, row in enumerate(form.matrix)]
+         for i, row in enumerate(matrix)]
 
     def entry(u, v):
         return a[u][v] if u <= v else a[v][u]
@@ -199,7 +199,8 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
     norm = ensure_regular_sequence(P, seed=seed)
     Q = norm.problem
     DF = minor_det(jacobian(list(Q.f), 2), [0], [1])
-    M = norm.algebra.mult_matrix(DF)
+    M = [list(row) for row in zip(*(_linalg.fractions(*col) for col
+                                    in norm.algebra._product_columns(DF)))]
     C0 = _c0_algebra(norm)
     kernel, pivots = _ref_rref(_ref_nullspace(M))
     assert C0.kernel_basis == [tuple(row) for row in kernel]
@@ -208,6 +209,6 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
     c1 = c_coefficient(jacobian(list(Q.X), 2), Q.C, 1)
     for fseed in (seed, None):
         l, _ = choose_linear_form(C0, c1, seed=fseed)
-        G = gram_of_form(C0, l)
+        G = C0.scaled_gram_matrix(l)
         s = signature_of(G)
         assert (s.p_plus, s.p_minus, s.rank) == _ref_signature(G) == (10, 10, 20)

@@ -19,9 +19,9 @@ from gsvindex import (
     standard_basis,
     transform_vector_field,
 )
-from gsvindex.errors import DegreeCapExceededError
+from gsvindex.errors import DegreeCapExceededError, InfiniteDimensionError
 from gsvindex.index import random_unimodular
-from gsvindex import localstd
+from gsvindex import _linalg, localstd
 from gsvindex.localstd import membership_by_basis
 from gsvindex.poly import mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -34,9 +34,9 @@ y = Polynomial.variable(2, 1)
 
 def test_local_orders_make_one_largest():
     for order in (negdegrevlex(2), negdeglex(2)):
-        assert order.greater((0, 0), (1, 0))
-        assert order.greater((1, 0), (2, 0))
-        assert order.greater((1, 0), (0, 1))  # x before y on ties
+        assert order.key((0, 0)) > order.key((1, 0))
+        assert order.key((1, 0)) > order.key((2, 0))
+        assert order.key((1, 0)) > order.key((0, 1))  # x before y on ties
 
 
 def _ref_key(order, mono):
@@ -65,7 +65,6 @@ def test_packed_codes_match_the_tuple_orders():
         ka, kb = order.key(a), order.key(b)
         assert (ka > kb) == (_ref_key(order, a) > _ref_key(order, b))
         assert (ka == kb) == (a == b)
-        assert order.greater(a, b) == (ka > kb)
         assert order.key(localstd.mono_mul(a, b)) == ka + kb
         assert order.key((0,) * n) == 0
         assert order.divides(ka, kb) == localstd.mono_divides(a, b)
@@ -155,10 +154,9 @@ def test_normal_form_examples():
         assert normal_form(g, sb).is_zero
 
 
-def test_normal_form_positive_dimensional():
-    sb = standard_basis([y - x * x])
-    assert normal_form(y, sb) == x * x
-    assert normal_form(y ** 2, sb) == x ** 4
+def test_normal_form_rejects_infinite_quotients():
+    with pytest.raises(InfiniteDimensionError):
+        normal_form(y, standard_basis([y - x * x]))
 
 
 def test_normal_form_idempotent():
@@ -666,6 +664,20 @@ def _kernel_ideals():
     return out
 
 
+def _uncertified_weak_nf(p, reducers, order):
+    """h of _mora_weak_nf(p, reducers, order), from _weak_nf run without a
+    certificate: it returns no den and no vec, and the same h."""
+    if p.is_zero:
+        return p
+    h0, kp = localstd._integer_terms(p.terms, order)
+    T = [localstd._generator(localstd._integer_terms(g.terms, order)[0],
+                             order, i) for i, g in enumerate(reducers)]
+    h, den, vec, num, dnm = localstd._weak_nf(h0, T, order, False)
+    assert den is None and vec is None
+    return localstd._rational_terms(order, h, dnm * kp.denominator,
+                                    num * kp.numerator)
+
+
 def test_integer_kernels_match_the_fraction_references():
     rng = random.Random(8)
     members = 0
@@ -683,8 +695,7 @@ def test_integer_kernels_match_the_fraction_references():
             for p in probes:
                 ref = _ref_mora_weak_nf(p, list(sb.basis), order)
                 assert localstd._mora_weak_nf(p, list(sb.basis), order) == ref
-                assert localstd._mora_weak_nf(p, list(sb.basis), order,
-                                              False) == (ref[0], None, None)
+                assert _uncertified_weak_nf(p, list(sb.basis), order) == ref[0]
                 ok, witness = membership_by_basis(p, sb, gens)
                 assert ok == ref[0].is_zero, name
                 members += ok
@@ -696,8 +707,8 @@ def test_integer_kernels_match_the_fraction_references():
                 continue
             top = max(map(sum, stairs.basis_monomials)) + 1
             for p in probes + [_random_poly(rng, n, 8, top) for _ in range(4)]:
-                assert canonical.coordinates(p) == _ref_coordinates(
-                    sb, stairs, p), name
+                assert _linalg.fractions(*canonical.integer_coordinates(p)) == \
+                    _ref_coordinates(sb, stairs, p), name
     assert members >= 2 * 2 * len(_kernel_ideals())  # the multiples of gens
 
 

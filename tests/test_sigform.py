@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from gsvindex import (
-    GramForm,
     Polynomial,
     annihilator_quotient,
     build_algebra,
     choose_linear_form,
-    gram_of_form,
     signature_of,
 )
 from gsvindex.errors import C1ClassZeroError
 
-from reference_linalg import _ref_det
+from reference_linalg import _ref_det, _ref_scaled
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -22,7 +20,7 @@ F = Fraction
 
 
 def gram(rows):
-    return GramForm(len(rows), tuple(tuple(F(v) for v in r) for r in rows))
+    return tuple(tuple(F(v) for v in r) for r in rows)
 
 
 def test_signature_examples():
@@ -35,8 +33,11 @@ def test_signature_examples():
 
 
 def test_signature_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        gram([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        signature_of(gram([[0, 1], [2, 0]]))
+    for rows in ([[1, 0]], [[1, 0], [0]], [[1], [0, 1]]):
+        with pytest.raises(ValueError, match="wrong shape"):
+            signature_of(gram(rows))
 
 
 def random_symmetric(rng, d):
@@ -79,11 +80,11 @@ def test_congruence_invariance():
         assert signature_of(gram(H)) == signature_of(gram(G))
 
 
-def _reference_signature(form):
+def _reference_signature(matrix):
     """Full-matrix congruence diagonalization (rows, then columns, at every
     step), kept as an independent reference for signature_of."""
-    d = form.dim
-    a = [[Fraction(x) for x in row] for row in form.matrix]
+    d = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
     plus = minus = 0
     for k in range(d):
         piv = next((j for j in range(k, d) if a[j][j] != 0), None)
@@ -193,24 +194,19 @@ def test_choose_linear_form_zero_class():
 def test_gram_examples():
     A1 = build_algebra([x, y])
     C1 = annihilator_quotient(A1, Polynomial.one(2))
-    G = gram_of_form(C1, (F(1),))
-    assert G.matrix == ((F(1),),)
+    assert C1.scaled_gram_matrix((F(1),)) == ((1,),)
 
     A = build_algebra([y, x * x])
     C = annihilator_quotient(A, Polynomial.one(2))
     for a in (F(0), F(3), F(-2, 7)):
-        G = gram_of_form(C, (a, F(1, 2)))
-        assert G.matrix == ((a, F(1, 2)), (F(1, 2), F(0)))
+        G = C.scaled_gram_matrix((a, F(1, 2)))
+        assert G == _ref_scaled(((a, F(1, 2)), (F(1, 2), F(0))))
         assert signature_of(G).signature == 0
 
     A3 = build_algebra([y, x ** 3])
     C3 = annihilator_quotient(A3, Polynomial.one(2))
-    G = gram_of_form(C3, (F(0), F(0), F(1)))
-    assert G.matrix == (
-        (F(0), F(0), F(1)),
-        (F(0), F(1), F(0)),
-        (F(1), F(0), F(0)),
-    )
+    G = C3.scaled_gram_matrix((F(0), F(0), F(1)))
+    assert G == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert signature_of(G).signature == 1
 
 
@@ -223,7 +219,7 @@ def test_l_independence_on_annihilator_quotient():
     results = set()
     for seed in range(20):
         l, _ = choose_linear_form(C0, c1, seed=seed)
-        s = signature_of(gram_of_form(C0, l))
+        s = signature_of(C0.scaled_gram_matrix(l))
         assert s.rank == C0.dim
         results.add(s.signature)
     assert len(results) == 1
