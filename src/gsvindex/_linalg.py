@@ -5,11 +5,12 @@ Geddes, Czapor, Labahn, Algorithms for Computer Algebra, ch. 9). It is
 deterministic: the pivot of column c is the first row, at or below the
 current one, whose entry is nonzero, so pivot columns and row swaps are
 those of elimination over the rationals. The algebra layer hands it int
-rows directly; inverse, the one Fraction-matrix routine (coordinate
-changes), scales each row to integers once, by the lcm of its
-denominators, and divides by the pivots only at the end. Every other
-rational vector travels as (ints, den), int numerators over one positive
-denominator; fractions turns one into Fractions where the API returns it.
+rows directly; inverse, the one rational-matrix routine (coordinate
+changes), scales each row of ints and Fractions to integers once, by the
+lcm of its denominators, and divides by the pivots only at the end. Every
+other rational vector travels as (ints, den), int numerators over one
+positive denominator; fractions turns one into Fractions where the API
+returns it.
 
 Eliminating column c with pivot row r and pivot P replaces every other row
 i whose entry f in column c is nonzero by (P row_i - f row_r) // last_i,
@@ -85,20 +86,21 @@ def integer_eliminate(rows):
 
 
 def identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def matmul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
     return [
-        [sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
         for i in range(n)
     ]
 
 
 def inverse(M):
-    """M^-1 for a square matrix of Fractions; raises ValueError if M is singular."""
+    """M^-1, as Fractions, for a square matrix of ints and Fractions; raises
+    ValueError if M is singular."""
     n = len(M)
     eye = identity(n)
     rows, pivots = integer_eliminate([integer_row(list(row) + eye[i],

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 from . import _linalg, localstd, sigform
@@ -48,6 +47,7 @@ from .poly import (
     linear_substitute,
     minor_det,
     permutation_of,
+    quotient,
     transform_vector_field,
 )
 from .sigform import SignatureResult, choose_linear_form, signature_of
@@ -88,7 +88,7 @@ class Problem:
 class CoordinateNormalization:
     """A coordinate change z = A y making (f, X_1) zero-dimensional."""
 
-    transform: tuple  # row tuples of Fraction
+    transform: tuple  # row tuples of ints (every candidate is integral)
     problem: Problem  # the transformed problem
     attempts_used: int
     algebra: FiniteAlgebra = field(compare=False, repr=False)  # B0 of `problem`
@@ -173,12 +173,11 @@ def random_unimodular(nvars: int, rng: random.Random):
     U = _linalg.identity(nvars)
     for i in range(nvars):
         for j in range(i):
-            L[i][j] = Fraction(rng.randint(-2, 2))
-            U[j][i] = Fraction(rng.randint(-2, 2))
+            L[i][j] = rng.randint(-2, 2)
+            U[j][i] = rng.randint(-2, 2)
     perm = list(range(nvars))
     rng.shuffle(perm)
-    P = [[Fraction(1 if j == perm[i] else 0) for j in range(nvars)]
-         for i in range(nvars)]
+    P = [[int(j == perm[i]) for j in range(nvars)] for i in range(nvars)]
     return _linalg.matmul(P, _linalg.matmul(L, U))
 
 
@@ -187,10 +186,8 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
 
     def candidates():
         for perm in permutations(range(nvars)):  # the identity comes first
-            yield tuple(
-                tuple(Fraction(1 if j == perm[i] else 0) for j in range(nvars))
-                for i in range(nvars)
-            )
+            yield tuple(tuple(int(j == perm[i]) for j in range(nvars))
+                        for i in range(nvars))
         rng = random.Random(seed)
         while True:
             yield tuple(tuple(r) for r in random_unimodular(nvars, rng))
@@ -282,7 +279,7 @@ def c_coefficient(DX: PolyMatrix, C: PolyMatrix, k: int) -> Polynomial:
         for j in range(1, m + 1):
             term = p[j - 1] * e[m - j]
             acc = acc + term if j % 2 else acc - term
-        e.append(acc.scale(Fraction(1, m)))
+        e.append(acc.scale(quotient(1, m)))
     return e[k]
 
 
@@ -534,7 +531,7 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
                     "membership witness has a non-constant unit denominator; "
                     "no polynomial deformation can be assembled from it"
                 )
-            scale = 1 / den.constant_term
+            scale = quotient(1, den.constant_term)
             for cols, coeff in zip(goodness.minor_columns, witness.coefficients):
                 if coeff.is_zero:
                     continue

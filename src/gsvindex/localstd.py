@@ -27,8 +27,11 @@ the local order and drops every term of degree above delta. That division
 terminates, needs no unit denominators, and its remainder is the unique
 staircase representative of the class.
 
-Polynomial, with Fraction coefficients, is the type at the boundary, but
-the completion, weak-normal-form and coordinate loops run in Python ints.
+Polynomial, with canonical coefficients (ints where integral, Fractions
+elsewhere; see poly), is the type at the boundary, and the completion,
+weak-normal-form and coordinate loops run in Python ints. Coefficients
+handed back are exact quotients of those ints: an int where the division
+is exact, a Fraction only where it is not.
 A polynomial there is a primitive integer term map (monomial -> int, the
 gcd of the coefficients 1), a nonzero rational multiple of the polynomial
 that the same loop over the rationals would hold. A reduction step
@@ -64,7 +67,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import gcd, prod
 from operator import add, mul
 
@@ -78,6 +80,7 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    quotient,
 )
 
 INFINITE = float("inf")
@@ -151,18 +154,18 @@ def negdeglex(nvars: int) -> LocalOrder:
 
 
 def _integer_terms(terms, order):
-    """(ints, scale): ints = scale * terms, primitive, keyed by codes."""
+    """(ints, num, den): ints = terms * num / den, primitive, keyed by codes."""
     den = common_denominator(terms.values())
     ints = integer_row(terms.values(), den)
     g = gcd(*ints) or 1
     keys = map(order.key, terms)
-    return {m: c // g for m, c in zip(keys, ints)}, Fraction(den, g)
+    return {m: c // g for m, c in zip(keys, ints)}, den, g
 
 
 def _rational_terms(order, ints, num, den):
     """The Polynomial ints * num / den."""
     return Polynomial._trusted(order.nvars, {
-        order.decode(m): Fraction(c * num, den) for m, c in ints.items()})
+        order.decode(m): quotient(c * num, den) for m, c in ints.items()})
 
 
 def _combine(h, a, b, m, g):
@@ -302,26 +305,26 @@ def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder):
     reducer leading monomial.
 
     The division runs in _weak_nf on the primitive integer multiples
-    p_int = k*p and R_int_i = k_i*R_i, and returns s = num/dnm times the
-    rational results for p_int and the R_int_i. Those are k*h, den and
-    vec_i*k/k_i for p and the R_i, so the values are scaled back here, once:
-    h = h_int/(s*k), den = den_int/s, vec_i = vec_int_i*k_i/(s*k).
+    p_int = k*p and R_int_i = k_i*R_i (k = kn/kd, as _integer_terms gives
+    it), and returns s = num/dnm times the rational results for p_int and
+    the R_int_i. Those are k*h, den and vec_i*k/k_i for p and the R_i, so
+    the values are scaled back here, once: h = h_int/(s*k), den =
+    den_int/s, vec_i = vec_int_i*k_i/(s*k).
     """
     n = p.nvars
     if p.is_zero:
         return p, Polynomial.one(n), [Polynomial.zero(n)] * len(reducers)
-    h0, kp = _integer_terms(p.terms, order)
+    h0, kn, kd = _integer_terms(p.terms, order)
     T, ks = [], []
     for i, g in enumerate(reducers):
-        r, k = _integer_terms(g.terms, order)
+        r, kn_i, kd_i = _integer_terms(g.terms, order)
         T.append(_generator(r, order, i))
-        ks.append(k)
+        ks.append((kn_i, kd_i))
     h, den, vec, num, dnm = _weak_nf(h0, T, order, True)
-    h = _rational_terms(order, h, dnm * kp.denominator, num * kp.numerator)
+    h = _rational_terms(order, h, dnm * kd, num * kn)
     den = _rational_terms(order, den, dnm, num)
-    vec = [_rational_terms(order, v, dnm * k.numerator * kp.denominator,
-                           num * k.denominator * kp.numerator)
-           for v, k in zip(vec, ks)]
+    vec = [_rational_terms(order, v, dnm * kn_i * kd, num * kd_i * kn)
+           for v, (kn_i, kd_i) in zip(vec, ks)]
     return h, den, vec
 
 
@@ -445,7 +448,7 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     lc_j x^mi G_i - lc_i x^mj G_j over gcd(lc_i, lc_j), a multiple of the
     S-polynomial of the monic candidates, and _weak_nf reduces it. Lifts
     are kept as integer maps with one integer scale each. The basis and
-    lifts are turned into Fraction polynomials once, at the end, and equal
+    lifts are turned into Polynomials once, at the end, and equal
     the monic basis and the lifts of the same loop over the rationals.
     """
     gens = tuple(gens)
@@ -621,7 +624,7 @@ def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
         raise InfiniteDimensionError("quotient is not finite dimensional")
     ints, den = canonical.integer_coordinates(p)
     return Polynomial._trusted(p.nvars, {
-        m: Fraction(c, den) for c, m in zip(ints, st.basis_monomials) if c})
+        m: quotient(c, den) for c, m in zip(ints, st.basis_monomials) if c})
 
 
 class CanonicalQuotient:
@@ -655,9 +658,9 @@ class CanonicalQuotient:
         self.delta = max(map(mono_degree, stairs.basis_monomials), default=-1)
         self._reducers = []
         for b, lm in zip(sb.basis, sb.leading_monomials):
-            kept, _ = _integer_terms({m: c for m, c in b.terms.items()
-                                      if m == lm or mono_degree(m) <= self.delta},
-                                     order)
+            kept = _integer_terms({m: c for m, c in b.terms.items()
+                                   if m == lm or mono_degree(m) <= self.delta},
+                                  order)[0]
             lm = order.key(lm)
             lc = kept.pop(lm)
             self._reducers.append((lm, lc, list(kept.items())))

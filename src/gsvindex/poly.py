@@ -1,13 +1,23 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A monomial is an exponent tuple (one non-negative int per ring variable).
-A Polynomial stores a map monomial -> nonzero Fraction; the map is the
+A Polynomial stores a map monomial -> nonzero coefficient; the map is the
 canonical form, so two polynomials are equal iff their term maps are equal.
 No monomial order is baked into storage; orders are passed to consumers.
 
+Coefficients are canonical (see `coefficient`): an int when the value is
+integral, otherwise a Fraction with denominator > 1. Integer problems thus
+run on Python ints from parse to report, and a Fraction appears only where
+a value is not integral. Python mixes the two exactly, and equal values
+hash alike (hash(3) == hash(Fraction(3))). A float is refused: it is not
+exact.
+
 The public constructor validates and normalizes every term. Results of the
-class's own arithmetic are clean by construction (Fraction products and
-sums, zeros dropped, monomials of the right length), so they skip that pass.
+class's own arithmetic are clean by construction (sums and products of
+canonical coefficients, zeros dropped, monomials of the right length), so
+they skip that pass. Only a sum or product with a Fraction operand can give
+an integral Fraction, and only such a result is turned back into an int:
+a term is checked where it is made, never in a scan of a finished map.
 """
 
 from __future__ import annotations
@@ -19,6 +29,30 @@ from operator import add, le, sub
 from . import _linalg
 
 Monomial = tuple  # exponent tuple, length == nvars
+
+
+def coefficient(value):
+    """value as a canonical coefficient: an int when it is integral, else a
+    Fraction with denominator > 1. Raises TypeError on a float."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact coefficient {value!r}; use an int or a Fraction")
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def quotient(a, b):
+    """a / b exactly, as a canonical coefficient; b is nonzero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return coefficient(Fraction(a) / b)
+
+
+def _int_if_integral(c):
+    """c with an integral Fraction turned into its int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -43,7 +77,8 @@ def mono_degree(a: Monomial) -> int:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with canonical coefficients: an int where
+    a coefficient is integral, a Fraction with denominator > 1 elsewhere."""
 
     __slots__ = ("nvars", "terms")
 
@@ -59,8 +94,8 @@ class Polynomial:
                     )
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
-                c = Fraction(coeff)
-                if c != 0:
+                c = coefficient(coeff)
+                if c:
                     clean[tuple(mono)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -70,8 +105,9 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Wrap a term map that already holds only nonzero Fractions on
-        exponent tuples of length nvars; the map is taken, not copied."""
+        """Wrap a term map that already holds only nonzero canonical
+        coefficients on exponent tuples of length nvars; the map is taken,
+        not copied, and not scanned."""
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
@@ -83,7 +119,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -95,11 +131,11 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range")
         e = [0] * nvars
         e[index] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def term(cls, nvars: int, mono: Monomial, coeff) -> "Polynomial":
-        return cls(nvars, {tuple(mono): Fraction(coeff)})
+        return cls(nvars, {tuple(mono): coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -123,6 +159,8 @@ class Polynomial:
         res = dict(self.terms)
         for m, c in other.terms.items():
             s = res.get(m, 0) + c
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 res[m] = s
             else:
@@ -134,6 +172,8 @@ class Polynomial:
         res = dict(self.terms)
         for m, c in other.terms.items():
             s = res.get(m, 0) - c
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 res[m] = s
             else:
@@ -152,6 +192,8 @@ class Polynomial:
                 for m2, c2 in other.terms.items():
                     m = mono_mul(m1, m2)
                     s = res.get(m, 0) + c1 * c2
+                    if type(s) is Fraction and s.denominator == 1:
+                        s = s.numerator
                     if s:
                         res[m] = s
                     else:
@@ -163,11 +205,11 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
+        c = coefficient(c)
+        if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial._trusted(self.nvars,
-                                   {m: c * v for m, v in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {
+            m: _int_if_integral(c * v) for m, v in self.terms.items()})
 
     def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
         """Multiply by a single term coeff * x^mono."""
@@ -177,12 +219,12 @@ class Polynomial:
             )
         if any(e < 0 for e in mono):
             raise ValueError(f"negative exponent in {mono}")
-        c = Fraction(coeff)
-        if c == 0:
+        c = coefficient(coeff)
+        if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial._trusted(
-            self.nvars, {mono_mul(m, mono): c * v for m, v in self.terms.items()}
-        )
+        return Polynomial._trusted(self.nvars, {
+            mono_mul(m, mono): _int_if_integral(c * v)
+            for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -203,7 +245,7 @@ class Polynomial:
         for m, c in self.terms.items():
             e = m[index]
             if e:
-                res[m[:index] + (e - 1,) + m[index + 1 :]] = c * e
+                res[m[:index] + (e - 1,) + m[index + 1 :]] = _int_if_integral(c * e)
         return Polynomial._trusted(self.nvars, res)
 
     def total_degree(self) -> int:
@@ -211,8 +253,8 @@ class Polynomial:
         return max(map(sum, self.terms), default=-1)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> "int | Fraction":
+        return self.terms.get((0,) * self.nvars, 0)
 
     def is_constant(self) -> bool:
         return all(mono_degree(m) == 0 for m in self.terms)
@@ -242,6 +284,8 @@ class Polynomial:
                     part = part * cache[e]
             for mono, v in part.terms.items():
                 s = out.get(mono, 0) + v
+                if type(s) is Fraction and s.denominator == 1:
+                    s = s.numerator
                 if s:
                     out[mono] = s
                 else:
@@ -288,7 +332,7 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.render()!r})"
 
 
-def _numeral(c: Fraction) -> str:
+def _numeral(c: "int | Fraction") -> str:
     """str(c) for c >= 0, also past the interpreter's limit on the digits
     that str() may write for an int (Python 3.11+): an int converts to a
     Decimal of exponent 0, which always prints in plain digits."""
@@ -369,10 +413,10 @@ def _exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
         if not mono_divides(dlm, rlm):
             raise ArithmeticError("inexact polynomial division")
         m = mono_div(rlm, dlm)
-        c = rem.terms[rlm] / dlc
+        c = quotient(rem.terms[rlm], dlc)
         quot[m] = c
         rem = rem - den.mul_term(m, c)
-    return Polynomial(num.nvars, quot)
+    return Polynomial._trusted(num.nvars, quot)
 
 
 def _det_bareiss(sub) -> Polynomial:
@@ -394,7 +438,7 @@ def _det_bareiss(sub) -> Polynomial:
         for r in range(i + 1, k):
             for c in range(i + 1, k):
                 num = a[i][i] * a[r][c] - a[r][i] * a[i][c]
-                a[r][c] = _exact_div(num, prev)
+                a[r][c] = _exact_div(num, prev) if i else num  # prev is 1 at first
             a[r][i] = Polynomial.zero(nvars)
         prev = a[i][i]
     det = a[k - 1][k - 1]
@@ -439,7 +483,7 @@ class LinearChange:
     """
 
     def __init__(self, A):
-        A = [[Fraction(x) for x in row] for row in A]
+        A = [[coefficient(x) for x in row] for row in A]
         n = self.nvars = len(A)
         if any(len(row) != n for row in A):
             raise ValueError("substitution matrix has the wrong shape")

@@ -467,7 +467,7 @@ def _ref_mora_weak_nf(p, reducers, order, certify=True):
         if g.ecart > e_h:
             T.append(_RefReducer(h, lm_h, h.terms[lm_h], e_h, den=den,
                                  vec=list(vec) if certify else None))
-        c = h.terms[lm_h] / g.lc
+        c = Fraction(h.terms[lm_h]) / g.lc
         m = mono_div(lm_h, g.lm)
         h = h - g.poly.mul_term(m, c)
         if not certify:
@@ -525,11 +525,11 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
     for j, g in nonzero:
         lm = order.leading_monomial(g)
         lc = g.terms[lm]
-        G.append(g.scale(1 / lc))
+        G.append(g.scale(Fraction(1) / lc))
         lms.append(lm)
         if certify:
             coeffs = [zero] * len(gens)
-            coeffs[j] = Polynomial.constant(n, 1 / lc)
+            coeffs[j] = Polynomial.constant(n, Fraction(1) / lc)
             certs.append((one, coeffs))
     heap = []
     for i in range(len(G)):
@@ -551,7 +551,7 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
         if sum(lm) > degree_cap:
             raise DegreeCapExceededError("cap")
         lc = h.terms[lm]
-        G.append(h.scale(1 / lc))
+        G.append(h.scale(Fraction(1) / lc))
         lms.append(lm)
         if certify:
             u = [-v for v in vec]
@@ -565,7 +565,7 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
                 for jj, w in enumerate(certs[k][1]):
                     if not w.is_zero:
                         coeffs[jj] = coeffs[jj] + factor * w
-            certs.append((total, [c.scale(1 / lc) for c in coeffs]))
+            certs.append((total, [c.scale(Fraction(1) / lc) for c in coeffs]))
         k = len(G) - 1
         for t in range(k):
             heapq.heappush(heap, (sum(mono_lcm(lms[t], lm)), t, k))
@@ -610,7 +610,7 @@ def _ref_coordinates(sb, stairs, p):
             out[i] = c
             continue
         lm, lc, tail = next(red for red in reducers if mono_divides(red[0], m))
-        q, f = mono_div(m, lm), c / lc
+        q, f = mono_div(m, lm), Fraction(c) / lc
         for tm, tc in tail:
             r2 = rank.get(mono_mul(q, tm))
             if r2 is None:
@@ -669,13 +669,45 @@ def _uncertified_weak_nf(p, reducers, order):
     certificate: it returns no den and no vec, and the same h."""
     if p.is_zero:
         return p
-    h0, kp = localstd._integer_terms(p.terms, order)
+    h0, kn, kd = localstd._integer_terms(p.terms, order)
     T = [localstd._generator(localstd._integer_terms(g.terms, order)[0],
                              order, i) for i, g in enumerate(reducers)]
     h, den, vec, num, dnm = localstd._weak_nf(h0, T, order, False)
     assert den is None and vec is None
-    return localstd._rational_terms(order, h, dnm * kp.denominator,
-                                    num * kp.numerator)
+    return localstd._rational_terms(order, h, dnm * kd, num * kn)
+
+
+def _is_canonical(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def test_boundary_coefficients_are_canonical():
+    # bases, lifts, witnesses and normal forms come back from integer loops
+    # as exact quotients: an int wherever the value is integral
+    rng = random.Random(12)
+    ideals = [(name, gens) for name, gens in _kernel_ideals()
+              if name in ("dk(4,3) seed 2", "space l=1", "wide 0", "unit")]
+    ideals.append(("integral", [x ** 3 - 2 * y * y, 3 * x * y + y ** 3]))
+    for name, gens in ideals:
+        n = gens[0].nvars
+        sb = standard_basis(gens, negdegrevlex(n))
+        assert all(map(_is_canonical, sb.basis)), name
+        for den, coeffs in sb.lift:
+            assert _is_canonical(den) and all(map(_is_canonical, coeffs)), name
+        for g in gens:
+            p = g * _random_poly(rng, n, 2, 2)
+            ok, witness = membership_by_basis(p, sb, gens)
+            assert ok, name
+            assert _is_canonical(witness.denominator), name
+            assert all(map(_is_canonical, witness.coefficients)), name
+        if sb.quotient[1] is not None:
+            for p in (_random_poly(rng, n, 3, 3), (5 * x + 7 * x * y).extend(n)):
+                assert _is_canonical(normal_form(p, sb)), name
+    # an integral ideal and probe: the normal form is all ints
+    sb = standard_basis([x ** 3 - 2 * y * y, 3 * x * y + y ** 3])
+    r = normal_form(5 * x + 7 * x * y * y + 4 * y, sb)
+    assert r and all(type(c) is int for c in r.terms.values())
 
 
 def test_integer_kernels_match_the_fraction_references():

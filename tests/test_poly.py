@@ -42,13 +42,16 @@ def test_ring_axioms_randomized():
 
 
 def assert_clean(p, nvars):
-    """What the public constructor guarantees: nonzero Fractions on exponent
+    """What the public constructor guarantees: nonzero canonical coefficients
+    (an int iff integral, else a Fraction with denominator > 1) on exponent
     tuples of length nvars with no negative entry."""
     assert p.nvars == nvars
     for mono, coeff in p.terms.items():
         assert type(mono) is tuple and len(mono) == nvars
         assert all(type(e) is int and e >= 0 for e in mono)
-        assert type(coeff) is Fraction and coeff != 0
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction
+                                      and coeff.denominator > 1)
 
 
 def test_arithmetic_results_are_canonical():
@@ -74,6 +77,57 @@ def test_arithmetic_results_are_canonical():
         assert result.terms == {}
     assert_clean(Polynomial.zero(2).extend(3), 3)
     assert_clean((x * x - y * y).diff(0), 2)
+
+
+def test_integral_results_of_fraction_operands_are_ints():
+    from gsvindex import parse_poly
+    from gsvindex.poly import LinearChange
+
+    half = Fraction(1, 2)
+    cases = [
+        ((half * x) * (2 * y), {(1, 1): 1}),
+        (half * x + half * x, {(1, 0): 1}),
+        (half * x - Fraction(-1, 2) * x, {(1, 0): 1}),
+        ((half * x ** 2).diff(0), {(1, 0): 1}),
+        ((x + y).scale(Fraction(4, 2)), {(1, 0): 2, (0, 1): 2}),
+        ((half * x).scale(Fraction(2, 1)), {(1, 0): 1}),
+        ((x + y).mul_term((0, 1), Fraction(3, 3)), {(1, 1): 1, (0, 2): 1}),
+        ((Fraction(2, 3) * x).mul_term((1, 0), Fraction(3, 2)), {(2, 0): 1}),
+        (parse_poly("4/2*x + 6/3", ["x", "y"]), {(1, 0): 2, (0, 0): 2}),
+        (parse_poly("(1/2*x)^2*4", ["x", "y"]), {(2, 0): 1}),
+        # x y / 2 at (2x, x + y) is x^2 + x y; x^2 / 2 at (x, 2y) keeps its half
+        ((half * x * y).substitute([2 * x, y + x]), {(1, 1): 1, (2, 0): 1}),
+        ((half * x * x).substitute([x, 2 * y]), {(2, 0): half}),
+        # the halves of two terms add up: x/2 + y/2 at (x, x) is x
+        ((half * x + half * y).substitute([x, x]), {(1, 0): 1}),
+        # z = A y with A = [[2, 0], [0, 1]]: (x/2)(A y) = x
+        (LinearChange([[2, 0], [0, 1]]).polynomial(half * x), {(1, 0): 1}),
+        (Polynomial(2, {(1, 0): Fraction(6, 3), (0, 1): "5/5"}),
+         {(1, 0): 2, (0, 1): 1}),
+        (Polynomial.constant(2, Fraction(8, 4)), {(0, 0): 2}),
+        (Polynomial.term(2, (1, 1), Fraction(-3, 3)), {(1, 1): -1}),
+    ]
+    for p, terms in cases:
+        assert_clean(p, 2)
+        assert p.terms == terms
+        assert all(type(c) is type(terms[m]) for m, c in p.terms.items())
+    # a LinearChange whose inverse has Fraction entries
+    X = transform_vector_field([x, y], [[2, 1], [1, 1]])
+    assert X == [x, y]
+    for comp in X:
+        assert_clean(comp, 2)
+    assert Polynomial.zero(2).constant_term == 0
+    assert type(Polynomial.zero(2).constant_term) is int
+    assert type((x + Polynomial.constant(2, 3)).constant_term) is int
+    assert hash(half * x * 2) == hash(x)
+
+
+def test_float_coefficients_are_refused():
+    for make in (lambda: Polynomial.constant(2, 0.5), lambda: x.scale(2.0),
+                 lambda: x.mul_term((1, 0), 0.25), lambda: x * 1.5,
+                 lambda: Polynomial(2, {(1, 0): 1.0})):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_mul_term_checks_its_monomial():
@@ -128,24 +182,38 @@ def test_minor_det_index_errors():
         minor_det(J, [1], [0])
 
 
-def test_minor_det_matches_cofactor_expansion():
-    def cofactor(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        n = rows[0][0].nvars
-        acc = Polynomial.zero(n)
-        for j, e in enumerate(rows[0]):
-            sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = e * cofactor(sub)
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+def _cofactor(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    n = rows[0][0].nvars
+    acc = Polynomial.zero(n)
+    for j, e in enumerate(rows[0]):
+        sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = e * _cofactor(sub)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
+
+def test_minor_det_matches_cofactor_expansion():
     rng = random.Random(3)
     for _ in range(25):
         entries = [random_poly(rng, max_deg=2, max_terms=3) for _ in range(9)]
         M = PolyMatrix(3, 3, entries)
-        expected = cofactor([list(M.row(i)) for i in range(3)])
+        expected = _cofactor([list(M.row(i)) for i in range(3)])
         assert minor_det(M, [0, 1, 2], [0, 1, 2]) == expected
+
+
+def test_minor_det_of_integer_matrix_divides_exactly():
+    # the first Bareiss pivot 3x + 2y has leading coefficient 3, and the
+    # second step divides by that pivot: exactly, staying in ints
+    one = Polynomial.one(2)
+    rows = [[3 * x + 2 * y, x - y, 5 * one],
+            [2 * x * y, 7 * y + one, x],
+            [y * y - x, 4 * one, 3 * x * y + 2 * x]]
+    M = PolyMatrix(3, 3, [e for row in rows for e in row])
+    det = minor_det(M, range(3), range(3))
+    assert det == _cofactor(rows)
+    assert det.terms and all(type(c) is int for c in det.terms.values())
 
 
 def test_linear_substitute_examples():
@@ -234,6 +302,20 @@ def test_render_parse_roundtrip():
     for _ in range(60):
         p = random_poly(rng)
         assert parse_poly(p.render(), ["x", "y"]) == p
+
+
+def test_render_parse_roundtrip_long_coefficients():
+    # past the interpreter's smallest digit limit (640, Python 3.11+) and
+    # within the parser's bound on a numeral
+    from gsvindex import parse_poly
+
+    big = (10 ** 2000 - 1) // 9 * 7
+    p = Polynomial(2, {(1, 0): big, (0, 1): Fraction(-(10 ** 1500) - 1, 3),
+                       (0, 0): Fraction(2 * big, 2)})
+    assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 0)]) is int
+    q = parse_poly(p.render(), ["x", "y"])
+    assert q == p
+    assert_clean(q, 2)
 
 
 def _prod(polys):
