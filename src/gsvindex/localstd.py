@@ -12,7 +12,9 @@ basis element b_i comes with a row (denominator_i, coefficients) satisfying
     denominator_i * b_i == sum_j coefficients[j] * generators[j]
 
 exactly, with denominator_i(0) != 0, and membership witnesses have the
-same shape. Witness identities are re-verified before being returned.
+same shape. Both are folded in the completion's integer term maps and
+decoded into Polynomials once. Witness identities are re-verified before
+being returned.
 A basis built only for its quotient (certify=False) skips that bookkeeping
 and carries no lifts; the basis itself is the same, because the
 certificates never steer a reduction. standard_basis does not re-verify
@@ -65,10 +67,10 @@ term past DEGREE_LIMIT lies in the ideal and does not raise there.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from operator import add, mul
+from operator import mul
 
 from ._linalg import common_denominator, integer_row, reduced
 from .errors import (CertificateError, DegreeCapExceededError,
@@ -297,59 +299,27 @@ def _weak_nf(h, T, order, certify):
     return h, den, vec, num, dnm
 
 
-def _mora_weak_nf(p: Polynomial, reducers, order: LocalOrder):
-    """Weak normal form with certificate.
+def _fold_lifts(u, certs, ngens):
+    """Rewrite a combination of basis candidates over the generators.
 
-    Returns (h, den, vec) with den*p == sum_i vec[i]*reducers[i] + h exactly,
-    den(0) != 0, and the leading monomial of h (if any) not divisible by any
-    reducer leading monomial.
-
-    The division runs in _weak_nf on the primitive integer multiples
-    p_int = k*p and R_int_i = k_i*R_i (k = kn/kd, as _integer_terms gives
-    it), and returns s = num/dnm times the rational results for p_int and
-    the R_int_i. Those are k*h, den and vec_i*k/k_i for p and the R_i, so
-    the values are scaled back here, once: h = h_int/(s*k), den =
-    den_int/s, vec_i = vec_int_i*k_i/(s*k).
-    """
-    n = p.nvars
-    if p.is_zero:
-        return p, Polynomial.one(n), [Polynomial.zero(n)] * len(reducers)
-    h0, kn, kd = _integer_terms(p.terms, order)
-    T, ks = [], []
-    for i, g in enumerate(reducers):
-        r, kn_i, kd_i = _integer_terms(g.terms, order)
-        T.append(_generator(r, order, i))
-        ks.append((kn_i, kd_i))
-    h, den, vec, num, dnm = _weak_nf(h0, T, order, True)
-    h = _rational_terms(order, h, dnm * kd, num * kn)
-    den = _rational_terms(order, den, dnm, num)
-    vec = [_rational_terms(order, v, dnm * kn_i * kd, num * kd_i * kn)
-           for v, (kn_i, kd_i) in zip(vec, ks)]
-    return h, den, vec
-
-
-def _fold_lifts(u, lifts, ngens, one, zero, mul, add):
-    """Rewrite a combination of basis elements over the generators.
-
-    lifts[k] starts with (unit_k, coeffs_k), unit_k * b_k == sum_j
-    coeffs_k[j] * gens[j]. Returns (P, coeffs) with P the product of the
-    unit_k over the support of u and P * sum_k u[k] b_k == sum_j coeffs[j]
-    * gens[j]. Serves Polynomials and integer term maps alike, through one,
-    zero, mul and add.
+    u[k] and the certs[k] = (den_k, coeffs_k, tau_k) are integer term maps,
+    den_k * b_k == sum_j coeffs_k[j] * gens[j] for the monic candidate b_k.
+    Returns (P, coeffs) with P the product of the den_k over the support of
+    u and P * sum_k u[k] b_k == sum_j coeffs[j] * gens[j].
     """
     support = [k for k, uk in enumerate(u) if uk]
-    prefix = [one]  # prefix[t]: product of the first t units
+    prefix = [{0: 1}]  # prefix[t]: product of the first t units
     for k in support:
-        prefix.append(mul(prefix[-1], lifts[k][0]))
-    coeffs = [zero] * ngens
-    suffix = one  # product of the units after the current one
+        prefix.append(_product(prefix[-1], certs[k][0]))
+    coeffs = [{}] * ngens
+    suffix = {0: 1}  # product of the units after the current one
     for pos in reversed(range(len(support))):
         k = support[pos]
-        factor = mul(u[k], mul(prefix[pos], suffix))
-        for j, w in enumerate(lifts[k][1]):
+        factor = _product(u[k], _product(prefix[pos], suffix))
+        for j, w in enumerate(certs[k][1]):
             if w:
-                coeffs[j] = add(coeffs[j], mul(factor, w))
-        suffix = mul(suffix, lifts[k][0])
+                coeffs[j] = _combine(coeffs[j], 1, -1, 0, _product(factor, w))
+        suffix = _product(suffix, certs[k][0])
     return prefix[-1], coeffs
 
 
@@ -367,9 +337,7 @@ def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
     for k, a, m in s_terms:
         u[k] = _combine(u[k], 1, -a, m, den)
     u = [_scaled(uk, G[k].lc) for k, uk in enumerate(u)]
-    total, coeffs = _fold_lifts(
-        u, certs, len(certs[0][1]), {0: 1}, {}, _product,
-        lambda p, q: _combine(p, 1, -1, 0, q))
+    total, coeffs = _fold_lifts(u, certs, len(certs[0][1]))
     den_h = _scaled(total, lc_h)
     tau = lc_h * prod(certs[k][2] for k, uk in enumerate(u) if uk)
     c = _content(tau, [den_h, *coeffs])
@@ -384,19 +352,34 @@ def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
 class StandardBasis:
     """Standard basis of a localized polynomial ideal, with lift witnesses.
 
+    _reducers (the kept candidates as _Reducers) and, when certified, _certs
+    (their integer certificates (den, coeffs, tau), as in standard_basis)
+    are the completion's integer forms, which membership divides and folds
+    on. They take no part in equality or hashing.
+
     lift[i] = (denominator, coefficients) certifies
-    denominator * basis[i] == sum_j coefficients[j] * generators[j];
-    lift is None for a basis built with certify=False.
+    denominator * basis[i] == sum_j coefficients[j] * generators[j]; it is
+    decoded on first read, and is None for a basis built with certify=False.
     """
 
     order: LocalOrder
     generators: tuple
     basis: tuple
-    lift: "tuple | None"
+    _reducers: tuple = field(repr=False, compare=False)
+    _certs: "tuple | None" = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def leading_monomials(self):
-        return tuple(self.order.leading_monomial(b) for b in self.basis)
+        return tuple(self.order.decode(r.lm) for r in self._reducers)
+
+    @cached_property
+    def lift(self):
+        if self._certs is None:
+            return None
+        return tuple((_rational_terms(self.order, den, 1, tau),
+                      tuple(_rational_terms(self.order, c, 1, tau)
+                            for c in coeffs))
+                     for den, coeffs, tau in self._certs)
 
     @cached_property
     def quotient(self):
@@ -447,9 +430,10 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     are scaled to primitive integer term maps once; a candidate pair gives
     lc_j x^mi G_i - lc_i x^mj G_j over gcd(lc_i, lc_j), a multiple of the
     S-polynomial of the monic candidates, and _weak_nf reduces it. Lifts
-    are kept as integer maps with one integer scale each. The basis and
-    lifts are turned into Polynomials once, at the end, and equal
-    the monic basis and the lifts of the same loop over the rationals.
+    are kept as integer maps with one integer scale each. The basis is
+    turned into Polynomials once, at the end, and the lifts when `lift` is
+    first read; both equal the monic basis and the lifts of the same loop
+    over the rationals.
     """
     gens = tuple(gens)
     nonzero = [(j, g) for j, g in enumerate(gens) if not g.is_zero]
@@ -517,13 +501,10 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     keep = [i for i, g in enumerate(G)
             if not any(j != i and order.divides(h.lm, g.lm)
                        and (h.lm != g.lm or j < i) for j, h in enumerate(G))]
-    basis = tuple(_rational_terms(order, G[i].poly, 1, G[i].lc) for i in keep)
-    lift = None
-    if certify:
-        lift = tuple((_rational_terms(order, den, 1, tau),
-                      tuple(_rational_terms(order, c, 1, tau) for c in coeffs))
-                     for den, coeffs, tau in map(certs.__getitem__, keep))
-    return StandardBasis(order=order, generators=gens, basis=basis, lift=lift)
+    reducers = tuple(_generator(G[k].poly, order, i) for i, k in enumerate(keep))
+    basis = tuple(_rational_terms(order, r.poly, 1, r.lc) for r in reducers)
+    return StandardBasis(order, gens, basis, reducers,
+                         tuple(map(certs.__getitem__, keep)) if certify else None)
 
 
 def staircase_monomials(lms, nvars):
@@ -566,14 +547,6 @@ def quotient_dimension(gens, order: "LocalOrder | None" = None,
                                     certify=False)).dimension
 
 
-def _witness_over_generators(sb: StandardBasis, den, vec):
-    """Rewrite den*p = sum vec_i basis_i into a witness over sb.generators."""
-    n = den.nvars
-    total, coeffs = _fold_lifts(vec, sb.lift, len(sb.generators),
-                                Polynomial.one(n), Polynomial.zero(n), mul, add)
-    return MembershipWitness(denominator=den * total, coefficients=tuple(coeffs))
-
-
 def ideal_membership(p: Polynomial, gens, order: "LocalOrder | None" = None):
     """Decide p in (gens) localized at the origin; exact witness when true.
 
@@ -589,9 +562,19 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
 
     One basis built by the caller serves many tests; sb is not read (and may
     be None) when p is zero. The witness is re-verified as in ideal_membership.
-    Raises ValueError when sb carries no lifts (built with certify=False).
+    Raises ValueError when sb carries no lifts (built with certify=False), or
+    is None and p is nonzero.
+
+    The division runs in _weak_nf on p_int = k*p (k = kn/kd, as
+    _integer_terms gives it) and on sb's reducers R_i = lc_i*b_i, b_i the
+    monic basis. With h = 0 it gives den*p_int == sum_i u_i*b_i, u_i =
+    vec_i*lc_i, with den s = num/dnm times the rational loop's, and
+    _fold_lifts turns that over the certificates into P*den*p_int == sum_j
+    C_j*gens[j]. With the lifts den_i/tau_i, the rational witness is
+    (den*P/(s*T), C_j/(s*k*T)), T the product of the tau_i over the support
+    of u; it is decoded once.
     """
-    if sb is not None and sb.lift is None:
+    if sb is not None and sb._certs is None:
         raise ValueError("membership needs a standard basis built with lifts "
                          "(certify=True)")
     gens = tuple(gens)
@@ -600,10 +583,21 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
         return True, MembershipWitness(
             Polynomial.one(n), tuple(Polynomial.zero(n) for _ in gens)
         )
-    h, den, vec = _mora_weak_nf(p, list(sb.basis), sb.order)
-    if not h.is_zero:
+    if sb is None:
+        raise ValueError("membership of a nonzero polynomial needs its "
+                         "standard basis")
+    order, reducers, certs = sb.order, sb._reducers, sb._certs
+    h0, kn, kd = _integer_terms(p.terms, order)
+    h, den, vec, num, dnm = _weak_nf(h0, list(reducers), order, True)
+    if h:
         return False, None
-    witness = _witness_over_generators(sb, den, vec)
+    u = [_scaled(v, r.lc) for v, r in zip(vec, reducers)]
+    total, coeffs = _fold_lifts(u, certs, len(sb.generators))
+    scale = num * prod(certs[i][2] for i, ui in enumerate(u) if ui)
+    witness = MembershipWitness(
+        denominator=_rational_terms(order, _product(den, total), dnm, scale),
+        coefficients=tuple(_rational_terms(order, c, dnm * kd, scale * kn)
+                           for c in coeffs))
     lhs = witness.denominator * p
     rhs = Polynomial.zero(p.nvars)
     for c, g in zip(witness.coefficients, gens):

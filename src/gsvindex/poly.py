@@ -50,6 +50,12 @@ def quotient(a, b):
     return coefficient(Fraction(a) / b)
 
 
+def _positive(nvars):
+    if nvars < 1:
+        raise ValueError("nvars must be positive")
+    return nvars
+
+
 def _int_if_integral(c):
     """c with an integral Fraction turned into its int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -83,8 +89,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        if nvars < 1:
-            raise ValueError("nvars must be positive")
+        _positive(nvars)
         clean = {}
         if terms:
             for mono, coeff in terms.items():
@@ -115,15 +120,17 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls._trusted(_positive(nvars), {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
+        _positive(nvars)
+        c = coefficient(value)
+        return cls._trusted(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(nvars, 1)
+        return cls._trusted(_positive(nvars), {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -131,7 +138,7 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range")
         e = [0] * nvars
         e[index] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls._trusted(nvars, {tuple(e): 1})
 
     @classmethod
     def term(cls, nvars: int, mono: Monomial, coeff) -> "Polynomial":

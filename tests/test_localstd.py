@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import neg
 
@@ -10,7 +10,9 @@ from gsvindex import (
     INFINITE,
     Polynomial,
     ideal_membership,
+    jacobian,
     linear_substitute,
+    minor_det,
     negdeglex,
     negdegrevlex,
     normal_form,
@@ -393,6 +395,7 @@ def test_lift_free_completion_gives_the_certified_basis():
             assert bare.lift is None
             assert certified.lift is not None
             assert bare.basis == certified.basis
+            assert bare == certified  # the certificates take no part in ==
             assert bare.leading_monomials == certified.leading_monomials
             assert staircase(bare) == staircase(certified)
             finite += staircase(bare).finite
@@ -406,6 +409,8 @@ def test_membership_needs_a_basis_with_lifts():
     bare = standard_basis(gens, certify=False)
     with pytest.raises(ValueError):
         membership_by_basis(x ** 4, bare, gens)
+    with pytest.raises(ValueError):
+        membership_by_basis(x ** 4, None, gens)
     ok, _ = membership_by_basis(x ** 4, standard_basis(gens), gens)
     assert ok
 
@@ -665,8 +670,8 @@ def _kernel_ideals():
 
 
 def _uncertified_weak_nf(p, reducers, order):
-    """h of _mora_weak_nf(p, reducers, order), from _weak_nf run without a
-    certificate: it returns no den and no vec, and the same h."""
+    """The weak normal form of p by reducers, from _weak_nf run without a
+    certificate: it returns no den and no vec, and the reference's h."""
     if p.is_zero:
         return p
     h0, kn, kd = localstd._integer_terms(p.terms, order)
@@ -710,10 +715,28 @@ def test_boundary_coefficients_are_canonical():
     assert r and all(type(c) is int for c in r.terms.values())
 
 
+def _goodness_ideals():
+    """(name, minors, probes): the maximal minors of D(x^2 + y^2 + z^2, x y),
+    the ideal is_good_sufficient tests the space curves' C entries
+    2 z^l (x - y), l = 1..6, against; and a copy with f scaled by 7/2 and the
+    probes by 2/5, so that the coefficients are not integral."""
+    u, v, w = (Polynomial.variable(3, i) for i in range(3))
+    out = []
+    for name, a, b in (("goodness", 1, 1),
+                       ("goodness scaled", Fraction(7, 2), Fraction(2, 5))):
+        Df = jacobian([(u * u + v * v + w * w).scale(a), (u * v).scale(a)], 3)
+        minors = [minor_det(Df, [0, 1], list(cols))
+                  for cols in combinations(range(3), 2)]
+        out.append((name, minors,
+                    [(2 * w ** l * (u - v)).scale(b) for l in range(1, 7)]))
+    return out
+
+
 def test_integer_kernels_match_the_fraction_references():
     rng = random.Random(8)
     members = 0
-    for name, gens in _kernel_ideals():
+    cases = [(name, gens, []) for name, gens in _kernel_ideals()]
+    for name, gens, extra in cases + _goodness_ideals():
         n = gens[0].nvars
         for order in (negdegrevlex(n), negdeglex(n)):
             ref_basis, ref_lift = _ref_standard_basis(gens, order)
@@ -724,12 +747,12 @@ def test_integer_kernels_match_the_fraction_references():
             assert bare.basis == ref_basis and bare.lift is None, name
             probes = [_random_poly(rng, n, 3, 3) for _ in range(2)]
             probes += [g * _random_poly(rng, n, 2, 2) for g in gens]
-            for p in probes:
+            for p in probes + extra:
                 ref = _ref_mora_weak_nf(p, list(sb.basis), order)
-                assert localstd._mora_weak_nf(p, list(sb.basis), order) == ref
                 assert _uncertified_weak_nf(p, list(sb.basis), order) == ref[0]
                 ok, witness = membership_by_basis(p, sb, gens)
                 assert ok == ref[0].is_zero, name
+                assert ok or p not in extra, name
                 members += ok
                 if ok:
                     assert (witness.denominator, witness.coefficients) == \

@@ -72,6 +72,7 @@ def test_arithmetic_results_are_canonical():
         p - p, p + (-p), -(p - p), p * Polynomial.zero(2),
         (x + y) * (x - y) - x * x + y * y, p.scale(0), p.mul_term((1, 1), 0),
         Polynomial.constant(2, 5).diff(0), Polynomial.zero(2).mul_term((1, 0), 3),
+        Polynomial.constant(2, 0), Polynomial.constant(2, Fraction(0, 3)),
     ):
         assert_clean(result, 2)
         assert result.terms == {}
@@ -105,6 +106,8 @@ def test_integral_results_of_fraction_operands_are_ints():
         (Polynomial(2, {(1, 0): Fraction(6, 3), (0, 1): "5/5"}),
          {(1, 0): 2, (0, 1): 1}),
         (Polynomial.constant(2, Fraction(8, 4)), {(0, 0): 2}),
+        (Polynomial.one(2), {(0, 0): 1}),
+        (Polynomial.variable(2, 1), {(0, 1): 1}),
         (Polynomial.term(2, (1, 1), Fraction(-3, 3)), {(1, 1): -1}),
     ]
     for p, terms in cases:
@@ -135,6 +138,12 @@ def test_mul_term_checks_its_monomial():
     for mono in ((1,), (1, 0, 0), (-1, 0), (0, -2)):
         with pytest.raises(ValueError):
             p.mul_term(mono, 1)
+    # so do the named constructors: at least one variable, an index in range
+    for make in (lambda: Polynomial.zero(0), lambda: Polynomial.one(0),
+                 lambda: Polynomial.constant(0, 1), lambda: Polynomial.variable(2, 2),
+                 lambda: Polynomial.variable(2, -1)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_derivative_is_a_derivation():
