@@ -224,17 +224,31 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
     degree cap is skipped like an infinite one, but the final error counts
     the two apart: only infinite attempts are evidence that the zero is not
     isolated. Raises ValueError when max_attempts is less than 1.
+
+    A permutation A's ideal (f o A, (A^-1 X)_1 o A) renames (f, X_s), s the
+    row with A[s][0] = 1, so it is infinite exactly when an earlier
+    permutation's with the same s was, and is then counted as infinite
+    without being built. A degree-cap outcome depends on the variable order
+    and is never carried over.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     infinite = capped = 0
+    infinite_rows = set()  # the s of each permutation found infinite
     for attempts, A in enumerate(
         _candidate_transforms(problem.nvars, seed, max_attempts), start=1
     ):
+        perm = permutation_of(A)
+        row = None if perm is None else perm.index(0)
+        if row in infinite_rows:
+            infinite += 1
+            continue
         try:
             return _normalize_with(problem, A, attempts)
         except InfiniteDimensionError:
             infinite += 1
+            if row is not None:
+                infinite_rows.add(row)
         except DegreeCapExceededError:
             capped += 1
     verdict = ("the zero on the curve is likely not isolated" if not capped

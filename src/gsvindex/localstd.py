@@ -4,7 +4,14 @@ Local orders make 1 the largest monomial, so ordinary division loops need
 not terminate; the weak normal form here follows Mora's tangent-cone
 algorithm: when a reduction would raise the ecart, the current working
 polynomial itself joins the reducer set, which folds a unit multiplier
-into the division and restores termination.
+into the division and restores termination. The completion skips an
+S-pair by Buchberger's two criteria: the product criterion (coprime
+leading monomials) and the chain criterion (a third candidate's leading
+monomial divides the lcm and both of its pairs with the two have been
+treated). Their proofs rest on syzygies of leading terms alone, so both
+hold in local orders too (Buchberger, EUROSAM 1979; Gebauer, Moller,
+J. Symb. Comput. 6, 1988; Greuel-Pfister, A Singular Introduction to
+Commutative Algebra, ch. 1).
 
 A basis built for membership (certify=True, the default) is certified: a
 basis element b_i comes with a row (denominator_i, coefficients) satisfying
@@ -429,7 +436,15 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     Both forms run one loop in Python ints (module docstring). Generators
     are scaled to primitive integer term maps once; a candidate pair gives
     lc_j x^mi G_i - lc_i x^mj G_j over gcd(lc_i, lc_j), a multiple of the
-    S-polynomial of the monic candidates, and _weak_nf reduces it. Lifts
+    S-polynomial of the monic candidates, and _weak_nf reduces it. Pairs
+    are taken by the degree of their lcm. One is dropped, before any
+    reduction, by the product criterion (lcm(lm_i, lm_j) = lm_i lm_j) or
+    by Buchberger's chain criterion: some other candidate k has lm_k |
+    lcm(lm_i, lm_j) and the pairs {i, k} and {j, k} have both been taken
+    already (reduced or dropped), so the S-polynomial of {i, j} is a
+    combination of theirs with smaller terms (Gebauer, Moller, J. Symb.
+    Comput. 6, 1988; Greuel-Pfister, ch. 1). The leading ideal, hence the
+    staircase, is that of the completion that drops no pair. Lifts
     are kept as integer maps with one integer scale each. The basis is
     turned into Polynomials once, at the end, and the lifts when `lift` is
     first read; both equal the monic basis and the lifts of the same loop
@@ -468,12 +483,19 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
             coeffs = [{}] * len(gens)
             coeffs[j] = {0: lc.denominator}
             certs.append(({0: lc.numerator}, coeffs, lc.numerator))
+    # popped pairs, both ways round; (k, k) is never in it, so k = i and
+    # k = j never pass the chain test
+    treated = set()
     while heap:
         _, i, j = heapq.heappop(heap)
+        treated.update(((i, j), (j, i)))
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # product criterion
         lcm = order.key(lcm)
+        if any((i, k) in treated and (j, k) in treated
+               and order.divides(G[k].lm, lcm) for k in range(len(G))):
+            continue  # chain criterion
         mi, mj = lcm - G[i].lm, lcm - G[j].lm
         # s = lc_j x^mi G_i - lc_i x^mj G_j, over gcd(lc_i, lc_j): a
         # multiple of the S-polynomial of the monic candidates

@@ -108,6 +108,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # pickle and copy, past the blocked __setattr__
+        return Polynomial._trusted, (self.nvars, self.terms)
+
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
         """Wrap a term map that already holds only nonzero canonical
@@ -371,6 +374,9 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        return PolyMatrix, (self.rows, self.cols, self.entries)
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i * self.cols + j]

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -80,6 +82,13 @@ def test_tangency_failure_reports_residual():
 
 # ------------------------------------------------------------ normalization
 
+def test_problems_survive_pickle_and_deepcopy():
+    for P in (space_curve_problem(2), dk_problem(5, 4, "real")):
+        for back in (pickle.loads(pickle.dumps(P)), copy.deepcopy(P)):
+            assert back == P
+            assert complex_gsv_index(back).index == complex_gsv_index(P).index
+
+
 def test_normalization_identity_for_dk():
     norm = ensure_regular_sequence(dk_problem(4, 3))
     assert norm.is_identity and norm.attempts_used == 1
@@ -145,6 +154,37 @@ def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
     message = str(info.value)
     assert "(0 infinite, 3 capped " in message
     assert "not isolated" not in message
+
+
+def test_normalization_skips_permutations_that_rename_an_infinite_ideal(
+        monkeypatch):
+    import gsvindex.index as index_mod
+    from gsvindex.index import _normalize_with
+
+    builds, real_build = [], index_mod.build_algebra
+
+    def build(gens):
+        builds.append(1)
+        return real_build(gens)
+
+    monkeypatch.setattr(index_mod, "build_algebra", build)
+    P = space_curve_problem(1)
+    norm = ensure_regular_sequence(P)
+    # permutations 1 and 2 both give (f, X_1), 3 gives (f, X_2): infinite
+    assert len(builds) == 3
+    A = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    assert norm == _normalize_with(P, A, 4)  # transform, problem, attempts
+    # (x, y) and X = (x, y, 0): every attempt is infinite; the six
+    # permutations pair up by s, so three of them are counted unbuilt
+    u, v = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    zero3 = Polynomial.zero(3)
+    line = Problem(vars=("x", "y", "z"), f=(u, v), X=(u, v, zero3),
+                   C=PolyMatrix(2, 2, [zero3] * 4), field="complex")
+    builds.clear()
+    with pytest.raises(NormalizationError,
+                       match=r"out of 8 .*\(8 infinite, 0 capped "):
+        ensure_regular_sequence(line, max_attempts=8)
+    assert len(builds) == 5
 
 
 def test_normalization_general_change_for_sheared_node():
@@ -266,7 +306,8 @@ def test_attempts_transform_only_what_they_need(monkeypatch):
     norm = ensure_regular_sequence(P)
     assert norm.attempts_used > 1 and not norm.is_identity
     last_build = len(events) - 1 - events[::-1].index("build")
-    assert events.count("build") == norm.attempts_used
+    # attempt 2 renames attempt 1's infinite ideal and is not built
+    assert events.count("build") == norm.attempts_used - 1
     # C is substituted once, entry by entry, after the accepted attempt only
     assert events[last_build + 1:] == ["C"] * len(P.C.entries)
     assert "C" not in events[:last_build]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -415,6 +417,20 @@ def test_membership_needs_a_basis_with_lifts():
     assert ok
 
 
+def test_bases_and_witnesses_survive_pickle_and_deepcopy():
+    gens = _mixed_dk_ideal(2)
+    sb = standard_basis(gens)
+    ok, witness = membership_by_basis(gens[0] * (x + 2 * y), sb, gens)
+    assert ok
+    for back in (pickle.loads(pickle.dumps(sb)), copy.deepcopy(sb)):
+        assert back == sb and back.lift == sb.lift
+        assert back.leading_monomials == sb.leading_monomials
+        assert membership_by_basis(gens[0] * (x + 2 * y), back, gens) == (
+            True, witness)
+    for back in (pickle.loads(pickle.dumps(witness)), copy.deepcopy(witness)):
+        assert back == witness
+
+
 def test_normal_form_builds_one_canonical_quotient_per_basis(monkeypatch):
     sb = standard_basis([x * x * y + y ** 7, x ** 6])
     built = []
@@ -514,7 +530,10 @@ def _ref_witness_over_generators(sb, den, vec):
     return den * total, tuple(coeffs)
 
 
-def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
+def _ref_standard_basis(gens, order, degree_cap=None, certify=True,
+                        chain=True):
+    """The Fraction completion; chain=False runs it without the chain
+    criterion, with only the product criterion skipping pairs."""
     from math import prod
     from gsvindex.localstd import DEGREE_CAP_FLOOR
     import heapq
@@ -540,10 +559,17 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True):
     for i in range(len(G)):
         for j in range(i):
             heapq.heappush(heap, (sum(mono_lcm(lms[i], lms[j])), j, i))
+    popped = set()
     while heap:
         _, i, j = heapq.heappop(heap)
+        popped.add(frozenset((i, j)))
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):
+            continue
+        if chain and any(
+                k not in (i, j) and mono_divides(lms[k], lcm)
+                and frozenset((i, k)) in popped and frozenset((j, k)) in popped
+                for k in range(len(G))):
             continue
         mi, mj = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
         s = G[i].mul_term(mi, 1) - G[j].mul_term(mj, 1)
@@ -818,3 +844,50 @@ def test_integer_completion_hits_the_degree_cap_where_the_reference_does():
                 assert len(set(outcome)) == 1, (gens, cap)
                 outcomes.append(outcome[0])
             assert outcomes[0] and not outcomes[-1]  # the scan crosses the cap
+
+
+def _chain_criterion_ideals():
+    """The kernel ideals, mixed dk(8,6) and dk(10,8) under the shear
+    [[-1, -1], [-2, -3]], and the space curves l = 1..4 under
+    random_unimodular seeds 0..3."""
+    from problems import space_curve_problem
+
+    out = list(_kernel_ideals())
+    A = [[-1, -1], [-2, -3]]
+    for k, m in ((8, 6), (10, 8)):
+        P = dk_problem(k, m)
+        out.append((f"mixed dk({k},{m})", [linear_substitute(P.f[0], A),
+                    transform_vector_field(list(P.X), A)[0]]))
+    for l in range(1, 5):
+        P = space_curve_problem(l)
+        for seed in range(4):
+            A = random_unimodular(3, random.Random(seed))
+            out.append((f"space l={l} seed {seed}",
+                        [linear_substitute(f, A) for f in P.f]
+                        + [transform_vector_field(list(P.X), A)[0]]))
+    return out
+
+
+def test_chain_criterion_leaves_a_standard_basis_and_its_staircase():
+    # every S-polynomial of the returned basis, the pairs the criteria
+    # skipped included, has weak normal form 0, and the leading ideal is
+    # that of the completion that reduces every pair but the coprime ones
+    for name, gens in _chain_criterion_ideals():
+        n = gens[0].nvars
+        for order in (negdegrevlex(n), negdeglex(n)):
+            sb = standard_basis(gens, order, certify=False)
+            basis, lms = list(sb.basis), sb.leading_monomials
+            for (i, bi), (j, bj) in combinations(enumerate(basis), 2):
+                lcm = mono_lcm(lms[i], lms[j])
+                s = (bi.mul_term(mono_div(lcm, lms[i]), 1)
+                     - bj.mul_term(mono_div(lcm, lms[j]), 1))
+                h = _ref_mora_weak_nf(s, basis, order, certify=False)[0]
+                assert h.is_zero, (name, order.kind, i, j)
+            full, _ = _ref_standard_basis(gens, order, certify=False,
+                                          chain=False)
+            full_lms = [order.leading_monomial(b) for b in full]
+            assert sorted(lms) == sorted(full_lms), (name, order.kind)
+            monos = localstd.staircase_monomials(full_lms, n)
+            assert staircase(sb).basis_monomials == (
+                None if monos is None
+                else tuple(order.sort_descending(monos))), name

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +24,19 @@ def test_canonical_form_drops_zero_coefficients():
     p = Fraction(1, 2) * x - Fraction(1, 2) * x
     assert p.is_zero and p.terms == {}
     assert p == Polynomial.zero(2)
+
+
+def test_pickle_and_deepcopy_round_trips():
+    p = x ** 3 * y - Fraction(7, 2) * y + Polynomial.constant(2, 5)
+    for obj in (p, Polynomial.zero(3), Polynomial.one(1),
+                PolyMatrix(2, 2, [p, x, Polynomial.zero(2), y])):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert back == obj and type(back) is type(obj)
+    back = pickle.loads(pickle.dumps(p))
+    assert back.terms == p.terms and back.terms is not p.terms
+    assert all(type(c) is type(p.terms[m]) for m, c in back.terms.items())
+    with pytest.raises(AttributeError):
+        back.nvars = 3
 
 
 def test_equality_is_term_map_equality():
