@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, islice, permutations
 
-from . import _linalg, localstd, sigform
+from . import _linalg, localstd
 from .algebra import (
     FiniteAlgebra,
     QuotientAlgebra,
@@ -50,7 +50,7 @@ from .poly import (
     quotient,
     transform_vector_field,
 )
-from .sigform import SignatureResult, choose_linear_form, signature_of
+from .sigform import SignatureResult, _witt_signature, choose_linear_form
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,8 @@ def _pairing_signature(algebra, element: Polynomial, seed) -> SignatureResult:
     if algebra.dim == 0:
         return SignatureResult(0, 0, 0)
     l, _ = choose_linear_form(algebra, element, seed=seed)
-    return signature_of(algebra.scaled_gram_matrix(l))
+    return _witt_signature(algebra.scaled_gram_matrix(l),
+                           [sum(m) for m in algebra.basis])
 
 
 def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,

@@ -13,6 +13,24 @@ _linalg with its lazy per-row factor, over full rows of the trailing block.
 The rational pivot, the entry of the Schur complement, is the Bareiss pivot
 over the previous one, which is the stored pivot over its row's factor, so
 its sign is the product of their signs.
+
+The Gram matrix of a pairing (a, b) -> l(ab) on a local algebra first
+loses its metabolic part (_witt_signature), so the congruence runs only on
+the middle degrees. Witt cancellation: if J is a totally isotropic subspace
+(G(J, J) = 0) that meets the radical only in 0, then sig G = (dim J,
+dim J) + sig of G on J^perp / J (Milnor-Husemoller, Symmetric Bilinear
+Forms, ch. I; Lam, Introduction to Quadratic Forms over Fields, ch. I).
+J comes from the degrees of the staircase basis. In a local degree order
+the basis monomials of degree >= k span the image of m^k (Greuel-Pfister,
+A Singular Introduction to Commutative Algebra, ch. 5), so for L the top
+degree and s = L // 2 + 1 the span J of the basis monomials of degree >= s
+has J * J in m^(L+1) = 0, and is isotropic for every functional. With the
+basis split into the rest, I, and J, G = [[A, B], [B^T, 0]]; J meets the
+radical only in 0 exactly when rank B = dim J, and then J^perp / J is
+ker B^T with the form K^T A K, for K a kernel basis, of size d - 2 dim J.
+The argument is not trusted: both G[J][J] = 0 and rank B = dim J are
+checked on the integer Gram, and if either fails the whole matrix goes to
+signature_of.
 """
 
 from __future__ import annotations
@@ -20,8 +38,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import _linalg
+from .algebra import _column_relations
 from .errors import C1ClassZeroError
 from .poly import Polynomial
 
@@ -88,6 +108,35 @@ def signature_of(matrix) -> SignatureResult:
                 rows[i] = _linalg.bareiss_step(row, f, prow, p, lasts[i])
                 lasts[i] = p
     return SignatureResult(p_plus=plus, p_minus=minus, rank=plus + minus)
+
+
+def _witt_signature(matrix, degrees) -> SignatureResult:
+    """signature_of(matrix) for the nonempty Gram matrix of a pairing on a
+    local algebra whose basis element i has degree degrees[i], with the
+    isotropic top degrees J cancelled first (module docstring)."""
+    s = max(degrees) // 2 + 1
+    J = [j for j, e in enumerate(degrees) if e >= s]
+    if any(matrix[a][b] for a in J for b in J):
+        return signature_of(matrix)
+    I = [i for i, e in enumerate(degrees) if e < s]
+    # B^T's columns read right to left, so that it pivots on the degrees
+    # next to J: the other way round is 6x slower on a dense Gram
+    independent, units, den = _column_relations(
+        [[matrix[j][i] for i in I] for j in J], len(I))
+    if len(independent) < len(J):
+        return signature_of(matrix)
+    # a primitive kernel vector of B^T per dependent column r, as sparse
+    # (basis index, value); scaling a column of K is a congruence
+    K = []
+    for r in set(range(len(I))) - set(independent):
+        v = [(I[r], den)] + [(I[independent[j]], -u) for j, u in units[r]]
+        g = gcd(*(x for _, x in v))
+        K.append([(a, x // g) for a, x in v])
+    middle = signature_of([[sum(x * y * matrix[a][b] for a, x in u for b, y in v)
+                            for v in K] for u in K])
+    n = len(J)
+    return SignatureResult(middle.p_plus + n, middle.p_minus + n,
+                           middle.rank + 2 * n)
 
 
 def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):

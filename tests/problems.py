@@ -1,5 +1,6 @@
 """Shared problem builders for the test suite."""
 
+from math import comb
 from pathlib import Path
 
 from gsvindex import Polynomial, PolyMatrix, Problem
@@ -16,6 +17,18 @@ def dk_problem(k, m, field="complex"):
     X = ((k - 2) * X2 ** (m + 1), 2 * (X2 ** m) * Y2)
     C = PolyMatrix(1, 1, [2 * (k - 1) * X2 ** m])
     return Problem(vars=("x", "y"), f=(f,), X=X, C=C, field=field)
+
+
+def zk_map(k):
+    """(Re z^k, Im z^k) for z = x + i y: local degree k, multiplicity k^2."""
+    re, im = Polynomial.zero(2), Polynomial.zero(2)
+    for j in range(k + 1):
+        term = comb(k, j) * X2 ** (k - j) * Y2 ** j  # times i^j
+        if j % 2:
+            im = im + (term if j % 4 == 1 else -term)
+        else:
+            re = re + (term if j % 4 == 0 else -term)
+    return [re, im]
 
 
 def hyperbola_problem():

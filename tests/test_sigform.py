@@ -8,10 +8,20 @@ from gsvindex import (
     annihilator_quotient,
     build_algebra,
     choose_linear_form,
+    ensure_regular_sequence,
     signature_of,
 )
+from gsvindex import sigform
 from gsvindex.errors import C1ClassZeroError
+from gsvindex.index import (
+    _c0_algebra,
+    _substitute_problem,
+    c_coefficient,
+    random_unimodular,
+)
+from gsvindex.poly import jacobian, minor_det
 
+from problems import dk_problem, zk_map
 from reference_linalg import _ref_det, _ref_scaled
 
 x = Polynomial.variable(2, 0)
@@ -223,3 +233,75 @@ def test_l_independence_on_annihilator_quotient():
         assert s.rank == C0.dim
         results.add(s.signature)
     assert len(results) == 1
+
+
+# ------------------------------------------- Witt reduction of the pairing
+
+FUNCTIONAL_SEEDS = (None, 1, 576420752)
+
+
+def _spy_signature_of(monkeypatch):
+    """Record every matrix that sigform.signature_of is handed."""
+    seen = []
+
+    def spy(matrix):
+        seen.append(matrix)
+        return signature_of(matrix)
+
+    monkeypatch.setattr(sigform, "signature_of", spy)
+    return seen
+
+
+def _check_witt_reduction(monkeypatch, algebra, element):
+    """Across the functional seeds, the reduced signature equals the full
+    one and runs on a smaller matrix; returns the set of signatures."""
+    degrees = [sum(m) for m in algebra.basis]
+    top = sum(e > max(degrees) // 2 for e in degrees)
+    assert top > 0
+    signatures = set()
+    for seed in FUNCTIONAL_SEEDS:
+        l, _ = choose_linear_form(algebra, element, seed=seed)
+        G = algebra.scaled_gram_matrix(l)
+        full = signature_of(G)
+        seen = _spy_signature_of(monkeypatch)
+        assert sigform._witt_signature(G, degrees) == full, (algebra.basis, seed)
+        assert [len(m) for m in seen] == [algebra.dim - 2 * top]
+        monkeypatch.undo()
+        signatures.add(full.signature)
+    return signatures
+
+
+def test_witt_reduction_matches_the_full_signature_on_dk(monkeypatch):
+    shear = [[-1, -1], [-2, -3]]
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6), (10, 8)):
+        P = dk_problem(k, m, field="real")
+        changes = [shear] + [random_unimodular(2, random.Random(s))
+                             for s in range(4)]
+        for Q in [P] + [_substitute_problem(P, A) for A in changes]:
+            norm = ensure_regular_sequence(Q)
+            N = norm.problem
+            c1 = c_coefficient(jacobian(list(N.X), N.nvars), N.C, 1)
+            # the real index does not depend on the functional
+            index = 0 if m % 2 else (1 if k % 2 == 0 else 2)
+            assert _check_witt_reduction(monkeypatch, _c0_algebra(norm),
+                                         c1) == {index}
+
+
+def test_witt_reduction_matches_the_full_signature_on_zk(monkeypatch):
+    for k in range(2, 9):
+        g = zk_map(k)
+        Q = build_algebra(g)
+        Jg = minor_det(jacobian(g, 2), [0, 1], [0, 1])
+        assert Q.dim == k * k
+        assert _check_witt_reduction(monkeypatch, Q, Jg) == {k}
+
+
+def test_witt_reduction_falls_back_to_the_full_matrix(monkeypatch):
+    # degrees (0, 1): J is the second basis element. The first Gram fails
+    # the isotropy check G[J][J] = 0, the second has rank B = 0 < |J| = 1
+    for G, want in ((((0, 1), (1, 1)), (1, 1, 2)), (((1, 0), (0, 0)), (1, 0, 1))):
+        seen = _spy_signature_of(monkeypatch)
+        s = sigform._witt_signature(G, (0, 1))
+        assert s == signature_of(G) and (s.p_plus, s.p_minus, s.rank) == want
+        assert len(seen) == 1 and seen[0] is G
+        monkeypatch.undo()
