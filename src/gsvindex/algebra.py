@@ -19,8 +19,9 @@ so no algebra builds one.
 A QuotientAlgebra, such as C0 = B0 / ann(DF), is the quotient by the
 annihilator of a fixed element, and a FiniteAlgebra on its own staircase:
 the parent staircase monomials that are not RREF pivots of the annihilator,
-read off one elimination of the multiplication matrix with its columns
-taken right to left (QuotientAlgebra). They form an order ideal
+read off one forward elimination of the multiplication matrix with its
+columns taken right to left, and one integer back-substitution per
+dependent column (QuotientAlgebra). They form an order ideal
 (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6-1.7).
 The parent basis descends in the local order, so a pivot is the largest
 monomial of its kernel vector; x_k times that vector stays in the kernel
@@ -199,8 +200,9 @@ def build_algebra(gens, order: "LocalOrder | None" = None,
 class QuotientAlgebra(FiniteAlgebra):
     """parent / ann_parent(g), in deterministic complement coordinates.
 
-    One elimination of M_g, the matrix of multiplication by g, with its
-    columns read right to left gives everything (_column_relations). The
+    One forward elimination of M_g, the matrix of multiplication by g, with
+    its columns read right to left, and a back-substitution for each of
+    the few dependent columns give everything (_column_relations). The
     complement basis is the parent staircase monomials whose columns are
     not combinations of later columns: column r is such a combination
     exactly when ann(g) has a vector whose first nonzero coordinate is r,
@@ -253,17 +255,25 @@ def _integer_matrix(cols):
 
 
 def _column_relations(M, n):
-    """The columns of the int matrix M, n of them, by one elimination read
-    right to left: (independent, units, den) with den > 0, where
-    independent lists, ascending, the columns that are not combinations of
-    later columns, and column r = sum of u / den * column independent[j]
-    over (j, u) in units[r]."""
-    rows, pivots = _linalg.integer_eliminate([row[::-1] for row in M])
-    rows = [(row[::-1], n - 1 - p) for row, p in zip(rows[::-1], pivots[::-1])]
-    den = lcm(*(row[c] for row, c in rows))
-    return ([c for _, c in rows],
-            [[(j, row[r] * (den // row[c])) for j, (row, c) in enumerate(rows)
-              if row[r]] for r in range(n)], den)
+    """The columns of the int matrix M, n of them, by one forward
+    elimination read right to left: (independent, units, den) with den > 0,
+    where independent lists, ascending, the columns that are not
+    combinations of later columns, and column r = sum of u / den * column
+    independent[j] over (j, u) in units[r]. Each dependent column is one
+    back-substitution over the last pivot d, and den = |d|."""
+    rows, pivots, d = _linalg.forward_eliminate([row[::-1] for row in M])
+    last, sign = len(pivots) - 1, (1 if d > 0 else -1)
+    # pivot k is column n - 1 - pivots[k], independent column last - k
+    position = {n - 1 - p: last - k for k, p in enumerate(pivots)}
+    units = []
+    for r in range(n):
+        if r in position:
+            units.append([(position[r], sign * d)])
+        else:
+            x = _linalg.back_substitute(rows, pivots, d, n - 1 - r)
+            units.append([(last - k, sign * x[k])
+                          for k in range(last, -1, -1) if x[k]])
+    return sorted(position), units, sign * d
 
 
 def _kernel_rows(independent, units, den):
@@ -305,11 +315,11 @@ def solve_multiplication(algebra, g: Polynomial, v: Polynomial):
     """One coordinate solution h of g*h = v in the algebra, its free
     coordinates 0, or None."""
     d = algebra.dim
-    rows, pivots = _linalg.integer_eliminate(_integer_matrix(
+    rows, pivots, last = _linalg.forward_eliminate(_integer_matrix(
         algebra._product_columns(g) + [algebra._integer_coords(v)]))
     if pivots and pivots[-1] == d:
         return None  # pivot in the column of v: inconsistent
     h = [Fraction(0)] * d
-    for row, p in zip(rows, pivots):
-        h[p] = Fraction(row[d], row[p])
+    for p, x in zip(pivots, _linalg.back_substitute(rows, pivots, last, d)):
+        h[p] = Fraction(x, last)
     return h

@@ -407,6 +407,9 @@ class ReportDocument:
             lines.append(
                 f"deformation ({', '.join(p['deformation']['vars'])}): {comps}"
             )
+            if "denominator" in p["deformation"]:
+                lines.append(
+                    f"deformation denominator: {p['deformation']['denominator']}")
         return "\n".join(lines) + "\n"
 
 
@@ -446,6 +449,9 @@ def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
             "vars": dnames,
             "components": [p.render(dnames) for p in rep.deformation],
         }
+        # X_t is the components over this unit, 1 unless a witness has one
+        if not rep.deformation_denominator.is_constant():
+            deformation["denominator"] = rep.deformation_denominator.render(names)
     return {
         "problem_hash": hashlib.sha256(Path(pf.path).read_bytes()).hexdigest(),
         "field": field,

@@ -130,6 +130,7 @@ class IndexReport:
     goodness: "GoodnessResult | None" = None
     deformation: "tuple | None" = None
     deformation_vars: "tuple | None" = None
+    deformation_denominator: "Polynomial | None" = None
 
 
 def verify_tangency(f, X, C: PolyMatrix):
@@ -366,7 +367,7 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
     dim_C0 = C0.dim if real else _c0_dimension(norm)
     c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C, 1)
     sig = _pairing_signature(C0, c1, seed) if real else None
-    goodness, deformation, defo_vars = _optional_goodness(
+    goodness, deformation, defo_vars, defo_den = _optional_goodness(
         problem, check_goodness, build_deformation
     )
     return IndexReport(
@@ -380,6 +381,7 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
         goodness=goodness,
         deformation=deformation,
         deformation_vars=defo_vars,
+        deformation_denominator=defo_den,
     )
 
 
@@ -401,16 +403,14 @@ def real_gsv_index(problem: Problem, seed: "int | None" = None,
 
 def _optional_goodness(problem, check_goodness, build_deformation):
     if not (check_goodness or build_deformation):
-        return None, None, None
+        return None, None, None, None
     result = is_good_sufficient(list(problem.f), problem.C)
-    deformation = None
-    defo_vars = None
     if build_deformation and result.status == "satisfied":
-        deformation, defo_vars = construct_good_deformation(
+        return (result,) + construct_good_deformation(
             list(problem.f), list(problem.X), problem.C, result,
             var_names=problem.vars,
         )
-    return result, deformation, defo_vars
+    return result, None, None, None
 
 
 def poincare_hopf_complex(g) -> int:
@@ -499,10 +499,14 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
     Built in adjugate form: for a column set I and row l, the vector
     supported on columns I whose I-part is adj(Df|_I) e_l satisfies
     Df . v = f_I e_l; the witness decompositions of the C entries then
-    assemble the t-linear correction. The defining identity is verified
-    symbolically before anything is returned.
+    assemble the t-linear correction. A witness reads u c = sum a_I f_I
+    with u(0) != 0; for U the product of the distinct u / u(0), the
+    correction is assembled from (U / u) a_I, so that Df . (U X - sum t_m
+    v_m) = U C(f - t): X_t is the components over the unit U, and U = 1
+    when every witness denominator is constant. The defining identity is
+    verified symbolically before anything is returned.
 
-    Returns (components, names) where components live in the extended ring
+    Returns (components, names, U), the components in the extended ring
     with q extra deformation variables appended after the original ones.
     """
     f = list(f)
@@ -523,7 +527,16 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
     tvar = [Polynomial.variable(N, n + m) for m in range(q)]
 
     Df = jacobian(f, n)
-    # correction[m][i]: coefficient of t_m subtracted from X_i
+    units = []  # the distinct non-constant denominators, each 1 at 0
+    for witness in goodness.witnesses.values():
+        den = witness.denominator
+        u = den.scale(quotient(1, den.constant_term))
+        if not u.is_constant() and u not in units:
+            units.append(u)
+    U = Polynomial.one(n)
+    for u in units:
+        U = U * u
+    # correction[m][i]: coefficient of t_m subtracted from U X_i
     correction = [[Polynomial.zero(n) for _ in range(n)] for _ in range(q)]
     if goodness.witnesses:
         adjugates = {}
@@ -541,27 +554,27 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
             adjugates[cols] = adj
         for (lrow, m), witness in goodness.witnesses.items():
             den = witness.denominator
-            if not den.is_constant():
-                raise VerificationError(
-                    "membership witness has a non-constant unit denominator; "
-                    "no polynomial deformation can be assembled from it"
-                )
             scale = quotient(1, den.constant_term)
+            # U / u is the product of the other units over u(0)
+            others = [w for w in units if w != den.scale(scale)]
             for cols, coeff in zip(goodness.minor_columns, witness.coefficients):
                 if coeff.is_zero:
                     continue
+                coeff = coeff.scale(scale)
+                for w in others:
+                    coeff = coeff * w
                 adj = adjugates[cols]
                 for jpos, col in enumerate(cols):
-                    piece = coeff.scale(scale) * adj[jpos][lrow]
+                    piece = coeff * adj[jpos][lrow]
                     correction[m][col] = correction[m][col] + piece
     components = []
     for i in range(n):
-        comp = lift(X[i])
+        comp = lift(U * X[i])
         for m in range(q):
             if not correction[m][i].is_zero:
                 comp = comp - tvar[m] * lift(correction[m][i])
         components.append(comp)
-    # mandatory symbolic post-check: X_t(f - t) = C(f - t)
+    # mandatory symbolic post-check: Df . components = U C(f - t)
     for lrow in range(q):
         lhs = Polynomial.zero(N)
         fl = lift(f[lrow])
@@ -570,11 +583,11 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
         rhs = Polynomial.zero(N)
         for m in range(q):
             rhs = rhs + lift(C.entry(lrow, m)) * (lift(f[m]) - tvar[m])
-        if lhs != rhs:
+        if lhs != lift(U) * rhs:
             raise VerificationError(
                 "constructed deformation failed the symbolic tangency identity"
             )
-    return tuple(components), tuple(var_names) + tnames
+    return tuple(components), tuple(var_names) + tnames, U
 
 
 def cramer_identity_check(problem: Problem) -> bool:

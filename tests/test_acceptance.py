@@ -82,11 +82,11 @@ def test_criterion_2_real_hyperbola():
         and good.witnesses[(0, 0)].coefficients
         == (Polynomial.one(2), Polynomial.zero(2))
     )
-    comps, names = construct_good_deformation(
+    comps, names, den = construct_good_deformation(
         list(p.f), list(p.X), p.C, good, var_names=p.vars
     )
     X3, Y3, T3 = (Polynomial.variable(3, i) for i in range(3))
-    deformation_ok = comps == (X3 * X3 - T3, X3 * Y3)
+    deformation_ok = comps == (X3 * X3 - T3, X3 * Y3) and den == Polynomial.one(2)
     ok = rep.index == 0 and witness_ok and deformation_ok
     _report(2, ok, f"index={rep.index}, witness alpha=(1,0): {witness_ok}, "
                    f"deformation (x^2-t, x*y): {deformation_ok}")
@@ -233,9 +233,10 @@ def test_criterion_6_property_suites():
         good = is_good_sufficient(list(p.f), p.C)
         if good.status != "satisfied":
             continue
-        comps, _ = construct_good_deformation(
+        comps, _, den = construct_good_deformation(
             list(p.f), list(p.X), p.C, good, var_names=p.vars
         )
+        defo_ok = defo_ok and den.is_constant()
         n, q = len(p.vars), len(p.f)
         N = n + q
         tv = [Polynomial.variable(N, n + m) for m in range(q)]

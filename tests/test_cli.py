@@ -39,8 +39,9 @@ from gsvindex.errors import (
     ShapeError,
     VerificationError,
 )
+from gsvindex.index import _substitute_problem
 
-from problems import CORPUS_DIR
+from problems import CORPUS_DIR, dk_problem
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -341,6 +342,35 @@ def test_compute_hyperbola_report():
     assert doc["signature"] == {"plus": 1, "minus": 1, "rank": 2}
     assert doc["goodness"]["status"] == "satisfied"
     assert doc["deformation"]["components"] == ["x^2 - t", "x*y"]
+
+
+@pytest.mark.parametrize("k, m", [(5, 4), (6, 5)])
+def test_compute_deform_in_mixed_coordinates(tmp_path, k, m):
+    # dk(k,m) after the shear [[-1, -1], [-2, -3]]: the deformation is the
+    # components over a unit denominator U, with Df . X = U C (f - t)
+    p = _substitute_problem(dk_problem(k, m, "real"), [[-1, -1], [-2, -3]])
+    names = list(p.vars)
+    path = tmp_path / "mixed.prob"
+    path.write_text(f"ring: x, y\nfield: real\nf: {p.f[0].render(names)}\n"
+                    f"X: {'; '.join(c.render(names) for c in p.X)}\n"
+                    f"C: [{p.C.entry(0, 0).render(names)}]\n")
+    code, out = cmd_compute(str(path), json_output=True, check_good=True,
+                            deform=True)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["goodness"]["status"] == "satisfied"
+    dnames = doc["deformation"]["vars"]
+    assert dnames == ["x", "y", "t"]
+    X = [parse_poly(c, dnames) for c in doc["deformation"]["components"]]
+    U = parse_poly(doc["deformation"]["denominator"], dnames)
+    assert not U.is_constant() and U.constant_term == 1
+    f = parse_poly(p.f[0].render(names), dnames)
+    C = parse_poly(p.C.entry(0, 0).render(names), dnames)
+    t = Polynomial.variable(3, 2)
+    assert f.diff(0) * X[0] + f.diff(1) * X[1] == U * C * (f - t)
+    code, text = cmd_compute(str(path), check_good=True, deform=True)
+    assert code == EXIT_OK
+    assert f"deformation denominator: {doc['deformation']['denominator']}" in text
 
 
 def test_compute_tangency_violation(tmp_path):

@@ -38,7 +38,7 @@ from gsvindex.errors import (
     TangencyError,
     VerificationError,
 )
-from gsvindex.index import annihilator_quotient, minor_det
+from gsvindex.index import _substitute_problem, annihilator_quotient, minor_det
 
 from graded_oracle import graded_quotient_data
 from problems import (
@@ -609,26 +609,32 @@ def test_goodness_space_curve():
 
 def test_deformation_hyperbola_exact():
     result = is_good_sufficient([x * x - y * y], PolyMatrix(1, 1, [2 * x]))
-    comps, names = construct_good_deformation(
+    comps, names, den = construct_good_deformation(
         [x * x - y * y], [x * x, x * y], PolyMatrix(1, 1, [2 * x]), result,
         var_names=("x", "y"),
     )
-    assert names == ("x", "y", "t")
+    assert names == ("x", "y", "t") and den == Polynomial.one(2)
     X3, Y3, T3 = (Polynomial.variable(3, i) for i in range(3))
     assert comps == (X3 * X3 - T3, X3 * Y3)
 
 
 def test_deformation_trivial_when_c_zero():
     result = is_good_sufficient([y], PolyMatrix(1, 1, [zero2]))
-    comps, _ = construct_good_deformation(
+    comps, _, den = construct_good_deformation(
         [y], [x, zero2], PolyMatrix(1, 1, [zero2]), result
     )
+    assert den == Polynomial.one(2)
     assert comps[0] == Polynomial.variable(3, 0) and comps[1].is_zero
 
 
-def _deformation_identity_holds(f, X, C, comps, q):
+def _deformation_identity_holds(f, X, C, comps, q, den):
+    """Df . comps = den C (f - t), and comps = den X at t = 0."""
     n = f[0].nvars
     N = n + q
+    den = den.extend(N)
+    if any(Polynomial(N, {m: c for m, c in comp.terms.items() if not any(m[n:])})
+           != den * Xi.extend(N) for comp, Xi in zip(comps, X)):
+        return False
     tvars = [Polynomial.variable(N, n + m) for m in range(q)]
     for l in range(q):
         fl = f[l].extend(N)
@@ -638,7 +644,7 @@ def _deformation_identity_holds(f, X, C, comps, q):
         rhs = Polynomial.zero(N)
         for m in range(q):
             rhs = rhs + C.entry(l, m).extend(N) * (f[m].extend(N) - tvars[m])
-        if lhs != rhs:
+        if lhs != den * rhs:
             return False
     return True
 
@@ -646,14 +652,22 @@ def _deformation_identity_holds(f, X, C, comps, q):
 def test_deformation_post_identity_on_families():
     cases = [dk_problem(k, m) for k in (4, 5) for m in (3, 4)]
     cases += [hyperbola_problem(), space_curve_problem()]
-    for p in cases:
+    # after the shear [[-1, -1], [-2, -3]] the criterion's witnesses carry
+    # non-constant unit denominators, and X_t is the components over U
+    sheared = [_substitute_problem(dk_problem(k, m, "real"), [[-1, -1], [-2, -3]])
+               for k, m in ((5, 4), (6, 5))]
+    for p in cases + sheared:
         result = is_good_sufficient(list(p.f), p.C)
         assert result.status == "satisfied"
-        comps, _ = construct_good_deformation(
+        comps, _, den = construct_good_deformation(
             list(p.f), list(p.X), p.C, result, var_names=p.vars
         )
+        constant = all(w.denominator.is_constant()
+                       for w in result.witnesses.values())
+        assert constant == (p not in sheared) == den.is_constant()
+        assert den.constant_term == 1
         assert _deformation_identity_holds(
-            list(p.f), list(p.X), p.C, comps, len(p.f)
+            list(p.f), list(p.X), p.C, comps, len(p.f), den
         )
 
 

@@ -1,10 +1,11 @@
 """The integer elimination kernel against elimination over the rationals.
 
-integer_eliminate, the column relations the algebra layer reads off one
-elimination (algebra._column_relations and _kernel_rows), inverse and
-signature_of are checked against pure-Fraction references that share no
-code with them: rref, nullspace, det and inverse from reference_linalg, and
-the signature below. Every result must be identical, not just equivalent.
+forward_eliminate and back_substitute, the column relations the algebra
+layer reads off them (algebra._column_relations and _kernel_rows), inverse
+and signature_of are checked against pure-Fraction references that share no
+code with them: rref, nullspace, det, solve and inverse from
+reference_linalg, and the pivot rows and the signature below. Every result
+must be identical, not just equivalent.
 """
 
 import random
@@ -13,7 +14,7 @@ from math import lcm
 
 import pytest
 
-from gsvindex import _linalg, signature_of
+from gsvindex import _linalg, algebra, real_gsv_index, sigform, signature_of
 from gsvindex.algebra import _column_relations, _kernel_rows
 from gsvindex.index import (
     _c0_algebra,
@@ -25,7 +26,13 @@ from gsvindex.poly import jacobian, minor_det
 from gsvindex.sigform import choose_linear_form
 
 from problems import dk_problem
-from reference_linalg import _ref_det, _ref_inverse, _ref_nullspace, _ref_rref
+from reference_linalg import (
+    _ref_det,
+    _ref_inverse,
+    _ref_nullspace,
+    _ref_rref,
+    _ref_solve,
+)
 
 F = Fraction
 
@@ -71,6 +78,27 @@ def _ref_signature(matrix):
             for t, at in row[pos:]:
                 a[r][t] -= f * at
     return plus, minus, plus + minus
+
+
+def _pivot_rows(M):
+    """The row indices of M's pivot rows, in the order Gaussian elimination
+    over the rationals leaves them when, column by column, it swaps up the
+    first row at or below the current one with a nonzero entry."""
+    a = [[Fraction(x) for x in row] for row in M]
+    order = list(range(len(a)))
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        order[r], order[piv] = order[piv], order[r]
+        for i in range(r + 1, len(a)):
+            if a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return order[:r]
 
 
 def _random_matrix(rng, nrows, ncols, density, big):
@@ -129,24 +157,55 @@ def _check_relations(M):
                                   for j, u in us), Fraction(0))
 
 
+def _check_forward(M):
+    """forward_eliminate and back_substitute on the integer rows of M: the
+    pivots are the RREF pivots, d is the determinant of the pivot rows and
+    columns, and back_substitute of every column is d times that column of
+    the RREF, in ints."""
+    A = _integer_rows(M)
+    rows, pivots, d = _linalg.forward_eliminate([list(row) for row in A])
+    assert pivots == _ref_rref(M)[1]
+    assert d == _ref_det([[A[i][c] for c in pivots] for i in _pivot_rows(A)])
+    assert all(type(x) is int for row in rows for x in row)
+    return rows, pivots, d
+
+
 def test_rref_nullspace_rank_match_rational_elimination():
+    # the right-hand sides get their own generator, so that the 700
+    # matrices stay those of seed 7
+    rhs = random.Random(8)
     for _, M in _cases(7, 700):
-        rows, pivots = _linalg.integer_eliminate(_integer_rows(M))
-        assert ([[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)],
+        rows, pivots, d = _check_forward(M)
+        columns = [_linalg.back_substitute(rows, pivots, d, c)
+                   for c in range(len(M[0]))]
+        assert all(type(x) is int for col in columns for x in col)
+        assert ([[Fraction(x, d) for x in row] for row in zip(*columns)],
                 pivots) == _ref_rref(M), M
-        assert all(type(x) is int for row in rows for x in row)
         _check_relations(M)
+        # a right-hand side b: [M | b] is inconsistent exactly when its last
+        # column is a pivot, and otherwise solves to d * the solution with
+        # free coordinates 0
+        n = len(M[0])
+        b = [F(rhs.randint(-9, 9), rhs.randint(1, 3)) for _ in M]
+        rows, pivots, d = _check_forward([row + [x] for row, x in zip(M, b)])
+        expected = _ref_solve(M, b)
+        if pivots and pivots[-1] == n:
+            assert expected is None
+        else:
+            x = _linalg.back_substitute(rows, pivots, d, n)
+            assert x == [d * expected[p] for p in pivots]
+            assert all(expected[c] == 0 for c in range(n) if c not in pivots)
 
 
 def test_elimination_edge_shapes():
-    assert _linalg.integer_eliminate([]) == ([], [])
+    assert _linalg.forward_eliminate([]) == ([], [], 1)
     # no rows but three columns: every column is the empty combination
     assert _column_relations([], 3) == ([], [[], [], []], 1)
     assert _kernel_rows(*_column_relations([], 3)) == [
         tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
     assert _column_relations([], 0) == ([], [], 1)
     zero = [[F(0)] * 4 for _ in range(3)]
-    assert _linalg.integer_eliminate(_integer_rows(zero)) == ([], [])
+    assert _linalg.forward_eliminate(_integer_rows(zero)) == ([], [], 1)
     assert _column_relations(_integer_rows(zero), 4)[0] == []
     wide = [[F(1), F(2), F(0), F(3), F(-1)], [F(2), F(4), F(1), F(0), F(1, 2)]]
     tall = [list(col) for col in zip(*wide)]
@@ -167,8 +226,33 @@ def test_column_relations_property():
                  min_size=n, max_size=n), max_size=6)))
     def check(M):
         _check_relations(M)
-        rows, pivots = _linalg.integer_eliminate(_integer_rows(M))
-        assert len(pivots) == len(_ref_rref(M)[1])
+        _check_forward(M)
+
+    check()
+
+
+def test_negative_last_pivot_property():
+    # _column_relations eliminates M with its columns reversed; negating a
+    # pivot row keeps every pivot and negates the determinant, so each
+    # matrix of nonzero rank is eliminated with its last pivot d < 0, and
+    # den must still come out positive, as |d|
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=100,
+                         deadline=None)
+    @hypothesis.given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        min_size=1, max_size=6)))
+    def check(M):
+        order = _pivot_rows([row[::-1] for row in M])
+        hypothesis.assume(order)
+        if _linalg.forward_eliminate([row[::-1] for row in M])[2] > 0:
+            M[order[-1]] = [-x for x in M[order[-1]]]
+        _, _, d = _check_forward([row[::-1] for row in M])
+        assert d < 0
+        assert _column_relations(M, len(M[0]))[2] == -d > 0
+        _check_relations(M)
 
     check()
 
@@ -212,3 +296,24 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
         G = C0.scaled_gram_matrix(l)
         s = signature_of(G)
         assert (s.p_plus, s.p_minus, s.rank) == _ref_signature(G) == (10, 10, 20)
+
+
+def test_column_relations_on_the_deep_mixed_dk1210_rung(monkeypatch):
+    # the two matrices the real index of seeded mixed dk(12,10) (shear
+    # [[-1, -1], [-2, -3]], seed 576420752) hands _column_relations: M_DF,
+    # of rank 99 < dim B0 = 113, and the Witt B^T, 41 x 58 with 17
+    # dependent columns
+    seen = []
+
+    def recording(M, n):
+        seen.append([list(row) for row in M])
+        return _column_relations(M, n)
+
+    monkeypatch.setattr(algebra, "_column_relations", recording)
+    monkeypatch.setattr(sigform, "_column_relations", recording)
+    P = _substitute_problem(dk_problem(12, 10, field="real"),
+                            [[-1, -1], [-2, -3]])
+    assert real_gsv_index(P, seed=576420752).dim_C0 == 99
+    assert [(len(M), len(M[0])) for M in seen] == [(113, 113), (41, 58)]
+    for M in seen:
+        _check_relations(M)
