@@ -7,6 +7,9 @@ of x_k * b_i, a unit vector whenever x_k * b_i is itself a staircase
 monomial. Coordinates come from the ideal's local standard basis by
 division truncated above the staircase's top degree
 (localstd.CanonicalQuotient); the unit ideal gives the zero algebra.
+Only the border columns of one hub variable's M_h, and those that x_h
+cannot reach, are divided; M_h gives the rest, as in FGLM (Faugere,
+Gianni, Lazard, Mora, J. Symb. Comput. 16, 1993).
 
 The staircase is an order ideal, so every basis monomial other than 1 is
 x_k times an earlier one, and anything indexed by the basis follows from
@@ -28,7 +31,8 @@ monomial of its kernel vector; x_k times that vector stays in the kernel
 and, as local division only produces smaller monomials, has largest
 monomial x_k times the pivot whenever that is a staircase monomial. So the
 pivots are closed under multiplication by the variables, and the
-complement under division. Its M_k are the parent's columns, projected.
+complement under division. Its M_k follow the same recurrence, with the
+parent's columns, projected, in place of the divisions.
 
 Every vector here is integer numerators over one positive denominator,
 (ints, den), reduced by one gcd per step; M_k holds its columns over one
@@ -40,9 +44,10 @@ only at the edges: coords, kernel_basis, socle and solve_multiplication.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import _linalg, localstd
 from .errors import InfiniteDimensionError
@@ -89,23 +94,38 @@ class FiniteAlgebra:
 
     @cached_property
     def var_matrices(self):
-        """var_matrices[k], the ScaledColumns of M_k. Built on first read: a
-        complex index builds no C0 and never reads these of B0."""
-        return tuple(self._scaled_columns(k) for k in range(self.nvars))
+        """var_matrices[k], the ScaledColumns of M_k, built on first read (a
+        complex index builds no C0 and never reads these of B0). Divided
+        (_shift_coords): the border columns of M_h, for the hub x_h the
+        variable with the fewest (the lowest on a tie), and those of the
+        other M_k whose b_i has no x_h. The rest follow by the staircase
+        recurrence: b_i = x_h b_a gives column i of M_k = M_h (column a of
+        M_k). Reduced, each is the column its division would give."""
+        basis, index, shift, n = self.basis, self._index, self._shift, self.nvars
+        cols = [[index.get(shift(m, k)) for m in basis] for k in range(n)]
+        h = min(range(n), key=lambda k: cols[k].count(None))
+        for k in sorted(range(n), key=lambda k: k != h):
+            for i, m in enumerate(basis):
+                if cols[k][i] is not None:
+                    continue
+                if k != h and m[h]:  # sparse throughout: a column is d long
+                    a, hub = cols[k][index[shift(m, h, -1)]], cols[h]
+                    pairs, den = ([(a, 1)], 1) if type(a) is int else a
+                    v = _times(hub, hub.scale, pairs, defaultdict(int))
+                    g = gcd(den * hub.scale, *v.values())
+                    cols[k][i] = [(r, x // g) for r, x in sorted(v.items())
+                                  if x], den * hub.scale // g
+                else:  # divided, and made sparse at once
+                    v, den = self._shift_coords(k, i)
+                    cols[k][i] = [(r, x) for r, x in enumerate(v) if x], den
+            s = lcm(*(c[1] for c in cols[k] if type(c) is not int))
+            cols[k] = ScaledColumns([c if type(c) is int else tuple(
+                (r, x * (s // c[1])) for r, x in c[0]) for c in cols[k]], s)
+        return tuple(cols)
 
     @staticmethod
     def _shift(m, k, by=1):
         return m[:k] + (m[k] + by,) + m[k + 1:]
-
-    def _scaled_columns(self, k):
-        cols = [self._index.get(self._shift(m, k)) for m in self.basis]
-        for i, j in enumerate(cols):
-            if j is None:  # made sparse at once: a dense column is d long
-                v, den = self._shift_coords(k, i)
-                cols[i] = [(r, x) for r, x in enumerate(v) if x], den
-        s = lcm(*(c[1] for c in cols if type(c) is not int))
-        return ScaledColumns([c if type(c) is int else tuple(
-            (r, x * (s // c[1])) for r, x in c[0]) for c in cols], s)
 
     def _shift_coords(self, k, i):
         """(ints, den) of x_k * b_i when that is not a basis monomial."""
@@ -126,19 +146,9 @@ class FiniteAlgebra:
 
     def _times_variable(self, vec, k):
         """M_k v: x_k times the element with coordinates ints / den."""
-        v, den = vec
         cols = self.var_matrices[k]
-        s = cols.scale
-        out = [0] * self.dim
-        for vb, col in zip(v, cols):
-            if not vb:
-                continue
-            if type(col) is int:
-                out[col] += vb * s
-            else:
-                for r, c in col:
-                    out[r] += vb * c
-        return _linalg.reduced(out, den * s)
+        return _linalg.reduced(_times(cols, cols.scale, enumerate(vec[0]),
+                                      [0] * self.dim), vec[1] * cols.scale)
 
     def _row_times_variable(self, vec, k):
         """w M_k: the functional b -> w(x_k * b), for w = ints / den."""
@@ -230,11 +240,8 @@ class QuotientAlgebra(FiniteAlgebra):
 
     def _project(self, pairs, den):
         """The class of the parent element sum of c b_r / den over (r, c)."""
-        out = [0] * self.dim
-        for r, c in pairs:
-            for j, u in self._projected_units[r]:
-                out[j] += c * u
-        return _linalg.reduced(out, den * self._den)
+        return _linalg.reduced(_times(self._projected_units, 1, pairs,
+                                      [0] * self.dim), den * self._den)
 
     def _shift_coords(self, k, i):
         """The projection of the parent's column for x_k * b_i."""
@@ -246,6 +253,21 @@ class QuotientAlgebra(FiniteAlgebra):
     def _integer_coords(self, p: Polynomial):
         v, den = self.parent._integer_coords(p)
         return self._project(enumerate(v), den)
+
+
+def _times(cols, scale, pairs, out):
+    """out plus the numerators of M v, for M the matrix whose column r is
+    the sparse numerators cols[r] (an int j there: scale e_j) and v the sum
+    of c e_r over (r, c) in pairs; out is a list or a defaultdict(int)."""
+    for r, c in pairs:
+        if c:
+            t = cols[r]
+            if type(t) is int:
+                out[t] += c * scale
+            else:
+                for j, x in t:
+                    out[j] += c * x
+    return out
 
 
 def _integer_matrix(cols):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import heapq
 import pickle
 import random
@@ -23,7 +24,7 @@ from gsvindex import (
     solve_multiplication,
     transform_vector_field,
 )
-from gsvindex import _linalg, ensure_regular_sequence
+from gsvindex import _linalg, ensure_regular_sequence, localstd
 from gsvindex.errors import C1ClassZeroError, InfiniteDimensionError
 from gsvindex.index import (
     _c0_algebra,
@@ -35,7 +36,7 @@ from gsvindex.index import (
 from gsvindex.poly import jacobian
 from gsvindex.sigform import SignatureResult
 
-from problems import dk_problem, smooth_line_problem, space_curve_problem
+from problems import dk_problem, smooth_line_problem, space_curve_problem, zk_map
 from reference_linalg import _ref_nullspace, _ref_rref, _ref_scaled, _ref_solve
 
 x = Polynomial.variable(2, 0)
@@ -375,6 +376,85 @@ def test_variable_matrices_copy_and_pickle_with_their_scale():
                      copy.copy(A).var_matrices):
             assert twin == mats
             assert [M.scale for M in twin] == [M.scale for M in mats]
+
+
+def _divided_var_matrices(A):
+    """var_matrices with every border column made on its own: divided in
+    the local standard basis for an algebra, the parent's column projected
+    for an annihilator quotient; each reduced, then all over their lcm."""
+    parent = _divided_var_matrices(A.parent) if hasattr(A, "parent") else None
+    out = []
+    for k in range(A.nvars):
+        cols = []
+        for i, m in enumerate(A.basis):
+            shifted = m[:k] + (m[k] + 1,) + m[k + 1:]
+            if shifted in A._index:
+                cols.append(A._index[shifted])
+                continue
+            if parent is None:
+                v, den = A._canon.integer_coordinates(
+                    Polynomial.term(A.nvars, shifted, 1))
+            else:
+                M, s = parent[k]
+                col = M[A.complement_indices[i]]
+                v = [0] * A.dim
+                for r, c in [(col, s)] if isinstance(col, int) else col:
+                    for j, u in A._projected_units[r]:
+                        v[j] += c * u
+                v, den = _linalg.reduced(v, s * A._den)
+            cols.append(([(r, c) for r, c in enumerate(v) if c], den))
+        s = lcm(*(c[1] for c in cols if not isinstance(c, int)))
+        out.append((tuple(c if isinstance(c, int) else
+                          tuple((r, x * (s // c[1])) for r, x in c[0])
+                          for c in cols), s))
+    return tuple(out)
+
+
+def _assert_divided(A):
+    assert [(tuple(M), M.scale) for M in A.var_matrices] == list(
+        _divided_var_matrices(A))
+
+
+def test_variable_matrices_equal_their_divided_columns():
+    # the hub recurrence gives each border column its division exactly,
+    # scale included, on B0 and on C0
+    shears = (None, [[-1, -1], [-2, -3]], [[1, 2], [1, 3]], [[2, 1], [1, 1]])
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6), (10, 8), (12, 10)):
+        P = dk_problem(k, m, field="real")
+        for A in shears:
+            norm = ensure_regular_sequence(
+                P if A is None else _substitute_problem(P, A))
+            _assert_divided(norm.algebra)
+            _assert_divided(_c0_algebra(norm))
+    for k in range(2, 7):  # the el algebras of (Re z^k, Im z^k)
+        _assert_divided(build_algebra(zk_map(k)))
+    for l in range(1, 5):
+        norm = ensure_regular_sequence(
+            dataclasses.replace(space_curve_problem(l), field="real"))
+        assert norm.algebra.nvars == 3
+        _assert_divided(norm.algebra)
+        _assert_divided(_c0_algebra(norm))
+    t = Polynomial.variable(1, 0)
+    for gens in ([t ** 5 + t ** 7], [one + x, y], [y ** 2 - x ** 801, y],
+                 [x ** 2 - y ** 801, x]):
+        _assert_divided(build_algebra(gens))
+
+
+def test_variable_matrices_divide_only_what_the_hub_cannot_reach(monkeypatch):
+    # mixed dk(12,10) has 56 border columns, the tall staircases 802; the
+    # hub's border columns and those with no hub variable in b_i are 4 and 2
+    calls = []
+    divide = localstd.CanonicalQuotient.integer_coordinates
+    monkeypatch.setattr(localstd.CanonicalQuotient, "integer_coordinates",
+                        lambda self, p: calls.append(p) or divide(self, p))
+    mixed = _substitute_problem(dk_problem(12, 10), [[-1, -1], [-2, -3]])
+    for build, divisions in (
+            (lambda: ensure_regular_sequence(mixed).algebra, 4),
+            (lambda: build_algebra([y ** 2 - x ** 801, y]), 2),
+            (lambda: build_algebra([x ** 2 - y ** 801, x]), 2)):
+        A = build()
+        calls.clear()
+        assert len(A.var_matrices) == 2 and len(calls) == divisions
 
 
 def test_mult_matrix_matches_table():
