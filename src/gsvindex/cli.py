@@ -33,7 +33,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, index as index_mod
-from .algebra import build_algebra
 from .errors import (
     C1ClassZeroError,
     CertificateError,
@@ -477,32 +476,15 @@ def _evaluate(pf: ProblemFile, field: str, seed, **options):
 
     The one place that picks the index: the complex or real GSV index of a
     tangency problem (options go to its entry point), or the Poincare-Hopf
-    or Eisenbud-Levine index of a map. A map's real index is read off the
-    one algebra that also gives its dimension; in either field a quotient
-    that is not finite means the zero of the map is not isolated. The time
-    covers the computation only.
+    or Eisenbud-Levine index of a map. The time covers the computation only.
     """
     started = time.perf_counter()
-    g = pf.map_components
-    if g is None:
+    if pf.map_components is None:
         entry = (index_mod.real_gsv_index if field == "real"
                  else index_mod.complex_gsv_index)
         rep = entry(pf.problem, seed=seed, **options)
     else:
-        if field == "real":
-            try:
-                Q = build_algebra(g)
-            except InfiniteDimensionError:
-                raise InfiniteDimensionError(
-                    "the zero of the map is not isolated") from None
-            dim = Q.dim
-            index, sig = index_mod._el_signature(Q, g, seed)
-        else:
-            index = dim = index_mod.poincare_hopf_complex(g)
-            sig = None
-        rep = IndexReport(dim_B0=dim, dim_B0_mod_DF=None, dim_C0=None,
-                          index=index, signature=sig, c1=None,
-                          normalization=None)
+        rep = index_mod._map_report(pf.map_components, field == "real", seed)
     return rep, int((time.perf_counter() - started) * 1000)
 
 

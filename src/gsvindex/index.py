@@ -4,14 +4,16 @@ Both GSV indices of a tangent field X on the curve {f_1 = ... = f_{n-1} = 0}
 come from one construction, run by one driver. B0 is the local quotient by
 (f_1, ..., f_{n-1}, X_1) in coordinates making that ideal zero-dimensional,
 DF is the Jacobian minor on the trailing n-1 columns, C0 = B0 / ann(DF), and
-c1 is the degree-one coefficient of det(1 + t DX) / det(1 + t C). The fields
-differ only where the index is read off: the complex index is dim C0 =
-dim B0 - dim O/(f, X_1, DF) by rank-nullity for multiplication by DF, so no
-C0 is built; the real index is the signature of the pairing (a, b) -> l(ab)
-on C0 for any functional l positive on the class of c1. The Eisenbud-Levine
-index of a map germ is the same signature on its local algebra, with l
-positive on the Jacobian determinant. Coordinate changes are applied by kind
-(LinearChange), and C is transformed only for the change whose B0 is finite.
+c1 = trace(DX) - trace(C) is the degree-one coefficient of
+det(1 + t DX) / det(1 + t C). The fields differ only where the index is read
+off: the complex index is dim C0 = dim B0 - dim O/(f, X_1, DF) by
+rank-nullity for multiplication by DF, so no C0 is built; the real index is
+the signature of the pairing (a, b) -> l(ab) on C0 for any functional l
+positive on the class of c1. A map germ g has its own driver, read the same
+way off its local algebra Q: the Poincare-Hopf index is dim Q, and the
+Eisenbud-Levine index is the signature on Q with l positive on det Dg.
+Coordinate changes are applied by kind (LinearChange), and C is transformed
+only for the change whose B0 is finite.
 """
 
 from __future__ import annotations
@@ -261,41 +263,15 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
     )
 
 
-def _power_traces(M: PolyMatrix, k: int, nvars: int):
-    """[tr(M), tr(M^2), ..., tr(M^k)]."""
-    zero = Polynomial.zero(nvars)
-    size = M.rows
-    rows = [M.row(i) for i in range(size)]
-    power, traces = rows, []
-    for j in range(k):
-        if j:
-            power = [[sum((a * row[c] for a, row in zip(prow, rows)
-                           if not a.is_zero), zero) for c in range(size)]
-                     for prow in power]
-        traces.append(sum((power[i][i] for i in range(size)), zero))
-    return traces
+def c_coefficient(DX: PolyMatrix, C: PolyMatrix) -> Polynomial:
+    """c1, the coefficient of t in det(1 + t DX) / det(1 + t C).
 
-
-def c_coefficient(DX: PolyMatrix, C: PolyMatrix, k: int) -> Polynomial:
-    """Coefficient e_k of t^k in det(1 + t DX) / det(1 + t C).
-
-    By Newton's identities, with power sums p_j = tr(DX^j) - tr(C^j):
-    e_0 = 1 and k e_k = sum_{j=1..k} (-1)^(j-1) p_j e_(k-j), exactly over
-    the rationals. For k = 1 this is trace(DX) - trace(C).
+    Each determinant is 1 + t trace + O(t^2), so c1 = trace(DX) - trace(C).
+    Only c1 enters the index formulas, which apply to curves alone.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    nvars = DX.entries[0].nvars
-    p = [a - b for a, b in zip(_power_traces(DX, k, nvars),
-                               _power_traces(C, k, nvars))]
-    e = [Polynomial.one(nvars)]
-    for m in range(1, k + 1):
-        acc = Polynomial.zero(nvars)
-        for j in range(1, m + 1):
-            term = p[j - 1] * e[m - j]
-            acc = acc + term if j % 2 else acc - term
-        e.append(acc.scale(quotient(1, m)))
-    return e[k]
+    zero = Polynomial.zero(DX.entries[0].nvars)
+    return (sum((DX.entry(i, i) for i in range(DX.rows)), zero)
+            - sum((C.entry(i, i) for i in range(C.rows)), zero))
 
 
 def _require_curve(problem: Problem):
@@ -365,7 +341,7 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
     B0, P = norm.algebra, norm.problem
     C0 = _c0_algebra(norm) if real else None  # the functional needs C0
     dim_C0 = C0.dim if real else _c0_dimension(norm)
-    c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C, 1)
+    c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C)
     sig = _pairing_signature(C0, c1, seed) if real else None
     goodness, deformation, defo_vars, defo_den = _optional_goodness(
         problem, check_goodness, build_deformation
@@ -413,37 +389,51 @@ def _optional_goodness(problem, check_goodness, build_deformation):
     return result, None, None, None
 
 
-def poincare_hopf_complex(g) -> int:
-    """dim of the local quotient by the map components."""
-    dim = quotient_dimension(list(g))
-    if dim == INFINITE:
-        raise InfiniteDimensionError("the zero of the map is not isolated")
-    return int(dim)
+def _map_report(g, real: bool, seed) -> IndexReport:
+    """The index of the square map germ g, read off its local algebra Q.
 
-
-def eisenbud_levine_index(g, seed: "int | None" = None):
-    """Signature index of a finite real map germ; returns (index, SignatureResult)."""
-    g = list(g)
-    n = g[0].nvars
-    if len(g) != n:
-        raise ShapeError("the map must be square (n components in n variables)")
-    return _el_signature(build_algebra(g), g, seed)
-
-
-def _el_signature(Q: FiniteAlgebra, g, seed):
-    """eisenbud_levine_index of the square map g on Q, its local algebra.
-
-    Q is zero where the map does not vanish, with index 0.
+    The complex (Poincare-Hopf) index is dim Q, by one standard basis and no
+    algebra; the real (Eisenbud-Levine) index is the signature of the
+    pairing on Q positive on det Dg, with seed as for real_gsv_index. Q is
+    zero where g does not vanish, with index 0.
     """
+    g = list(g)
     n = len(g)
-    Jg = minor_det(jacobian(g, n), list(range(n)), list(range(n)))
+    if not g or g[0].nvars != n:
+        raise ShapeError("the map must be square (n components in n variables)")
+    not_isolated = "the zero of the map is not isolated"
+    if not real:
+        dim = quotient_dimension(g)
+        if dim == INFINITE:
+            raise InfiniteDimensionError(not_isolated)
+        return IndexReport(dim_B0=dim, dim_B0_mod_DF=None, dim_C0=None,
+                           index=dim, signature=None, c1=None,
+                           normalization=None)
+    try:
+        Q = build_algebra(g)
+    except InfiniteDimensionError:
+        raise InfiniteDimensionError(not_isolated) from None
+    Jg = minor_det(jacobian(g, n), range(n), range(n))
     try:
         sig = _pairing_signature(Q, Jg, seed)
     except C1ClassZeroError:
         raise JacobianZeroClassError(
             "the Jacobian determinant vanishes in the quotient algebra"
         ) from None
-    return sig.signature, sig
+    return IndexReport(dim_B0=Q.dim, dim_B0_mod_DF=None, dim_C0=None,
+                       index=sig.signature, signature=sig, c1=None,
+                       normalization=None)
+
+
+def poincare_hopf_complex(g) -> int:
+    """dim of the local quotient by the map components."""
+    return _map_report(g, False, None).index
+
+
+def eisenbud_levine_index(g, seed: "int | None" = None):
+    """Signature index of a finite real map germ; returns (index, SignatureResult)."""
+    rep = _map_report(g, True, seed)
+    return rep.index, rep.signature
 
 
 def is_good_sufficient(f, C: PolyMatrix) -> GoodnessResult:
@@ -621,7 +611,7 @@ def gm_identity_check(f: Polynomial, X, c: Polynomial):
     _check_tangency([f], X, Cmat)
     B = build_algebra(X)
     DX = jacobian(X, n)
-    c1 = c_coefficient(DX, Cmat, 1)
+    c1 = c_coefficient(DX, Cmat)
     lhs = B.coords(c * c1)
     rhs = B.coords(minor_det(DX, [0, 1], [0, 1]))
     if all(v == 0 for v in lhs):

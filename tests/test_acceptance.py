@@ -177,7 +177,7 @@ def test_criterion_6_property_suites():
         C0 = annihilator_quotient(B0, DF)
         if C0.dim == 0:
             continue
-        cls = C0.coords(c_coefficient(jacobian(list(P.X), n), P.C, 1))
+        cls = C0.coords(c_coefficient(jacobian(list(P.X), n), P.C))
         soc = socle(C0)
         socle_ok = socle_ok and len(soc) == 1 and any(v != 0 for v in cls)
         pivot = next(i for i, v in enumerate(soc[0]) if v != 0)

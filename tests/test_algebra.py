@@ -764,7 +764,7 @@ def test_integer_layer_matches_the_fraction_references():
         assert _projection(C0) == ref_C0.projection
         assert _rational_var_matrices(C0) == ref_C0.var_matrices
         Q = norm.problem
-        c1 = c_coefficient(jacobian(list(Q.X), Q.nvars), Q.C, 1)
+        c1 = c_coefficient(jacobian(list(Q.X), Q.nvars), Q.C)
         assert C0.coords(c1) == ref_C0.coords(c1)
         for seed in (None, 1, 2):
             l, value = choose_linear_form(C0, c1, seed=seed)

@@ -533,8 +533,7 @@ def test_compute_and_el_share_one_exit_code_table(monkeypatch, error, code):
     def fail(*args, **kwargs):
         raise error("planted failure")
 
-    for entry in ("complex_gsv_index", "real_gsv_index",
-                  "poincare_hopf_complex", "_el_signature"):
+    for entry in ("complex_gsv_index", "real_gsv_index", "_map_report"):
         monkeypatch.setattr(index_mod, entry, fail)
     runs = [cmd_compute(str(CORPUS_DIR / name))
             for name in ("dk_k4_m3.prob", "hyperbola_real.prob")]
@@ -611,7 +610,7 @@ def test_verify_jobs_never_exceed_case_count(monkeypatch):
 def test_el_exits_with_the_jacobian_code_when_its_class_vanishes(monkeypatch):
     # the Jacobian of a finite map germ never vanishes in its local algebra,
     # so the class is zeroed by hand; the real path through the integer
-    # coordinates, choose_linear_form and _el_signature then runs as is
+    # coordinates, choose_linear_form and _map_report then runs as is
     from gsvindex.algebra import FiniteAlgebra
 
     monkeypatch.setattr(FiniteAlgebra, "_integer_coords",

@@ -29,7 +29,7 @@ from gsvindex import (
     socle,
     verify_tangency,
 )
-from gsvindex.cli import parse_problem_file
+from gsvindex.cli import EXIT_NORMALIZATION, cmd_el, parse_problem_file
 from gsvindex.errors import (
     DegreeCapExceededError,
     InfiniteDimensionError,
@@ -329,8 +329,7 @@ def test_attempts_transform_only_what_they_need(monkeypatch):
 def test_c_coefficient_zero_matrices():
     Z2 = PolyMatrix(2, 2, [zero2] * 4)
     Z1 = PolyMatrix(1, 1, [zero2])
-    for k in (1, 2, 3):
-        assert c_coefficient(Z2, Z1, k).is_zero
+    assert c_coefficient(Z2, Z1).is_zero
 
 
 def test_c_coefficient_k1_is_trace_difference():
@@ -339,8 +338,8 @@ def test_c_coefficient_k1_is_trace_difference():
     # independent oracle: symbolic differentiation by hand
     trace_DX = (2 * x ** 4).diff(0) + (2 * x ** 3 * y).diff(1)
     assert trace_DX == 10 * x ** 3
-    assert c_coefficient(DX, PolyMatrix(1, 1, [zero2]), 1) == trace_DX
-    c1 = c_coefficient(DX, p.C, 1)
+    assert c_coefficient(DX, PolyMatrix(1, 1, [zero2])) == trace_DX
+    c1 = c_coefficient(DX, p.C)
     assert c1 == trace_DX - 6 * x ** 3
     assert c1 == 4 * x ** 3
 
@@ -350,22 +349,18 @@ def test_c_coefficient_higher_order_against_series_expansion():
     a, c = x + y, x - y
     DX = PolyMatrix(1, 1, [a])
     C = PolyMatrix(1, 1, [c])
-    assert c_coefficient(DX, C, 1) == a - c
-    assert c_coefficient(DX, C, 2) == c * c - a * c
-    assert c_coefficient(DX, C, 3) == a * c * c - c * c * c
+    assert c_coefficient(DX, C) == a - c
 
 
 def _principal_minor_sum(M, i):
-    """e_i(M): the sum of the principal i x i minors (e_0 = 1)."""
-    if i == 0:
-        return one2
+    """e_i(M): the sum of the principal i x i minors."""
     return sum((minor_det(M, list(S), list(S))
                 for S in combinations(range(M.rows), i)), zero2)
 
 
 def test_c_coefficient_satisfies_principal_minor_identity():
-    # det(1 + t DX) = det(1 + t C) * sum_k c_k t^k, coefficient by coefficient:
-    # e_k(DX) = sum_{i=0..k} e_i(C) c_(k-i), with c_0 = 1
+    # det(1 + t DX) = det(1 + t C) * sum_k c_k t^k, at the coefficient of t:
+    # e_1(DX) = e_1(C) + c_1
     rng = random.Random(20)
 
     def rpoly():
@@ -381,11 +376,8 @@ def test_c_coefficient_satisfies_principal_minor_identity():
         for _ in range(4):
             DX = PolyMatrix(a, a, [rpoly() for _ in range(a * a)])
             C = PolyMatrix(b, b, [rpoly() for _ in range(b * b)])
-            c = [one2] + [c_coefficient(DX, C, k) for k in range(1, 5)]
-            for k in range(1, 5):
-                rhs = sum((_principal_minor_sum(C, i) * c[k - i]
-                           for i in range(k + 1)), zero2)
-                assert _principal_minor_sum(DX, k) == rhs
+            assert (_principal_minor_sum(DX, 1)
+                    == _principal_minor_sum(C, 1) + c_coefficient(DX, C))
 
 
 # ------------------------------------------------------------- complex GSV
@@ -520,7 +512,7 @@ def test_c1_spans_socle_of_quotient():
         C0 = annihilator_quotient(B0, DF)
         if C0.dim == 0:
             continue
-        c1 = c_coefficient(jacobian(list(P.X), n), P.C, 1)
+        c1 = c_coefficient(jacobian(list(P.X), n), P.C)
         cls = C0.coords(c1)
         assert any(v != 0 for v in cls)
         soc = socle(C0)
@@ -570,6 +562,28 @@ def test_eisenbud_levine_seeded_stability():
         for s in range(20)
     }
     assert values == {2}
+
+
+def test_map_indices_refuse_empty_and_non_square_maps():
+    for g in ([], [x], [x, y, x * y]):
+        for entry in (poincare_hopf_complex, eisenbud_levine_index):
+            with pytest.raises(ShapeError, match="the map must be square"):
+                entry(g)
+
+
+def test_map_indices_share_one_non_isolated_error(tmp_path):
+    # (xy, xy) vanishes on both axes: no field may report a finite quotient
+    messages = set()
+    for entry in (poincare_hopf_complex, eisenbud_levine_index):
+        with pytest.raises(InfiniteDimensionError) as info:
+            entry([x * y, x * y])
+        messages.add(str(info.value))
+    assert messages == {"the zero of the map is not isolated"}
+    path = tmp_path / "axes.prob"
+    path.write_text("ring: x, y\nfield: real\ng: x*y; x*y\n")
+    for mode in ("real", "complex"):
+        assert cmd_el(str(path), mode=mode) == (
+            EXIT_NORMALIZATION, "error: the zero of the map is not isolated\n")
 
 
 # ----------------------------------------------------------------- goodness
@@ -669,6 +683,20 @@ def test_deformation_post_identity_on_families():
         assert _deformation_identity_holds(
             list(p.f), list(p.X), p.C, comps, len(p.f), den
         )
+
+
+def test_deformation_post_check_refuses_an_altered_witness():
+    # the witness 1 * 2x = 1 * (2x) + 0 * (-2y) bent to (1 + x, 0) no longer
+    # holds, so the deformation built from it misses X_t(f - t) = C(f - t)
+    f, C = [x * x - y * y], PolyMatrix(1, 1, [2 * x])
+    result = is_good_sufficient(f, C)
+    w = result.witnesses[(0, 0)]
+    bent = dataclasses.replace(
+        w, coefficients=(w.coefficients[0] + x,) + w.coefficients[1:])
+    tampered = dataclasses.replace(result, witnesses={(0, 0): bent})
+    with pytest.raises(VerificationError, match=(
+            "constructed deformation failed the symbolic tangency identity")):
+        construct_good_deformation(f, [x * x, x * y], C, tampered)
 
 
 # ------------------------------------------------------------------- Cramer

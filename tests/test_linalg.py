@@ -290,7 +290,7 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
     assert C0.kernel_basis == [tuple(row) for row in kernel]
     assert C0.complement_indices == tuple(
         c for c in range(len(M)) if c not in pivots)
-    c1 = c_coefficient(jacobian(list(Q.X), 2), Q.C, 1)
+    c1 = c_coefficient(jacobian(list(Q.X), 2), Q.C)
     for fseed in (seed, None):
         l, _ = choose_linear_form(C0, c1, seed=fseed)
         G = C0.scaled_gram_matrix(l)

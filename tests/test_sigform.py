@@ -280,7 +280,7 @@ def test_witt_reduction_matches_the_full_signature_on_dk(monkeypatch):
         for Q in [P] + [_substitute_problem(P, A) for A in changes]:
             norm = ensure_regular_sequence(Q)
             N = norm.problem
-            c1 = c_coefficient(jacobian(list(N.X), N.nvars), N.C, 1)
+            c1 = c_coefficient(jacobian(list(N.X), N.nvars), N.C)
             # the real index does not depend on the functional
             index = 0 if m % 2 else (1 if k % 2 == 0 else 2)
             assert _check_witt_reduction(monkeypatch, _c0_algebra(norm),
