@@ -27,12 +27,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, index as index_mod
+from ._record import Record
 from .errors import (
     C1ClassZeroError,
     CertificateError,
@@ -252,8 +252,7 @@ def parse_poly(text: str, variables) -> Polynomial:
 
 # ------------------------------------------------------------ problem files
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Record):
     """A parsed problem file: either a tangency problem or a square map."""
 
     path: "str | None"
@@ -348,8 +347,12 @@ def parse_problem_text(text: str, path: "str | None" = None) -> ProblemFile:
                        variables=variables, field=field)
 
 
-def parse_problem_file(path) -> ProblemFile:
-    text = Path(path).read_text(encoding="utf-8")
+def parse_problem_file(path, data: "bytes | None" = None) -> ProblemFile:
+    """Parse the problem file at path; data, when given, is its bytes as
+    already read. Newlines are read as in text mode: \\r\\n and \\r become \\n."""
+    if data is None:
+        data = Path(path).read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return parse_problem_text(text, path=str(path))
 
 
@@ -437,7 +440,7 @@ def _goodness_json(goodness, names):
 
 
 def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
-             elapsed_ms: int) -> dict:
+             elapsed_ms: int, problem_hash: str) -> dict:
     """The report record; a map's index leaves the GSV-only fields None."""
     names = list(pf.variables)
     sig = rep.signature
@@ -452,7 +455,7 @@ def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
         if not rep.deformation_denominator.is_constant():
             deformation["denominator"] = rep.deformation_denominator.render(names)
     return {
-        "problem_hash": hashlib.sha256(Path(pf.path).read_bytes()).hexdigest(),
+        "problem_hash": problem_hash,
         "field": field,
         "transform": None if rep.normalization is None else [
             [str(x) for x in row] for row in rep.normalization.transform],
@@ -535,16 +538,19 @@ def _run(path, command: str, json_output: bool, seed, field=None,
          **options):
     """Parse, evaluate and report one file for compute or el.
 
-    field overrides the file's own; returns (exit_code, output).
+    field overrides the file's own; returns (exit_code, output). The file
+    is read once, so the report hashes the bytes that were parsed.
     """
     pf = None
     try:
-        pf = parse_problem_file(path)
+        data = Path(path).read_bytes()
+        pf = parse_problem_file(path, data)
         if (pf.map_components is not None) != (command == "el"):
             raise ShapeError(_OTHER_COMMAND[command])
         field = field or pf.field
         rep, elapsed_ms = _evaluate(pf, field, seed, **options)
-        doc = ReportDocument(_payload(pf, rep, field, seed, elapsed_ms))
+        doc = ReportDocument(_payload(pf, rep, field, seed, elapsed_ms,
+                                      hashlib.sha256(data).hexdigest()))
     except _CATEGORIZED as exc:
         code = next(c for classes, c in _EXIT_CODES if isinstance(exc, classes))
         return code, _failure_message(exc, pf)
@@ -662,36 +668,56 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _build_arg_parser():
+_COMMANDS = ("compute", "el", "verify")
+
+
+def _build_arg_parser(argv=()):
+    """The command-line parser for argv.
+
+    When argv starts with a command name, only that command's arguments are
+    registered; its help, usage and error text read as with all three, whose
+    names the usage line lists either way. Otherwise (help, no arguments, an
+    unknown command) the parser has all three.
+    """
     parser = argparse.ArgumentParser(
         prog="gsvindex",
         description="Exact indices of vector fields tangent to curve "
         "singularities",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    # with one command registered, the metavar keeps all three in the usage
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if named is None else every)
 
-    compute = sub.add_parser("compute", help="tangency-problem index pipeline")
-    compute.add_argument("path", metavar="file")
-    compute.add_argument("--json", action="store_true", dest="json_output")
-    compute.add_argument("--seed", type=int, default=None)
-    compute.add_argument("--max-attempts", type=_at_least_one, default=25)
-    compute.add_argument("--check-good", action="store_true")
-    compute.add_argument("--deform", action="store_true")
+    if named in (None, "compute"):
+        compute = sub.add_parser("compute",
+                                 help="tangency-problem index pipeline")
+        compute.add_argument("path", metavar="file")
+        compute.add_argument("--json", action="store_true", dest="json_output")
+        compute.add_argument("--seed", type=int, default=None)
+        compute.add_argument("--max-attempts", type=_at_least_one, default=25)
+        compute.add_argument("--check-good", action="store_true")
+        compute.add_argument("--deform", action="store_true")
 
-    el = sub.add_parser("el", help="classical index of a square map germ")
-    el.add_argument("path", metavar="file")
-    el.add_argument("--json", action="store_true", dest="json_output")
-    el.add_argument("--seed", type=int, default=None)
-    el.add_argument("--mode", choices=("real", "complex"), default=None)
+    if named in (None, "el"):
+        el = sub.add_parser("el", help="classical index of a square map germ")
+        el.add_argument("path", metavar="file")
+        el.add_argument("--json", action="store_true", dest="json_output")
+        el.add_argument("--seed", type=int, default=None)
+        el.add_argument("--mode", choices=("real", "complex"), default=None)
 
-    verify = sub.add_parser("verify", help="run a corpus of expected values")
-    verify.add_argument("directory")
-    verify.add_argument("--jobs", type=_at_least_one, default=1)
+    if named in (None, "verify"):
+        verify = sub.add_parser("verify",
+                                help="run a corpus of expected values")
+        verify.add_argument("directory")
+        verify.add_argument("--jobs", type=_at_least_one, default=1)
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(_build_arg_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = vars(_build_arg_parser(argv).parse_args(argv))
     command = {"compute": cmd_compute, "el": cmd_el,
                "verify": cmd_verify}[args.pop("command")]
     code, output = command(**args)

@@ -19,10 +19,10 @@ only for the change whose B0 is finite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, islice, permutations
 
 from . import _linalg, localstd
+from ._record import Record
 from .algebra import (
     FiniteAlgebra,
     QuotientAlgebra,
@@ -55,8 +55,7 @@ from .poly import (
 from .sigform import SignatureResult, _witt_signature, choose_linear_form
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """A tangent vector-field problem: q equations, n field components, Xf = Cf."""
 
     vars: tuple
@@ -86,14 +85,13 @@ class Problem:
         return len(self.f)
 
 
-@dataclass(frozen=True)
-class CoordinateNormalization:
+class CoordinateNormalization(Record, hidden=("algebra",)):
     """A coordinate change z = A y making (f, X_1) zero-dimensional."""
 
     transform: tuple  # row tuples of ints (every candidate is integral)
     problem: Problem  # the transformed problem
     attempts_used: int
-    algebra: FiniteAlgebra = field(compare=False, repr=False)  # B0 of `problem`
+    algebra: FiniteAlgebra  # B0 of `problem`
 
     @property
     def is_identity(self) -> bool:
@@ -104,8 +102,7 @@ class CoordinateNormalization:
         return permutation_of(self.transform) is not None
 
 
-@dataclass(frozen=True)
-class GoodnessResult:
+class GoodnessResult(Record):
     """Outcome of the sufficient deformability criterion.
 
     status is "satisfied" or "unknown" (the criterion is sufficient only, so
@@ -120,8 +117,7 @@ class GoodnessResult:
     witnesses: "dict | None" = None
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(Record):
     dim_B0: int
     dim_B0_mod_DF: int
     dim_C0: int
@@ -320,7 +316,7 @@ def _pairing_signature(algebra, element: Polynomial, seed) -> SignatureResult:
     C1ClassZeroError (from choose_linear_form).
     """
     if algebra.dim == 0:
-        return SignatureResult(0, 0, 0)
+        return SignatureResult(p_plus=0, p_minus=0, rank=0)
     l, _ = choose_linear_form(algebra, element, seed=seed)
     return _witt_signature(algebra.scaled_gram_matrix(l),
                            [sum(m) for m in algebra.basis])

@@ -74,12 +74,12 @@ term past DEGREE_LIMIT lies in the ideal and does not raise there.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from operator import mul
 
 from ._linalg import common_denominator, integer_row, reduced
+from ._record import Record
 from .errors import (CertificateError, DegreeCapExceededError,
                      InfiniteDimensionError)
 from .poly import (
@@ -101,8 +101,7 @@ FIELD = (1 << WIDTH) - 1
 DEGREE_LIMIT = 1 << (WIDTH - 1)  # the guard bit of a field
 
 
-@dataclass(frozen=True)
-class LocalOrder:
+class LocalOrder(Record):
     """A monomial order in which 1 is the largest monomial; key is its code."""
 
     kind: str  # "negdegrevlex" | "negdeglex"
@@ -155,11 +154,11 @@ def _past_limit(degree):
 
 
 def negdegrevlex(nvars: int) -> LocalOrder:
-    return LocalOrder("negdegrevlex", nvars)
+    return LocalOrder(kind="negdegrevlex", nvars=nvars)
 
 
 def negdeglex(nvars: int) -> LocalOrder:
-    return LocalOrder("negdeglex", nvars)
+    return LocalOrder(kind="negdeglex", nvars=nvars)
 
 
 def _integer_terms(terms, order):
@@ -355,8 +354,7 @@ def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
     return den_h, coeffs, tau
 
 
-@dataclass(frozen=True)
-class StandardBasis:
+class StandardBasis(Record, hidden=("_reducers", "_certs")):
     """Standard basis of a localized polynomial ideal, with lift witnesses.
 
     _reducers (the kept candidates as _Reducers) and, when certified, _certs
@@ -372,8 +370,8 @@ class StandardBasis:
     order: LocalOrder
     generators: tuple
     basis: tuple
-    _reducers: tuple = field(repr=False, compare=False)
-    _certs: "tuple | None" = field(default=None, repr=False, compare=False)
+    _reducers: tuple
+    _certs: "tuple | None" = None
 
     @cached_property
     def leading_monomials(self):
@@ -395,8 +393,7 @@ class StandardBasis:
         return stairs, CanonicalQuotient(self, stairs) if stairs.finite else None
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(Record):
     """Monomials outside the leading ideal of a standard basis."""
 
     leading_monomials: tuple
@@ -408,8 +405,7 @@ class Staircase:
         return len(self.basis_monomials) if self.finite else INFINITE
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(Record):
     """denominator * p == sum_j coefficients[j] * generators[j], unit denominator."""
 
     denominator: Polynomial
@@ -525,8 +521,9 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
                        and (h.lm != g.lm or j < i) for j, h in enumerate(G))]
     reducers = tuple(_generator(G[k].poly, order, i) for i, k in enumerate(keep))
     basis = tuple(_rational_terms(order, r.poly, 1, r.lc) for r in reducers)
-    return StandardBasis(order, gens, basis, reducers,
-                         tuple(map(certs.__getitem__, keep)) if certify else None)
+    return StandardBasis(
+        order=order, generators=gens, basis=basis, _reducers=reducers,
+        _certs=tuple(map(certs.__getitem__, keep)) if certify else None)
 
 
 def staircase_monomials(lms, nvars):
@@ -554,9 +551,11 @@ def staircase(sb: StandardBasis) -> Staircase:
     nvars = sb.basis[0].nvars
     monos = staircase_monomials(lms, nvars)
     if monos is None:
-        return Staircase(lms, None, False)
+        return Staircase(leading_monomials=lms, basis_monomials=None,
+                         finite=False)
     ordered = tuple(sb.order.sort_descending(monos))
-    return Staircase(lms, ordered, True)
+    return Staircase(leading_monomials=lms, basis_monomials=ordered,
+                     finite=True)
 
 
 def quotient_dimension(gens, order: "LocalOrder | None" = None,
@@ -603,8 +602,8 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
     if p.is_zero:
         n = p.nvars
         return True, MembershipWitness(
-            Polynomial.one(n), tuple(Polynomial.zero(n) for _ in gens)
-        )
+            denominator=Polynomial.one(n),
+            coefficients=tuple(Polynomial.zero(n) for _ in gens))
     if sb is None:
         raise ValueError("membership of a nonzero polynomial needs its "
                          "standard basis")

@@ -36,18 +36,17 @@ signature_of.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import _linalg
+from ._record import Record
 from .algebra import _column_relations
 from .errors import C1ClassZeroError
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class SignatureResult:
+class SignatureResult(Record):
     p_plus: int
     p_minus: int
     rank: int
@@ -135,8 +134,9 @@ def _witt_signature(matrix, degrees) -> SignatureResult:
     middle = signature_of([[sum(x * y * matrix[a][b] for a, x in u for b, y in v)
                             for v in K] for u in K])
     n = len(J)
-    return SignatureResult(middle.p_plus + n, middle.p_minus + n,
-                           middle.rank + 2 * n)
+    return SignatureResult(p_plus=middle.p_plus + n,
+                           p_minus=middle.p_minus + n,
+                           rank=middle.rank + 2 * n)
 
 
 def choose_linear_form(C, c1: Polynomial, seed: "int | None" = None):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import heapq
 import pickle
 import random
@@ -11,6 +10,7 @@ import pytest
 
 from gsvindex import (
     Polynomial,
+    Problem,
     annihilator_quotient,
     build_algebra,
     choose_linear_form,
@@ -429,8 +429,9 @@ def test_variable_matrices_equal_their_divided_columns():
     for k in range(2, 7):  # the el algebras of (Re z^k, Im z^k)
         _assert_divided(build_algebra(zk_map(k)))
     for l in range(1, 5):
+        P = space_curve_problem(l)
         norm = ensure_regular_sequence(
-            dataclasses.replace(space_curve_problem(l), field="real"))
+            Problem(vars=P.vars, f=P.f, X=P.X, C=P.C, field="real"))
         assert norm.algebra.nvars == 3
         _assert_divided(norm.algebra)
         _assert_divided(_c0_algebra(norm))

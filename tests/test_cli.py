@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import random
 import string
@@ -9,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gsvindex import Polynomial, parse_poly
-from gsvindex import localstd
+from gsvindex import cli, localstd
 from gsvindex.cli import (
     EXIT_CERTIFICATE,
     EXIT_FAILURE,
@@ -39,6 +42,7 @@ from gsvindex.errors import (
     ShapeError,
     VerificationError,
 )
+from gsvindex.cli import _build_arg_parser
 from gsvindex.index import _substitute_problem
 
 from problems import CORPUS_DIR, dk_problem
@@ -727,3 +731,62 @@ def test_el_nonvanishing_map_agrees_across_modes(tmp_path):
         assert code == EXIT_OK, out
         doc = json.loads(out)
         assert doc["index"] == 0 and doc["dim_B0"] == 0
+
+
+def _parser_outcome(parser, argv):
+    """(exit code, stdout, stderr) of parsing argv, help and errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_reads_as_the_full_tree():
+    # main registers only the named command; help, usage and error text
+    # must still be those of the parser with all three commands
+    prob = str(CORPUS_DIR / "smooth_line.prob")
+    cases = [["compute", "-h"], ["el", "-h"], ["verify", "-h"], ["compute"],
+             ["el", prob, "--mode", "q"], ["verify", "corpus", "--jobs", "0"],
+             ["compute", prob, "--max-attempts", "0"], ["compute", prob, "--bogus"],
+             ["-h"], [], ["bogus"], ["compute", prob, "--json", "--check-good"]]
+    for argv in cases:
+        full = _parser_outcome(_build_arg_parser(), argv)
+        assert _parser_outcome(_build_arg_parser(argv), argv) == full, argv
+        assert full[0] is None or full[1] or "usage:" in full[2], argv
+    assert _parser_outcome(_build_arg_parser(["el"]), ["compute", prob])[0] == 2
+
+
+def test_problem_hash_is_of_the_bytes_that_were_parsed(tmp_path, monkeypatch):
+    # the report hashes the bytes read once, even when the file is rewritten
+    # before the report is made; a CRLF file parses as its LF twin
+    lf = CORPUS_DIR / "smooth_line.prob"
+    original = lf.read_bytes()
+    path = tmp_path / "a.prob"
+    path.write_bytes(original)
+    evaluate = cli._evaluate
+
+    def rewriting_evaluate(*args, **kwargs):
+        path.write_bytes(original + b"# rewritten\n")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_evaluate", rewriting_evaluate)
+    code, out = cmd_compute(str(path), json_output=True)
+    assert code == EXIT_OK
+    assert json.loads(out)["problem_hash"] == hashlib.sha256(original).hexdigest()
+    monkeypatch.undo()
+
+    crlf = tmp_path / "crlf.prob"
+    crlf.write_bytes(original.replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    assert parse_problem_file(crlf).problem == parse_problem_file(lf).problem
+    code, out = cmd_compute(str(crlf), json_output=True)
+    doc, want = json.loads(out), json.loads(cmd_compute(str(lf), json_output=True)[1])
+    assert code == EXIT_OK
+    assert doc["problem_hash"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
+    for key in ("problem_hash", "timing"):
+        del doc[key], want[key]
+    assert doc == want

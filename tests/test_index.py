@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +7,8 @@ from itertools import combinations
 import pytest
 
 from gsvindex import (
+    GoodnessResult,
+    MembershipWitness,
     Polynomial,
     PolyMatrix,
     Problem,
@@ -485,8 +486,11 @@ def test_complex_and_real_entry_points_share_one_pipeline():
     ]
     assert len(tangency_files) >= 7
     for pf in tangency_files:
-        cx = complex_gsv_index(dataclasses.replace(pf.problem, field="complex"))
-        re = real_gsv_index(dataclasses.replace(pf.problem, field="real"))
+        P = pf.problem
+        cx = complex_gsv_index(
+            Problem(vars=P.vars, f=P.f, X=P.X, C=P.C, field="complex"))
+        re = real_gsv_index(
+            Problem(vars=P.vars, f=P.f, X=P.X, C=P.C, field="real"))
         for key in ("dim_B0", "dim_B0_mod_DF", "dim_C0", "c1"):
             assert getattr(cx, key) == getattr(re, key), (pf.path, key)
         assert cx.normalization.transform == re.normalization.transform
@@ -691,9 +695,12 @@ def test_deformation_post_check_refuses_an_altered_witness():
     f, C = [x * x - y * y], PolyMatrix(1, 1, [2 * x])
     result = is_good_sufficient(f, C)
     w = result.witnesses[(0, 0)]
-    bent = dataclasses.replace(
-        w, coefficients=(w.coefficients[0] + x,) + w.coefficients[1:])
-    tampered = dataclasses.replace(result, witnesses={(0, 0): bent})
+    bent = MembershipWitness(
+        denominator=w.denominator,
+        coefficients=(w.coefficients[0] + x,) + w.coefficients[1:])
+    tampered = GoodnessResult(
+        status=result.status, minor_columns=result.minor_columns,
+        minors=result.minors, witnesses={(0, 0): bent})
     with pytest.raises(VerificationError, match=(
             "constructed deformation failed the symbolic tangency identity")):
         construct_good_deformation(f, [x * x, x * y], C, tampered)
@@ -763,9 +770,10 @@ def test_complex_dimension_matches_the_annihilator_route():
     from gsvindex.index import _c0_algebra, _substitute_problem, random_unimodular
 
     sheared = parse_problem_file(CORPUS_DIR / "node_sheared_real.prob").problem
-    problems = [dataclasses.replace(pf.problem, field=field)
-                for pf in map(parse_problem_file, sorted(CORPUS_DIR.glob("*.prob")))
-                if pf.problem is not None for field in ("complex", "real")]
+    problems = [Problem(vars=P.vars, f=P.f, X=P.X, C=P.C, field=field)
+                for P in (parse_problem_file(path).problem
+                          for path in sorted(CORPUS_DIR.glob("*.prob")))
+                if P is not None for field in ("complex", "real")]
     assert sheared in problems
     for k in (4, 5, 6):
         P = dk_problem(k, k - 1)
