@@ -527,15 +527,12 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
     if goodness.witnesses:
         adjugates = {}
         for cols in goodness.minor_columns:
-            sub = PolyMatrix(
-                q, q, [Df.entry(r, c) for r in range(q) for c in cols]
-            )
             adj = [[None] * q for _ in range(q)]
             for jrow in range(q):
                 for lcol in range(q):
                     rows_sel = [r for r in range(q) if r != lcol]
-                    cols_sel = [c for c in range(q) if c != jrow]
-                    cof = minor_det(sub, rows_sel, cols_sel)
+                    cols_sel = [c for i, c in enumerate(cols) if i != jrow]
+                    cof = minor_det(Df, rows_sel, cols_sel)
                     adj[jrow][lcol] = cof if (jrow + lcol) % 2 == 0 else -cof
             adjugates[cols] = adj
         for (lrow, m), witness in goodness.witnesses.items():

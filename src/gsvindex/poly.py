@@ -391,6 +391,9 @@ class PolyMatrix:
             and self.entries == other.entries
         )
 
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
     def __repr__(self):
         body = "; ".join(
             ", ".join(e.render() for e in self.row(i)) for i in range(self.rows)
@@ -410,58 +413,15 @@ def jacobian(fs, nvars: int) -> PolyMatrix:
     return PolyMatrix(len(fs), nvars, entries)
 
 
-def _exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact polynomial division (raises if den does not divide num)."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
-        return num
-    key = lambda m: (mono_degree(m), m)
-    dlm = max(den.terms, key=key)
-    dlc = den.terms[dlm]
-    quot = {}
-    rem = num
-    while rem.terms:
-        rlm = max(rem.terms, key=key)
-        if not mono_divides(dlm, rlm):
-            raise ArithmeticError("inexact polynomial division")
-        m = mono_div(rlm, dlm)
-        c = quotient(rem.terms[rlm], dlc)
-        quot[m] = c
-        rem = rem - den.mul_term(m, c)
-    return Polynomial._trusted(num.nvars, quot)
-
-
-def _det_bareiss(sub) -> Polynomial:
-    """Fraction-free Bareiss determinant on a square polynomial matrix."""
-    k = len(sub)
-    nvars = sub[0][0].nvars
-    a = [row[:] for row in sub]
-    sign = 1
-    prev = Polynomial.one(nvars)
-    for i in range(k - 1):
-        if a[i][i].is_zero:
-            for r in range(i + 1, k):
-                if not a[r][i].is_zero:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero(nvars)
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                num = a[i][i] * a[r][c] - a[r][i] * a[i][c]
-                a[r][c] = _exact_div(num, prev) if i else num  # prev is 1 at first
-            a[r][i] = Polynomial.zero(nvars)
-        prev = a[i][i]
-    det = a[k - 1][k - 1]
-    return det if sign == 1 else -det
-
-
 def minor_det(matrix: PolyMatrix, rows, cols) -> Polynomial:
-    """Determinant of the submatrix selected by equal-length index lists.
+    """Determinant of the submatrix selected by equal-length index lists,
+    taken in selection order; an empty selection gives 1.
 
-    Fraction-free Bareiss elimination for every size, exact.
+    A Laplace expansion down the selected rows, with no division: after t
+    rows, dets[S] is the t-row minor on the set S of column positions, a
+    bit mask. The next row's entry at position j adds a_j * dets[S] to the
+    minor on S + {j}, negated when an odd number of positions in S lie
+    past j.
     """
     rows = list(rows)
     cols = list(cols)
@@ -474,11 +434,26 @@ def minor_det(matrix: PolyMatrix, rows, cols) -> Polynomial:
         if not 0 <= c < matrix.cols:
             raise IndexError(f"column index {c} out of range")
     nvars = matrix.entries[0].nvars if matrix.entries else 1
-    k = len(rows)
-    if k == 0:
+    if not rows:
         return Polynomial.one(nvars)
-    sub = [[matrix.entry(r, c) for c in cols] for r in rows]
-    return _det_bareiss(sub)
+    first = matrix.row(rows[0])
+    dets = {1 << j: first[c] for j, c in enumerate(cols)}
+    for r in rows[1:]:
+        row = matrix.row(r)
+        entries = [(j, 1 << j, row[c]) for j, c in enumerate(cols) if row[c]]
+        grown = {}
+        for S, d in dets.items():
+            for j, bit, a in entries:
+                if S & bit:
+                    continue
+                key = S | bit
+                prev = grown.get(key)
+                if (S >> j).bit_count() & 1:  # bit j of S is clear
+                    grown[key] = -(a * d) if prev is None else prev - a * d
+                else:
+                    grown[key] = a * d if prev is None else prev + a * d
+        dets = grown
+    return dets.get((1 << len(cols)) - 1, Polynomial.zero(nvars))
 
 
 def permutation_of(A) -> "tuple | None":

@@ -31,6 +31,19 @@ def zk_map(k):
     return [re, im]
 
 
+# square maps in x, y, z with their Poincare-Hopf and Eisenbud-Levine
+# indices. Each is a product of germs in fewer variables, whose indices
+# multiply: t^a has indices a and a mod 2, and (x^2 - y^2, 2xy), the real
+# and imaginary parts of (x + iy)^2, has 4 and 2. The second map is the
+# first composed with a linear change of determinant 1.
+THREE_VARIABLE_MAPS = [
+    ("x^3; y^5; z^3", 45, 1),
+    ("(x + y)^3; (y + z)^5; z^3", 45, 1),
+    ("x^2 - y^2; 2*x*y; z", 4, 2),
+    ("x^3; y; z^2", 6, 0),
+]
+
+
 def hyperbola_problem():
     f = X2 * X2 - Y2 * Y2
     return Problem(

@@ -45,7 +45,7 @@ from gsvindex.errors import (
 from gsvindex.cli import _build_arg_parser
 from gsvindex.index import _substitute_problem
 
-from problems import CORPUS_DIR, dk_problem
+from problems import CORPUS_DIR, THREE_VARIABLE_MAPS, dk_problem
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -731,6 +731,18 @@ def test_el_nonvanishing_map_agrees_across_modes(tmp_path):
         assert code == EXIT_OK, out
         doc = json.loads(out)
         assert doc["index"] == 0 and doc["dim_B0"] == 0
+
+
+@pytest.mark.parametrize("text, ph, el", THREE_VARIABLE_MAPS,
+                         ids=[m[0] for m in THREE_VARIABLE_MAPS])
+def test_el_on_maps_in_three_variables(tmp_path, text, ph, el):
+    path = tmp_path / "map.prob"
+    path.write_text(f"ring: x, y, z\nfield: real\ng: {text}\n")
+    for mode, index in (("real", el), ("complex", ph)):
+        code, out = cmd_el(str(path), json_output=True, mode=mode)
+        assert code == EXIT_OK, out
+        doc = json.loads(out)
+        assert doc["index"] == index and doc["dim_B0"] == ph
 
 
 def _parser_outcome(parser, argv):

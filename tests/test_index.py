@@ -24,6 +24,7 @@ from gsvindex import (
     gm_signature_index,
     is_good_sufficient,
     jacobian,
+    parse_poly,
     poincare_hopf_complex,
     quotient_dimension,
     real_gsv_index,
@@ -44,6 +45,7 @@ from gsvindex.index import _substitute_problem, annihilator_quotient, minor_det
 from graded_oracle import graded_quotient_data
 from problems import (
     CORPUS_DIR,
+    THREE_VARIABLE_MAPS,
     as_problem,
     cusp_instance,
     dk_problem,
@@ -566,6 +568,16 @@ def test_eisenbud_levine_seeded_stability():
         for s in range(20)
     }
     assert values == {2}
+
+
+@pytest.mark.parametrize("text, ph, el", THREE_VARIABLE_MAPS,
+                         ids=[m[0] for m in THREE_VARIABLE_MAPS])
+def test_map_indices_in_three_variables(text, ph, el):
+    g = [parse_poly(part, ["x", "y", "z"]) for part in text.split(";")]
+    assert poincare_hopf_complex(g) == ph
+    for seed in (None, 1, 5):
+        idx, sig = eisenbud_levine_index(g, seed=seed)
+        assert idx == el and sig.rank == ph
 
 
 def test_map_indices_refuse_empty_and_non_square_maps():

@@ -227,9 +227,32 @@ def test_minor_det_matches_cofactor_expansion():
         assert minor_det(M, [0, 1, 2], [0, 1, 2]) == expected
 
 
+def test_minor_det_on_unsorted_and_scattered_selections():
+    # k = 0..4 rows and columns of a 5 x 6 matrix with about a third of its
+    # entries 0, selected in any order: the submatrix is taken in selection
+    # order, so swapping two selected columns negates the minor
+    rng = random.Random(11)
+    zero = Polynomial.zero(2)
+    fixed = [([4, 1, 3], [5, 0, 2]), ([2, 0], [3, 1]), ([0, 2, 4, 1], [1, 3, 5, 0])]
+    for k in range(5):
+        picks = [(rng.sample(range(5), k), rng.sample(range(6), k)) for _ in range(8)]
+        for rows, cols in picks + [s for s in fixed if len(s[0]) == k]:
+            M = PolyMatrix(5, 6, [zero if rng.random() < 0.3 else
+                                  random_poly(rng, max_deg=2, max_terms=3)
+                                  for _ in range(30)])
+            det = minor_det(M, rows, cols)
+            sub = [[M.entry(r, c) for c in cols] for r in rows]
+            assert det == (_cofactor(sub) if k else Polynomial.one(2))
+            if k >= 2:
+                i, j = rng.sample(range(k), 2)
+                swapped = list(cols)
+                swapped[i], swapped[j] = cols[j], cols[i]
+                assert minor_det(M, rows, swapped) == -det
+
+
 def test_minor_det_of_integer_matrix_divides_exactly():
-    # the first Bareiss pivot 3x + 2y has leading coefficient 3, and the
-    # second step divides by that pivot: exactly, staying in ints
+    # integer coefficients, some past 1 (3x + 2y): the expansion multiplies,
+    # adds and never divides, so the determinant stays in ints
     one = Polynomial.one(2)
     rows = [[3 * x + 2 * y, x - y, 5 * one],
             [2 * x * y, 7 * y + one, x],

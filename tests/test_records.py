@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from gsvindex import Polynomial, PolyMatrix, Problem
-from gsvindex.cli import ProblemFile
+from gsvindex import Polynomial, PolyMatrix, Problem, real_gsv_index
+from gsvindex.cli import ProblemFile, parse_problem_file
 from gsvindex.errors import ShapeError
 from gsvindex.index import (
     CoordinateNormalization,
@@ -27,7 +27,7 @@ from gsvindex.localstd import (
 )
 from gsvindex.sigform import SignatureResult
 
-from problems import dk_problem, smooth_line_problem
+from problems import CORPUS_DIR, dk_problem, smooth_line_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,14 +75,6 @@ HIDDEN = {CoordinateNormalization: ("algebra",),
           StandardBasis: ("_reducers", "_certs")}
 
 
-def _hash(value):
-    """hash(value), or TypeError when a field is unhashable (a PolyMatrix)."""
-    try:
-        return hash(value)
-    except TypeError:
-        return TypeError
-
-
 @pytest.mark.parametrize("cls, values, defaults", RECORDS,
                          ids=[r[0].__name__ for r in RECORDS])
 def test_construction_by_position_and_keyword(cls, values, defaults):
@@ -93,14 +85,14 @@ def test_construction_by_position_and_keyword(cls, values, defaults):
     for record in (by_position, by_keyword, mixed):
         assert [getattr(record, n) for n in names] == values
     assert by_position == by_keyword == mixed
-    assert _hash(by_position) == _hash(by_keyword)
+    assert hash(by_position) == hash(by_keyword)
     required = len(names) - len(defaults)
     assert names[required:] == tuple(defaults)
     with_defaults = cls(*values[:required])
     for name, default in defaults.items():
         assert getattr(with_defaults, name) == default
     shown = [n for n in names if n not in HIDDEN.get(cls, ())]
-    assert _hash(by_position) == _hash(tuple(getattr(by_position, n)
+    assert hash(by_position) == hash(tuple(getattr(by_position, n)
                                              for n in shown))
 
 
@@ -198,11 +190,25 @@ def test_hidden_fields_stay_out_of_equality_hash_and_repr():
         transform=norm.transform, problem=norm.problem,
         attempts_used=norm.attempts_used, algebra=None)
     assert norm.algebra is not None
-    assert norm == twin and _hash(norm) == _hash(twin)
+    assert norm == twin and hash(norm) == hash(twin)
     assert repr(norm) == repr(twin) and "algebra" not in repr(norm)
     assert twin != CoordinateNormalization(
         transform=norm.transform, problem=smooth_line_problem(),
         attempts_used=norm.attempts_used, algebra=None)
+
+
+def test_records_holding_a_poly_matrix_hash_by_value():
+    # a PolyMatrix hashes its shape and entries, so a Problem, and every
+    # record that holds one, is a value that sets and dicts can hold
+    twin = Problem(vars=("x", "y"), f=(x * y,), X=(x, -y),
+                   C=PolyMatrix(1, 1, [x + x]), field="real")
+    assert twin.C is not C and hash(twin) == hash(PROBLEM)
+    assert {PROBLEM, twin} == {PROBLEM}
+    files = [parse_problem_file(CORPUS_DIR / "cusp_real.prob") for _ in range(2)]
+    reports = [real_gsv_index(pf.problem) for pf in files]
+    for a, b in (files, reports):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
 
 
 def test_standard_basis_caches_its_lift_and_quotient():
