@@ -23,7 +23,6 @@ is 9. A '-' before anything else, as in -x or (-x), is a parse error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -48,6 +47,18 @@ from .errors import (
 )
 from .index import IndexReport, Problem
 from .poly import Polynomial, PolyMatrix
+
+# hashlib loads OpenSSL's libcrypto, about 3.8 MB of peak RSS and 4 ms of
+# start-up for one digest per report; the interpreter's own SHA-256 gives the
+# same bytes. _sha2 is its name from 3.12 on, _sha256 before; hashlib serves
+# an interpreter built without them.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -550,7 +561,7 @@ def _run(path, command: str, json_output: bool, seed, field=None,
         field = field or pf.field
         rep, elapsed_ms = _evaluate(pf, field, seed, **options)
         doc = ReportDocument(_payload(pf, rep, field, seed, elapsed_ms,
-                                      hashlib.sha256(data).hexdigest()))
+                                      sha256(data).hexdigest()))
     except _CATEGORIZED as exc:
         code = next(c for classes, c in _EXIT_CODES if isinstance(exc, classes))
         return code, _failure_message(exc, pf)

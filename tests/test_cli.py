@@ -802,3 +802,20 @@ def test_problem_hash_is_of_the_bytes_that_were_parsed(tmp_path, monkeypatch):
     for key in ("problem_hash", "timing"):
         del doc[key], want[key]
     assert doc == want
+
+
+def test_problem_hash_falls_back_to_hashlib():
+    # an interpreter built without its own _sha2 / _sha256 hashes the
+    # report through hashlib, to the same digest
+    path = CORPUS_DIR / "cusp_real.prob"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+         "from gsvindex import cli; "
+         "assert cli.sha256 is sys.modules['hashlib'].sha256; "
+         "sys.exit(cli.main(sys.argv[1:]))",
+         "compute", "--json", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["problem_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()

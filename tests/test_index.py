@@ -635,6 +635,30 @@ def test_goodness_space_curve():
     assert is_good_sufficient(list(p.f), p.C).status == "satisfied"
 
 
+# Euler-type fields lack the deformation property, so dim C0 is not their
+# GSV index. Their true index is the Milnor fiber's Euler characteristic
+# 1 - mu (Gomez-Mont, Seade and Verjovsky, Math. Ann. 291, 1991), with mu
+# written out: 1 for the A1 node, (a - 1)(b - 1) for x^a + y^b.
+@pytest.mark.xfail(strict=True, reason="dim C0 = 1 is printed as the index "
+                   "of a field without the deformation property")
+@pytest.mark.parametrize("f, X, c, mu", [
+    (x * y, (x, y), 2, 1),
+    (x * x - y ** 3, (3 * x, 2 * y), 6, 2),
+    (x ** 3 + y ** 5, (5 * x, 3 * y), 15, 8),
+], ids=["node", "cusp", "E8"])
+def test_euler_field_index_is_one_minus_milnor_number(f, X, c, mu):
+    P = Problem(vars=("x", "y"), f=(f,), X=X,
+                C=PolyMatrix(1, 1, [c * one2]), field="complex")
+    assert complex_gsv_index(P).index == 1 - mu
+
+
+def test_hamiltonian_field_on_the_node_has_index_zero():
+    # (x, -y) = (f_y, -f_x) for f = xy has the deformation property
+    P = Problem(vars=("x", "y"), f=(x * y,), X=(x, -y),
+                C=PolyMatrix(1, 1, [Polynomial.zero(2)]), field="complex")
+    assert complex_gsv_index(P).index == 0
+
+
 # -------------------------------------------------------------- deformation
 
 def test_deformation_hyperbola_exact():
