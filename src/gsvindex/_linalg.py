@@ -1,28 +1,22 @@
-"""Exact linear algebra by one fraction-free integer elimination.
+"""Exact linear algebra by one integer elimination on primitive rows.
 
-forward_eliminate runs forward Bareiss elimination on int rows (Bareiss,
-Math. Comp. 22, 1968; Geddes, Czapor, Labahn, Algorithms for Computer
-Algebra, ch. 9). The pivot of column c is the first row, at or below the
-current one, whose entry is nonzero, so pivot columns and row swaps are
-those of elimination over the rationals. back_substitute then solves for
-one right-hand column of the echelon rows in ints: for d the last pivot, d
-times the rational solution is integral by Cramer's rule, so each division
-is exact. The algebra layer hands int rows directly; inverse, the one
-rational-matrix routine (coordinate changes), scales each row of ints and
-Fractions to integers once, by the lcm of its denominators. Every other
-rational vector travels as (ints, den), int numerators over one positive
-denominator; fractions turns one into Fractions where the API returns it.
+forward_eliminate brings int rows to echelon form. The pivot of column c is
+the first row, at or below the current one, whose entry is nonzero, so
+pivot columns and row swaps are those of elimination over the rationals.
+With pivot p, a row whose entry in the pivot column is f becomes a row - b
+(pivot row), for b/a = f/p in lowest terms and a > 0, over its content;
+a pivot row is made primitive when it is chosen. Each row is a positive
+multiple of the rational one, and its entries stay short where Bareiss's
+division by the previous pivot lets them grow with every pivot (Geddes,
+Czapor, Labahn, Algorithms for Computer Algebra, ch. 9); localstd reduces
+its term maps the same way. back_substitute solves for one right-hand
+column over the rationals.
 
-Eliminating column c with pivot row r and pivot P replaces every row i
-below r whose entry f in column c is nonzero by (P row_i - f row_r) //
-last_i, where last_i is the pivot that was current when row i was last
-updated (1 at the start). A row with a zero in column c is left alone: the
-P/prev factor that Bareiss applies to it is kept lazily in last_i, so the
-Bareiss row is always the stored row times (current pivot / last_i). A
-Bareiss row holds minors of the scaled matrix, so it is integral and every
-division is exact; a pivot row is brought up to date (`refresh`) when it
-is chosen, and is final from then on. sigform.signature_of runs the same
-scaling and steps on a symmetric matrix.
+The algebra layer hands int rows directly; inverse, the one rational-matrix
+routine (coordinate changes), scales each row of ints and Fractions to
+integers once, by the lcm of its denominators. Every rational vector
+travels as (ints, den), int numerators over one positive denominator;
+fractions turns one into Fractions where the API returns it.
 """
 
 from bisect import bisect_right
@@ -50,25 +44,19 @@ def reduced(v, den):
     return ([x // g for x in v], den // g) if g != 1 else (v, den)
 
 
-def refresh(row, prev, last):
-    """The stored row brought up to the current pivot prev: row * prev / last."""
-    return row if prev == last else [x * prev // last for x in row]
-
-
-def bareiss_step(row, f, pivot_row, p, last):
-    """(p * row - f * pivot_row) / last, an exact division."""
-    return [(p * x - f * y) // last for x, y in zip(row, pivot_row)]
+def primitive(row):
+    """The int row over the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def forward_eliminate(rows):
-    """Forward Bareiss elimination of a list of int rows, in place.
+    """Forward elimination of a list of int rows, in place.
 
-    Returns (rows, pivots, d): the echelon rows, row k a Bareiss row whose
-    first nonzero entry is in column pivots[k], and d the last pivot (1
-    when there is none), the determinant of the pivot rows and columns.
+    Returns (rows, pivots): the echelon rows, row k primitive with its
+    first nonzero entry in column pivots[k].
     """
-    lasts = [1] * len(rows)
-    pivots, prev = [], 1
+    pivots = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -76,33 +64,40 @@ def forward_eliminate(rows):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            lasts[r], lasts[piv] = lasts[piv], lasts[r]
-        prow = rows[r] = refresh(rows[r], prev, lasts[r])
-        p = prev = prow[c]
+        prow = rows[r] = primitive(rows[r])
+        p = prow[c]
         for i in range(r + 1, len(rows)):
             row = rows[i]
-            if row[c]:
-                rows[i] = bareiss_step(row, row[c], prow, p, lasts[i])
-                lasts[i] = p
+            f = row[c]
+            if f:
+                g = gcd(f, p)
+                a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
+                rows[i] = primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows[:len(pivots)], pivots, prev
+    return rows[:len(pivots)], pivots
 
 
-def back_substitute(rows, pivots, d, col):
-    """x with sum of x[k] * column pivots[k] = d * column col, on the
-    echelon rows of forward_eliminate with last pivot d; x[k] = 0 when
-    pivots[k] > col. x is d times the rational solution."""
-    x = [0] * len(pivots)
-    done = []  # (pivot column, x) of the solved coordinates that are nonzero
+def back_substitute(rows, pivots, col):
+    """(x, den) with sum of x[k] / den * column pivots[k] equal to column
+    col, on the echelon rows of forward_eliminate; x[k] = 0 when pivots[k] >
+    col, den > 0 and the gcd of den and x is 1."""
+    x, den = [0] * len(pivots), 1
+    done = []  # (pivot column, k) of the solved coordinates that are nonzero
     for k in reversed(range(bisect_right(pivots, col))):
         row = rows[k]
-        s = d * row[col] - sum(row[p] * v for p, v in done)
+        s = den * row[col] - sum(row[p] * x[j] for p, j in done)
         if s:
-            x[k] = v = s // row[pivots[k]]
-            done.append((pivots[k], v))
-    return x
+            q = row[pivots[k]]
+            g = gcd(s, q)
+            a, x[k] = (q // g, s // g) if q > 0 else (-q // g, -s // g)
+            if a != 1:
+                den *= a
+                for _, j in done:
+                    x[j] *= a
+            done.append((pivots[k], k))
+    return reduced(x, den)
 
 
 def identity(n):
@@ -123,10 +118,11 @@ def inverse(M):
     ValueError if M is singular."""
     n = len(M)
     eye = identity(n)
-    rows, pivots, d = forward_eliminate([integer_row(list(row) + eye[i],
-                                                     common_denominator(row))
-                                         for i, row in enumerate(M)])
+    rows, pivots = forward_eliminate([integer_row(list(row) + eye[i],
+                                                  common_denominator(row))
+                                      for i, row in enumerate(M)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    columns = [back_substitute(rows, pivots, d, n + j) for j in range(n)]
-    return [fractions(row, d) for row in zip(*columns)]
+    columns = [fractions(*back_substitute(rows, pivots, n + j))
+               for j in range(n)]
+    return [list(row) for row in zip(*columns)]

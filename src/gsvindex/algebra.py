@@ -23,8 +23,8 @@ A QuotientAlgebra, such as C0 = B0 / ann(DF), is the quotient by the
 annihilator of a fixed element, and a FiniteAlgebra on its own staircase:
 the parent staircase monomials that are not RREF pivots of the annihilator,
 read off one forward elimination of the multiplication matrix with its
-columns taken right to left, and one integer back-substitution per
-dependent column (QuotientAlgebra). They form an order ideal
+columns taken right to left, and one back-substitution per dependent
+column (QuotientAlgebra). They form an order ideal
 (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6-1.7).
 The parent basis descends in the local order, so a pivot is the largest
 monomial of its kernel vector; x_k times that vector stays in the kernel
@@ -282,20 +282,23 @@ def _column_relations(M, n):
     where independent lists, ascending, the columns that are not
     combinations of later columns, and column r = sum of u / den * column
     independent[j] over (j, u) in units[r]. Each dependent column is one
-    back-substitution over the last pivot d, and den = |d|."""
-    rows, pivots, d = _linalg.forward_eliminate([row[::-1] for row in M])
-    last, sign = len(pivots) - 1, (1 if d > 0 else -1)
+    back-substitution, and den is the lcm of their denominators."""
+    rows, pivots = _linalg.forward_eliminate([row[::-1] for row in M])
+    last = len(pivots) - 1
     # pivot k is column n - 1 - pivots[k], independent column last - k
     position = {n - 1 - p: last - k for k, p in enumerate(pivots)}
+    relations = {r: _linalg.back_substitute(rows, pivots, n - 1 - r)
+                 for r in range(n) if r not in position}
+    den = lcm(*(e for _, e in relations.values()))
     units = []
     for r in range(n):
         if r in position:
-            units.append([(position[r], sign * d)])
+            units.append([(position[r], den)])
         else:
-            x = _linalg.back_substitute(rows, pivots, d, n - 1 - r)
-            units.append([(last - k, sign * x[k])
+            x, e = relations[r]
+            units.append([(last - k, x[k] * (den // e))
                           for k in range(last, -1, -1) if x[k]])
-    return sorted(position), units, sign * d
+    return sorted(position), units, den
 
 
 def _kernel_rows(independent, units, den):
@@ -337,11 +340,10 @@ def solve_multiplication(algebra, g: Polynomial, v: Polynomial):
     """One coordinate solution h of g*h = v in the algebra, its free
     coordinates 0, or None."""
     d = algebra.dim
-    rows, pivots, last = _linalg.forward_eliminate(_integer_matrix(
+    rows, pivots = _linalg.forward_eliminate(_integer_matrix(
         algebra._product_columns(g) + [algebra._integer_coords(v)]))
     if pivots and pivots[-1] == d:
         return None  # pivot in the column of v: inconsistent
-    h = [Fraction(0)] * d
-    for p, x in zip(pivots, _linalg.back_substitute(rows, pivots, last, d)):
-        h[p] = Fraction(x, last)
-    return h
+    h = dict(zip(pivots, _linalg.fractions(*_linalg.back_substitute(
+        rows, pivots, d))))
+    return [h.get(c, Fraction(0)) for c in range(d)]

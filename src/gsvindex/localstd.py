@@ -50,9 +50,9 @@ content divides by a rational again. Multiples have the same leading
 monomial and ecart, so every reducer choice, every addition to Mora's set
 T and the degree-cap check are those of the rational loop, and the
 monic basis, lifts and witnesses handed back are identical to it. No
-coefficient gcd is paid per term, only one content per step (Bareiss-style
-fraction-free reduction; Geddes, Czapor, Labahn, Algorithms for Computer
-Algebra, ch. 9).
+coefficient gcd is paid per term, only one content per step (primitive
+fraction-free reduction, as in the row steps of _linalg; Geddes, Czapor,
+Labahn, Algorithms for Computer Algebra, ch. 9).
 
 Those term maps are keyed by packed monomials, one int each (Monagan,
 Pearce, CASC 2007). LocalOrder.key gives the code, -(d B^n + sum e_i B^i)

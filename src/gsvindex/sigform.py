@@ -8,11 +8,13 @@ contribute (+1, -1). signature_of takes the square symmetric matrix itself,
 of ints or Fractions; the indices hand in FiniteAlgebra.scaled_gram_matrix,
 already integral. A rational matrix is scaled to integers as a whole, by
 one positive lcm, so it stays symmetric and keeps its inertia; a scaling
-per row is not a congruence. Elimination is the integer Bareiss kernel of
-_linalg with its lazy per-row factor, over full rows of the trailing block.
-The rational pivot, the entry of the Schur complement, is the Bareiss pivot
-over the previous one, which is the stored pivot over its row's factor, so
-its sign is the product of their signs.
+per row is not a congruence. Elimination is fraction-free Bareiss over full
+rows of the trailing block (Bareiss, Math. Comp. 22, 1968): with pivot p
+and previous pivot prev, each row becomes (p row - f pivot row) / prev, f
+its entry in the pivot column, an exact division because every entry is a
+minor of the matrix with the symmetric adds applied. The rational pivot,
+the entry of the Schur complement, is p / prev, so its sign is the
+product of their signs.
 
 The Gram matrix of a pairing (a, b) -> l(ab) on a local algebra first
 loses its metabolic part (_witt_signature), so the congruence runs only on
@@ -66,10 +68,9 @@ def signature_of(matrix) -> SignatureResult:
     if any(matrix[i][j] != matrix[j][i] for i in range(d) for j in range(i)):
         raise ValueError("Gram matrix is not symmetric")
     den = _linalg.common_denominator(x for row in matrix for x in row)
-    # rows and columns of the trailing block, in pivot-search order; row i is
-    # stored lazily as (Bareiss row) * lasts[i] / prev, see _linalg
+    # rows and columns of the trailing block, in pivot-search order, as
+    # Bareiss rows over the previous pivot prev
     rows = [_linalg.integer_row(row, den) for row in matrix]
-    lasts = [1] * d
     prev = 1
     plus = minus = 0
     while rows:
@@ -81,31 +82,31 @@ def signature_of(matrix) -> SignatureResult:
                 break  # remaining block is zero
             piv, t = pair
             # row/col piv += row/col t; with a zero diagonal the new diagonal
-            # entry is twice the pair's; both entries of a column add share
-            # one row, hence one lazy factor
-            u, v = (_linalg.refresh(rows[s], prev, lasts[s]) for s in (piv, t))
-            rows[piv], rows[t] = [a + b for a, b in zip(u, v)], v
-            lasts[piv] = lasts[t] = prev
+            # entry is twice the pair's
+            rows[piv] = [a + b for a, b in zip(rows[piv], rows[t])]
             for row in rows:
                 row[piv] += row[t]
-        # the pivot's rational value is rows[piv][piv] / lasts[piv]
-        if (rows[piv][piv] > 0) == (lasts[piv] > 0):
-            plus += 1
-        else:
-            minus += 1
-        prow = _linalg.refresh(rows[piv], prev, lasts[piv])
-        rows[piv], lasts[piv] = rows[0], lasts[0]
-        del rows[0], lasts[0]
+        prow = rows[piv]
+        rows[piv] = rows[0]
+        del rows[0]
         # swap the pivot to the front of the order and drop it, from every row
         for row in (prow, *rows):
             row[0], row[piv] = row[piv], row[0]
-        p = prev = prow.pop(0)
-        # Schur complement, skipping rows with no entry in the pivot column
+        p = prow.pop(0)
+        # the pivot's rational value is p / prev
+        if (p > 0) == (prev > 0):
+            plus += 1
+        else:
+            minus += 1
+        # Schur complement; a row with no entry in the pivot column is only
+        # scaled, by p / prev
         for i, row in enumerate(rows):
             f = row.pop(0)
             if f:
-                rows[i] = _linalg.bareiss_step(row, f, prow, p, lasts[i])
-                lasts[i] = p
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [x * p // prev for x in row]
+        prev = p
     return SignatureResult(p_plus=plus, p_minus=minus, rank=plus + minus)
 
 

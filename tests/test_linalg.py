@@ -4,13 +4,13 @@ forward_eliminate and back_substitute, the column relations the algebra
 layer reads off them (algebra._column_relations and _kernel_rows), inverse
 and signature_of are checked against pure-Fraction references that share no
 code with them: rref, nullspace, det, solve and inverse from
-reference_linalg, and the pivot rows and the signature below. Every result
+reference_linalg, and the echelon rows and the signature below. Every result
 must be identical, not just equivalent.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -80,10 +80,11 @@ def _ref_signature(matrix):
     return plus, minus, plus + minus
 
 
-def _pivot_rows(M):
-    """The row indices of M's pivot rows, in the order Gaussian elimination
-    over the rationals leaves them when, column by column, it swaps up the
-    first row at or below the current one with a nonzero entry."""
+def _rational_echelon(M):
+    """(order, rows): the row indices of M's pivot rows and the echelon rows,
+    as Gaussian elimination over the rationals leaves them when, column by
+    column, it swaps up the first row at or below the current one with a
+    nonzero entry."""
     a = [[Fraction(x) for x in row] for row in M]
     order = list(range(len(a)))
     r = 0
@@ -98,7 +99,7 @@ def _pivot_rows(M):
                 f = a[i][c] / a[r][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
-    return order[:r]
+    return order[:r], a[:r]
 
 
 def _random_matrix(rng, nrows, ncols, density, big):
@@ -158,16 +159,27 @@ def _check_relations(M):
 
 
 def _check_forward(M):
-    """forward_eliminate and back_substitute on the integer rows of M: the
-    pivots are the RREF pivots, d is the determinant of the pivot rows and
-    columns, and back_substitute of every column is d times that column of
-    the RREF, in ints."""
+    """forward_eliminate on the integer rows of M: the pivots are the RREF
+    pivots, and echelon row k is a primitive int row, a positive multiple of
+    row k of the elimination over the rationals, with its first nonzero
+    entry in column pivots[k]."""
     A = _integer_rows(M)
-    rows, pivots, d = _linalg.forward_eliminate([list(row) for row in A])
+    rows, pivots = _linalg.forward_eliminate([list(row) for row in A])
     assert pivots == _ref_rref(M)[1]
-    assert d == _ref_det([[A[i][c] for c in pivots] for i in _pivot_rows(A)])
     assert all(type(x) is int for row in rows for x in row)
-    return rows, pivots, d
+    for row, ref, p in zip(rows, _rational_echelon(A)[1], pivots):
+        assert gcd(*row) == 1
+        assert not any(row[:p]) and row[p]
+        assert [x * ref[p] for x in row] == [y * row[p] for y in ref]
+        assert (row[p] > 0) == (ref[p] > 0)
+    return rows, pivots
+
+
+def _check_solution(x, den):
+    """back_substitute's (x, den): den > 0 and the gcd of den and x 1."""
+    assert all(type(v) is int for v in x)
+    assert den > 0 and gcd(den, *x) == 1
+    return _linalg.fractions(x, den)
 
 
 def test_rref_nullspace_rank_match_rational_elimination():
@@ -175,37 +187,36 @@ def test_rref_nullspace_rank_match_rational_elimination():
     # matrices stay those of seed 7
     rhs = random.Random(8)
     for _, M in _cases(7, 700):
-        rows, pivots, d = _check_forward(M)
-        columns = [_linalg.back_substitute(rows, pivots, d, c)
+        rows, pivots = _check_forward(M)
+        columns = [_check_solution(*_linalg.back_substitute(rows, pivots, c))
                    for c in range(len(M[0]))]
-        assert all(type(x) is int for col in columns for x in col)
-        assert ([[Fraction(x, d) for x in row] for row in zip(*columns)],
-                pivots) == _ref_rref(M), M
+        rref = [list(row) for row in zip(*columns)]
+        assert (rref, pivots) == _ref_rref(M), M
         _check_relations(M)
         # a right-hand side b: [M | b] is inconsistent exactly when its last
-        # column is a pivot, and otherwise solves to d * the solution with
-        # free coordinates 0
+        # column is a pivot, and otherwise solves to the solution with free
+        # coordinates 0
         n = len(M[0])
         b = [F(rhs.randint(-9, 9), rhs.randint(1, 3)) for _ in M]
-        rows, pivots, d = _check_forward([row + [x] for row, x in zip(M, b)])
+        rows, pivots = _check_forward([row + [x] for row, x in zip(M, b)])
         expected = _ref_solve(M, b)
         if pivots and pivots[-1] == n:
             assert expected is None
         else:
-            x = _linalg.back_substitute(rows, pivots, d, n)
-            assert x == [d * expected[p] for p in pivots]
+            x = _check_solution(*_linalg.back_substitute(rows, pivots, n))
+            assert x == [expected[p] for p in pivots]
             assert all(expected[c] == 0 for c in range(n) if c not in pivots)
 
 
 def test_elimination_edge_shapes():
-    assert _linalg.forward_eliminate([]) == ([], [], 1)
+    assert _linalg.forward_eliminate([]) == ([], [])
     # no rows but three columns: every column is the empty combination
     assert _column_relations([], 3) == ([], [[], [], []], 1)
     assert _kernel_rows(*_column_relations([], 3)) == [
         tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
     assert _column_relations([], 0) == ([], [], 1)
     zero = [[F(0)] * 4 for _ in range(3)]
-    assert _linalg.forward_eliminate(_integer_rows(zero)) == ([], [], 1)
+    assert _linalg.forward_eliminate(_integer_rows(zero)) == ([], [])
     assert _column_relations(_integer_rows(zero), 4)[0] == []
     wide = [[F(1), F(2), F(0), F(3), F(-1)], [F(2), F(4), F(1), F(0), F(1, 2)]]
     tall = [list(col) for col in zip(*wide)]
@@ -232,10 +243,11 @@ def test_column_relations_property():
 
 
 def test_negative_last_pivot_property():
-    # _column_relations eliminates M with its columns reversed; negating a
-    # pivot row keeps every pivot and negates the determinant, so each
-    # matrix of nonzero rank is eliminated with its last pivot d < 0, and
-    # den must still come out positive, as |d|
+    # _column_relations eliminates M with its columns reversed; each echelon
+    # row is a positive multiple of the rational one, so negating the last
+    # pivot row keeps every pivot and negates the last echelon row: each
+    # matrix of nonzero rank is eliminated with its last pivot < 0, and den
+    # must still come out positive
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -245,13 +257,14 @@ def test_negative_last_pivot_property():
         st.lists(st.integers(-5, 5), min_size=n, max_size=n),
         min_size=1, max_size=6)))
     def check(M):
-        order = _pivot_rows([row[::-1] for row in M])
+        order = _rational_echelon([row[::-1] for row in M])[0]
         hypothesis.assume(order)
-        if _linalg.forward_eliminate([row[::-1] for row in M])[2] > 0:
+        rows, pivots = _linalg.forward_eliminate([row[::-1] for row in M])
+        if rows[-1][pivots[-1]] > 0:
             M[order[-1]] = [-x for x in M[order[-1]]]
-        _, _, d = _check_forward([row[::-1] for row in M])
-        assert d < 0
-        assert _column_relations(M, len(M[0]))[2] == -d > 0
+        rows, pivots = _check_forward([row[::-1] for row in M])
+        assert rows[-1][pivots[-1]] < 0
+        assert _column_relations(M, len(M[0]))[2] > 0
         _check_relations(M)
 
     check()
@@ -317,3 +330,9 @@ def test_column_relations_on_the_deep_mixed_dk1210_rung(monkeypatch):
     assert [(len(M), len(M[0])) for M in seen] == [(113, 113), (41, 58)]
     for M in seen:
         _check_relations(M)
+        # primitive rows keep every echelon entry within the input's bit
+        # length, where Bareiss's scaling grew them 20-fold (1,313 bits
+        # against 65 on M_DF, 220 against 18 on B^T)
+        rows, _ = _linalg.forward_eliminate([row[::-1] for row in M])
+        assert max(abs(x).bit_length() for row in rows for x in row) <= \
+            max(abs(x).bit_length() for row in M for x in row)
