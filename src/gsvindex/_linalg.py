@@ -12,6 +12,12 @@ Czapor, Labahn, Algorithms for Computer Algebra, ch. 9); localstd reduces
 its term maps the same way. back_substitute solves for one right-hand
 column over the rationals.
 
+column_relations reads the column dependencies of an int matrix off one
+forward elimination with its columns taken right to left and one
+back-substitution per dependent column; kernel_rows turns them into the
+RREF rows of the right kernel. The algebra layer builds every annihilator
+quotient and socle on them, and sigform its Witt kernel of B^T.
+
 The algebra layer hands int rows directly; inverse, the one rational-matrix
 routine (coordinate changes), scales each row of ints and Fractions to
 integers once, by the lcm of its denominators. Every rational vector
@@ -98,6 +104,45 @@ def back_substitute(rows, pivots, col):
                     x[j] *= a
             done.append((pivots[k], k))
     return reduced(x, den)
+
+
+def column_relations(M, n):
+    """The columns of the int matrix M, n of them, by one forward
+    elimination read right to left: (independent, units, den) with den > 0,
+    where independent lists, ascending, the columns that are not
+    combinations of later columns, and column r = sum of u / den * column
+    independent[j] over (j, u) in units[r]. Each dependent column is one
+    back-substitution, and den is the lcm of their denominators."""
+    rows, pivots = forward_eliminate([row[::-1] for row in M])
+    last = len(pivots) - 1
+    # pivot k is column n - 1 - pivots[k], independent column last - k
+    position = {n - 1 - p: last - k for k, p in enumerate(pivots)}
+    relations = {r: back_substitute(rows, pivots, n - 1 - r)
+                 for r in range(n) if r not in position}
+    den = lcm(*(e for _, e in relations.values()))
+    units = []
+    for r in range(n):
+        if r in position:
+            units.append([(position[r], den)])
+        else:
+            x, e = relations[r]
+            units.append([(last - k, x[k] * (den // e))
+                          for k in range(last, -1, -1) if x[k]])
+    return sorted(position), units, den
+
+
+def kernel_rows(independent, units, den):
+    """The RREF rows of the right kernel, from column_relations: for each
+    dependent column r, e_r minus the later columns that column r equals."""
+    free, out = set(independent), []
+    for r in range(len(units)):
+        if r not in free:
+            v = [0] * len(units)
+            v[r] = den
+            for j, u in units[r]:
+                v[independent[j]] = -u
+            out.append(tuple(fractions(v, den)))
+    return out
 
 
 def identity(n):

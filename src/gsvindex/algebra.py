@@ -22,9 +22,8 @@ so no algebra builds one.
 A QuotientAlgebra, such as C0 = B0 / ann(DF), is the quotient by the
 annihilator of a fixed element, and a FiniteAlgebra on its own staircase:
 the parent staircase monomials that are not RREF pivots of the annihilator,
-read off one forward elimination of the multiplication matrix with its
-columns taken right to left, and one back-substitution per dependent
-column (QuotientAlgebra). They form an order ideal
+read off the column relations of the multiplication matrix
+(_linalg.column_relations, QuotientAlgebra). They form an order ideal
 (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6-1.7).
 The parent basis descends in the local order, so a pivot is the largest
 monomial of its kernel vector; x_k times that vector stays in the kernel
@@ -74,7 +73,6 @@ class FiniteAlgebra:
 
     def __init__(self, sb: StandardBasis, stairs: Staircase, canonical):
         self.sb = sb
-        self.staircase = stairs
         self._canon = canonical
         self._set_up(stairs.basis_monomials, sb.basis[0].nvars)
 
@@ -211,8 +209,8 @@ class QuotientAlgebra(FiniteAlgebra):
     """parent / ann_parent(g), in deterministic complement coordinates.
 
     One forward elimination of M_g, the matrix of multiplication by g, with
-    its columns read right to left, and a back-substitution for each of
-    the few dependent columns give everything (_column_relations). The
+    its columns read right to left, and a back-substitution for each of the
+    few dependent columns give everything (_linalg.column_relations). The
     complement basis is the parent staircase monomials whose columns are
     not combinations of later columns: column r is such a combination
     exactly when ann(g) has a vector whose first nonzero coordinate is r,
@@ -224,9 +222,8 @@ class QuotientAlgebra(FiniteAlgebra):
 
     def __init__(self, parent: FiniteAlgebra, g: Polynomial):
         self.parent = parent
-        self.element = g
         # the class of b_r as sparse numerators over self._den
-        independent, self._projected_units, self._den = _column_relations(
+        independent, self._projected_units, self._den = _linalg.column_relations(
             _integer_matrix(parent._product_columns(g)), parent.dim)
         self.complement_indices = tuple(independent)
         self._set_up(tuple(parent.basis[c] for c in self.complement_indices),
@@ -235,8 +232,8 @@ class QuotientAlgebra(FiniteAlgebra):
     @cached_property
     def kernel_basis(self):
         """The RREF rows of ann(g)."""
-        return _kernel_rows(self.complement_indices, self._projected_units,
-                            self._den)
+        return _linalg.kernel_rows(self.complement_indices,
+                                   self._projected_units, self._den)
 
     def _project(self, pairs, den):
         """The class of the parent element sum of c b_r / den over (r, c)."""
@@ -276,45 +273,6 @@ def _integer_matrix(cols):
     return [list(r) for r in zip(*([x * (s // den) for x in v] for v, den in cols))]
 
 
-def _column_relations(M, n):
-    """The columns of the int matrix M, n of them, by one forward
-    elimination read right to left: (independent, units, den) with den > 0,
-    where independent lists, ascending, the columns that are not
-    combinations of later columns, and column r = sum of u / den * column
-    independent[j] over (j, u) in units[r]. Each dependent column is one
-    back-substitution, and den is the lcm of their denominators."""
-    rows, pivots = _linalg.forward_eliminate([row[::-1] for row in M])
-    last = len(pivots) - 1
-    # pivot k is column n - 1 - pivots[k], independent column last - k
-    position = {n - 1 - p: last - k for k, p in enumerate(pivots)}
-    relations = {r: _linalg.back_substitute(rows, pivots, n - 1 - r)
-                 for r in range(n) if r not in position}
-    den = lcm(*(e for _, e in relations.values()))
-    units = []
-    for r in range(n):
-        if r in position:
-            units.append([(position[r], den)])
-        else:
-            x, e = relations[r]
-            units.append([(last - k, x[k] * (den // e))
-                          for k in range(last, -1, -1) if x[k]])
-    return sorted(position), units, den
-
-
-def _kernel_rows(independent, units, den):
-    """The RREF rows of the right kernel, from _column_relations: for each
-    dependent column r, e_r minus the later columns that column r equals."""
-    free, out = set(independent), []
-    for r in range(len(units)):
-        if r not in free:
-            v = [0] * len(units)
-            v[r] = den
-            for j, u in units[r]:
-                v[independent[j]] = -u
-            out.append(tuple(_linalg.fractions(v, den)))
-    return out
-
-
 def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
     """A / ann_A(g), computed as the kernel of multiplication by g."""
     return QuotientAlgebra(A, g)
@@ -333,7 +291,7 @@ def socle(algebra):
         for i, col in enumerate(cols):
             for r, c in ((col, cols.scale),) if type(col) is int else col:
                 stacked[k * d + r][i] = c
-    return _kernel_rows(*_column_relations(stacked, d))
+    return _linalg.kernel_rows(*_linalg.column_relations(stacked, d))
 
 
 def solve_multiplication(algebra, g: Polynomial, v: Polynomial):

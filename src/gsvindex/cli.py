@@ -367,24 +367,6 @@ def parse_problem_file(path, data: "bytes | None" = None) -> ProblemFile:
     return parse_problem_text(text, path=str(path))
 
 
-def render_problem_file(pf: ProblemFile) -> str:
-    """Canonical text for a parsed file; re-parsing yields an equal problem."""
-    names = list(pf.variables)
-    lines = [f"ring: {', '.join(names)}", f"field: {pf.field}"]
-    if pf.map_components is not None:
-        lines.append("g: " + "; ".join(p.render(names) for p in pf.map_components))
-    else:
-        pr = pf.problem
-        lines.append("f: " + "; ".join(p.render(names) for p in pr.f))
-        lines.append("X: " + "; ".join(p.render(names) for p in pr.X))
-        rows = [
-            ", ".join(pr.C.entry(i, j).render(names) for j in range(pr.C.cols))
-            for i in range(pr.C.rows)
-        ]
-        lines.append("C: [" + "; ".join(rows) + "]")
-    return "\n".join(lines) + "\n"
-
-
 # ------------------------------------------------------------------ reports
 
 class ReportDocument:

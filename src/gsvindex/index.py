@@ -93,14 +93,6 @@ class CoordinateNormalization(Record, hidden=("algebra",)):
     attempts_used: int
     algebra: FiniteAlgebra  # B0 of `problem`
 
-    @property
-    def is_identity(self) -> bool:
-        return permutation_of(self.transform) == tuple(range(len(self.transform)))
-
-    @property
-    def is_permutation(self) -> bool:
-        return permutation_of(self.transform) is not None
-
 
 class GoodnessResult(Record):
     """Outcome of the sufficient deformability criterion.
@@ -153,17 +145,6 @@ def _substitute_curve(problem: Problem, change: LinearChange):
         return problem.f, problem.X
     return (tuple(linear_substitute(p, change) for p in problem.f),
             tuple(transform_vector_field(problem.X, change)))
-
-
-def _substitute_problem(problem: Problem, A) -> Problem:
-    """problem in coordinates y, where z = A y; the identity returns problem."""
-    change = LinearChange(A)
-    if change.is_identity:
-        return problem
-    f, X = _substitute_curve(problem, change)
-    C = PolyMatrix(problem.C.rows, problem.C.cols,
-                   [linear_substitute(e, change) for e in problem.C.entries])
-    return Problem(vars=problem.vars, f=f, X=X, C=C, field=problem.field)
 
 
 def random_unimodular(nvars: int, rng: random.Random):

@@ -141,9 +141,6 @@ class LocalOrder(Record):
         """Whether the monomial of code a divides that of code b."""
         return not (self._sign * (b - a)) & self._guards
 
-    def leading_monomial(self, p: Polynomial) -> Monomial:
-        return max(p.terms, key=self.key)
-
     def sort_descending(self, monos):
         return sorted(monos, key=self.key, reverse=True)
 

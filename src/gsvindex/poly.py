@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le
 
 from . import _linalg
 
@@ -67,11 +67,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b divides a."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -220,21 +215,6 @@ class Polynomial:
             return Polynomial.zero(self.nvars)
         return Polynomial._trusted(self.nvars, {
             m: _int_if_integral(c * v) for m, v in self.terms.items()})
-
-    def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
-        """Multiply by a single term coeff * x^mono."""
-        if len(mono) != self.nvars:
-            raise ValueError(
-                f"monomial {mono} has wrong length for {self.nvars} variables"
-            )
-        if any(e < 0 for e in mono):
-            raise ValueError(f"negative exponent in {mono}")
-        c = coefficient(coeff)
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return Polynomial._trusted(self.nvars, {
-            mono_mul(m, mono): _int_if_integral(c * v)
-            for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:

@@ -29,7 +29,8 @@ degree and s = L // 2 + 1 the span J of the basis monomials of degree >= s
 has J * J in m^(L+1) = 0, and is isotropic for every functional. With the
 basis split into the rest, I, and J, G = [[A, B], [B^T, 0]]; J meets the
 radical only in 0 exactly when rank B = dim J, and then J^perp / J is
-ker B^T with the form K^T A K, for K a kernel basis, of size d - 2 dim J.
+ker B^T with the form K^T A K, for K a kernel basis, of size d - 2 dim J;
+K comes from the column relations of B^T (_linalg.column_relations).
 The argument is not trusted: both G[J][J] = 0 and rank B = dim J are
 checked on the integer Gram, and if either fails the whole matrix goes to
 signature_of.
@@ -43,7 +44,6 @@ from math import gcd
 
 from . import _linalg
 from ._record import Record
-from .algebra import _column_relations
 from .errors import C1ClassZeroError
 from .poly import Polynomial
 
@@ -121,7 +121,7 @@ def _witt_signature(matrix, degrees) -> SignatureResult:
     I = [i for i, e in enumerate(degrees) if e < s]
     # B^T's columns read right to left, so that it pivots on the degrees
     # next to J: the other way round is 6x slower on a dense Gram
-    independent, units, den = _column_relations(
+    independent, units, den = _linalg.column_relations(
         [[matrix[j][i] for i in I] for j in J], len(I))
     if len(independent) < len(J):
         return signature_of(matrix)

@@ -3,7 +3,13 @@
 from math import comb
 from pathlib import Path
 
-from gsvindex import Polynomial, PolyMatrix, Problem
+from gsvindex import (
+    Polynomial,
+    PolyMatrix,
+    Problem,
+    linear_substitute,
+    transform_vector_field,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -17,6 +23,19 @@ def dk_problem(k, m, field="complex"):
     X = ((k - 2) * X2 ** (m + 1), 2 * (X2 ** m) * Y2)
     C = PolyMatrix(1, 1, [2 * (k - 1) * X2 ** m])
     return Problem(vars=("x", "y"), f=(f,), X=X, C=C, field=field)
+
+
+def substitute_problem(problem, A):
+    """problem in the coordinates y of the change z = A y."""
+    C = problem.C
+    entries = [linear_substitute(e, A) for e in C.entries]
+    return Problem(
+        vars=problem.vars,
+        f=tuple(linear_substitute(p, A) for p in problem.f),
+        X=tuple(transform_vector_field(problem.X, A)),
+        C=PolyMatrix(C.rows, C.cols, entries),
+        field=problem.field,
+    )
 
 
 def zk_map(k):

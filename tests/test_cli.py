@@ -29,7 +29,6 @@ from gsvindex.cli import (
     main,
     parse_problem_file,
     parse_problem_text,
-    render_problem_file,
 )
 from gsvindex.errors import (
     C1ClassZeroError,
@@ -43,9 +42,13 @@ from gsvindex.errors import (
     VerificationError,
 )
 from gsvindex.cli import _build_arg_parser
-from gsvindex.index import _substitute_problem
 
-from problems import CORPUS_DIR, THREE_VARIABLE_MAPS, dk_problem
+from problems import (
+    CORPUS_DIR,
+    THREE_VARIABLE_MAPS,
+    dk_problem,
+    substitute_problem,
+)
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
@@ -285,20 +288,6 @@ def test_parser_budget_keeps_every_shipped_input(monkeypatch):
 
 # ------------------------------------------------------------ problem files
 
-def test_problem_file_roundtrip():
-    for name in ("dk_k4_m3.prob", "space_curve_l1.prob", "hyperbola_real.prob"):
-        pf = parse_problem_file(CORPUS_DIR / name)
-        again = parse_problem_text(render_problem_file(pf))
-        assert again.problem == pf.problem
-        assert again.variables == pf.variables and again.field == pf.field
-
-
-def test_problem_file_roundtrip_el():
-    pf = parse_problem_file(CORPUS_DIR / "el_plane_quadratic_real.prob")
-    again = parse_problem_text(render_problem_file(pf))
-    assert again.map_components == pf.map_components
-
-
 def test_problem_file_errors():
     with pytest.raises(ParseError):
         parse_problem_text("field: complex\nf: x\nX: x\nC: [0]\n")  # no ring
@@ -352,7 +341,7 @@ def test_compute_hyperbola_report():
 def test_compute_deform_in_mixed_coordinates(tmp_path, k, m):
     # dk(k,m) after the shear [[-1, -1], [-2, -3]]: the deformation is the
     # components over a unit denominator U, with Df . X = U C (f - t)
-    p = _substitute_problem(dk_problem(k, m, "real"), [[-1, -1], [-2, -3]])
+    p = substitute_problem(dk_problem(k, m, "real"), [[-1, -1], [-2, -3]])
     names = list(p.vars)
     path = tmp_path / "mixed.prob"
     path.write_text(f"ring: x, y\nfield: real\nf: {p.f[0].render(names)}\n"

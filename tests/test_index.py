@@ -40,9 +40,11 @@ from gsvindex.errors import (
     TangencyError,
     VerificationError,
 )
-from gsvindex.index import _substitute_problem, annihilator_quotient, minor_det
+from gsvindex.index import annihilator_quotient, minor_det, random_unimodular
+from gsvindex.poly import permutation_of
 
 from graded_oracle import graded_quotient_data
+from intersection_oracle import gsv_index, intersection_number
 from problems import (
     CORPUS_DIR,
     THREE_VARIABLE_MAPS,
@@ -53,6 +55,7 @@ from problems import (
     hyperbola_problem,
     smooth_line_problem,
     space_curve_problem,
+    substitute_problem,
 )
 from reference_linalg import _ref_det, _ref_inverse
 
@@ -94,19 +97,19 @@ def test_problems_survive_pickle_and_deepcopy():
 
 def test_normalization_identity_for_dk():
     norm = ensure_regular_sequence(dk_problem(4, 3))
-    assert norm.is_identity and norm.attempts_used == 1
+    assert permutation_of(norm.transform) == (0, 1) and norm.attempts_used == 1
 
 
 def test_normalization_permutes_space_curve():
     norm = ensure_regular_sequence(space_curve_problem())
-    assert norm.is_permutation and not norm.is_identity
+    assert permutation_of(norm.transform) not in (None, (0, 1, 2))
     # the permuted first component must be the original third one, pulled back
     assert norm.problem.X[0].total_degree() == 3
 
 
 def test_normalization_identity_for_smooth_line():
     norm = ensure_regular_sequence(smooth_line_problem())
-    assert norm.is_identity
+    assert permutation_of(norm.transform) == (0, 1)
 
 
 def test_normalization_failure():
@@ -194,7 +197,7 @@ def test_normalization_general_change_for_sheared_node():
     # (x y, x^2) is not zero-dimensional, nor (x y, -y^2) after the swap
     pf = parse_problem_file(CORPUS_DIR / "node_sheared_real.prob")
     norm = ensure_regular_sequence(pf.problem)
-    assert norm.attempts_used == 3 and not norm.is_permutation
+    assert norm.attempts_used == 3 and permutation_of(norm.transform) is None
     assert norm.transform == ((1, 2), (1, 1))
     assert norm.algebra.dim == 4
 
@@ -261,13 +264,22 @@ def _reference_substitute_problem(problem, A):
     return Problem(vars=problem.vars, f=f2, X=X2, C=C2, field=problem.field)
 
 
-def _all_polys(problem):
-    return list(problem.f) + list(problem.X) + list(problem.C.entries)
+def _assert_same_terms(got, want):
+    """Equal polynomials, with their terms in the same order."""
+    assert got == want
+    for a, b in zip(got, want):
+        assert list(a.terms) == list(b.terms)
 
 
 def test_substitution_matches_the_expanding_reference():
-    from gsvindex.index import _candidate_transforms, _substitute_problem
-    from gsvindex.poly import permutation_of
+    # f and X as every attempt substitutes them, and C as the normalization
+    # substitutes it for a change whose B0 is finite
+    from gsvindex.index import (
+        _candidate_transforms,
+        _normalize_with,
+        _substitute_curve,
+    )
+    from gsvindex.poly import LinearChange
 
     problems = [pf.problem for pf in map(parse_problem_file,
                                          sorted(CORPUS_DIR.glob("*.prob")))
@@ -278,18 +290,21 @@ def test_substitution_matches_the_expanding_reference():
     for P in problems:
         for seed in (0, 3):
             for A in _candidate_transforms(P.nvars, seed, 12):
-                got = _substitute_problem(P, A)
                 want = _reference_substitute_problem(P, A)
-                assert got == want
-                for a, b in zip(_all_polys(got), _all_polys(want)):
-                    assert list(a.terms) == list(b.terms)
+                f, X = _substitute_curve(P, LinearChange(A))
+                _assert_same_terms(f + X, want.f + want.X)
+                try:
+                    C = _normalize_with(P, A, 1).problem.C
+                except (InfiniteDimensionError, DegreeCapExceededError):
+                    continue
+                _assert_same_terms(C.entries, want.C.entries)
                 kinds.add(permutation_of(A) is not None)
     assert kinds == {True, False}  # both kinds of change are compared
 
 
 def test_attempts_transform_only_what_they_need(monkeypatch):
     import gsvindex.index as index_mod
-    from gsvindex.index import _normalize_with, _substitute_problem
+    from gsvindex.index import _normalize_with
 
     events = []
     real_substitute, real_build = (index_mod.linear_substitute,
@@ -307,7 +322,7 @@ def test_attempts_transform_only_what_they_need(monkeypatch):
     monkeypatch.setattr(index_mod, "build_algebra", build)
     P = space_curve_problem(6)
     norm = ensure_regular_sequence(P)
-    assert norm.attempts_used > 1 and not norm.is_identity
+    assert norm.attempts_used > 1 and permutation_of(norm.transform) != (0, 1, 2)
     last_build = len(events) - 1 - events[::-1].index("build")
     # attempt 2 renames attempt 1's infinite ideal and is not built
     assert events.count("build") == norm.attempts_used - 1
@@ -318,7 +333,6 @@ def test_attempts_transform_only_what_they_need(monkeypatch):
     # the identity substitutes nothing and hands back the problem itself
     events.clear()
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert _substitute_problem(P, identity) is P
     with pytest.raises(InfiniteDimensionError):
         _normalize_with(P, identity, 1)
     assert events == ["build"]
@@ -401,7 +415,7 @@ def test_complex_index_space_curve_frozen_oracle_value():
     rep = complex_gsv_index(space_curve_problem())
     assert rep.index == 4 and rep.index >= 1
     assert (rep.dim_B0, rep.dim_B0_mod_DF) == (12, 8)
-    assert rep.normalization.is_permutation
+    assert permutation_of(rep.normalization.transform) is not None
 
 
 def test_space_curve_oracle_agreement_in_normalized_coordinates():
@@ -659,6 +673,44 @@ def test_hamiltonian_field_on_the_node_has_index_zero():
     assert complex_gsv_index(P).index == 0
 
 
+def test_intersection_oracle_on_textbook_values_and_euler_fields():
+    # transversal lines, a line tangent to a parabola, Fulton's worked
+    # example (Algebraic Curves, 3.3), a shared component, and the true
+    # indices 1 - mu of the Euler fields pinned above
+    assert intersection_number({(0, 1): 1}, {(1, 0): 1}) == 1
+    assert intersection_number({(0, 1): 1, (2, 0): -1}, {(0, 1): 1}) == 2
+    E = (x * x + y * y) ** 2 + 3 * x * x * y - y ** 3
+    F = (x * x + y * y) ** 3 - 4 * x * x * y * y
+    assert intersection_number(E.terms, F.terms) == 14
+    assert intersection_number((x * x - y * y).terms, (x + y).terms) is None
+    for f, X, index in ((x * y, (x, y), 0), (x * x - y ** 3, (3 * x, 2 * y), -1),
+                        (x ** 3 + y ** 5, (5 * x, 3 * y), -7)):
+        assert gsv_index(f.terms, [c.terms for c in X]) == index
+
+
+def test_complex_index_agrees_with_the_intersection_oracle():
+    # GSV = 1 - mu + I(f, X(l)) - I(f, l) by Fulton's algorithm, sharing no
+    # code with the engine, wherever the sufficient criterion holds, so
+    # that dim C0 is the index
+    problems = [Problem(vars=P.vars, f=P.f, X=P.X, C=P.C, field="complex")
+                for P in (parse_problem_file(path).problem
+                          for path in sorted(CORPUS_DIR.glob("*.prob")))
+                if P is not None and P.nvars == 2]
+    assert len(problems) == 7
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6)):
+        P = dk_problem(k, m)
+        problems += [P, substitute_problem(P, random_unimodular(
+            2, random.Random(1)))]
+    problems += [as_problem(*gm_family(k, l), field="complex")
+                 for k, l in ((2, 3), (3, 4), (2, 5), (4, 2))]
+    problems.append(Problem(vars=("x", "y"), f=(x * y,), X=(x, -y),
+                            C=PolyMatrix(1, 1, [zero2]), field="complex"))
+    for P in problems:
+        assert is_good_sufficient(list(P.f), P.C).status == "satisfied"
+        oracle = gsv_index(P.f[0].terms, [c.terms for c in P.X])
+        assert complex_gsv_index(P).index == oracle
+
+
 # -------------------------------------------------------------- deformation
 
 def test_deformation_hyperbola_exact():
@@ -708,7 +760,7 @@ def test_deformation_post_identity_on_families():
     cases += [hyperbola_problem(), space_curve_problem()]
     # after the shear [[-1, -1], [-2, -3]] the criterion's witnesses carry
     # non-constant unit denominators, and X_t is the components over U
-    sheared = [_substitute_problem(dk_problem(k, m, "real"), [[-1, -1], [-2, -3]])
+    sheared = [substitute_problem(dk_problem(k, m, "real"), [[-1, -1], [-2, -3]])
                for k, m in ((5, 4), (6, 5))]
     for p in cases + sheared:
         result = is_good_sufficient(list(p.f), p.C)
@@ -803,7 +855,7 @@ def test_gm_gradient_side_vanishes_when_c_in_gradient_ideal():
 def test_complex_dimension_matches_the_annihilator_route():
     # dim B0 - dim O/(f, X_1, DF) against C0 = B0 / ann(DF) built by kernel
     # and RREF, the route the real index still takes
-    from gsvindex.index import _c0_algebra, _substitute_problem, random_unimodular
+    from gsvindex.index import _c0_algebra
 
     sheared = parse_problem_file(CORPUS_DIR / "node_sheared_real.prob").problem
     problems = [Problem(vars=P.vars, f=P.f, X=P.X, C=P.C, field=field)
@@ -813,12 +865,12 @@ def test_complex_dimension_matches_the_annihilator_route():
     assert sheared in problems
     for k in (4, 5, 6):
         P = dk_problem(k, k - 1)
-        problems += [P] + [_substitute_problem(P, random_unimodular(
+        problems += [P] + [substitute_problem(P, random_unimodular(
             2, random.Random(s))) for s in range(5)]
     problems += [space_curve_problem(l) for l in range(1, 9)]
     # the deepest rung known: dim B0 = 159, leading monomials of degree 75
     shear = tuple(tuple(map(Fraction, r)) for r in ((-1, -1), (-2, -3)))
-    problems.append(_substitute_problem(dk_problem(14, 12), shear))
+    problems.append(substitute_problem(dk_problem(14, 12), shear))
     for P in problems:
         norm = ensure_regular_sequence(P)
         Q, n = norm.problem, P.nvars
@@ -831,7 +883,7 @@ def test_complex_dimension_matches_the_annihilator_route():
         assert report.index == report.dim_C0 == norm.algebra.dim - term
         if P.field == "real":
             assert real_gsv_index(P).dim_B0_mod_DF == term
-    assert not ensure_regular_sequence(sheared).is_permutation
+    assert permutation_of(ensure_regular_sequence(sheared).transform) is None
 
 
 def test_coordinate_invariance_dk():

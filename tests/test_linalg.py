@@ -1,9 +1,9 @@
 """The integer elimination kernel against elimination over the rationals.
 
-forward_eliminate and back_substitute, the column relations the algebra
-layer reads off them (algebra._column_relations and _kernel_rows), inverse
-and signature_of are checked against pure-Fraction references that share no
-code with them: rref, nullspace, det, solve and inverse from
+forward_eliminate and back_substitute, the column relations read off them
+for the algebra layer and the Witt step (column_relations and kernel_rows),
+inverse and signature_of are checked against pure-Fraction references that
+share no code with them: rref, nullspace, det, solve and inverse from
 reference_linalg, and the echelon rows and the signature below. Every result
 must be identical, not just equivalent.
 """
@@ -14,18 +14,12 @@ from math import gcd, lcm
 
 import pytest
 
-from gsvindex import _linalg, algebra, real_gsv_index, sigform, signature_of
-from gsvindex.algebra import _column_relations, _kernel_rows
-from gsvindex.index import (
-    _c0_algebra,
-    _substitute_problem,
-    c_coefficient,
-    ensure_regular_sequence,
-)
+from gsvindex import _linalg, real_gsv_index, signature_of
+from gsvindex.index import _c0_algebra, c_coefficient, ensure_regular_sequence
 from gsvindex.poly import jacobian, minor_det
 from gsvindex.sigform import choose_linear_form
 
-from problems import dk_problem
+from problems import dk_problem, substitute_problem
 from reference_linalg import (
     _ref_det,
     _ref_inverse,
@@ -143,15 +137,16 @@ def _integer_rows(M):
 
 
 def _check_relations(M):
-    """_column_relations and _kernel_rows on M against the references: the
+    """column_relations and kernel_rows on M against the references: the
     kernel rows are the RREF of the kernel, the independent columns the
     rest, and each column is the stated combination of independent ones."""
     n = len(M[0]) if M else 0
-    independent, units, den = _column_relations(_integer_rows(M), n)
+    independent, units, den = _linalg.column_relations(_integer_rows(M), n)
     ref_kernel, kernel_pivots = _ref_rref(_ref_nullspace(M, ncols=n))
     assert den > 0
     assert independent == [c for c in range(n) if c not in kernel_pivots]
-    assert _kernel_rows(independent, units, den) == [tuple(r) for r in ref_kernel]
+    assert _linalg.kernel_rows(independent, units, den) == [
+        tuple(r) for r in ref_kernel]
     for r, us in enumerate(units):
         for row in M:
             assert row[r] == sum((Fraction(u, den) * row[independent[j]]
@@ -211,19 +206,19 @@ def test_rref_nullspace_rank_match_rational_elimination():
 def test_elimination_edge_shapes():
     assert _linalg.forward_eliminate([]) == ([], [])
     # no rows but three columns: every column is the empty combination
-    assert _column_relations([], 3) == ([], [[], [], []], 1)
-    assert _kernel_rows(*_column_relations([], 3)) == [
+    assert _linalg.column_relations([], 3) == ([], [[], [], []], 1)
+    assert _linalg.kernel_rows(*_linalg.column_relations([], 3)) == [
         tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
-    assert _column_relations([], 0) == ([], [], 1)
+    assert _linalg.column_relations([], 0) == ([], [], 1)
     zero = [[F(0)] * 4 for _ in range(3)]
     assert _linalg.forward_eliminate(_integer_rows(zero)) == ([], [])
-    assert _column_relations(_integer_rows(zero), 4)[0] == []
+    assert _linalg.column_relations(_integer_rows(zero), 4)[0] == []
     wide = [[F(1), F(2), F(0), F(3), F(-1)], [F(2), F(4), F(1), F(0), F(1, 2)]]
     tall = [list(col) for col in zip(*wide)]
     for M in (zero, wide, tall, [[F(5)]], [[F(0)]], [[F(1, 3), F(0)]]):
         _check_relations(M)
-    assert _column_relations(_integer_rows(wide), 5)[0] == [3, 4]
-    assert _column_relations(_integer_rows(tall), 2)[0] == [0, 1]
+    assert _linalg.column_relations(_integer_rows(wide), 5)[0] == [3, 4]
+    assert _linalg.column_relations(_integer_rows(tall), 2)[0] == [0, 1]
 
 
 def test_column_relations_property():
@@ -243,7 +238,7 @@ def test_column_relations_property():
 
 
 def test_negative_last_pivot_property():
-    # _column_relations eliminates M with its columns reversed; each echelon
+    # column_relations eliminates M with its columns reversed; each echelon
     # row is a positive multiple of the rational one, so negating the last
     # pivot row keeps every pivot and negates the last echelon row: each
     # matrix of nonzero rank is eliminated with its last pivot < 0, and den
@@ -264,7 +259,7 @@ def test_negative_last_pivot_property():
             M[order[-1]] = [-x for x in M[order[-1]]]
         rows, pivots = _check_forward([row[::-1] for row in M])
         assert rows[-1][pivots[-1]] < 0
-        assert _column_relations(M, len(M[0]))[2] > 0
+        assert _linalg.column_relations(M, len(M[0]))[2] > 0
         _check_relations(M)
 
     check()
@@ -292,7 +287,7 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
     # plane-mixed's largest input at seed 1: dk(6,5) after the shear
     # [[3, -1], [2, -1]], with the functional drawn from seed 2071614969
     seed = 2071614969
-    P = _substitute_problem(dk_problem(6, 5, field="real"), [[3, -1], [2, -1]])
+    P = substitute_problem(dk_problem(6, 5, field="real"), [[3, -1], [2, -1]])
     norm = ensure_regular_sequence(P, seed=seed)
     Q = norm.problem
     DF = minor_det(jacobian(list(Q.f), 2), [0], [1])
@@ -313,20 +308,21 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
 
 def test_column_relations_on_the_deep_mixed_dk1210_rung(monkeypatch):
     # the two matrices the real index of seeded mixed dk(12,10) (shear
-    # [[-1, -1], [-2, -3]], seed 576420752) hands _column_relations: M_DF,
+    # [[-1, -1], [-2, -3]], seed 576420752) hands column_relations: M_DF,
     # of rank 99 < dim B0 = 113, and the Witt B^T, 41 x 58 with 17
     # dependent columns
     seen = []
+    column_relations = _linalg.column_relations
 
     def recording(M, n):
         seen.append([list(row) for row in M])
-        return _column_relations(M, n)
+        return column_relations(M, n)
 
-    monkeypatch.setattr(algebra, "_column_relations", recording)
-    monkeypatch.setattr(sigform, "_column_relations", recording)
-    P = _substitute_problem(dk_problem(12, 10, field="real"),
-                            [[-1, -1], [-2, -3]])
+    monkeypatch.setattr(_linalg, "column_relations", recording)
+    P = substitute_problem(dk_problem(12, 10, field="real"),
+                           [[-1, -1], [-2, -3]])
     assert real_gsv_index(P, seed=576420752).dim_C0 == 99
+    monkeypatch.undo()
     assert [(len(M), len(M[0])) for M in seen] == [(113, 113), (41, 58)]
     for M in seen:
         _check_relations(M)

@@ -27,7 +27,7 @@ from gsvindex.errors import DegreeCapExceededError, InfiniteDimensionError
 from gsvindex.index import random_unimodular
 from gsvindex import _linalg, localstd
 from gsvindex.localstd import membership_by_basis
-from gsvindex.poly import mono_div, mono_divides, mono_lcm, mono_mul
+from gsvindex.poly import mono_divides, mono_lcm, mono_mul
 
 from graded_oracle import staircase_count
 from problems import dk_problem
@@ -463,6 +463,15 @@ class _RefReducer:
         self.gen_index, self.den, self.vec = gen_index, den, vec
 
 
+def _ref_lm(p, order):
+    return max(p.terms, key=order.key)
+
+
+def _ref_quotient(a, b):
+    """The monomial a / b, for b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _ref_ecart(p, lm):
     return p.total_degree() - sum(lm)
 
@@ -471,7 +480,7 @@ def _ref_mora_weak_nf(p, reducers, order, certify=True):
     n = p.nvars
     T = []
     for i, g in enumerate(reducers):
-        lm = order.leading_monomial(g)
+        lm = _ref_lm(g, order)
         T.append(_RefReducer(g, lm, g.terms[lm], _ref_ecart(g, lm), gen_index=i))
     h = p
     den = vec = None
@@ -479,7 +488,7 @@ def _ref_mora_weak_nf(p, reducers, order, certify=True):
         den = Polynomial.one(n)
         vec = [Polynomial.zero(n)] * len(reducers)
     while not h.is_zero:
-        lm_h = order.leading_monomial(h)
+        lm_h = _ref_lm(h, order)
         candidates = [t for t in T if localstd.mono_divides(t.lm, lm_h)]
         if not candidates:
             break
@@ -488,17 +497,17 @@ def _ref_mora_weak_nf(p, reducers, order, certify=True):
         if g.ecart > e_h:
             T.append(_RefReducer(h, lm_h, h.terms[lm_h], e_h, den=den,
                                  vec=list(vec) if certify else None))
-        c = Fraction(h.terms[lm_h]) / g.lc
-        m = mono_div(lm_h, g.lm)
-        h = h - g.poly.mul_term(m, c)
+        t = Polynomial.term(n, _ref_quotient(lm_h, g.lm),
+                            Fraction(h.terms[lm_h]) / g.lc)
+        h = h - g.poly * t
         if not certify:
             continue
         if g.gen_index is not None:
             j = g.gen_index
-            vec[j] = vec[j] + Polynomial.term(n, m, c)
+            vec[j] = vec[j] + t
         else:
-            den = den - g.den.mul_term(m, c)
-            vec = [v - gv.mul_term(m, c) for v, gv in zip(vec, g.vec)]
+            den = den - g.den * t
+            vec = [v - gv * t for v, gv in zip(vec, g.vec)]
     return h, den, vec
 
 
@@ -547,7 +556,7 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True,
     zero, one = Polynomial.zero(n), Polynomial.one(n)
     G, lms, certs = [], [], []
     for j, g in nonzero:
-        lm = order.leading_monomial(g)
+        lm = _ref_lm(g, order)
         lc = g.terms[lm]
         G.append(g.scale(Fraction(1) / lc))
         lms.append(lm)
@@ -571,14 +580,15 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True,
                 and frozenset((i, k)) in popped and frozenset((j, k)) in popped
                 for k in range(len(G))):
             continue
-        mi, mj = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
-        s = G[i].mul_term(mi, 1) - G[j].mul_term(mj, 1)
+        ti = Polynomial.term(n, _ref_quotient(lcm, lms[i]), 1)
+        tj = Polynomial.term(n, _ref_quotient(lcm, lms[j]), 1)
+        s = G[i] * ti - G[j] * tj
         if s.is_zero:
             continue
         h, den, vec = _ref_mora_weak_nf(s, G, order, certify)
         if h.is_zero:
             continue
-        lm = order.leading_monomial(h)
+        lm = _ref_lm(h, order)
         if sum(lm) > degree_cap:
             raise DegreeCapExceededError("cap")
         lc = h.terms[lm]
@@ -586,8 +596,8 @@ def _ref_standard_basis(gens, order, degree_cap=None, certify=True,
         lms.append(lm)
         if certify:
             u = [-v for v in vec]
-            u[i] = u[i] + den.mul_term(mi, 1)
-            u[j] = u[j] - den.mul_term(mj, 1)
+            u[i] = u[i] + den * ti
+            u[j] = u[j] - den * tj
             support = [k for k, uk in enumerate(u) if not uk.is_zero]
             total, cof = _ref_combine_units([certs[k][0] for k in support])
             coeffs = [zero] * len(gens)
@@ -641,7 +651,7 @@ def _ref_coordinates(sb, stairs, p):
             out[i] = c
             continue
         lm, lc, tail = next(red for red in reducers if mono_divides(red[0], m))
-        q, f = mono_div(m, lm), Fraction(c) / lc
+        q, f = _ref_quotient(m, lm), Fraction(c) / lc
         for tm, tc in tail:
             r2 = rank.get(mono_mul(q, tm))
             if r2 is None:
@@ -879,13 +889,13 @@ def test_chain_criterion_leaves_a_standard_basis_and_its_staircase():
             basis, lms = list(sb.basis), sb.leading_monomials
             for (i, bi), (j, bj) in combinations(enumerate(basis), 2):
                 lcm = mono_lcm(lms[i], lms[j])
-                s = (bi.mul_term(mono_div(lcm, lms[i]), 1)
-                     - bj.mul_term(mono_div(lcm, lms[j]), 1))
+                s = (bi * Polynomial.term(n, _ref_quotient(lcm, lms[i]), 1)
+                     - bj * Polynomial.term(n, _ref_quotient(lcm, lms[j]), 1))
                 h = _ref_mora_weak_nf(s, basis, order, certify=False)[0]
                 assert h.is_zero, (name, order.kind, i, j)
             full, _ = _ref_standard_basis(gens, order, certify=False,
                                           chain=False)
-            full_lms = [order.leading_monomial(b) for b in full]
+            full_lms = [_ref_lm(b, order) for b in full]
             assert sorted(lms) == sorted(full_lms), (name, order.kind)
             monos = localstd.staircase_monomials(full_lms, n)
             assert staircase(sb).basis_monomials == (

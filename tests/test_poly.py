@@ -76,7 +76,8 @@ def test_arithmetic_results_are_canonical():
         mono = (rng.randint(0, 2), rng.randint(0, 2))
         for result in (
             a + b, a - b, -a, a * b, a.scale(3), a.scale(Fraction(-2, 5)),
-            2 * a, a.mul_term(mono, 4), a.mul_term(mono, Fraction(1, 3)),
+            2 * a, a * Polynomial.term(2, mono, 4),
+            a * Polynomial.term(2, mono, Fraction(1, 3)),
             a.diff(0), a.diff(1),
         ):
             assert_clean(result, 2)
@@ -85,8 +86,9 @@ def test_arithmetic_results_are_canonical():
     p = x * x * y - Fraction(1, 3) * y + Polynomial.constant(2, 2)
     for result in (
         p - p, p + (-p), -(p - p), p * Polynomial.zero(2),
-        (x + y) * (x - y) - x * x + y * y, p.scale(0), p.mul_term((1, 1), 0),
-        Polynomial.constant(2, 5).diff(0), Polynomial.zero(2).mul_term((1, 0), 3),
+        (x + y) * (x - y) - x * x + y * y, p.scale(0),
+        p * Polynomial.term(2, (1, 1), 0), Polynomial.constant(2, 5).diff(0),
+        Polynomial.zero(2) * Polynomial.term(2, (1, 0), 3),
         Polynomial.constant(2, 0), Polynomial.constant(2, Fraction(0, 3)),
     ):
         assert_clean(result, 2)
@@ -107,8 +109,10 @@ def test_integral_results_of_fraction_operands_are_ints():
         ((half * x ** 2).diff(0), {(1, 0): 1}),
         ((x + y).scale(Fraction(4, 2)), {(1, 0): 2, (0, 1): 2}),
         ((half * x).scale(Fraction(2, 1)), {(1, 0): 1}),
-        ((x + y).mul_term((0, 1), Fraction(3, 3)), {(1, 1): 1, (0, 2): 1}),
-        ((Fraction(2, 3) * x).mul_term((1, 0), Fraction(3, 2)), {(2, 0): 1}),
+        ((x + y) * Polynomial.term(2, (0, 1), Fraction(3, 3)),
+         {(1, 1): 1, (0, 2): 1}),
+        ((Fraction(2, 3) * x) * Polynomial.term(2, (1, 0), Fraction(3, 2)),
+         {(2, 0): 1}),
         (parse_poly("4/2*x + 6/3", ["x", "y"]), {(1, 0): 2, (0, 0): 2}),
         (parse_poly("(1/2*x)^2*4", ["x", "y"]), {(2, 0): 1}),
         # x y / 2 at (2x, x + y) is x^2 + x y; x^2 / 2 at (x, 2y) keeps its half
@@ -142,17 +146,16 @@ def test_integral_results_of_fraction_operands_are_ints():
 
 def test_float_coefficients_are_refused():
     for make in (lambda: Polynomial.constant(2, 0.5), lambda: x.scale(2.0),
-                 lambda: x.mul_term((1, 0), 0.25), lambda: x * 1.5,
+                 lambda: x * Polynomial.term(2, (1, 0), 0.25), lambda: x * 1.5,
                  lambda: Polynomial(2, {(1, 0): 1.0})):
         with pytest.raises(TypeError):
             make()
 
 
-def test_mul_term_checks_its_monomial():
-    p = x * y + Polynomial.one(2)
+def test_constructors_check_monomials_and_variable_counts():
     for mono in ((1,), (1, 0, 0), (-1, 0), (0, -2)):
         with pytest.raises(ValueError):
-            p.mul_term(mono, 1)
+            Polynomial.term(2, mono, 1)
     # so do the named constructors: at least one variable, an index in range
     for make in (lambda: Polynomial.zero(0), lambda: Polynomial.one(0),
                  lambda: Polynomial.constant(0, 1), lambda: Polynomial.variable(2, 2),

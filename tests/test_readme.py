@@ -1,10 +1,12 @@
 """The README's library example runs as printed, the API names it lists
-resolve, and the public surface of gsvindex is pinned.
+resolve, the public surface of gsvindex is pinned, and the package defines
+nothing that only tests call.
 
 A change that adds or drops a public name has to update PUBLIC_NAMES, and
 so has to say so.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -12,6 +14,13 @@ import gsvindex
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
+
+# package definitions that only tests reach, each with its reason to stay
+TEST_ONLY_DEFINITIONS = {
+    # test_algebra and test_linalg compare the annihilator rows of C0 with
+    # a reference nullspace
+    "kernel_basis",
+}
 
 # sorted(gsvindex.__all__): the names bound in gsvindex/__init__.py, the
 # submodules it imports among them
@@ -77,3 +86,28 @@ def test_the_public_names_are_pinned():
     assert sorted(gsvindex.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(gsvindex, name), name
+
+
+def test_every_package_definition_is_reached_from_the_package():
+    # a function, class or method whose name never appears in the package
+    # as a name, an attribute or an imported name is reached from tests only
+    package = Path(gsvindex.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used | TEST_ONLY_DEFINITIONS)
+    assert unused == []

@@ -15,13 +15,12 @@ from gsvindex import sigform
 from gsvindex.errors import C1ClassZeroError
 from gsvindex.index import (
     _c0_algebra,
-    _substitute_problem,
     c_coefficient,
     random_unimodular,
 )
 from gsvindex.poly import jacobian, minor_det
 
-from problems import dk_problem, zk_map
+from problems import dk_problem, substitute_problem, zk_map
 from reference_linalg import _ref_det, _ref_scaled
 
 x = Polynomial.variable(2, 0)
@@ -277,7 +276,7 @@ def test_witt_reduction_matches_the_full_signature_on_dk(monkeypatch):
         P = dk_problem(k, m, field="real")
         changes = [shear] + [random_unimodular(2, random.Random(s))
                              for s in range(4)]
-        for Q in [P] + [_substitute_problem(P, A) for A in changes]:
+        for Q in [P] + [substitute_problem(P, A) for A in changes]:
             norm = ensure_regular_sequence(Q)
             N = norm.problem
             c1 = c_coefficient(jacobian(list(N.X), N.nvars), N.C)
