@@ -63,11 +63,8 @@ from .index import (
     c_coefficient,
     complex_gsv_index,
     construct_good_deformation,
-    coordinate_invariance_check,
-    cramer_identity_check,
     eisenbud_levine_index,
     ensure_regular_sequence,
-    gm_identity_check,
     gm_signature_index,
     is_good_sufficient,
     poincare_hopf_complex,

@@ -72,7 +72,6 @@ class FiniteAlgebra:
     """Local quotient algebra with staircase basis b_1 = 1, b_2, ..., b_d."""
 
     def __init__(self, sb: StandardBasis, stairs: Staircase, canonical):
-        self.sb = sb
         self._canon = canonical
         self._set_up(stairs.basis_monomials, sb.basis[0].nvars)
 

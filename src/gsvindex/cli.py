@@ -129,7 +129,6 @@ def _coefficient_words(p: Polynomial) -> int:
 
 class _PolyParser:
     def __init__(self, text: str, names):
-        self.text = text
         self.names = list(names)
         self.index_of = {v: i for i, v in enumerate(self.names)}
         self.tokens = _tokenize(text)

@@ -45,6 +45,7 @@ from .poly import (
     LinearChange,
     Polynomial,
     PolyMatrix,
+    default_names,
     jacobian,
     linear_substitute,
     minor_det,
@@ -485,8 +486,6 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
             "deformation construction needs a satisfied goodness criterion"
         )
     if var_names is None:
-        from .poly import default_names
-
         var_names = default_names(n)
     tnames = _deformation_names(var_names, q)
     N = n + q
@@ -538,63 +537,17 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
             if not correction[m][i].is_zero:
                 comp = comp - tvar[m] * lift(correction[m][i])
         components.append(comp)
-    # mandatory symbolic post-check: Df . components = U C(f - t)
-    for lrow in range(q):
-        lhs = Polynomial.zero(N)
-        fl = lift(f[lrow])
-        for i in range(n):
-            lhs = lhs + fl.diff(i) * components[i]
-        rhs = Polynomial.zero(N)
-        for m in range(q):
-            rhs = rhs + lift(C.entry(lrow, m)) * (lift(f[m]) - tvar[m])
-        if lhs != lift(U) * rhs:
-            raise VerificationError(
-                "constructed deformation failed the symbolic tangency identity"
-            )
+    # mandatory symbolic post-check: X_t (f - t) = U C (f - t)
+    ok, _ = verify_tangency(
+        [lift(fm) - tm for fm, tm in zip(f, tvar)],
+        components + [Polynomial.zero(N)] * q,
+        PolyMatrix(q, q, [lift(U * c) for c in C.entries]),
+    )
+    if not ok:
+        raise VerificationError(
+            "constructed deformation failed the symbolic tangency identity"
+        )
     return tuple(components), tuple(var_names) + tnames, U
-
-
-def cramer_identity_check(problem: Problem) -> bool:
-    """Check (-1)^i m_i X_1 + DF X_i = 0 modulo (f_1, ..., f_{n-1}) for all i."""
-    _require_curve(problem)
-    _check_tangency(problem.f, problem.X, problem.C)
-    n, q = problem.nvars, problem.ncurve_eqs
-    Df, DF = jacobian(list(problem.f), n), _jacobian_minor(problem)
-    for i in range(1, n + 1):
-        cols = [c for c in range(n) if c != i - 1]
-        mi = minor_det(Df, list(range(q)), cols)
-        residual = mi.scale((-1) ** i) * problem.X[0] + DF * problem.X[i - 1]
-        if residual.is_zero:
-            continue
-        ok, _ = localstd.ideal_membership(residual, list(problem.f))
-        if not ok:
-            return False
-    return True
-
-
-def gm_identity_check(f: Polynomial, X, c: Polynomial):
-    """Positive rational r with r (c c1) = det DX in the ambient quotient, or None.
-
-    Plane case only: needs an ambient isolated zero of X and tangency Xf = cf.
-    """
-    X = list(X)
-    n = f.nvars
-    if n != 2 or len(X) != 2:
-        raise ShapeError("the comparison identity applies to plane curves")
-    Cmat = PolyMatrix(1, 1, [c])
-    _check_tangency([f], X, Cmat)
-    B = build_algebra(X)
-    DX = jacobian(X, n)
-    c1 = c_coefficient(DX, Cmat)
-    lhs = B.coords(c * c1)
-    rhs = B.coords(minor_det(DX, [0, 1], [0, 1]))
-    if all(v == 0 for v in lhs):
-        return None
-    k = next(i for i, v in enumerate(lhs) if v != 0)
-    r = rhs[k] / lhs[k]
-    if r <= 0 or any(r * a != b for a, b in zip(lhs, rhs)):
-        return None
-    return r
 
 
 def _signature_on_relative_class(parent: FiniteAlgebra, rel: QuotientAlgebra,
@@ -642,22 +595,3 @@ def gm_signature_index(f: Polynomial, X, c: Polynomial,
             "signature is nonzero"
         )
     return sig2 - sig1
-
-
-def coordinate_invariance_check(problem: Problem, seed: int = 0,
-                                trials: int = 5) -> bool:
-    """dim C0 must agree across random unimodular coordinate changes."""
-    base = complex_gsv_index(problem, seed=seed)
-    rng = random.Random(seed)
-    done = attempts = 0
-    while done < trials and attempts < trials * 20:
-        attempts += 1
-        A = random_unimodular(problem.nvars, rng)
-        try:
-            norm = _normalize_with(problem, tuple(tuple(r) for r in A), 1)
-        except (InfiniteDimensionError, DegreeCapExceededError):
-            continue
-        if _c0_dimension(norm) != base.dim_C0:
-            return False
-        done += 1
-    return done == trials

@@ -1,5 +1,7 @@
-"""Shared problem builders for the test suite."""
+"""Shared problem builders for the test suite, and the paper's identities
+as oracles on the public API."""
 
+import random
 from math import comb
 from pathlib import Path
 
@@ -7,9 +9,17 @@ from gsvindex import (
     Polynomial,
     PolyMatrix,
     Problem,
+    build_algebra,
+    c_coefficient,
+    complex_gsv_index,
+    ideal_membership,
+    jacobian,
     linear_substitute,
+    minor_det,
     transform_vector_field,
+    verify_tangency,
 )
+from gsvindex.index import random_unimodular
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -123,3 +133,50 @@ def as_problem(f, X, c, field="real"):
     return Problem(
         vars=("x", "y"), f=(f,), X=tuple(X), C=PolyMatrix(1, 1, [c]), field=field
     )
+
+
+def cramer_identity_check(problem):
+    """(-1)^i m_i X_1 + DF X_i = 0 modulo (f_1, ..., f_{n-1}) for every i.
+
+    m_i is the maximal minor of Df without column i, and DF = m_1.
+    """
+    n, f = problem.nvars, list(problem.f)
+    assert verify_tangency(f, problem.X, problem.C)[0]
+    Df = jacobian(f, n)
+    rows = range(len(f))
+    DF = minor_det(Df, rows, range(1, n))
+    for i in range(1, n + 1):
+        mi = minor_det(Df, rows, [c for c in range(n) if c != i - 1])
+        residual = mi.scale((-1) ** i) * problem.X[0] + DF * problem.X[i - 1]
+        if not residual.is_zero and not ideal_membership(residual, f)[0]:
+            return False
+    return True
+
+
+def gm_identity_check(f, X, c):
+    """Positive rational r with r (c c1) = det DX in the local algebra of the
+    plane field X, or None (Gomez-Mont's comparison for Xf = cf)."""
+    C = PolyMatrix(1, 1, [c])
+    assert verify_tangency([f], X, C)[0]
+    B = build_algebra(X)
+    DX = jacobian(list(X), 2)
+    lhs = B.coords(c * c_coefficient(DX, C))
+    rhs = B.coords(minor_det(DX, [0, 1], [0, 1]))
+    k = next((i for i, v in enumerate(lhs) if v != 0), None)
+    if k is None:
+        return None
+    r = rhs[k] / lhs[k]
+    if r <= 0 or any(r * a != b for a, b in zip(lhs, rhs)):
+        return None
+    return r
+
+
+def coordinate_invariance_check(problem, seed=0, trials=5):
+    """The complex index is unchanged by `trials` seeded unimodular changes
+    of f, X and C."""
+    base = complex_gsv_index(problem, seed=seed).index
+    rng = random.Random(seed)
+    return all(
+        complex_gsv_index(substitute_problem(
+            problem, random_unimodular(problem.nvars, rng))).index == base
+        for _ in range(trials))

@@ -20,11 +20,8 @@ from gsvindex import (
     choose_linear_form,
     complex_gsv_index,
     construct_good_deformation,
-    coordinate_invariance_check,
-    cramer_identity_check,
     eisenbud_levine_index,
     ensure_regular_sequence,
-    gm_identity_check,
     is_good_sufficient,
     jacobian,
     minor_det,
@@ -41,9 +38,12 @@ from gsvindex.poly import permutation_of
 from problems import (
     CORPUS_DIR,
     as_problem,
+    coordinate_invariance_check,
+    cramer_identity_check,
     cusp_instance,
     dk_problem,
     gm_family,
+    gm_identity_check,
     hyperbola_problem,
     smooth_line_problem,
     space_curve_problem,

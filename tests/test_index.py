@@ -16,11 +16,8 @@ from gsvindex import (
     c_coefficient,
     complex_gsv_index,
     construct_good_deformation,
-    coordinate_invariance_check,
-    cramer_identity_check,
     eisenbud_levine_index,
     ensure_regular_sequence,
-    gm_identity_check,
     gm_signature_index,
     is_good_sufficient,
     jacobian,
@@ -49,9 +46,12 @@ from problems import (
     CORPUS_DIR,
     THREE_VARIABLE_MAPS,
     as_problem,
+    coordinate_invariance_check,
+    cramer_identity_check,
     cusp_instance,
     dk_problem,
     gm_family,
+    gm_identity_check,
     hyperbola_problem,
     smooth_line_problem,
     space_curve_problem,
