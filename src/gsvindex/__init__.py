@@ -47,8 +47,6 @@ from .algebra import (
     QuotientAlgebra,
     annihilator_quotient,
     build_algebra,
-    socle,
-    solve_multiplication,
 )
 from .sigform import (
     SignatureResult,
@@ -65,7 +63,6 @@ from .index import (
     construct_good_deformation,
     eisenbud_levine_index,
     ensure_regular_sequence,
-    gm_signature_index,
     is_good_sufficient,
     poincare_hopf_complex,
     real_gsv_index,

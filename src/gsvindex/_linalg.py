@@ -14,9 +14,8 @@ column over the rationals.
 
 column_relations reads the column dependencies of an int matrix off one
 forward elimination with its columns taken right to left and one
-back-substitution per dependent column; kernel_rows turns them into the
-RREF rows of the right kernel. The algebra layer builds every annihilator
-quotient and socle on them, and sigform its Witt kernel of B^T.
+back-substitution per dependent column. The algebra layer builds every
+annihilator quotient on them, and sigform its Witt kernel of B^T.
 
 The algebra layer hands int rows directly; inverse, the one rational-matrix
 routine (coordinate changes), scales each row of ints and Fractions to
@@ -129,20 +128,6 @@ def column_relations(M, n):
             units.append([(last - k, x[k] * (den // e))
                           for k in range(last, -1, -1) if x[k]])
     return sorted(position), units, den
-
-
-def kernel_rows(independent, units, den):
-    """The RREF rows of the right kernel, from column_relations: for each
-    dependent column r, e_r minus the later columns that column r equals."""
-    free, out = set(independent), []
-    for r in range(len(units)):
-        if r not in free:
-            v = [0] * len(units)
-            v[r] = den
-            for j, u in units[r]:
-                v[independent[j]] = -u
-            out.append(tuple(fractions(v, den)))
-    return out
 
 
 def identity(n):

@@ -38,13 +38,12 @@ Every vector here is integer numerators over one positive denominator,
 scale, and the projection onto a quotient is integers over one
 denominator. A matrix is scaled to integers only as a whole, by a
 positive number (per-row scaling is not a congruence). Fractions appear
-only at the edges: coords, kernel_basis, socle and solve_multiplication.
+only at the edge: coords.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -166,13 +165,6 @@ class FiniteAlgebra:
         """Coordinates of the class of p in the staircase basis."""
         return _linalg.fractions(*self._integer_coords(p))
 
-    def from_coords(self, coords) -> Polynomial:
-        out = Polynomial.zero(self.nvars)
-        for c, m in zip(coords, self.basis):
-            if c:
-                out = out + Polynomial.term(self.nvars, m, c)
-        return out
-
     def _product_columns(self, g: Polynomial):
         """[coords(g * b_1), ..., coords(g * b_d)] by the staircase recurrence."""
         return self._walk(self._integer_coords(g), self._times_variable)
@@ -228,12 +220,6 @@ class QuotientAlgebra(FiniteAlgebra):
         self._set_up(tuple(parent.basis[c] for c in self.complement_indices),
                      parent.nvars)
 
-    @cached_property
-    def kernel_basis(self):
-        """The RREF rows of ann(g)."""
-        return _linalg.kernel_rows(self.complement_indices,
-                                   self._projected_units, self._den)
-
     def _project(self, pairs, den):
         """The class of the parent element sum of c b_r / den over (r, c)."""
         return _linalg.reduced(_times(self._projected_units, 1, pairs,
@@ -276,31 +262,3 @@ def annihilator_quotient(A: FiniteAlgebra, g: Polynomial) -> QuotientAlgebra:
     """A / ann_A(g), computed as the kernel of multiplication by g."""
     return QuotientAlgebra(A, g)
 
-
-def socle(algebra):
-    """Basis of {a : a * m = 0 for every m in the maximal ideal}.
-
-    Accepts any FiniteAlgebra, annihilator quotients included; returns RREF
-    coordinate vectors of the intersection of the kernels of multiplication
-    by each variable class: the M_k stacked, each by its positive scale.
-    """
-    d = algebra.dim
-    stacked = [[0] * d for _ in range(d * algebra.nvars)]
-    for k, cols in enumerate(algebra.var_matrices):
-        for i, col in enumerate(cols):
-            for r, c in ((col, cols.scale),) if type(col) is int else col:
-                stacked[k * d + r][i] = c
-    return _linalg.kernel_rows(*_linalg.column_relations(stacked, d))
-
-
-def solve_multiplication(algebra, g: Polynomial, v: Polynomial):
-    """One coordinate solution h of g*h = v in the algebra, its free
-    coordinates 0, or None."""
-    d = algebra.dim
-    rows, pivots = _linalg.forward_eliminate(_integer_matrix(
-        algebra._product_columns(g) + [algebra._integer_coords(v)]))
-    if pivots and pivots[-1] == d:
-        return None  # pivot in the column of v: inconsistent
-    h = dict(zip(pivots, _linalg.fractions(*_linalg.back_substitute(
-        rows, pivots, d))))
-    return [h.get(c, Fraction(0)) for c in range(d)]

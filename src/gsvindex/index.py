@@ -28,7 +28,6 @@ from .algebra import (
     QuotientAlgebra,
     annihilator_quotient,
     build_algebra,
-    solve_multiplication,
 )
 from .errors import (
     C1ClassZeroError,
@@ -549,49 +548,3 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
         )
     return tuple(components), tuple(var_names) + tnames, U
 
-
-def _signature_on_relative_class(parent: FiniteAlgebra, rel: QuotientAlgebra,
-                                 target: Polynomial, multiplier: Polynomial,
-                                 seed):
-    """Signature of the pairing on rel positive on the class target/multiplier.
-
-    The division is solved in the parent algebra; any solution there has a
-    well-determined class in rel = parent/ann(multiplier). A trivial rel
-    contributes signature 0 before any division is tried.
-    """
-    if rel.dim == 0:
-        return 0
-    h = solve_multiplication(parent, multiplier, target)
-    if h is None:
-        raise VerificationError(
-            "relative class does not exist: hypothesis violation "
-            "(target is not a multiple of the tangency factor)"
-        )
-    return _pairing_signature(rel, parent.from_coords(h), seed).signature
-
-
-def gm_signature_index(f: Polynomial, X, c: Polynomial,
-                       seed: "int | None" = None) -> int:
-    """Signature difference formula for plane fields with ambient isolated zero."""
-    X = list(X)
-    n = f.nvars
-    if n != 2 or len(X) != 2:
-        raise ShapeError("the signature comparison applies to plane curves")
-    Cmat = PolyMatrix(1, 1, [c])
-    _check_tangency([f], X, Cmat)
-    partials = [f.diff(0), f.diff(1)]
-    A = build_algebra(partials)
-    B = build_algebra(X)
-    hessian = minor_det(jacobian(partials, n), [0, 1], [0, 1])
-    detDX = minor_det(jacobian(X, n), [0, 1], [0, 1])
-    Arel = annihilator_quotient(A, c)
-    Brel = annihilator_quotient(B, c)
-    sig1 = _signature_on_relative_class(A, Arel, hessian, c, seed)
-    sig2 = _signature_on_relative_class(B, Brel, detDX, c, seed)
-    in_partials, _ = localstd.ideal_membership(c, partials)
-    if in_partials and sig1 != 0:
-        raise VerificationError(
-            "tangency factor lies in the gradient ideal but the gradient-side "
-            "signature is nonzero"
-        )
-    return sig2 - sig1

@@ -1,5 +1,11 @@
 """Shared problem builders for the test suite, and the paper's identities
-as oracles on the public API."""
+as oracles on the public API.
+
+The Fraction references for socles and division in a finite algebra, and
+Gomez-Mont's signature-difference formula built on them, live here too: no
+code path of the package needs them, and the tests cross-check the real
+index against them.
+"""
 
 import random
 from math import comb
@@ -9,17 +15,23 @@ from gsvindex import (
     Polynomial,
     PolyMatrix,
     Problem,
+    annihilator_quotient,
     build_algebra,
     c_coefficient,
+    choose_linear_form,
     complex_gsv_index,
     ideal_membership,
     jacobian,
     linear_substitute,
     minor_det,
+    signature_of,
     transform_vector_field,
     verify_tangency,
 )
+from gsvindex import _linalg
 from gsvindex.index import random_unimodular
+
+from reference_linalg import _ref_nullspace, _ref_rref, _ref_solve
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -180,3 +192,84 @@ def coordinate_invariance_check(problem, seed=0, trials=5):
         complex_gsv_index(substitute_problem(
             problem, random_unimodular(problem.nvars, rng))).index == base
         for _ in range(trials))
+
+
+def product_columns(A, g):
+    """[coords(g * b_1), ..., coords(g * b_d)] from the integer walk, as
+    Fractions."""
+    return [_linalg.fractions(*col) for col in A._product_columns(g)]
+
+
+def mult_matrix(A, g):
+    """The matrix of [h] -> [g*h]: its columns are the images of the basis."""
+    return [list(row) for row in zip(*product_columns(A, g))]
+
+
+def socle(A):
+    """The socle {a : a m = 0 for every m in the maximal ideal} of A as RREF
+    coordinate rows, by the Fraction route: the stacked mult_matrix of each
+    variable, its nullspace and that nullspace's RREF."""
+    if A.dim == 0:
+        return []
+    stacked = []
+    for k in range(A.nvars):
+        stacked.extend(mult_matrix(A, Polynomial.variable(A.nvars, k)))
+    rows, _ = _ref_rref(_ref_nullspace(stacked, ncols=A.dim))
+    return [tuple(r) for r in rows]
+
+
+def solve_multiplication(A, g, v):
+    """One coordinate solution h of g h = v in A, its free coordinates 0, or
+    None, by the Fraction route: mult_matrix and coords."""
+    if A.dim == 0:
+        return []
+    return _ref_solve(mult_matrix(A, g), A.coords(v))
+
+
+def gm_signature_index(f, X, c, seed=None):
+    """Gomez-Mont's signature-difference formula for a plane field X with an
+    ambient isolated zero and Xf = cf (J. Algebraic Geom. 7, 1998).
+
+    For A = O/(f_x, f_y) with target hess f, and B = O/(X) with target
+    det DX, each side is the signature of the pairing on A/ann(c) (B/ann(c))
+    positive on the class of target/c, solved in A (B); a trivial quotient
+    gives 0. The index is the B side minus the A side, and the A side must
+    vanish when c lies in the gradient ideal.
+    """
+    X = list(X)
+    assert verify_tangency([f], X, PolyMatrix(1, 1, [c]))[0]
+    partials = [f.diff(0), f.diff(1)]
+    sides = []
+    for gens in (partials, X):
+        parent = build_algebra(gens)
+        rel = annihilator_quotient(parent, c)
+        if rel.dim == 0:
+            sides.append(0)
+            continue
+        target = minor_det(jacobian(gens, 2), [0, 1], [0, 1])
+        h = solve_multiplication(parent, c, target)
+        assert h is not None, "the target is not a multiple of c"
+        l, _ = choose_linear_form(rel, Polynomial(2, dict(zip(parent.basis, h))),
+                                  seed=seed)
+        sides.append(signature_of(rel.scaled_gram_matrix(l)).signature)
+    if ideal_membership(c, partials)[0]:
+        assert sides[0] == 0, "c is in the gradient ideal, its side is not 0"
+    return sides[1] - sides[0]
+
+
+def hamiltonian_multiple(f, h, field="complex"):
+    """X = h X_f on the curve f = (f_1, ..., f_{n-1}), with C = 0.
+
+    X_f(u) = det D(f_1, ..., f_{n-1}, u): (-f_y, f_x) in the plane, the
+    cross product of the gradients in space. It kills every f_i, so X_f is
+    tangent to every fiber, and the complex and real GSV indices of h X_f
+    are those of the map (f, h): dim O/(f, h) and its Eisenbud-Levine
+    index.
+    """
+    n, q = h.nvars, len(f)
+    Df = jacobian(list(f), n)
+    X = tuple(h * minor_det(Df, range(q), [c for c in range(n) if c != i])
+              .scale((-1) ** (q + i)) for i in range(n))
+    return Problem(vars=("x", "y", "z")[:n], f=tuple(f), X=X,
+                   C=PolyMatrix(q, q, [Polynomial.zero(n)] * (q * q)),
+                   field=field)

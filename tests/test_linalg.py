@@ -1,9 +1,9 @@
 """The integer elimination kernel against elimination over the rationals.
 
 forward_eliminate and back_substitute, the column relations read off them
-for the algebra layer and the Witt step (column_relations and kernel_rows),
-inverse and signature_of are checked against pure-Fraction references that
-share no code with them: rref, nullspace, det, solve and inverse from
+for the algebra layer and the Witt step (column_relations), inverse and
+signature_of are checked against pure-Fraction references that share no
+code with them: rref, nullspace, det, solve and inverse from
 reference_linalg, and the echelon rows and the signature below. Every result
 must be identical, not just equivalent.
 """
@@ -14,12 +14,12 @@ from math import gcd, lcm
 
 import pytest
 
-from gsvindex import _linalg, real_gsv_index, signature_of
+from gsvindex import Polynomial, _linalg, real_gsv_index, signature_of
 from gsvindex.index import _c0_algebra, c_coefficient, ensure_regular_sequence
 from gsvindex.poly import jacobian, minor_det
 from gsvindex.sigform import choose_linear_form
 
-from problems import dk_problem, substitute_problem
+from problems import dk_problem, mult_matrix, substitute_problem
 from reference_linalg import (
     _ref_det,
     _ref_inverse,
@@ -136,16 +136,29 @@ def _integer_rows(M):
     return out
 
 
+def _kernel_rows(independent, units, den):
+    """e_r - sum of u / den * e_{independent[j]} over (j, u) in units[r],
+    for each dependent column r: the kernel vectors column_relations states."""
+    rows = []
+    for r, us in enumerate(units):
+        if r not in independent:
+            v = [Fraction(int(c == r)) for c in range(len(units))]
+            for j, u in us:
+                v[independent[j]] -= Fraction(u, den)
+            rows.append(tuple(v))
+    return rows
+
+
 def _check_relations(M):
-    """column_relations and kernel_rows on M against the references: the
-    kernel rows are the RREF of the kernel, the independent columns the
-    rest, and each column is the stated combination of independent ones."""
+    """column_relations on M against the references: its kernel vectors are
+    the RREF of the kernel, the independent columns the rest, and each
+    column is the stated combination of independent ones."""
     n = len(M[0]) if M else 0
     independent, units, den = _linalg.column_relations(_integer_rows(M), n)
     ref_kernel, kernel_pivots = _ref_rref(_ref_nullspace(M, ncols=n))
     assert den > 0
     assert independent == [c for c in range(n) if c not in kernel_pivots]
-    assert _linalg.kernel_rows(independent, units, den) == [
+    assert _kernel_rows(independent, units, den) == [
         tuple(r) for r in ref_kernel]
     for r, us in enumerate(units):
         for row in M:
@@ -207,7 +220,7 @@ def test_elimination_edge_shapes():
     assert _linalg.forward_eliminate([]) == ([], [])
     # no rows but three columns: every column is the empty combination
     assert _linalg.column_relations([], 3) == ([], [[], [], []], 1)
-    assert _linalg.kernel_rows(*_linalg.column_relations([], 3)) == [
+    assert _kernel_rows(*_linalg.column_relations([], 3)) == [
         tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
     assert _linalg.column_relations([], 0) == ([], [], 1)
     zero = [[F(0)] * 4 for _ in range(3)]
@@ -291,13 +304,13 @@ def test_signature_and_kernel_on_the_mixed_dk65_workload():
     norm = ensure_regular_sequence(P, seed=seed)
     Q = norm.problem
     DF = minor_det(jacobian(list(Q.f), 2), [0], [1])
-    M = [list(row) for row in zip(*(_linalg.fractions(*col) for col
-                                    in norm.algebra._product_columns(DF)))]
-    C0 = _c0_algebra(norm)
-    kernel, pivots = _ref_rref(_ref_nullspace(M))
-    assert C0.kernel_basis == [tuple(row) for row in kernel]
+    B0, C0 = norm.algebra, _c0_algebra(norm)
+    kernel, pivots = _ref_rref(_ref_nullspace(mult_matrix(B0, DF)))
     assert C0.complement_indices == tuple(
-        c for c in range(len(M)) if c not in pivots)
+        c for c in range(B0.dim) if c not in pivots)
+    # the class of each pivot monomial is minus the rest of its kernel row
+    assert [C0.coords(Polynomial.term(2, B0.basis[p], 1)) for p in pivots] == [
+        [-row[c] for c in C0.complement_indices] for row in kernel]
     c1 = c_coefficient(jacobian(list(Q.X), 2), Q.C)
     for fseed in (seed, None):
         l, _ = choose_linear_form(C0, c1, seed=fseed)
