@@ -35,7 +35,6 @@ from .localstd import (
     Staircase,
     StandardBasis,
     ideal_membership,
-    negdeglex,
     negdegrevlex,
     normal_form,
     quotient_dimension,

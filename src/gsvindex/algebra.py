@@ -50,7 +50,7 @@ from math import gcd, lcm
 from . import _linalg, localstd
 from .errors import InfiniteDimensionError
 from .poly import Polynomial
-from .localstd import LocalOrder, Staircase, StandardBasis
+from .localstd import Staircase, StandardBasis
 
 
 class ScaledColumns(tuple):
@@ -180,13 +180,12 @@ class FiniteAlgebra:
                      for w, den in rows)
 
 
-def build_algebra(gens, order: "LocalOrder | None" = None,
-                  degree_cap: "int | None" = None) -> FiniteAlgebra:
+def build_algebra(gens) -> FiniteAlgebra:
     """Quotient algebra by (gens), with its variable multiplication matrices."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise InfiniteDimensionError("zero ideal has an infinite quotient")
-    sb = localstd.standard_basis(gens, order, degree_cap, certify=False)
+    sb = localstd.standard_basis(gens, certify=False)
     stairs, canonical = sb.quotient
     if canonical is None:
         raise InfiniteDimensionError(

@@ -614,34 +614,16 @@ def _verify_case(prob_path: str):
     return name, True, summary
 
 
-def ProcessPoolExecutor(max_workers):
-    """concurrent.futures.ProcessPoolExecutor, imported on call: only
-    verify --jobs >= 2 loads multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(max_workers=max_workers)
-
-
-def cmd_verify(directory, jobs: int = 1):
-    """Evaluate every problem in a corpus directory against expectations.
-
-    Runs at most `jobs` worker processes, and never more than one per case.
-    """
-    if jobs < 1:
-        return EXIT_PARSE, f"error: --jobs must be at least 1, got {jobs}\n"
+def cmd_verify(directory):
+    """Evaluate every problem in a corpus directory against expectations,
+    one case after another, in the order of their file names."""
     root = Path(directory)
     if not root.is_dir():
         return EXIT_PARSE, f"error: {directory} is not a directory\n"
     cases = sorted(str(p) for p in root.glob("*.prob"))
     if not cases:
         return EXIT_OK, f"warning: no problem files in {directory}\n"
-    workers = min(jobs, len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_case, cases))
-    else:
-        results = [_verify_case(c) for c in cases]
-    results.sort(key=lambda r: r[0])
+    results = list(map(_verify_case, cases))
     failures = sum(not ok for _, ok, _ in results)
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}  {detail}"
              for name, ok, detail in results]
@@ -703,7 +685,6 @@ def _build_arg_parser(argv=()):
         verify = sub.add_parser("verify",
                                 help="run a corpus of expected values")
         verify.add_argument("directory")
-        verify.add_argument("--jobs", type=_at_least_one, default=1)
     return parser
 
 

@@ -55,16 +55,16 @@ fraction-free reduction, as in the row steps of _linalg; Geddes, Czapor,
 Labahn, Algorithms for Computer Algebra, ch. 9).
 
 Those term maps are keyed by packed monomials, one int each (Monagan,
-Pearce, CASC 2007). LocalOrder.key gives the code, -(d B^n + sum e_i B^i)
-in negdegrevlex and -d B^n + sum e_i B^(n-1-i) in negdeglex for x^e of
-degree d in n variables, B = 2^WIDTH: comparing codes as ints is the order,
-the code of a product is the sum and that of 1 is 0, so lm(h) is max(h),
-the term of highest degree min(h), and x^m g adds m to every key of g.
-a | b exactly when no field's top (guard) bit is set in the difference of
-the exponent parts, which holds while degrees stay below DEGREE_LIMIT =
-2^(WIDTH-1); encoding, decoding and each _weak_nf step raise
-DegreeCapExceededError at or past it. Maps are encoded on entry and decoded
-into Polynomials; S-pair lcms use decoded monomials.
+Pearce, CASC 2007), in the one local order, negdegrevlex. LocalOrder.key
+gives the code -(d B^n + sum e_i B^i) for x^e of degree d in n variables,
+B = 2^WIDTH: comparing codes as ints is the order, the code of a product
+is the sum and that of 1 is 0, so lm(h) is max(h), the term of highest
+degree min(h), and x^m g adds m to every key of g. a | b exactly when no
+field's top (guard) bit is set in the difference of the exponent parts,
+which holds while degrees stay below DEGREE_LIMIT = 2^(WIDTH-1); encoding,
+decoding and each _weak_nf step raise DegreeCapExceededError at or past
+it. Maps are encoded on entry and decoded into Polynomials; S-pair lcms
+use decoded monomials.
 
 CanonicalQuotient's truncated division is keyed by the same codes. A
 polynomial's terms above delta are dropped before they are encoded, so a
@@ -102,24 +102,19 @@ DEGREE_LIMIT = 1 << (WIDTH - 1)  # the guard bit of a field
 
 
 class LocalOrder(Record):
-    """A monomial order in which 1 is the largest monomial; key is its code."""
+    """negdegrevlex in nvars variables; key is the code -(d B^n + sum e_i B^i)
+    of x^e of degree d (module docstring), so 1, of code 0, is the largest
+    monomial, and codes <= _floor have degree DEGREE_LIMIT or more."""
 
-    kind: str  # "negdegrevlex" | "negdeglex"
     nvars: int
 
     def __post_init__(self):
-        if self.kind not in ("negdegrevlex", "negdeglex"):
-            raise ValueError(f"unknown local order {self.kind!r}")
-        n, lex = self.nvars, self.kind == "negdeglex"
-        shifts = [WIDTH * (n - 1 - i if lex else i) for i in range(n)]
-        sign, top = (1 if lex else -1), WIDTH * n
-        # sign * code is the exponent part mod B^n; offset absorbs it when the
-        # degree is read; codes <= floor have degree DEGREE_LIMIT or more
-        offset = (1 << top) - 1 if lex else 0
+        n = self.nvars
+        shifts, top = [WIDTH * i for i in range(n)], WIDTH * n
         self.__dict__.update(
-            _shifts=shifts, _top=top, _sign=sign, _offset=offset,
-            _weights=[(sign << s) - (1 << top) for s in shifts],
-            _floor=offset - (DEGREE_LIMIT << top),
+            _shifts=shifts, _top=top,
+            _weights=[-(1 << s) - (1 << top) for s in shifts],
+            _floor=-(DEGREE_LIMIT << top),
             _guards=sum([DEGREE_LIMIT << s for s in shifts]))
 
     def key(self, mono: Monomial) -> int:
@@ -132,14 +127,14 @@ class LocalOrder(Record):
     def decode(self, code: int) -> Monomial:
         if code <= self._floor:
             raise _past_limit(self.degree(code))
-        return tuple([(self._sign * code >> s) & FIELD for s in self._shifts])
+        return tuple([(-code >> s) & FIELD for s in self._shifts])
 
     def degree(self, code: int) -> int:
-        return (self._offset - code) >> self._top
+        return -code >> self._top
 
     def divides(self, a: int, b: int) -> bool:
         """Whether the monomial of code a divides that of code b."""
-        return not (self._sign * (b - a)) & self._guards
+        return not (a - b) & self._guards
 
     def sort_descending(self, monos):
         return sorted(monos, key=self.key, reverse=True)
@@ -151,11 +146,7 @@ def _past_limit(degree):
 
 
 def negdegrevlex(nvars: int) -> LocalOrder:
-    return LocalOrder(kind="negdegrevlex", nvars=nvars)
-
-
-def negdeglex(nvars: int) -> LocalOrder:
-    return LocalOrder(kind="negdeglex", nvars=nvars)
+    return LocalOrder(nvars=nvars)
 
 
 def _integer_terms(terms, order):
@@ -259,13 +250,13 @@ def _weak_nf(h, T, order, certify):
         den = {0: 1}
         vec = [{}] * sum(t.gen_index is not None for t in T)
     num = dnm = 1
-    degree, sign, guards = order.degree, order._sign, order._guards
+    degree, guards = order.degree, order._guards
     while h:
         lm_h, top = max(h), degree(min(h))
         if top >= DEGREE_LIMIT:
             raise _past_limit(top)
         # order.divides(t.lm, lm_h), inlined
-        candidates = [t for t in T if not (sign * (lm_h - t.lm)) & guards]
+        candidates = [t for t in T if not (t.lm - lm_h) & guards]
         if not candidates:
             break
         g = min(candidates, key=lambda t: t.ecart)
@@ -409,12 +400,11 @@ class MembershipWitness(Record):
     coefficients: tuple
 
 
-def standard_basis(gens, order: "LocalOrder | None" = None,
-                   degree_cap: "int | None" = None, *,
+def standard_basis(gens, *, degree_cap: "int | None" = None,
                    certify: bool = True) -> StandardBasis:
     """Complete `gens` to a standard basis with Mora normal forms.
 
-    Deterministic for a fixed input and order. Raises DegreeCapExceededError
+    Deterministic for a fixed input. Raises DegreeCapExceededError
     if completion produces a leading monomial beyond `degree_cap`. The
     default cap is the product of the nvars largest generator degrees, or
     DEGREE_CAP_FLOOR if that is larger: for n generators in n variables the
@@ -448,8 +438,7 @@ def standard_basis(gens, order: "LocalOrder | None" = None,
     if not nonzero:
         raise ValueError("generators must not all be zero")
     n = nonzero[0][1].nvars
-    if order is None:
-        order = negdegrevlex(n)
+    order = negdegrevlex(n)
     if degree_cap is None:
         degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
         degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
@@ -555,23 +544,21 @@ def staircase(sb: StandardBasis) -> Staircase:
                      finite=True)
 
 
-def quotient_dimension(gens, order: "LocalOrder | None" = None,
-                       degree_cap: "int | None" = None):
+def quotient_dimension(gens):
     """Number of staircase monomials, or INFINITE."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return INFINITE
-    return staircase(standard_basis(gens, order, degree_cap,
-                                    certify=False)).dimension
+    return staircase(standard_basis(gens, certify=False)).dimension
 
 
-def ideal_membership(p: Polynomial, gens, order: "LocalOrder | None" = None):
+def ideal_membership(p: Polynomial, gens):
     """Decide p in (gens) localized at the origin; exact witness when true.
 
     Returns (bool, MembershipWitness | None). The witness identity
     denominator*p == sum coeff_j*gen_j is re-verified before returning.
     """
-    sb = None if p.is_zero else standard_basis(gens, order)
+    sb = None if p.is_zero else standard_basis(gens)
     return membership_by_basis(p, sb, gens)
 
 

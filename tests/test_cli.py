@@ -562,44 +562,6 @@ def test_verify_shipped_corpus():
     assert "FAIL" not in out
 
 
-def test_verify_parallel_matches_serial():
-    code1, out1 = cmd_verify(str(CORPUS_DIR), jobs=1)
-    code2, out2 = cmd_verify(str(CORPUS_DIR), jobs=2)
-    assert (code1, out1) == (code2, out2)
-
-
-class _InProcessPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, runs in process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_verify_jobs_never_exceed_case_count(monkeypatch):
-    import gsvindex.cli as cli
-
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-    ncases = len(list(CORPUS_DIR.glob("*.prob")))
-    code, out = cmd_verify(str(CORPUS_DIR), jobs=10 ** 6)
-    assert code == EXIT_OK, out
-    assert f"{ncases}/{ncases} cases passed" in out
-    assert _InProcessPool.sizes == [ncases]
-    assert cmd_verify(str(CORPUS_DIR), jobs=1) == (code, out)
-    assert _InProcessPool.sizes == [ncases]  # one job: no pool at all
-
-
 def test_el_exits_with_the_jacobian_code_when_its_class_vanishes(monkeypatch):
     # the Jacobian of a finite map germ never vanishes in its local algebra,
     # so the class is zeroed by hand; the real path through the integer
@@ -613,13 +575,13 @@ def test_el_exits_with_the_jacobian_code_when_its_class_vanishes(monkeypatch):
     assert out == "error: the Jacobian determinant vanishes in the quotient algebra\n"
 
 
-def test_verify_rejects_jobs_below_one(capsys):
-    code, out = cmd_verify(str(CORPUS_DIR), jobs=0)
-    assert code == EXIT_PARSE and "--jobs" in out
+def test_verify_refuses_the_removed_jobs_option(capsys):
+    # verify runs its cases one after another and takes no --jobs
     with pytest.raises(SystemExit) as info:
-        main(["verify", str(CORPUS_DIR), "--jobs", "0"])
+        main(["verify", "corpus", "--jobs", "2"])
     assert info.value.code == EXIT_PARSE
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gsvindex") and "--jobs" in err
 
 
 def test_verify_flags_corrupted_expectation(tmp_path):
@@ -660,8 +622,7 @@ def test_files_that_are_not_utf8_are_parse_errors(tmp_path):
     assert out.startswith("FAIL  case.prob  bad expectation record: 'utf-8'")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path, jobs):
+def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path):
     # a directory where a .prob or .expect file should be is a FAIL line,
     # not a traceback whose exit status would read as a mismatch
     good = tmp_path / "good"
@@ -671,7 +632,7 @@ def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path, jobs):
             (CORPUS_DIR / f"dk_k4_m3{suffix}").read_text())
     (good / "zz.prob").mkdir()
     (good / "zz.expect").write_text("index: 6\n")
-    code, out = cmd_verify(str(good), jobs=jobs)
+    code, out = cmd_verify(str(good))
     assert code == EXIT_MISMATCH
     assert out.startswith("PASS  dk_k4_m3.prob  ")
     assert "\nFAIL  zz.prob  bad problem file: " in out
@@ -683,7 +644,7 @@ def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path, jobs):
     (bad / "other.prob").write_text((CORPUS_DIR / "smooth_line.prob").read_text())
     (bad / "other.expect").write_text(
         (CORPUS_DIR / "smooth_line.expect").read_text())
-    code, out = cmd_verify(str(bad), jobs=jobs)
+    code, out = cmd_verify(str(bad))
     assert code == EXIT_MISMATCH
     assert out.startswith("FAIL  dk_k4_m3.prob  bad expectation record: ")
     assert out.endswith("\n1/2 cases passed\n")

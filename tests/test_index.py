@@ -896,6 +896,19 @@ def test_gm_signature_matches_real_gsv_on_family():
         assert gm_val == gsv_val
 
 
+def test_gm_signature_matches_real_gsv_on_a_nonzero_case():
+    # the cusp and the family above all read 0. On the node f = x^2 - y^2,
+    # X = xy (f_y, -f_x) + f (1, 1) has Xf = cf with c = f_x + f_y; on the
+    # curve X = -2xy (y, x) points inward on all four half-branches, so the
+    # index is (0 - 4)/2 = -2
+    f = x * x - y * y
+    fx, fy = f.diff(0), f.diff(1)
+    X = (x * y * fy + f, -(x * y * fx) + f)
+    c = fx + fy
+    assert gm_signature_index(f, list(X), c) == -2
+    assert real_gsv_index(as_problem(f, X, c)).index == -2
+
+
 def test_gm_gradient_side_vanishes_when_c_in_gradient_ideal():
     # c = delta1 f_x + delta2 f_y forces the gradient-side signature to be 0;
     # the function itself verifies that as a post-check, so success suffices

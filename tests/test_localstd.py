@@ -15,7 +15,6 @@ from gsvindex import (
     jacobian,
     linear_substitute,
     minor_det,
-    negdeglex,
     negdegrevlex,
     normal_form,
     quotient_dimension,
@@ -37,17 +36,15 @@ y = Polynomial.variable(2, 1)
 
 
 def test_local_orders_make_one_largest():
-    for order in (negdegrevlex(2), negdeglex(2)):
-        assert order.key((0, 0)) > order.key((1, 0))
-        assert order.key((1, 0)) > order.key((2, 0))
-        assert order.key((1, 0)) > order.key((0, 1))  # x before y on ties
+    order = negdegrevlex(2)
+    assert order.key((0, 0)) > order.key((1, 0))
+    assert order.key((1, 0)) > order.key((2, 0))
+    assert order.key((1, 0)) > order.key((0, 1))  # x before y on ties
 
 
-def _ref_key(order, mono):
-    """The tuple sort key of the local orders before packed codes."""
-    if order.kind == "negdegrevlex":
-        return (-sum(mono), tuple(map(neg, reversed(mono))))
-    return (-sum(mono), mono)
+def _ref_key(mono):
+    """The tuple sort key of negdegrevlex before packed codes."""
+    return (-sum(mono), tuple(map(neg, reversed(mono))))
 
 
 def test_packed_codes_match_the_tuple_orders():
@@ -61,13 +58,13 @@ def test_packed_codes_match_the_tuple_orders():
     @hypothesis.given(st.data())
     def check(data):
         n = data.draw(st.integers(1, 4))
-        order = data.draw(st.sampled_from((negdegrevlex(n), negdeglex(n))))
+        order = negdegrevlex(n)
         monos = st.lists(exponent, min_size=n, max_size=n).map(tuple)
         a = data.draw(monos)
         # a permutation of a is a tie within a degree
         b = data.draw(monos | st.permutations(a).map(tuple))
         ka, kb = order.key(a), order.key(b)
-        assert (ka > kb) == (_ref_key(order, a) > _ref_key(order, b))
+        assert (ka > kb) == (_ref_key(a) > _ref_key(b))
         assert (ka == kb) == (a == b)
         assert order.key(localstd.mono_mul(a, b)) == ka + kb
         assert order.key((0,) * n) == 0
@@ -85,22 +82,20 @@ def test_degrees_at_the_packed_limit_raise():
     with pytest.raises(DegreeCapExceededError):
         standard_basis([x ** limit - y, y])
     with pytest.raises(DegreeCapExceededError):
-        negdeglex(2).key((limit - 1, 1))
-    assert negdeglex(2).decode(negdeglex(2).key((limit - 1, 0))) == (limit - 1, 0)
+        negdegrevlex(2).key((limit - 1, 1))
+    order = negdegrevlex(2)
+    assert order.decode(order.key((limit - 1, 0))) == (limit - 1, 0)
     # y^2 -> x^K y -> x^2K: the weak normal form reaches the limit mid-way
     g = y - x ** (limit // 2)
     with pytest.raises(DegreeCapExceededError):
         ideal_membership(y ** 2, [g])
-    order = negdegrevlex(2)
     T = [localstd._generator(localstd._integer_terms(g.terms, order)[0], order, 0)]
     with pytest.raises(DegreeCapExceededError):
         localstd._weak_nf({order.key((0, 2)): 1}, T, order, False)
 
 
 def test_leading_monomial_picks_lowest_degree():
-    sb = standard_basis([y - x * x], negdeglex(2))
-    assert sb.leading_monomials == ((0, 1),)
-    sb = standard_basis([y - x * x], negdegrevlex(2))
+    sb = standard_basis([y - x * x])
     assert sb.leading_monomials == ((0, 1),)
 
 
@@ -334,13 +329,12 @@ def test_integer_coordinates_match_the_rank_table_reference():
                       st.integers(2, 8), st.integers(2, 8), polys(5, 1))
     def check(gens, a, b, p):
         gens = gens + [x ** a, y ** b]
-        for order in (negdegrevlex(2), negdeglex(2)):
-            sb = standard_basis(gens, order, certify=False)
-            stairs, canonical = sb.quotient
-            ints, den = canonical.integer_coordinates(p)
-            assert den > 0 and gcd(den, *ints) == 1
-            assert [Fraction(c, den) for c in ints] == \
-                _ref_coordinates(sb, stairs, p)
+        sb = standard_basis(gens, certify=False)
+        stairs, canonical = sb.quotient
+        ints, den = canonical.integer_coordinates(p)
+        assert den > 0 and gcd(den, *ints) == 1
+        assert [Fraction(c, den) for c in ints] == \
+            _ref_coordinates(sb, stairs, p)
 
     check()
 
@@ -349,6 +343,10 @@ def test_degree_cap_guard():
     # completion of this pair needs a pure y power of degree 2k-3 = 77
     with pytest.raises(DegreeCapExceededError):
         standard_basis([x * x * y + y ** 39, x ** 4], degree_cap=8)
+    # the cap is keyword-only: a local order passed by position is refused,
+    # never read as a cap
+    with pytest.raises(TypeError):
+        standard_basis([x ** 4, y], negdegrevlex(2))
 
 
 def test_default_degree_cap_follows_the_generator_degrees():
@@ -357,14 +355,7 @@ def test_default_degree_cap_follows_the_generator_degrees():
     assert quotient_dimension([x * y, y - x ** 70]) == 71
     assert quotient_dimension([x * y + y * y, y - x ** 66]) == 67
     with pytest.raises(DegreeCapExceededError):
-        quotient_dimension([x * y, y - x ** 70], degree_cap=64)
-
-
-def test_negdeglex_cross_check():
-    for gens in ([x * x * y + y ** 3, x ** 4], [x * x - y * y, 2 * x * y]):
-        assert quotient_dimension(gens, negdeglex(2)) == quotient_dimension(
-            gens, negdegrevlex(2)
-        )
+        standard_basis([x * y, y - x ** 70], degree_cap=64, certify=False)
 
 
 TEST_IDEALS = (
@@ -391,17 +382,16 @@ def test_lift_free_completion_gives_the_certified_basis():
     ideals = list(TEST_IDEALS) + [_mixed_dk_ideal(s) for s in (2, 4, 5)]
     finite = 0
     for gens in ideals:
-        for order in (negdegrevlex(2), negdeglex(2)):
-            certified = standard_basis(gens, order)
-            bare = standard_basis(gens, order, certify=False)
-            assert bare.lift is None
-            assert certified.lift is not None
-            assert bare.basis == certified.basis
-            assert bare == certified  # the certificates take no part in ==
-            assert bare.leading_monomials == certified.leading_monomials
-            assert staircase(bare) == staircase(certified)
-            finite += staircase(bare).finite
-    assert finite == 2 * 9  # 7 test ideals, and the seed 2 and 5 dk(5, 4) ideals
+        certified = standard_basis(gens)
+        bare = standard_basis(gens, certify=False)
+        assert bare.lift is None
+        assert certified.lift is not None
+        assert bare.basis == certified.basis
+        assert bare == certified  # the certificates take no part in ==
+        assert bare.leading_monomials == certified.leading_monomials
+        assert staircase(bare) == staircase(certified)
+        finite += staircase(bare).finite
+    assert finite == 9  # 7 test ideals, and the seed 2 and 5 dk(5, 4) ideals
     with pytest.raises(DegreeCapExceededError):
         standard_basis([x * x * y + y ** 39, x ** 4], degree_cap=8, certify=False)
 
@@ -732,7 +722,7 @@ def test_boundary_coefficients_are_canonical():
     ideals.append(("integral", [x ** 3 - 2 * y * y, 3 * x * y + y ** 3]))
     for name, gens in ideals:
         n = gens[0].nvars
-        sb = standard_basis(gens, negdegrevlex(n))
+        sb = standard_basis(gens)
         assert all(map(_is_canonical, sb.basis)), name
         for den, coeffs in sb.lift:
             assert _is_canonical(den) and all(map(_is_canonical, coeffs)), name
@@ -774,33 +764,33 @@ def test_integer_kernels_match_the_fraction_references():
     cases = [(name, gens, []) for name, gens in _kernel_ideals()]
     for name, gens, extra in cases + _goodness_ideals():
         n = gens[0].nvars
-        for order in (negdegrevlex(n), negdeglex(n)):
-            ref_basis, ref_lift = _ref_standard_basis(gens, order)
-            sb = standard_basis(gens, order)
-            assert sb.basis == ref_basis, name
-            assert sb.lift == ref_lift, name
-            bare = standard_basis(gens, order, certify=False)
-            assert bare.basis == ref_basis and bare.lift is None, name
-            probes = [_random_poly(rng, n, 3, 3) for _ in range(2)]
-            probes += [g * _random_poly(rng, n, 2, 2) for g in gens]
-            for p in probes + extra:
-                ref = _ref_mora_weak_nf(p, list(sb.basis), order)
-                assert _uncertified_weak_nf(p, list(sb.basis), order) == ref[0]
-                ok, witness = membership_by_basis(p, sb, gens)
-                assert ok == ref[0].is_zero, name
-                assert ok or p not in extra, name
-                members += ok
-                if ok:
-                    assert (witness.denominator, witness.coefficients) == \
-                        _ref_witness_over_generators(sb, *ref[1:]), name
-            stairs, canonical = sb.quotient
-            if canonical is None:
-                continue
-            top = max(map(sum, stairs.basis_monomials)) + 1
-            for p in probes + [_random_poly(rng, n, 8, top) for _ in range(4)]:
-                assert _linalg.fractions(*canonical.integer_coordinates(p)) == \
-                    _ref_coordinates(sb, stairs, p), name
-    assert members >= 2 * 2 * len(_kernel_ideals())  # the multiples of gens
+        order = negdegrevlex(n)
+        ref_basis, ref_lift = _ref_standard_basis(gens, order)
+        sb = standard_basis(gens)
+        assert sb.basis == ref_basis, name
+        assert sb.lift == ref_lift, name
+        bare = standard_basis(gens, certify=False)
+        assert bare.basis == ref_basis and bare.lift is None, name
+        probes = [_random_poly(rng, n, 3, 3) for _ in range(2)]
+        probes += [g * _random_poly(rng, n, 2, 2) for g in gens]
+        for p in probes + extra:
+            ref = _ref_mora_weak_nf(p, list(sb.basis), order)
+            assert _uncertified_weak_nf(p, list(sb.basis), order) == ref[0]
+            ok, witness = membership_by_basis(p, sb, gens)
+            assert ok == ref[0].is_zero, name
+            assert ok or p not in extra, name
+            members += ok
+            if ok:
+                assert (witness.denominator, witness.coefficients) == \
+                    _ref_witness_over_generators(sb, *ref[1:]), name
+        stairs, canonical = sb.quotient
+        if canonical is None:
+            continue
+        top = max(map(sum, stairs.basis_monomials)) + 1
+        for p in probes + [_random_poly(rng, n, 8, top) for _ in range(4)]:
+            assert _linalg.fractions(*canonical.integer_coordinates(p)) == \
+                _ref_coordinates(sb, stairs, p), name
+    assert members >= 2 * len(_kernel_ideals())  # the multiples of gens
 
 
 def test_integer_weak_normal_form_stays_primitive():
@@ -835,25 +825,26 @@ def test_integer_weak_normal_form_stays_primitive():
 
 
 def test_integer_completion_hits_the_degree_cap_where_the_reference_does():
-    dk = _kernel_ideals()[2][1]  # passes from cap 16 on, in both orders
+    dk = _kernel_ideals()[2][1]  # passes from cap 16 on
+    order = negdegrevlex(2)
     for gens, caps in (([x * x * y + y ** 39, x ** 4], (8, 38, 75, 76, 77)),
                        ([x * y, y - x ** 70], (69, 70, 71)),
                        (dk, range(12, 18))):
-        for order in (negdegrevlex(2), negdeglex(2)):
-            outcomes = []
-            for cap in caps:
-                outcome = []
-                for run in (lambda: _ref_standard_basis(gens, order, cap, False),
-                            lambda: standard_basis(gens, order, cap, certify=False),
-                            lambda: standard_basis(gens, order, cap)):
-                    try:
-                        run()
-                        outcome.append(False)
-                    except DegreeCapExceededError:
-                        outcome.append(True)
-                assert len(set(outcome)) == 1, (gens, cap)
-                outcomes.append(outcome[0])
-            assert outcomes[0] and not outcomes[-1]  # the scan crosses the cap
+        outcomes = []
+        for cap in caps:
+            outcome = []
+            for run in (lambda: _ref_standard_basis(gens, order, cap, False),
+                        lambda: standard_basis(gens, degree_cap=cap,
+                                               certify=False),
+                        lambda: standard_basis(gens, degree_cap=cap)):
+                try:
+                    run()
+                    outcome.append(False)
+                except DegreeCapExceededError:
+                    outcome.append(True)
+            assert len(set(outcome)) == 1, (gens, cap)
+            outcomes.append(outcome[0])
+        assert outcomes[0] and not outcomes[-1]  # the scan crosses the cap
 
 
 def _chain_criterion_ideals():
@@ -884,20 +875,20 @@ def test_chain_criterion_leaves_a_standard_basis_and_its_staircase():
     # that of the completion that reduces every pair but the coprime ones
     for name, gens in _chain_criterion_ideals():
         n = gens[0].nvars
-        for order in (negdegrevlex(n), negdeglex(n)):
-            sb = standard_basis(gens, order, certify=False)
-            basis, lms = list(sb.basis), sb.leading_monomials
-            for (i, bi), (j, bj) in combinations(enumerate(basis), 2):
-                lcm = mono_lcm(lms[i], lms[j])
-                s = (bi * Polynomial.term(n, _ref_quotient(lcm, lms[i]), 1)
-                     - bj * Polynomial.term(n, _ref_quotient(lcm, lms[j]), 1))
-                h = _ref_mora_weak_nf(s, basis, order, certify=False)[0]
-                assert h.is_zero, (name, order.kind, i, j)
-            full, _ = _ref_standard_basis(gens, order, certify=False,
-                                          chain=False)
-            full_lms = [_ref_lm(b, order) for b in full]
-            assert sorted(lms) == sorted(full_lms), (name, order.kind)
-            monos = localstd.staircase_monomials(full_lms, n)
-            assert staircase(sb).basis_monomials == (
-                None if monos is None
-                else tuple(order.sort_descending(monos))), name
+        order = negdegrevlex(n)
+        sb = standard_basis(gens, certify=False)
+        basis, lms = list(sb.basis), sb.leading_monomials
+        for (i, bi), (j, bj) in combinations(enumerate(basis), 2):
+            lcm = mono_lcm(lms[i], lms[j])
+            s = (bi * Polynomial.term(n, _ref_quotient(lcm, lms[i]), 1)
+                 - bj * Polynomial.term(n, _ref_quotient(lcm, lms[j]), 1))
+            h = _ref_mora_weak_nf(s, basis, order, certify=False)[0]
+            assert h.is_zero, (name, i, j)
+        full, _ = _ref_standard_basis(gens, order, certify=False,
+                                      chain=False)
+        full_lms = [_ref_lm(b, order) for b in full]
+        assert sorted(lms) == sorted(full_lms), name
+        monos = localstd.staircase_monomials(full_lms, n)
+        assert staircase(sb).basis_monomials == (
+            None if monos is None
+            else tuple(order.sort_descending(monos))), name

@@ -35,7 +35,7 @@ x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
 one, zero = Polynomial.one(2), Polynomial.zero(2)
 C = PolyMatrix(1, 1, [2 * x])
 PROBLEM = Problem(vars=("x", "y"), f=(x * y,), X=(x, -y), C=C, field="real")
-ORDER = LocalOrder(kind="negdegrevlex", nvars=2)
+ORDER = LocalOrder(nvars=2)
 NORM = CoordinateNormalization(transform=((1, 0), (0, 1)), problem=PROBLEM,
                                attempts_used=1, algebra=None)
 SIG = SignatureResult(p_plus=1, p_minus=0, rank=1)
@@ -50,7 +50,7 @@ RECORDS = [
     (IndexReport, [3, 1, 2, 2, SIG, x, NORM, None, None, None, None],
      {"goodness": None, "deformation": None, "deformation_vars": None,
       "deformation_denominator": None}),
-    (LocalOrder, ["negdeglex", 3], {}),
+    (LocalOrder, [3], {}),
     (StandardBasis, [ORDER, (x,), (x,), (), None], {"_certs": None}),
     (Staircase, [((1, 0),), ((0, 0),), True], {}),
     (MembershipWitness, [one, (zero,)], {}),
@@ -65,7 +65,7 @@ FIELDS = {
     IndexReport: ("dim_B0", "dim_B0_mod_DF", "dim_C0", "index", "signature",
                   "c1", "normalization", "goodness", "deformation",
                   "deformation_vars", "deformation_denominator"),
-    LocalOrder: ("kind", "nvars"),
+    LocalOrder: ("nvars",),
     StandardBasis: ("order", "generators", "basis", "_reducers", "_certs"),
     Staircase: ("leading_monomials", "basis_monomials", "finite"),
     MembershipWitness: ("denominator", "coefficients"),
@@ -137,7 +137,7 @@ def test_repr_names_the_shown_fields(cls, values, defaults):
 
 def test_the_repr_text_of_small_records():
     assert repr(SIG) == "SignatureResult(p_plus=1, p_minus=0, rank=1)"
-    assert repr(ORDER) == "LocalOrder(kind='negdegrevlex', nvars=2)"
+    assert repr(ORDER) == "LocalOrder(nvars=2)"
     assert repr(GoodnessResult(status="unknown")) == (
         "GoodnessResult(status='unknown', minor_columns=(), minors=(), "
         "witnesses=None)")
@@ -166,13 +166,12 @@ def test_problem_and_local_order_check_their_fields():
         Problem(("x", "y"), (x * y,), (x,), C, "real")
     with pytest.raises(ShapeError, match="tangency matrix must be q x q"):
         Problem(("x", "y"), (x * y, x), (x, -y), C, "real")
-    with pytest.raises(ValueError, match="unknown local order 'lex'"):
-        LocalOrder("lex", 2)
     # __post_init__ builds the order's tables on either construction
-    for order in (LocalOrder("negdeglex", 2), LocalOrder(kind="negdeglex", nvars=2)):
-        assert order.key((0, 0)) == 0 and order.decode(order.key((2, 1))) == (2, 1)
+    for order in (LocalOrder(3), LocalOrder(nvars=3)):
+        assert order.key((0, 0, 0)) == 0
+        assert order.decode(order.key((2, 1, 0))) == (2, 1, 0)
         assert order != negdegrevlex(2)
-    assert LocalOrder("negdegrevlex", 2) == negdegrevlex(2) == ORDER
+    assert LocalOrder(2) == negdegrevlex(2) == ORDER
 
 
 def test_hidden_fields_stay_out_of_equality_hash_and_repr():
