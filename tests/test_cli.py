@@ -622,32 +622,38 @@ def test_files_that_are_not_utf8_are_parse_errors(tmp_path):
     assert out.startswith("FAIL  case.prob  bad expectation record: 'utf-8'")
 
 
-def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path):
+@pytest.mark.parametrize("readable", [1, 2])
+def test_verify_reports_an_unreadable_case_as_a_failure(tmp_path, readable):
     # a directory where a .prob or .expect file should be is a FAIL line,
-    # not a traceback whose exit status would read as a mismatch
+    # not a traceback whose exit status would read as a mismatch; the
+    # readable cases beside it still run and are counted
+    def copy_cases(dst, names):
+        for name in names:
+            for suffix in (".prob", ".expect"):
+                (dst / f"{name}{suffix}").write_text(
+                    (CORPUS_DIR / f"{name}{suffix}").read_text())
+
     good = tmp_path / "good"
     good.mkdir()
-    for suffix in (".prob", ".expect"):
-        (good / f"dk_k4_m3{suffix}").write_text(
-            (CORPUS_DIR / f"dk_k4_m3{suffix}").read_text())
+    copy_cases(good, ["dk_k4_m3", "smooth_line"][:readable])
     (good / "zz.prob").mkdir()
     (good / "zz.expect").write_text("index: 6\n")
     code, out = cmd_verify(str(good))
     assert code == EXIT_MISMATCH
     assert out.startswith("PASS  dk_k4_m3.prob  ")
     assert "\nFAIL  zz.prob  bad problem file: " in out
-    assert out.endswith("\n1/2 cases passed\n")
+    assert out.count("\nPASS  ") == readable - 1
+    assert out.endswith(f"\n{readable}/{readable + 1} cases passed\n")
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "dk_k4_m3.prob").write_text((CORPUS_DIR / "dk_k4_m3.prob").read_text())
     (bad / "dk_k4_m3.expect").mkdir()
-    (bad / "other.prob").write_text((CORPUS_DIR / "smooth_line.prob").read_text())
-    (bad / "other.expect").write_text(
-        (CORPUS_DIR / "smooth_line.expect").read_text())
+    copy_cases(bad, ["smooth_line", "smooth_line_real"][:readable])
     code, out = cmd_verify(str(bad))
     assert code == EXIT_MISMATCH
     assert out.startswith("FAIL  dk_k4_m3.prob  bad expectation record: ")
-    assert out.endswith("\n1/2 cases passed\n")
+    assert out.count("\nPASS  ") == readable
+    assert out.endswith(f"\n{readable}/{readable + 1} cases passed\n")
 
 
 def test_verify_empty_directory(tmp_path):
