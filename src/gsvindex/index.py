@@ -140,11 +140,13 @@ def verify_tangency(f, X, C: PolyMatrix):
 
 
 def _substitute_curve(problem: Problem, change: LinearChange):
-    """f and X of problem in the coordinates y of the change z = A y."""
-    if change.is_identity:
-        return problem.f, problem.X
-    return (tuple(linear_substitute(p, change) for p in problem.f),
-            tuple(transform_vector_field(problem.X, change)))
+    """f, then X, of problem in the coordinates y of the change z = A y; a
+    generator, so that a change refuted by f alone never transforms X."""
+    identity = change.is_identity
+    yield (problem.f if identity
+           else tuple(linear_substitute(p, change) for p in problem.f))
+    yield (problem.X if identity
+           else tuple(transform_vector_field(problem.X, change)))
 
 
 def random_unimodular(nvars: int, rng: random.Random):
@@ -178,11 +180,16 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
 def _normalize_with(problem: Problem, A, attempts_used: int):
     """The normalization by A with its algebra B0.
 
-    Raises InfiniteDimensionError when B0 is infinite and
+    Raises InfiniteDimensionError when B0 is infinite, unbuilt when y_1
+    divides some f_i (see ensure_regular_sequence), and
     DegreeCapExceededError when the standard basis overruns the degree cap.
     """
     change = LinearChange(A)
-    f, X = _substitute_curve(problem, change)
+    curve = _substitute_curve(problem, change)
+    f = next(curve)
+    if any(all(m[0] for m in p.terms) for p in f):
+        raise InfiniteDimensionError("y_1 divides some f_i")
+    X = next(curve)
     B0 = build_algebra(list(f) + [X[0]])
     if not change.is_identity:  # C only for a change whose B0 is finite
         C = PolyMatrix(problem.C.rows, problem.C.cols,
@@ -210,6 +217,17 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
     permutation's with the same s was, and is then counted as infinite
     without being built. A degree-cap outcome depends on the variable order
     and is never carried over.
+
+    A change whose y_1 divides some transformed f_i counts as infinite with
+    no standard basis. V(y_1, f_j for j != i) lies in V(f) and has dimension
+    at least 1. So either V(f) has a component of dimension 2 or more, and
+    (f, X_1) is infinite, or that set holds a branch whose minimal prime P
+    contains y_1. As X(f) lies in (f), X preserves every minimal prime of
+    (f) (A. Seidenberg, Differential ideals in rings of finitely generated
+    type, Amer. J. Math. 89, 1967): X_1 = X(y_1) lies in P, and O/(f, X_1)
+    maps onto the infinite O/P. This needs Xf = Cf, which _gsv_index checks
+    first. It may count as infinite a change that the completion would have
+    stopped at the degree cap.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")

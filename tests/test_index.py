@@ -8,6 +8,7 @@ import pytest
 
 from gsvindex import (
     GoodnessResult,
+    INFINITE,
     MembershipWitness,
     Polynomial,
     PolyMatrix,
@@ -157,11 +158,17 @@ def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
         raise DegreeCapExceededError("degree cap exceeded")
 
     monkeypatch.setattr(index_mod, "build_algebra", capped)
-    with pytest.raises(NormalizationError) as info:
-        ensure_regular_sequence(dk_problem(4, 3), max_attempts=3)
-    message = str(info.value)
-    assert "(0 infinite, 3 capped " in message
-    assert "not isolated" not in message
+    # on dk(4,3), f = y (x^2 + y^2): the swap's y_1 divides f, which proves
+    # that attempt infinite with no standard basis. No line divides the
+    # cusp's f, so every attempt reaches the capped completion
+    cusp = as_problem(x * x - y ** 3, (3 * x, 2 * y), 6 * one2)
+    for P, counts in ((dk_problem(4, 3), "(1 infinite, 2 capped "),
+                      (cusp, "(0 infinite, 3 capped ")):
+        with pytest.raises(NormalizationError) as info:
+            ensure_regular_sequence(P, max_attempts=3)
+        message = str(info.value)
+        assert counts in message
+        assert "not isolated" not in message
 
 
 def test_normalization_skips_permutations_that_rename_an_infinite_ideal(
@@ -178,12 +185,14 @@ def test_normalization_skips_permutations_that_rename_an_infinite_ideal(
     monkeypatch.setattr(index_mod, "build_algebra", build)
     P = space_curve_problem(1)
     norm = ensure_regular_sequence(P)
-    # permutations 1 and 2 both give (f, X_1), 3 gives (f, X_2): infinite
-    assert len(builds) == 3
+    # permutations 1 to 3 put x or y first, which divides f_2 = xy: each is
+    # infinite with no build, and the fourth, z first, is built
+    assert len(builds) == 1
     A = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     assert norm == _normalize_with(P, A, 4)  # transform, problem, attempts
     # (x, y) and X = (x, y, 0): every attempt is infinite; the six
-    # permutations pair up by s, so three of them are counted unbuilt
+    # permutations pair up by s, so three of them are counted unbuilt. Of
+    # the other three, the two with x or y first are refuted unbuilt
     u, v = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
     zero3 = Polynomial.zero(3)
     line = Problem(vars=("x", "y", "z"), f=(u, v), X=(u, v, zero3),
@@ -192,7 +201,7 @@ def test_normalization_skips_permutations_that_rename_an_infinite_ideal(
     with pytest.raises(NormalizationError,
                        match=r"out of 8 .*\(8 infinite, 0 capped "):
         ensure_regular_sequence(line, max_attempts=8)
-    assert len(builds) == 5
+    assert len(builds) == 3
 
 
 def test_normalization_general_change_for_sheared_node():
@@ -326,21 +335,107 @@ def test_attempts_transform_only_what_they_need(monkeypatch):
     norm = ensure_regular_sequence(P)
     assert norm.attempts_used > 1 and permutation_of(norm.transform) != (0, 1, 2)
     last_build = len(events) - 1 - events[::-1].index("build")
-    # attempt 2 renames attempt 1's infinite ideal and is not built
-    assert events.count("build") == norm.attempts_used - 1
+    # only the accepted attempt is built: the earlier ones put x or y
+    # first, which divides f_2 = xy
+    assert events.count("build") == 1
     # C is substituted once, entry by entry, after the accepted attempt only
     assert events[last_build + 1:] == ["C"] * len(P.C.entries)
     assert "C" not in events[:last_build]
 
-    # the identity substitutes nothing and hands back the problem itself
+    # the identity substitutes nothing and hands back the problem itself;
+    # here x divides f_2 = xy, so it is refuted with no build either
     events.clear()
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(InfiniteDimensionError):
         _normalize_with(P, identity, 1)
-    assert events == ["build"]
+    assert events == []
     D = dk_problem(6, 5)
     assert _normalize_with(D, ((1, 0), (0, 1)), 1).problem is D
     assert ensure_regular_sequence(D).problem is D
+
+
+def _reference_search(P, max_attempts=25):
+    """ensure_regular_sequence's (transform, attempts_used) or error text,
+    by building every candidate: no renaming skip and no refutation."""
+    from gsvindex.index import _candidate_transforms
+
+    infinite = capped = 0
+    for attempts, A in enumerate(
+            _candidate_transforms(P.nvars, 0, max_attempts), start=1):
+        Q = _reference_substitute_problem(P, A)
+        try:
+            build_algebra(list(Q.f) + [Q.X[0]])
+        except InfiniteDimensionError:
+            infinite += 1
+        except DegreeCapExceededError:
+            capped += 1
+        else:
+            return A, attempts
+    verdict = ("the zero on the curve is likely not isolated" if not capped
+               else "attempts that hit the degree cap leave this undecided")
+    return (f"no coordinate change out of {attempts} made (f, X_1) "
+            f"zero-dimensional ({infinite} infinite, {capped} capped by the "
+            f"degree limit); {verdict}")
+
+
+def test_refuting_y1_dividing_f_never_refutes_a_finite_candidate(monkeypatch):
+    # a candidate whose y_1 divides some f_i is refuted with no standard
+    # basis; its (f, X_1) must be infinite, and the search must end where
+    # one that builds every candidate ends
+    import gsvindex.index as index_mod
+    from gsvindex.index import _candidate_transforms, _normalize_with
+
+    class Built(Exception):
+        pass
+
+    def build(gens):  # a candidate the rule lets through, not completed
+        raise Built
+
+    x3, y3, z3 = (Polynomial.variable(3, i) for i in range(3))
+    zero3 = Polynomial.zero(3)
+    problems = [pf.problem for pf in map(parse_problem_file,
+                                         sorted(CORPUS_DIR.glob("*.prob")))
+                if pf.problem is not None]
+    for k, m in ((4, 3), (5, 4), (6, 5), (7, 5), (8, 6)):
+        P = dk_problem(k, m)
+        problems += [P, substitute_problem(P, [[-1, -1], [-2, -3]])]
+    problems += [space_curve_problem(l) for l in range(1, 7)]
+    problems += [hamiltonian_multiple(f, h) for f, h in (
+        ([x * x - y ** 3], x), ([x * x - y ** 3], y),
+        ([x ** 3 + y ** 5], x + y * y), ([x * y], x + y),
+        ([x ** 3 - x * y * y], x * x + y),
+        ([x * x * y + y ** 4], x * x - 2 * y ** 3),
+        ([z3 - x3 * y3, x3 * x3 - y3 * y3 + z3 ** 3], x3),
+        ([z3 - x3 * x3, x3 * y3], x3 + y3))]
+    problems += [_euler_problem(f, X, c, "complex") for f, X, c in (
+        (x * y, (x, y), 2), (x * x - y ** 3, (3 * x, 2 * y), 6),
+        (x ** 3 + y ** 5, (5 * x, 3 * y), 15), (x ** 3 - x * y * y, (x, y), 3))]
+    problems += [_line_problem(), Problem(
+        vars=("x", "y", "z"), f=(x3, y3), X=(x3, y3, zero3),
+        C=PolyMatrix(2, 2, [zero3] * 4), field="complex")]
+    refuted = built = 0
+    for P in problems:
+        monkeypatch.setattr(index_mod, "build_algebra", build)
+        for A in _candidate_transforms(P.nvars, 0, 8):
+            Q = _reference_substitute_problem(P, A)
+            divides = any(all(m[0] for m in p.terms) for p in Q.f)
+            try:
+                _normalize_with(P, A, 1)
+            except InfiniteDimensionError:
+                refuted += 1
+                assert divides
+                assert quotient_dimension(list(Q.f) + [Q.X[0]]) == INFINITE
+            except Built:
+                built += 1
+                assert not divides
+        monkeypatch.undo()
+        try:
+            norm = ensure_regular_sequence(P)
+            got = norm.transform, norm.attempts_used
+        except NormalizationError as error:
+            got = str(error)
+        assert got == _reference_search(P)
+    assert refuted and built
 
 
 # ---------------------------------------------------------- c coefficients
