@@ -67,6 +67,6 @@ from .index import (
     real_gsv_index,
     verify_tangency,
 )
-from .cli import ProblemFile, ReportDocument, parse_poly, parse_problem_file
+from .cli import ProblemFile, parse_poly, parse_problem_file
 
 __all__ = [name for name in dir() if not name.startswith("_")]

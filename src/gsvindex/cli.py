@@ -368,43 +368,34 @@ def parse_problem_file(path, data: "bytes | None" = None) -> ProblemFile:
 
 # ------------------------------------------------------------------ reports
 
-class ReportDocument:
-    """JSON-friendly rendering of a computation; all numbers exact."""
-
-    def __init__(self, payload: dict):
-        self.payload = payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        p = self.payload
-        lines = [f"field: {p['field']}", f"index: {p['index']}"]
-        for key in ("dim_B0", "dim_B0_mod_DF", "dim_C0"):
-            if p.get(key) is not None:
-                lines.append(f"{key}: {p[key]}")
-        if p.get("signature") is not None:
-            s = p["signature"]
+def _report_text(p: dict) -> str:
+    """The plain-text report of a payload; --json prints the payload itself."""
+    lines = [f"field: {p['field']}", f"index: {p['index']}"]
+    for key in ("dim_B0", "dim_B0_mod_DF", "dim_C0"):
+        if p.get(key) is not None:
+            lines.append(f"{key}: {p[key]}")
+    if p.get("signature") is not None:
+        s = p["signature"]
+        lines.append(
+            f"signature: {p['index']} (plus={s['plus']}, minus={s['minus']},"
+            f" rank={s['rank']})"
+        )
+    if p.get("transform") is not None:
+        rows = ["[" + ", ".join(r) + "]" for r in p["transform"]]
+        lines.append("transform: " + "; ".join(rows))
+    if p.get("c1") is not None:
+        lines.append(f"c1: {p['c1']}")
+    if p.get("goodness") is not None:
+        lines.append(f"goodness: {p['goodness']['status']}")
+    if p.get("deformation") is not None:
+        comps = "; ".join(p["deformation"]["components"])
+        lines.append(
+            f"deformation ({', '.join(p['deformation']['vars'])}): {comps}"
+        )
+        if "denominator" in p["deformation"]:
             lines.append(
-                f"signature: {p['index']} (plus={s['plus']}, minus={s['minus']},"
-                f" rank={s['rank']})"
-            )
-        if p.get("transform") is not None:
-            rows = ["[" + ", ".join(r) + "]" for r in p["transform"]]
-            lines.append("transform: " + "; ".join(rows))
-        if p.get("c1") is not None:
-            lines.append(f"c1: {p['c1']}")
-        if p.get("goodness") is not None:
-            lines.append(f"goodness: {p['goodness']['status']}")
-        if p.get("deformation") is not None:
-            comps = "; ".join(p["deformation"]["components"])
-            lines.append(
-                f"deformation ({', '.join(p['deformation']['vars'])}): {comps}"
-            )
-            if "denominator" in p["deformation"]:
-                lines.append(
-                    f"deformation denominator: {p['deformation']['denominator']}")
-        return "\n".join(lines) + "\n"
+                f"deformation denominator: {p['deformation']['denominator']}")
+    return "\n".join(lines) + "\n"
 
 
 def _goodness_json(goodness, names):
@@ -431,21 +422,22 @@ def _goodness_json(goodness, names):
     }
 
 
-def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
-             elapsed_ms: int, problem_hash: str) -> dict:
-    """The report record; a map's index leaves the GSV-only fields None."""
+def _payload(pf: ProblemFile, rep: IndexReport, goodness, deformation,
+             field: str, seed, elapsed_ms: int, problem_hash: str) -> dict:
+    """The report record; a map's index leaves the GSV-only fields None,
+    and goodness and deformation are as _evaluate returns them."""
     names = list(pf.variables)
     sig = rep.signature
-    deformation = None
-    if rep.deformation is not None:
-        dnames = list(rep.deformation_vars)
-        deformation = {
-            "vars": dnames,
-            "components": [p.render(dnames) for p in rep.deformation],
+    deformation_json = None
+    if deformation is not None:
+        components, dnames, unit = deformation
+        deformation_json = {
+            "vars": list(dnames),
+            "components": [p.render(dnames) for p in components],
         }
         # X_t is the components over this unit, 1 unless a witness has one
-        if not rep.deformation_denominator.is_constant():
-            deformation["denominator"] = rep.deformation_denominator.render(names)
+        if not unit.is_constant():
+            deformation_json["denominator"] = unit.render(names)
     return {
         "problem_hash": problem_hash,
         "field": field,
@@ -458,29 +450,41 @@ def _payload(pf: ProblemFile, rep: IndexReport, field: str, seed,
         "signature": None if sig is None else {
             "plus": sig.p_plus, "minus": sig.p_minus, "rank": sig.rank},
         "c1": None if rep.c1 is None else rep.c1.render(names),
-        "goodness": _goodness_json(rep.goodness, names),
-        "deformation": deformation,
+        "goodness": _goodness_json(goodness, names),
+        "deformation": deformation_json,
         "seed": seed,
         "version": __version__,
         "timing": elapsed_ms,
     }
 
 
-def _evaluate(pf: ProblemFile, field: str, seed, **options):
-    """(IndexReport, elapsed ms) of a parsed file, its index read in `field`.
+def _evaluate(pf: ProblemFile, field: str, seed, check_good=False,
+              deform=False):
+    """(IndexReport, goodness, deformation, elapsed ms) of a parsed file.
 
-    The one place that picks the index: the complex or real GSV index of a
-    tangency problem (options go to its entry point), or the Poincare-Hopf
-    or Eisenbud-Levine index of a map. The time covers the computation only.
+    The one place that picks the index, read in `field`: the complex or real
+    GSV index of a tangency problem, or the Poincare-Hopf or Eisenbud-Levine
+    index of a map. After the index, check_good or deform runs the sufficient
+    deformability criterion on the problem as given, and deform builds the
+    deformation when the criterion is satisfied; otherwise both are None.
+    The time covers the computation only.
     """
     started = time.perf_counter()
+    goodness = deformation = None
     if pf.map_components is None:
+        P = pf.problem
         entry = (index_mod.real_gsv_index if field == "real"
                  else index_mod.complex_gsv_index)
-        rep = entry(pf.problem, seed=seed, **options)
+        rep = entry(P, seed=seed)
+        if check_good or deform:
+            goodness = index_mod.is_good_sufficient(list(P.f), P.C)
+        if deform and goodness.status == "satisfied":
+            deformation = index_mod.construct_good_deformation(
+                list(P.f), list(P.X), P.C, goodness, var_names=P.vars)
     else:
         rep = index_mod._map_report(pf.map_components, field == "real", seed)
-    return rep, int((time.perf_counter() - started) * 1000)
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    return rep, goodness, deformation, elapsed_ms
 
 
 # ----------------------------------------------------------------- commands
@@ -540,23 +544,23 @@ def _run(path, command: str, json_output: bool, seed, field=None,
         if (pf.map_components is not None) != (command == "el"):
             raise ShapeError(_OTHER_COMMAND[command])
         field = field or pf.field
-        rep, elapsed_ms = _evaluate(pf, field, seed, **options)
-        doc = ReportDocument(_payload(pf, rep, field, seed, elapsed_ms,
-                                      sha256(data).hexdigest()))
+        rep, goodness, deformation, elapsed_ms = _evaluate(pf, field, seed,
+                                                           **options)
+        payload = _payload(pf, rep, goodness, deformation, field, seed,
+                           elapsed_ms, sha256(data).hexdigest())
     except _CATEGORIZED as exc:
         code = next(c for classes, c in _EXIT_CODES if isinstance(exc, classes))
         return code, _failure_message(exc, pf)
-    return EXIT_OK, (doc.to_json() + "\n") if json_output else doc.to_text()
+    if json_output:
+        return EXIT_OK, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return EXIT_OK, _report_text(payload)
 
 
-def cmd_compute(path, *, json_output=False, seed=None, max_attempts=25,
-                check_good=False, deform=False):
+def cmd_compute(path, *, json_output=False, seed=None, check_good=False,
+                deform=False):
     """Run the tangency pipeline on one file. Returns (exit_code, output)."""
-    if max_attempts < 1:
-        return (EXIT_PARSE,
-                f"error: --max-attempts must be at least 1, got {max_attempts}\n")
-    return _run(path, "compute", json_output, seed, max_attempts=max_attempts,
-                check_goodness=check_good, build_deformation=deform)
+    return _run(path, "compute", json_output, seed, check_good=check_good,
+                deform=deform)
 
 
 def cmd_el(path, *, json_output=False, seed=None, mode=None):
@@ -594,7 +598,7 @@ def _verify_case(prob_path: str):
     except (ParseError, ShapeError, OSError, UnicodeDecodeError) as exc:
         return name, False, f"bad problem file: {exc}"
     try:
-        rep, _ = _evaluate(pf, pf.field, None)
+        rep = _evaluate(pf, pf.field, None)[0]
     except GsvError as exc:
         return name, False, f"evaluation failed: {exc}"
     actual = {
@@ -631,17 +635,6 @@ def cmd_verify(directory):
     return (EXIT_MISMATCH if failures else EXIT_OK), "\n".join(lines) + "\n"
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type for counts that must be positive integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 _COMMANDS = ("compute", "el", "verify")
 
 
@@ -670,7 +663,6 @@ def _build_arg_parser(argv=()):
         compute.add_argument("path", metavar="file")
         compute.add_argument("--json", action="store_true", dest="json_output")
         compute.add_argument("--seed", type=int, default=None)
-        compute.add_argument("--max-attempts", type=_at_least_one, default=25)
         compute.add_argument("--check-good", action="store_true")
         compute.add_argument("--deform", action="store_true")
 

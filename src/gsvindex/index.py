@@ -117,10 +117,6 @@ class IndexReport(Record):
     signature: "SignatureResult | None"
     c1: Polynomial
     normalization: CoordinateNormalization
-    goodness: "GoodnessResult | None" = None
-    deformation: "tuple | None" = None
-    deformation_vars: "tuple | None" = None
-    deformation_denominator: "Polynomial | None" = None
 
 
 def verify_tangency(f, X, C: PolyMatrix):
@@ -200,17 +196,22 @@ def _normalize_with(problem: Problem, A, attempts_used: int):
     )
 
 
-def ensure_regular_sequence(problem: Problem, seed: int = 0,
-                            max_attempts: int = 25) -> CoordinateNormalization:
+# Coordinate changes the normalization search tries before it gives up;
+# read at each call.
+MAX_ATTEMPTS = 25
+
+
+def ensure_regular_sequence(problem: Problem,
+                            seed: int = 0) -> CoordinateNormalization:
     """Find coordinates in which (f_1, ..., f_q, X_1) is zero-dimensional.
 
     Tries the identity, then all coordinate permutations, then seeded random
-    unimodular integer matrices; the search order is fixed so reports are
-    reproducible. An attempt transforms only f and X (the identity neither);
-    C is transformed once, for the accepted change. An attempt that hits the
-    degree cap is skipped like an infinite one, but the final error counts
-    the two apart: only infinite attempts are evidence that the zero is not
-    isolated. Raises ValueError when max_attempts is less than 1.
+    unimodular integer matrices, MAX_ATTEMPTS changes in all; the search
+    order is fixed so reports are reproducible. An attempt transforms only f
+    and X (the identity neither); C is transformed once, for the accepted
+    change. An attempt that hits the degree cap is skipped like an infinite
+    one, but the final error counts the two apart: only infinite attempts
+    are evidence that the zero is not isolated.
 
     A permutation A's ideal (f o A, (A^-1 X)_1 o A) renames (f, X_s), s the
     row with A[s][0] = 1, so it is infinite exactly when an earlier
@@ -229,12 +230,10 @@ def ensure_regular_sequence(problem: Problem, seed: int = 0,
     first. It may count as infinite a change that the completion would have
     stopped at the degree cap.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     infinite = capped = 0
     infinite_rows = set()  # the s of each permutation found infinite
     for attempts, A in enumerate(
-        _candidate_transforms(problem.nvars, seed, max_attempts), start=1
+        _candidate_transforms(problem.nvars, seed, MAX_ATTEMPTS), start=1
     ):
         perm = permutation_of(A)
         row = None if perm is None else perm.index(0)
@@ -321,8 +320,7 @@ def _pairing_signature(algebra, element: Polynomial, seed) -> SignatureResult:
                            [sum(m) for m in algebra.basis])
 
 
-def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
-               check_goodness: bool, build_deformation: bool) -> IndexReport:
+def _gsv_index(problem: Problem, real: bool, seed) -> IndexReport:
     """The GSV pipeline; the field decides only how the index is read off C0.
 
     seed drives the normalization search (None means 0) and, for the real
@@ -330,17 +328,13 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
     """
     _require_curve(problem)
     _check_tangency(problem.f, problem.X, problem.C)
-    norm = ensure_regular_sequence(
-        problem, seed=seed if seed is not None else 0, max_attempts=max_attempts
-    )
+    norm = ensure_regular_sequence(problem,
+                                   seed=seed if seed is not None else 0)
     B0, P = norm.algebra, norm.problem
     C0 = _c0_algebra(norm) if real else None  # the functional needs C0
     dim_C0 = C0.dim if real else _c0_dimension(norm)
     c1 = c_coefficient(jacobian(list(P.X), P.nvars), P.C)
     sig = _pairing_signature(C0, c1, seed) if real else None
-    goodness, deformation, defo_vars, defo_den = _optional_goodness(
-        problem, check_goodness, build_deformation
-    )
     return IndexReport(
         dim_B0=B0.dim,
         dim_B0_mod_DF=B0.dim - dim_C0,
@@ -349,39 +343,17 @@ def _gsv_index(problem: Problem, real: bool, seed, max_attempts: int,
         signature=sig,
         c1=c1,
         normalization=norm,
-        goodness=goodness,
-        deformation=deformation,
-        deformation_vars=defo_vars,
-        deformation_denominator=defo_den,
     )
 
 
-def complex_gsv_index(problem: Problem, seed: int = 0, max_attempts: int = 25,
-                      check_goodness: bool = False,
-                      build_deformation: bool = False) -> IndexReport:
+def complex_gsv_index(problem: Problem, seed: int = 0) -> IndexReport:
     """Complex index = dim C0 = dim B0 - dim O/(f, X_1, DF); no C0 is built."""
-    return _gsv_index(problem, False, seed, max_attempts, check_goodness,
-                      build_deformation)
+    return _gsv_index(problem, False, seed)
 
 
-def real_gsv_index(problem: Problem, seed: "int | None" = None,
-                   max_attempts: int = 25, check_goodness: bool = False,
-                   build_deformation: bool = False) -> IndexReport:
+def real_gsv_index(problem: Problem, seed: "int | None" = None) -> IndexReport:
     """Real index = signature of the pairing on C0 induced by an admissible l."""
-    return _gsv_index(problem, True, seed, max_attempts, check_goodness,
-                      build_deformation)
-
-
-def _optional_goodness(problem, check_goodness, build_deformation):
-    if not (check_goodness or build_deformation):
-        return None, None, None, None
-    result = is_good_sufficient(list(problem.f), problem.C)
-    if build_deformation and result.status == "satisfied":
-        return (result,) + construct_good_deformation(
-            list(problem.f), list(problem.X), problem.C, result,
-            var_names=problem.vars,
-        )
-    return result, None, None, None
+    return _gsv_index(problem, True, seed)
 
 
 def _map_report(g, real: bool, seed) -> IndexReport:

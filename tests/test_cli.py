@@ -43,10 +43,12 @@ from gsvindex.errors import (
 )
 from gsvindex.cli import _build_arg_parser
 
+from intersection_oracle import gsv_index, intersection_number
 from problems import (
     CORPUS_DIR,
     THREE_VARIABLE_MAPS,
     dk_problem,
+    hamiltonian_multiple,
     substitute_problem,
 )
 
@@ -383,10 +385,11 @@ def test_compute_shape_violation(tmp_path):
     assert code == EXIT_SHAPE
 
 
-def test_compute_normalization_failure(tmp_path):
+def test_compute_normalization_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 6)
     bad = tmp_path / "line.prob"
     bad.write_text("ring: x, y\nfield: complex\nf: x\nX: x; 0\nC: [1]\n")
-    code, out = cmd_compute(str(bad), max_attempts=6)
+    code, out = cmd_compute(str(bad))
     assert code == EXIT_NORMALIZATION
 
 
@@ -409,22 +412,80 @@ def _line_file(tmp_path):
     return str(path)
 
 
-def test_compute_max_attempts_one_tries_exactly_one(tmp_path):
-    code, out = cmd_compute(_line_file(tmp_path), max_attempts=1)
+def test_compute_max_attempts_one_tries_exactly_one(tmp_path, monkeypatch):
+    monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 1)
+    code, out = cmd_compute(_line_file(tmp_path))
     assert code == EXIT_NORMALIZATION
     assert "out of 1 " in out
     assert "(1 infinite, 0 capped" in out
 
 
-def test_compute_rejects_max_attempts_below_one(tmp_path, capsys):
-    path = _line_file(tmp_path)
-    for value in ("0", "-3"):
-        with pytest.raises(SystemExit) as info:
-            main(["compute", path, "--max-attempts", value])
-        assert info.value.code == EXIT_PARSE
-        assert "usage:" in capsys.readouterr().err
-    code, out = cmd_compute(path, max_attempts=0)
-    assert code == EXIT_PARSE and "--max-attempts" in out
+def test_compute_has_no_max_attempts_option(tmp_path, capsys):
+    # the search budget is the constant index.MAX_ATTEMPTS
+    with pytest.raises(SystemExit) as info:
+        main(["compute", _line_file(tmp_path), "--max-attempts", "3"])
+    assert info.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "unrecognized arguments: --max-attempts 3" in err
+
+
+def _hamiltonian_cases():
+    """(f, h) of the fixed cases of test_index's hamiltonian multiples and
+    of 12 seeded plane ones: f = x^a - y^b, and h with a nonzero linear
+    part and no common component with f."""
+    x3, y3, z3 = (Polynomial.variable(3, i) for i in range(3))
+    cases = [([x * x - y ** 3], x), ([x * x - y ** 3], y),
+             ([x ** 3 + y ** 5], x + y * y), ([x * y], x + y),
+             ([x ** 3 - x * y * y], x * x + y),
+             ([x * x * y + y ** 4], x * x - 2 * y ** 3),
+             ([z3 - x3 * y3, x3 * x3 - y3 * y3 + z3 ** 3], x3),
+             ([z3 - x3 * x3, x3 * y3], x3 + y3)]
+    rng = random.Random(25)
+    seeded = 0
+    while seeded < 12:
+        f = x ** rng.randint(2, 5) - y ** rng.randint(2, 5)
+        a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, -3), (3, 1)])
+        h = sum((rng.randint(-2, 2) * x ** i * y ** (k - i)
+                 for k in (2, 3) for i in range(k + 1)), a * x + b * y)
+        if intersection_number(f.terms, h.terms) is not None:
+            cases.append(([f], h))
+            seeded += 1
+    return cases
+
+
+def test_compute_composes_the_criterion_on_hamiltonian_multiples(tmp_path):
+    # X = h X_f with C = 0 satisfies the sufficient criterion and is its
+    # own deformation, and its GSV indices are those of the map (f, h) (see
+    # test_index's hamiltonian multiples): compute --check-good --deform
+    # must agree with el in both fields, and a plane complex index with
+    # the intersection oracle
+    for k, (f, h) in enumerate(_hamiltonian_cases()):
+        P = hamiltonian_multiple(f, h)
+        names = list(P.vars)
+        show = lambda ps: "; ".join(p.render(names) for p in ps)
+        zeros = "; ".join([", ".join(["0"] * len(f))] * len(f))
+        (tmp_path / f"g{k}.prob").write_text(
+            f"ring: {', '.join(names)}\ng: {show(f + [h])}\n")
+        for field in ("complex", "real"):
+            path = tmp_path / f"X{k}_{field}.prob"
+            path.write_text(f"ring: {', '.join(names)}\nfield: {field}\n"
+                            f"f: {show(f)}\nX: {show(P.X)}\nC: [{zeros}]\n")
+            code, out = cmd_compute(str(path), json_output=True,
+                                    check_good=True, deform=True)
+            assert code == EXIT_OK, (f, h, out)
+            doc = json.loads(out)
+            code, out = cmd_el(str(tmp_path / f"g{k}.prob"), json_output=True,
+                               mode=field)
+            assert code == EXIT_OK, (f, h, out)
+            assert doc["index"] == json.loads(out)["index"], (f, h, field)
+            assert doc["goodness"]["status"] == "satisfied"
+            assert doc["deformation"]["components"] == [
+                p.render(names) for p in P.X]
+            assert "denominator" not in doc["deformation"]
+            if field == "complex" and len(names) == 2:
+                oracle = gsv_index(f[0].terms, [c.terms for c in P.X])
+                assert doc["index"] == oracle, (f, h)
 
 
 def test_compute_regular_point_has_index_zero(tmp_path):

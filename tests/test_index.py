@@ -115,14 +115,15 @@ def test_normalization_identity_for_smooth_line():
     assert permutation_of(norm.transform) == (0, 1)
 
 
-def test_normalization_failure():
+def test_normalization_failure(monkeypatch):
+    monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 6)
     # X = (x, 0) is nowhere transverse on {x = 0}: (f, X1) = (x, x) is 1-dim
     p = Problem(
         vars=("x", "y"), f=(x,), X=(x, zero2), C=PolyMatrix(1, 1, [one2]),
         field="complex",
     )
     with pytest.raises(NormalizationError):
-        ensure_regular_sequence(p, max_attempts=6)
+        ensure_regular_sequence(p)
 
 
 def _line_problem():
@@ -133,22 +134,30 @@ def _line_problem():
     )
 
 
-def test_normalization_failure_counts_infinite_attempts():
+def test_normalization_failure_counts_infinite_attempts(monkeypatch):
+    monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 6)
     with pytest.raises(NormalizationError, match=r"\(6 infinite, 0 capped "):
-        ensure_regular_sequence(_line_problem(), max_attempts=6)
+        ensure_regular_sequence(_line_problem())
 
 
-def test_normalization_honours_max_attempts_of_one():
+def test_normalization_honours_max_attempts_of_one(monkeypatch):
+    monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 1)
     with pytest.raises(NormalizationError) as info:
-        ensure_regular_sequence(_line_problem(), max_attempts=1)
+        ensure_regular_sequence(_line_problem())
     assert "out of 1 " in str(info.value)
     assert "(1 infinite, 0 capped " in str(info.value)
 
 
-def test_normalization_rejects_max_attempts_below_one():
-    for limit in (0, -3):
-        with pytest.raises(ValueError):
-            ensure_regular_sequence(dk_problem(4, 3), max_attempts=limit)
+def test_index_entry_points_take_a_problem_and_a_seed_only():
+    # the criterion runs through is_good_sufficient and
+    # construct_good_deformation, and the search budget is MAX_ATTEMPTS
+    P = dk_problem(4, 3)
+    with pytest.raises(TypeError):
+        complex_gsv_index(P, check_goodness=True)
+    with pytest.raises(TypeError):
+        real_gsv_index(P, build_deformation=True)
+    with pytest.raises(TypeError):
+        ensure_regular_sequence(P, max_attempts=6)
 
 
 def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
@@ -158,6 +167,7 @@ def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
         raise DegreeCapExceededError("degree cap exceeded")
 
     monkeypatch.setattr(index_mod, "build_algebra", capped)
+    monkeypatch.setattr(index_mod, "MAX_ATTEMPTS", 3)
     # on dk(4,3), f = y (x^2 + y^2): the swap's y_1 divides f, which proves
     # that attempt infinite with no standard basis. No line divides the
     # cusp's f, so every attempt reaches the capped completion
@@ -165,7 +175,7 @@ def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
     for P, counts in ((dk_problem(4, 3), "(1 infinite, 2 capped "),
                       (cusp, "(0 infinite, 3 capped ")):
         with pytest.raises(NormalizationError) as info:
-            ensure_regular_sequence(P, max_attempts=3)
+            ensure_regular_sequence(P)
         message = str(info.value)
         assert counts in message
         assert "not isolated" not in message
@@ -198,9 +208,10 @@ def test_normalization_skips_permutations_that_rename_an_infinite_ideal(
     line = Problem(vars=("x", "y", "z"), f=(u, v), X=(u, v, zero3),
                    C=PolyMatrix(2, 2, [zero3] * 4), field="complex")
     builds.clear()
+    monkeypatch.setattr(index_mod, "MAX_ATTEMPTS", 8)
     with pytest.raises(NormalizationError,
                        match=r"out of 8 .*\(8 infinite, 0 capped "):
-        ensure_regular_sequence(line, max_attempts=8)
+        ensure_regular_sequence(line)
     assert len(builds) == 3
 
 

@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
     "InfiniteDimensionError", "JacobianZeroClassError", "LocalOrder",
     "MembershipWitness", "NormalizationError", "ParseError", "PolyMatrix",
     "Polynomial", "Problem", "ProblemFile", "QuotientAlgebra",
-    "ReportDocument", "ShapeError", "SignatureResult", "Staircase",
+    "ShapeError", "SignatureResult", "Staircase",
     "StandardBasis", "TangencyError", "VerificationError", "algebra",
     "annihilator_quotient", "build_algebra", "c_coefficient",
     "choose_linear_form", "cli", "complex_gsv_index",

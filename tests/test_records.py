@@ -47,9 +47,7 @@ RECORDS = [
     (CoordinateNormalization, [((1, 0), (0, 1)), PROBLEM, 1, None], {}),
     (GoodnessResult, ["unknown", (), (), None],
      {"minor_columns": (), "minors": (), "witnesses": None}),
-    (IndexReport, [3, 1, 2, 2, SIG, x, NORM, None, None, None, None],
-     {"goodness": None, "deformation": None, "deformation_vars": None,
-      "deformation_denominator": None}),
+    (IndexReport, [3, 1, 2, 2, SIG, x, NORM], {}),
     (LocalOrder, [3], {}),
     (StandardBasis, [ORDER, (x,), (x,), (), None], {"_certs": None}),
     (Staircase, [((1, 0),), ((0, 0),), True], {}),
@@ -63,8 +61,7 @@ FIELDS = {
                               "algebra"),
     GoodnessResult: ("status", "minor_columns", "minors", "witnesses"),
     IndexReport: ("dim_B0", "dim_B0_mod_DF", "dim_C0", "index", "signature",
-                  "c1", "normalization", "goodness", "deformation",
-                  "deformation_vars", "deformation_denominator"),
+                  "c1", "normalization"),
     LocalOrder: ("nvars",),
     StandardBasis: ("order", "generators", "basis", "_reducers", "_certs"),
     Staircase: ("leading_monomials", "basis_monomials", "finite"),
