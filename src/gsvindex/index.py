@@ -48,7 +48,6 @@ from .poly import (
     jacobian,
     linear_substitute,
     minor_det,
-    permutation_of,
     quotient,
     transform_vector_field,
 )
@@ -176,17 +175,28 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
 def _normalize_with(problem: Problem, A, attempts_used: int):
     """The normalization by A with its algebra B0.
 
-    Raises InfiniteDimensionError when B0 is infinite, unbuilt when y_1
-    divides some f_i (see ensure_regular_sequence), and
-    DegreeCapExceededError when the standard basis overruns the degree cap.
+    Raises InfiniteDimensionError when the hyperplane section {y_1 = 0} of
+    the curve is infinite, NormalizationError when B0 is infinite and that
+    section is not (see ensure_regular_sequence), and
+    DegreeCapExceededError when a standard basis overruns the degree cap.
     """
     change = LinearChange(A)
     curve = _substitute_curve(problem, change)
     f = next(curve)
-    if any(all(m[0] for m in p.terms) for p in f):
+    if any(all(m[0] for m in p.terms) for p in f):  # y_1 | f_i: no basis
         raise InfiniteDimensionError("y_1 divides some f_i")
     X = next(curve)
-    B0 = build_algebra(list(f) + [X[0]])
+    try:
+        B0 = build_algebra(list(f) + [X[0]])
+    except InfiniteDimensionError:
+        y1 = Polynomial.variable(problem.nvars, 0)
+        if quotient_dimension(list(f) + [y1]) == INFINITE:
+            raise
+        raise NormalizationError(
+            "the vector field vanishes on a branch of the curve, so its zero "
+            f"on the curve is not isolated (coordinate change {attempts_used}:"
+            " (f, X_1) is infinite and the section by y_1 = 0 is finite)"
+        ) from None
     if not change.is_identity:  # C only for a change whose B0 is finite
         C = PolyMatrix(problem.C.rows, problem.C.cols,
                        [linear_substitute(e, change) for e in problem.C.entries])
@@ -205,55 +215,44 @@ def ensure_regular_sequence(problem: Problem,
                             seed: int = 0) -> CoordinateNormalization:
     """Find coordinates in which (f_1, ..., f_q, X_1) is zero-dimensional.
 
-    Tries the identity, then all coordinate permutations, then seeded random
-    unimodular integer matrices, MAX_ATTEMPTS changes in all; the search
-    order is fixed so reports are reproducible. An attempt transforms only f
-    and X (the identity neither); C is transformed once, for the accepted
-    change. An attempt that hits the degree cap is skipped like an infinite
-    one, but the final error counts the two apart: only infinite attempts
-    are evidence that the zero is not isolated.
+    Needs Xf = Cf, which _gsv_index checks first. Tries the identity, then
+    all coordinate permutations, then seeded random unimodular integer
+    matrices, MAX_ATTEMPTS changes in all; the search order is fixed so
+    reports are reproducible. An attempt transforms only f and X (the
+    identity neither); C is transformed once, for the accepted change.
 
-    A permutation A's ideal (f o A, (A^-1 X)_1 o A) renames (f, X_s), s the
-    row with A[s][0] = 1, so it is infinite exactly when an earlier
-    permutation's with the same s was, and is then counted as infinite
-    without being built. A degree-cap outcome depends on the variable order
-    and is never carried over.
-
-    A change whose y_1 divides some transformed f_i counts as infinite with
-    no standard basis. V(y_1, f_j for j != i) lies in V(f) and has dimension
-    at least 1. So either V(f) has a component of dimension 2 or more, and
-    (f, X_1) is infinite, or that set holds a branch whose minimal prime P
-    contains y_1. As X(f) lies in (f), X preserves every minimal prime of
-    (f) (A. Seidenberg, Differential ideals in rings of finitely generated
-    type, Amer. J. Math. 89, 1967): X_1 = X(y_1) lies in P, and O/(f, X_1)
-    maps onto the infinite O/P. This needs Xf = Cf, which _gsv_index checks
-    first. It may count as infinite a change that the completion would have
-    stopped at the degree cap.
+    The hyperplane section I(f, y_1) = dim O/(f, y_1) decides each attempt.
+    As X(f) lies in (f), X preserves every minimal prime of (f) (A.
+    Seidenberg, Differential ideals in rings of finitely generated type,
+    Amer. J. Math. 89, 1967), so on a branch gamma of the curve X = a
+    gamma' and X_1 o gamma = a (y_1 o gamma)'. If I(f, y_1) is infinite,
+    either V(f) has a component of dimension 2 or more, which (f, X_1) cuts
+    in dimension 1 or more, or a branch lies in {y_1 = 0} and X_1 vanishes
+    on it: B0 is infinite, and the search moves on. If I(f, y_1) is finite,
+    no branch lies in {y_1 = 0}, so X_1 vanishes on a branch exactly when X
+    does: B0 is infinite exactly when X vanishes on a branch, whatever the
+    coordinates, and the search stops with that verdict. The section is
+    computed only once B0 is found infinite, and y_1 dividing some f_i
+    makes it infinite with no standard basis. A degree cap on either
+    standard basis is a limit: the attempt is counted and skipped.
     """
-    infinite = capped = 0
-    infinite_rows = set()  # the s of each permutation found infinite
+    capped = 0
     for attempts, A in enumerate(
         _candidate_transforms(problem.nvars, seed, MAX_ATTEMPTS), start=1
     ):
-        perm = permutation_of(A)
-        row = None if perm is None else perm.index(0)
-        if row in infinite_rows:
-            infinite += 1
-            continue
         try:
             return _normalize_with(problem, A, attempts)
         except InfiniteDimensionError:
-            infinite += 1
-            if row is not None:
-                infinite_rows.add(row)
+            pass
         except DegreeCapExceededError:
             capped += 1
-    verdict = ("the zero on the curve is likely not isolated" if not capped
-               else "attempts that hit the degree cap leave this undecided")
+    verdict = ("no hyperplane y_1 = 0 tried cuts the curve in a finite "
+               "section" if not capped else
+               f"{capped} hit the degree cap, a limit, and the hyperplanes "
+               "y_1 = 0 of the others cut the curve in infinite sections")
     raise NormalizationError(
         f"no coordinate change out of {attempts} made (f, X_1) "
-        f"zero-dimensional ({infinite} infinite, {capped} capped by the "
-        f"degree limit); {verdict}"
+        f"zero-dimensional: {verdict}"
     )
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import string
 import subprocess
 import sys
@@ -417,7 +418,58 @@ def test_compute_max_attempts_one_tries_exactly_one(tmp_path, monkeypatch):
     code, out = cmd_compute(_line_file(tmp_path))
     assert code == EXIT_NORMALIZATION
     assert "out of 1 " in out
-    assert "(1 infinite, 0 capped" in out
+    assert "no hyperplane y_1 = 0 tried cuts the curve" in out
+
+
+# X = (x, 0) vanishes on the line x = 0: on (xy) the identity and the swap
+# are refuted by f alone, and the first seeded change finds B0 infinite and
+# its section finite. On (xy, xz), the plane x = 0 meets every hyperplane
+# in a line, so no section is finite
+NORMALIZATION_VERDICTS = pytest.mark.parametrize("text, message, sections", [
+    ("ring: x, y\nfield: complex\nf: x*y\nX: x; 0\nC: [1]\n",
+     r"vanishes on a branch of the curve, so its zero on the curve is not "
+     r"isolated \(coordinate change [1-3]:", 1),
+    ("ring: x, y\nfield: complex\nf: x\nX: x; 0\nC: [1]\n",
+     r"vanishes on a branch of the curve, so its zero on the curve is not "
+     r"isolated \(coordinate change [1-3]:", 1),
+    ("ring: x, y, z\nfield: complex\nf: x*y; x*z\nX: x; 0; 0\n"
+     "C: [1, 0; 0, 1]\n",
+     r"no coordinate change out of 25 made \(f, X_1\) zero-dimensional: "
+     r"no hyperplane y_1 = 0 tried cuts the curve in a finite section", None),
+])
+
+
+@NORMALIZATION_VERDICTS
+def test_normalization_failures_state_what_was_proven(tmp_path, monkeypatch,
+                                                      text, message,
+                                                      sections):
+    import gsvindex.index as index_mod
+
+    calls, real_dimension = [], index_mod.quotient_dimension
+
+    def dimension(gens, *args, **kwargs):
+        calls.append(len(gens))
+        return real_dimension(gens, *args, **kwargs)
+
+    monkeypatch.setattr(index_mod, "quotient_dimension", dimension)
+    path = tmp_path / "case.prob"
+    path.write_text(text)
+    code, out = cmd_compute(str(path))
+    assert code == EXIT_NORMALIZATION
+    assert re.search(message, out), out
+    assert "likely" not in out
+    if sections is not None:
+        assert len(calls) == sections
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="V = {y^2 = 0} "
+                   "is not reduced, but no singular-locus test rejects it: "
+                   "the index is printed with exit 0")
+def test_double_line_is_not_an_isolated_curve_singularity(tmp_path):
+    path = tmp_path / "double.prob"
+    path.write_text("ring: x, y\nfield: real\nf: y^2\nX: x; 0\nC: [0]\n")
+    code, out = cmd_compute(str(path))
+    assert code == EXIT_SHAPE, out
 
 
 def test_compute_has_no_max_attempts_option(tmp_path, capsys):

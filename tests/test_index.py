@@ -134,18 +134,25 @@ def _line_problem():
     )
 
 
-def test_normalization_failure_counts_infinite_attempts(monkeypatch):
+def test_normalization_failure_on_the_line_is_a_proven_verdict(monkeypatch):
+    # the identity's y_1 = x divides f; after the swap (f, X_1) = (y_2, 0)
+    # is infinite while the section (y_2, y_1) is finite: X vanishes on the
+    # line, and the search stops there instead of trying four more changes
     monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 6)
-    with pytest.raises(NormalizationError, match=r"\(6 infinite, 0 capped "):
+    with pytest.raises(NormalizationError) as info:
         ensure_regular_sequence(_line_problem())
+    message = str(info.value)
+    assert "vanishes on a branch" in message and "not isolated" in message
+    assert "coordinate change 2:" in message
 
 
 def test_normalization_honours_max_attempts_of_one(monkeypatch):
     monkeypatch.setattr("gsvindex.index.MAX_ATTEMPTS", 1)
     with pytest.raises(NormalizationError) as info:
         ensure_regular_sequence(_line_problem())
-    assert "out of 1 " in str(info.value)
-    assert "(1 infinite, 0 capped " in str(info.value)
+    message = str(info.value)
+    assert "out of 1 " in message
+    assert "no hyperplane y_1 = 0 tried cuts the curve" in message
 
 
 def test_index_entry_points_take_a_problem_and_a_seed_only():
@@ -163,56 +170,53 @@ def test_index_entry_points_take_a_problem_and_a_seed_only():
 def test_normalization_failure_reports_degree_cap_as_a_limit(monkeypatch):
     import gsvindex.index as index_mod
 
-    def capped(gens):
+    def capped(gens, *args, **kwargs):
         raise DegreeCapExceededError("degree cap exceeded")
 
     monkeypatch.setattr(index_mod, "build_algebra", capped)
     monkeypatch.setattr(index_mod, "MAX_ATTEMPTS", 3)
-    # on dk(4,3), f = y (x^2 + y^2): the swap's y_1 divides f, which proves
-    # that attempt infinite with no standard basis. No line divides the
+    # on dk(4,3), f = y (x^2 + y^2): the swap's y_1 divides f, which makes
+    # that section infinite with no standard basis. No line divides the
     # cusp's f, so every attempt reaches the capped completion
     cusp = as_problem(x * x - y ** 3, (3 * x, 2 * y), 6 * one2)
-    for P, counts in ((dk_problem(4, 3), "(1 infinite, 2 capped "),
-                      (cusp, "(0 infinite, 3 capped ")):
+    for P, counts in ((dk_problem(4, 3), ": 2 hit the degree cap, "),
+                      (cusp, ": 3 hit the degree cap, ")):
         with pytest.raises(NormalizationError) as info:
             ensure_regular_sequence(P)
         message = str(info.value)
         assert counts in message
         assert "not isolated" not in message
+    # a cap on the section of an infinite B0 is a limit too: on the line
+    # the identity is refuted by f alone, and the swap's section is capped
+    monkeypatch.undo()
+    monkeypatch.setattr(index_mod, "quotient_dimension", capped)
+    monkeypatch.setattr(index_mod, "MAX_ATTEMPTS", 2)
+    with pytest.raises(NormalizationError) as info:
+        ensure_regular_sequence(_line_problem())
+    message = str(info.value)
+    assert ": 1 hit the degree cap, " in message
+    assert "not isolated" not in message
 
 
-def test_normalization_skips_permutations_that_rename_an_infinite_ideal(
-        monkeypatch):
-    import gsvindex.index as index_mod
+def test_normalization_accepts_the_first_candidate_with_a_finite_b0():
     from gsvindex.index import _normalize_with
 
-    builds, real_build = [], index_mod.build_algebra
-
-    def build(gens):
-        builds.append(1)
-        return real_build(gens)
-
-    monkeypatch.setattr(index_mod, "build_algebra", build)
     P = space_curve_problem(1)
     norm = ensure_regular_sequence(P)
-    # permutations 1 to 3 put x or y first, which divides f_2 = xy: each is
-    # infinite with no build, and the fourth, z first, is built
-    assert len(builds) == 1
+    # permutations 1 to 3 put x or y first, which divides f_2 = xy; the
+    # fourth, z first, is accepted
     A = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     assert norm == _normalize_with(P, A, 4)  # transform, problem, attempts
-    # (x, y) and X = (x, y, 0): every attempt is infinite; the six
-    # permutations pair up by s, so three of them are counted unbuilt. Of
-    # the other three, the two with x or y first are refuted unbuilt
+    # (x, y) and X = (x, y, 0): the curve is the z-axis, which every
+    # hyperplane y_1 = 0 of the search cuts in a point, and X vanishes on it
     u, v = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
     zero3 = Polynomial.zero(3)
+    one3 = Polynomial.one(3)
     line = Problem(vars=("x", "y", "z"), f=(u, v), X=(u, v, zero3),
-                   C=PolyMatrix(2, 2, [zero3] * 4), field="complex")
-    builds.clear()
-    monkeypatch.setattr(index_mod, "MAX_ATTEMPTS", 8)
-    with pytest.raises(NormalizationError,
-                       match=r"out of 8 .*\(8 infinite, 0 capped "):
+                   C=PolyMatrix(2, 2, [one3, zero3, zero3, one3]),
+                   field="complex")
+    with pytest.raises(NormalizationError, match="vanishes on a branch"):
         ensure_regular_sequence(line)
-    assert len(builds) == 3
 
 
 def test_normalization_general_change_for_sheared_node():
@@ -366,33 +370,27 @@ def test_attempts_transform_only_what_they_need(monkeypatch):
 
 
 def _reference_search(P, max_attempts=25):
-    """ensure_regular_sequence's (transform, attempts_used) or error text,
-    by building every candidate: no renaming skip and no refutation."""
+    """The (transform, attempts_used) that a search building every
+    candidate accepts, with no section test and no refutation; None when
+    no candidate's B0 is finite."""
     from gsvindex.index import _candidate_transforms
 
-    infinite = capped = 0
     for attempts, A in enumerate(
             _candidate_transforms(P.nvars, 0, max_attempts), start=1):
         Q = _reference_substitute_problem(P, A)
         try:
             build_algebra(list(Q.f) + [Q.X[0]])
-        except InfiniteDimensionError:
-            infinite += 1
-        except DegreeCapExceededError:
-            capped += 1
-        else:
-            return A, attempts
-    verdict = ("the zero on the curve is likely not isolated" if not capped
-               else "attempts that hit the degree cap leave this undecided")
-    return (f"no coordinate change out of {attempts} made (f, X_1) "
-            f"zero-dimensional ({infinite} infinite, {capped} capped by the "
-            f"degree limit); {verdict}")
+        except (InfiniteDimensionError, DegreeCapExceededError):
+            continue
+        return A, attempts
+    return None
 
 
 def test_refuting_y1_dividing_f_never_refutes_a_finite_candidate(monkeypatch):
     # a candidate whose y_1 divides some f_i is refuted with no standard
-    # basis; its (f, X_1) must be infinite, and the search must end where
-    # one that builds every candidate ends
+    # basis; its (f, X_1) must be infinite, and the search must accept what
+    # one that builds every candidate accepts. Where the search stops with
+    # a verdict or gives up, that one accepts nothing either
     import gsvindex.index as index_mod
     from gsvindex.index import _candidate_transforms, _normalize_with
 
@@ -421,9 +419,12 @@ def test_refuting_y1_dividing_f_never_refutes_a_finite_candidate(monkeypatch):
     problems += [_euler_problem(f, X, c, "complex") for f, X, c in (
         (x * y, (x, y), 2), (x * x - y ** 3, (3 * x, 2 * y), 6),
         (x ** 3 + y ** 5, (5 * x, 3 * y), 15), (x ** 3 - x * y * y, (x, y), 3))]
+    one3 = Polynomial.one(3)
     problems += [_line_problem(), Problem(
         vars=("x", "y", "z"), f=(x3, y3), X=(x3, y3, zero3),
-        C=PolyMatrix(2, 2, [zero3] * 4), field="complex")]
+        C=PolyMatrix(2, 2, [zero3] * 4), field="complex"), Problem(
+        vars=("x", "y", "z"), f=(x3 * y3, x3 * z3), X=(x3, zero3, zero3),
+        C=PolyMatrix(2, 2, [one3, zero3, zero3, one3]), field="complex")]
     refuted = built = 0
     for P in problems:
         monkeypatch.setattr(index_mod, "build_algebra", build)
@@ -443,8 +444,8 @@ def test_refuting_y1_dividing_f_never_refutes_a_finite_candidate(monkeypatch):
         try:
             norm = ensure_regular_sequence(P)
             got = norm.transform, norm.attempts_used
-        except NormalizationError as error:
-            got = str(error)
+        except NormalizationError:
+            got = None
         assert got == _reference_search(P)
     assert refuted and built
 
