@@ -175,9 +175,8 @@ def _candidate_transforms(nvars: int, seed: int, limit: int):
 def _normalize_with(problem: Problem, A, attempts_used: int):
     """The normalization by A with its algebra B0.
 
-    Raises InfiniteDimensionError when the hyperplane section {y_1 = 0} of
-    the curve is infinite, NormalizationError when B0 is infinite and that
-    section is not (see ensure_regular_sequence), and
+    Raises InfiniteDimensionError when the section by y_1 = 0 is infinite,
+    NormalizationError when only B0 is (see ensure_regular_sequence), and
     DegreeCapExceededError when a standard basis overruns the degree cap.
     """
     change = LinearChange(A)
@@ -186,11 +185,12 @@ def _normalize_with(problem: Problem, A, attempts_used: int):
     if any(all(m[0] for m in p.terms) for p in f):  # y_1 | f_i: no basis
         raise InfiniteDimensionError("y_1 divides some f_i")
     X = next(curve)
+    gens = list(f) + [X[0]]
     try:
-        B0 = build_algebra(list(f) + [X[0]])
+        B0 = build_algebra(gens)
     except InfiniteDimensionError:
-        y1 = Polynomial.variable(problem.nvars, 0)
-        if quotient_dimension(list(f) + [y1]) == INFINITE:
+        gens[-1] = Polynomial.variable(problem.nvars, 0)
+        if quotient_dimension(gens) == INFINITE:
             raise
         raise NormalizationError(
             "the vector field vanishes on a branch of the curve, so its zero "
@@ -221,20 +221,19 @@ def ensure_regular_sequence(problem: Problem,
     reports are reproducible. An attempt transforms only f and X (the
     identity neither); C is transformed once, for the accepted change.
 
-    The hyperplane section I(f, y_1) = dim O/(f, y_1) decides each attempt.
-    As X(f) lies in (f), X preserves every minimal prime of (f) (A.
-    Seidenberg, Differential ideals in rings of finitely generated type,
-    Amer. J. Math. 89, 1967), so on a branch gamma of the curve X = a
-    gamma' and X_1 o gamma = a (y_1 o gamma)'. If I(f, y_1) is infinite,
-    either V(f) has a component of dimension 2 or more, which (f, X_1) cuts
-    in dimension 1 or more, or a branch lies in {y_1 = 0} and X_1 vanishes
-    on it: B0 is infinite, and the search moves on. If I(f, y_1) is finite,
-    no branch lies in {y_1 = 0}, so X_1 vanishes on a branch exactly when X
-    does: B0 is infinite exactly when X vanishes on a branch, whatever the
-    coordinates, and the search stops with that verdict. The section is
-    computed only once B0 is found infinite, and y_1 dividing some f_i
-    makes it infinite with no standard basis. A degree cap on either
-    standard basis is a limit: the attempt is counted and skipped.
+    The section I(f, y_1) = dim O/(f, y_1) decides each attempt. As X(f)
+    lies in (f), X preserves every minimal prime of (f) (A. Seidenberg,
+    Differential ideals in rings of finitely generated type, Amer. J. Math.
+    89, 1967), so on a branch gamma of the curve X = a gamma' and
+    X_1 o gamma = a (y_1 o gamma)'. If I(f, y_1) is infinite, V(f) has a
+    component of dimension 2 or more, which X_1 = 0 cuts in dimension 1 or
+    more, or a branch in {y_1 = 0}, on which X_1 vanishes: B0 is infinite,
+    and the search moves on. Otherwise X_1 vanishes on a branch exactly
+    when X does, so B0 is infinite exactly when X vanishes on a branch, in
+    any coordinates, and the search stops with that verdict. The section
+    is computed only for an infinite B0; y_1 dividing some f_i makes it
+    infinite with no standard basis. A degree cap on either basis is a
+    limit: the attempt is counted and skipped.
     """
     capped = 0
     for attempts, A in enumerate(
