@@ -603,6 +603,15 @@ def test_el_non_isolated_zero_exits_4_in_both_modes(tmp_path, capsys):
         assert err == "error: the zero of the map is not isolated\n", mode
 
 
+def test_el_non_square_map_exits_3_in_both_modes(tmp_path, capsys):
+    path = tmp_path / "plane.prob"
+    path.write_text("ring: x, y, z\nfield: real\ng: x; y\n")
+    for mode in ("real", "complex"):
+        assert main(["el", str(path), "--mode", mode]) == EXIT_SHAPE
+        err = capsys.readouterr().err
+        assert err == "error: map has 2 components for 3 variables\n", mode
+
+
 def test_failed_internal_certificate_has_its_own_exit_code(tmp_path,
                                                            monkeypatch):
     def corrupt(self, p):
