@@ -13,7 +13,6 @@ from .errors import (
     DegreeCapExceededError,
     GsvError,
     InfiniteDimensionError,
-    JacobianZeroClassError,
     NormalizationError,
     ParseError,
     ShapeError,
@@ -35,8 +34,6 @@ from .localstd import (
     Staircase,
     StandardBasis,
     ideal_membership,
-    negdegrevlex,
-    normal_form,
     quotient_dimension,
     staircase,
     standard_basis,

@@ -3,10 +3,9 @@
 A record class declares its fields as class annotations, in order, with an
 optional default as the class attribute:
 
-    class Staircase(Record):
-        leading_monomials: tuple
-        basis_monomials: "tuple | None"
-        finite: bool = True
+    class GoodnessResult(Record):
+        status: str
+        minor_columns: tuple = ()
 
 Instances are built by position or keyword in field order and run the
 class's __post_init__, when it defines one, once the fields are set. A

@@ -50,7 +50,6 @@ from math import gcd, lcm
 from . import _linalg, localstd
 from .errors import InfiniteDimensionError
 from .poly import Polynomial
-from .localstd import Staircase, StandardBasis
 
 
 class ScaledColumns(tuple):
@@ -70,9 +69,9 @@ class ScaledColumns(tuple):
 class FiniteAlgebra:
     """Local quotient algebra with staircase basis b_1 = 1, b_2, ..., b_d."""
 
-    def __init__(self, sb: StandardBasis, stairs: Staircase, canonical):
+    def __init__(self, canonical: localstd.CanonicalQuotient):
         self._canon = canonical
-        self._set_up(stairs.basis_monomials, sb.basis[0].nvars)
+        self._set_up(canonical.basis_monomials, canonical.order.nvars)
 
     def _set_up(self, basis, nvars):
         """The core on an order ideal of monomials in descending local order."""
@@ -186,13 +185,13 @@ def build_algebra(gens) -> FiniteAlgebra:
     if not gens:
         raise InfiniteDimensionError("zero ideal has an infinite quotient")
     sb = localstd.standard_basis(gens, certify=False)
-    stairs, canonical = sb.quotient
-    if canonical is None:
+    stairs = localstd.staircase(sb)
+    if not stairs.finite:
         raise InfiniteDimensionError(
             "quotient is not finite dimensional: some variable has no pure "
             "power in the leading ideal"
         )
-    return FiniteAlgebra(sb, stairs, canonical)
+    return FiniteAlgebra(localstd.CanonicalQuotient(sb, stairs))
 
 
 class QuotientAlgebra(FiniteAlgebra):

@@ -38,7 +38,6 @@ from .errors import (
     DegreeCapExceededError,
     GsvError,
     InfiniteDimensionError,
-    JacobianZeroClassError,
     NormalizationError,
     ParseError,
     ShapeError,
@@ -330,12 +329,7 @@ def parse_problem_text(text: str, path: "str | None" = None) -> ProblemFile:
     if "g" in entries:
         if any(k in entries for k in ("f", "X", "C")):
             raise ParseError("'g' files must not declare f, X, or C")
-        g = polys("g")
-        if len(g) != len(variables):
-            raise ShapeError(
-                f"map has {len(g)} components for {len(variables)} variables"
-            )
-        return ProblemFile(path=path, problem=None, map_components=g,
+        return ProblemFile(path=path, problem=None, map_components=polys("g"),
                            variables=variables, field=field)
 
     for key in ("f", "X", "C"):
@@ -504,8 +498,8 @@ EXIT_CERTIFICATE = 6  # compute/el: an internal certificate failed
 _EXIT_CODES = (
     ((ParseError, OSError, UnicodeDecodeError), EXIT_PARSE),
     ((ShapeError,), EXIT_SHAPE),
-    ((NormalizationError, InfiniteDimensionError, DegreeCapExceededError,
-      JacobianZeroClassError), EXIT_NORMALIZATION),
+    ((NormalizationError, InfiniteDimensionError, DegreeCapExceededError),
+     EXIT_NORMALIZATION),
     ((TangencyError,), EXIT_TANGENCY),
     ((CertificateError,), EXIT_CERTIFICATE),
     ((C1ClassZeroError, VerificationError), EXIT_FAILURE),

@@ -50,11 +50,9 @@ class DegreeCapExceededError(GsvError):
 
 
 class C1ClassZeroError(GsvError):
-    """The trace coefficient projects to zero although dim C0 > 0."""
-
-
-class JacobianZeroClassError(GsvError):
-    """det(Dg) vanishes in Q_g: the zero is not algebraically isolated."""
+    """The distinguished class (c1, or det Dg of a map germ) projects to zero
+    in a nonzero algebra: an internal inconsistency, never a property of
+    the input (for a map germ, Eisenbud-Levine: det Dg spans the socle)."""
 
 
 class VerificationError(GsvError):

@@ -30,10 +30,8 @@ from .algebra import (
     build_algebra,
 )
 from .errors import (
-    C1ClassZeroError,
     DegreeCapExceededError,
     InfiniteDimensionError,
-    JacobianZeroClassError,
     NormalizationError,
     ShapeError,
     TangencyError,
@@ -360,12 +358,14 @@ def _map_report(g, real: bool, seed) -> IndexReport:
     The complex (Poincare-Hopf) index is dim Q, by one standard basis and no
     algebra; the real (Eisenbud-Levine) index is the signature of the
     pairing on Q positive on det Dg, with seed as for real_gsv_index. Q is
-    zero where g does not vanish, with index 0.
+    zero where g does not vanish, with index 0. det Dg spans the socle of a
+    nonzero Q (Eisenbud-Levine), so a zero class of it is C1ClassZeroError.
     """
     g = list(g)
     n = len(g)
     if not g or g[0].nvars != n:
-        raise ShapeError("the map must be square (n components in n variables)")
+        raise ShapeError(f"map has {n} components"
+                         + (f" for {g[0].nvars} variables" if g else ""))
     not_isolated = "the zero of the map is not isolated"
     if not real:
         dim = quotient_dimension(g)
@@ -379,12 +379,7 @@ def _map_report(g, real: bool, seed) -> IndexReport:
     except InfiniteDimensionError:
         raise InfiniteDimensionError(not_isolated) from None
     Jg = minor_det(jacobian(g, n), range(n), range(n))
-    try:
-        sig = _pairing_signature(Q, Jg, seed)
-    except C1ClassZeroError:
-        raise JacobianZeroClassError(
-            "the Jacobian determinant vanishes in the quotient algebra"
-        ) from None
+    sig = _pairing_signature(Q, Jg, seed)
     return IndexReport(dim_B0=Q.dim, dim_B0_mod_DF=None, dim_C0=None,
                        index=sig.signature, signature=sig, c1=None,
                        normalization=None)

@@ -55,7 +55,8 @@ fraction-free reduction, as in the row steps of _linalg; Geddes, Czapor,
 Labahn, Algorithms for Computer Algebra, ch. 9).
 
 Those term maps are keyed by packed monomials, one int each (Monagan,
-Pearce, CASC 2007), in the one local order, negdegrevlex. LocalOrder.key
+Pearce, CASC 2007), in the one local order, the negative degree reverse
+lexicographic one. LocalOrder.key
 gives the code -(d B^n + sum e_i B^i) for x^e of degree d in n variables,
 B = 2^WIDTH: comparing codes as ints is the order, the code of a product
 is the sum and that of 1 is 0, so lm(h) is max(h), the term of highest
@@ -80,8 +81,7 @@ from operator import mul
 
 from ._linalg import common_denominator, integer_row, reduced
 from ._record import Record
-from .errors import (CertificateError, DegreeCapExceededError,
-                     InfiniteDimensionError)
+from .errors import CertificateError, DegreeCapExceededError
 from .poly import (
     Monomial,
     Polynomial,
@@ -102,9 +102,9 @@ DEGREE_LIMIT = 1 << (WIDTH - 1)  # the guard bit of a field
 
 
 class LocalOrder(Record):
-    """negdegrevlex in nvars variables; key is the code -(d B^n + sum e_i B^i)
-    of x^e of degree d (module docstring), so 1, of code 0, is the largest
-    monomial, and codes <= _floor have degree DEGREE_LIMIT or more."""
+    """The local order in nvars variables (module docstring): key is the code
+    -(d B^n + sum e_i B^i) of x^e of degree d, so 1, of code 0, is the
+    largest monomial, and codes <= _floor have degree DEGREE_LIMIT or more."""
 
     nvars: int
 
@@ -143,10 +143,6 @@ class LocalOrder(Record):
 def _past_limit(degree):
     return DegreeCapExceededError(f"monomial degree {degree} reaches the "
                                   f"packed-exponent limit 2^{WIDTH - 1}")
-
-
-def negdegrevlex(nvars: int) -> LocalOrder:
-    return LocalOrder(nvars=nvars)
 
 
 def _integer_terms(terms, order):
@@ -374,19 +370,15 @@ class StandardBasis(Record, hidden=("_reducers", "_certs")):
                             for c in coeffs))
                      for den, coeffs, tau in self._certs)
 
-    @cached_property
-    def quotient(self):
-        """(staircase, its CanonicalQuotient or None when infinite), built once."""
-        stairs = staircase(self)
-        return stairs, CanonicalQuotient(self, stairs) if stairs.finite else None
-
 
 class Staircase(Record):
     """Monomials outside the leading ideal of a standard basis."""
 
-    leading_monomials: tuple
     basis_monomials: "tuple | None"  # None when infinite
-    finite: bool
+
+    @property
+    def finite(self):
+        return self.basis_monomials is not None
 
     @property
     def dimension(self):
@@ -438,7 +430,7 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
     if not nonzero:
         raise ValueError("generators must not all be zero")
     n = nonzero[0][1].nvars
-    order = negdegrevlex(n)
+    order = LocalOrder(nvars=n)
     if degree_cap is None:
         degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
         degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
@@ -533,15 +525,9 @@ def staircase_monomials(lms, nvars):
 
 
 def staircase(sb: StandardBasis) -> Staircase:
-    lms = sb.leading_monomials
-    nvars = sb.basis[0].nvars
-    monos = staircase_monomials(lms, nvars)
-    if monos is None:
-        return Staircase(leading_monomials=lms, basis_monomials=None,
-                         finite=False)
-    ordered = tuple(sb.order.sort_descending(monos))
-    return Staircase(leading_monomials=lms, basis_monomials=ordered,
-                     finite=True)
+    monos = staircase_monomials(sb.leading_monomials, sb.order.nvars)
+    return Staircase(basis_monomials=None if monos is None
+                     else tuple(sb.order.sort_descending(monos)))
 
 
 def quotient_dimension(gens):
@@ -612,20 +598,6 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
     return True, witness
 
 
-def normal_form(p: Polynomial, sb: StandardBasis) -> Polynomial:
-    """The canonical staircase representative of the class of p in the
-    finite-dimensional localized quotient: no term is divisible by a basis
-    leading monomial, and it is 0 exactly when p lies in the localized
-    ideal. Raises InfiniteDimensionError when the quotient is infinite.
-    """
-    st, canonical = sb.quotient
-    if canonical is None:
-        raise InfiniteDimensionError("quotient is not finite dimensional")
-    ints, den = canonical.integer_coordinates(p)
-    return Polynomial._trusted(p.nvars, {
-        m: quotient(c, den) for c, m in zip(ints, st.basis_monomials) if c})
-
-
 class CanonicalQuotient:
     """Exact coordinates in a finite-dimensional localized quotient.
 
@@ -652,9 +624,9 @@ class CanonicalQuotient:
 
     def __init__(self, sb: StandardBasis, stairs: Staircase):
         self.order = order = sb.order
-        self.index = {order.key(m): i
-                      for i, m in enumerate(stairs.basis_monomials)}
-        self.delta = max(map(mono_degree, stairs.basis_monomials), default=-1)
+        self.basis_monomials = monos = stairs.basis_monomials
+        self.index = {order.key(m): i for i, m in enumerate(monos)}
+        self.delta = max(map(mono_degree, monos), default=-1)
         self._reducers = []
         for b, lm in zip(sb.basis, sb.leading_monomials):
             kept = _integer_terms({m: c for m, c in b.terms.items()

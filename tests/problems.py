@@ -4,10 +4,12 @@ as oracles on the public API.
 The Fraction references for socles and division in a finite algebra, and
 Gomez-Mont's signature-difference formula built on them, live here too: no
 code path of the package needs them, and the tests cross-check the real
-index against them.
+index against them. So does normal_form, the staircase representative of a
+class as a Polynomial, which the coordinate tests read.
 """
 
 import random
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -25,11 +27,14 @@ from gsvindex import (
     linear_substitute,
     minor_det,
     signature_of,
+    staircase,
     transform_vector_field,
     verify_tangency,
 )
 from gsvindex import _linalg
+from gsvindex.errors import InfiniteDimensionError
 from gsvindex.index import random_unimodular
+from gsvindex.localstd import CanonicalQuotient
 
 from reference_linalg import _ref_nullspace, _ref_rref, _ref_solve
 
@@ -37,6 +42,24 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 X2 = Polynomial.variable(2, 0)
 Y2 = Polynomial.variable(2, 1)
+
+
+def normal_form(sb):
+    """The normal form modulo the ideal of the standard basis sb, as a
+    function p -> the staircase representative of the class of p, a
+    Polynomial: the coordinates of one CanonicalQuotient, built here once,
+    on the staircase monomials. Raises InfiniteDimensionError when the
+    quotient is infinite."""
+    stairs = staircase(sb)
+    if not stairs.finite:
+        raise InfiniteDimensionError("quotient is not finite dimensional")
+    canonical = CanonicalQuotient(sb, stairs)
+
+    def reduce(p):
+        ints, den = canonical.integer_coordinates(p)
+        return Polynomial(p.nvars, {m: Fraction(c, den) for m, c
+                                    in zip(stairs.basis_monomials, ints)})
+    return reduce
 
 
 def dk_problem(k, m, field="complex"):

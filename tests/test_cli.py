@@ -36,7 +36,6 @@ from gsvindex.errors import (
     CertificateError,
     DegreeCapExceededError,
     InfiniteDimensionError,
-    JacobianZeroClassError,
     NormalizationError,
     ParseError,
     ShapeError,
@@ -637,7 +636,6 @@ def test_failed_internal_certificate_has_its_own_exit_code(tmp_path,
     (NormalizationError, EXIT_NORMALIZATION),
     (InfiniteDimensionError, EXIT_NORMALIZATION),
     (DegreeCapExceededError, EXIT_NORMALIZATION),
-    (JacobianZeroClassError, EXIT_NORMALIZATION),
     (CertificateError, EXIT_CERTIFICATE),
     (C1ClassZeroError, EXIT_FAILURE),
     (VerificationError, EXIT_FAILURE),
@@ -684,17 +682,18 @@ def test_verify_shipped_corpus():
     assert "FAIL" not in out
 
 
-def test_el_exits_with_the_jacobian_code_when_its_class_vanishes(monkeypatch):
-    # the Jacobian of a finite map germ never vanishes in its local algebra,
-    # so the class is zeroed by hand; the real path through the integer
-    # coordinates, choose_linear_form and _map_report then runs as is
+def test_el_fails_its_post_check_when_the_jacobian_class_vanishes(monkeypatch):
+    # the Jacobian of a finite map germ never vanishes in its local algebra
+    # (it spans the socle), so the class is zeroed by hand; the real path
+    # through the integer coordinates, choose_linear_form and _map_report
+    # then runs as is, and the zero class is an internal inconsistency
     from gsvindex.algebra import FiniteAlgebra
 
     monkeypatch.setattr(FiniteAlgebra, "_integer_coords",
                         lambda self, p: ([0] * self.dim, 1))
     code, out = cmd_el(str(CORPUS_DIR / "el_plane_quadratic_real.prob"))
-    assert code == EXIT_NORMALIZATION
-    assert out == "error: the Jacobian determinant vanishes in the quotient algebra\n"
+    assert code == EXIT_FAILURE
+    assert out == "error: the distinguished class projects to zero in the quotient\n"
 
 
 def test_verify_refuses_the_removed_jobs_option(capsys):

@@ -706,7 +706,7 @@ def test_map_indices_in_three_variables(text, ph, el):
 def test_map_indices_refuse_empty_and_non_square_maps():
     for g in ([], [x], [x, y, x * y]):
         for entry in (poincare_hopf_complex, eisenbud_levine_index):
-            with pytest.raises(ShapeError, match="the map must be square"):
+            with pytest.raises(ShapeError, match=r"^map has \d+ components"):
                 entry(g)
 
 

@@ -10,13 +10,12 @@ import pytest
 
 from gsvindex import (
     INFINITE,
+    LocalOrder,
     Polynomial,
     ideal_membership,
     jacobian,
     linear_substitute,
     minor_det,
-    negdegrevlex,
-    normal_form,
     quotient_dimension,
     staircase,
     standard_basis,
@@ -25,18 +24,18 @@ from gsvindex import (
 from gsvindex.errors import DegreeCapExceededError, InfiniteDimensionError
 from gsvindex.index import random_unimodular
 from gsvindex import _linalg, localstd
-from gsvindex.localstd import membership_by_basis
+from gsvindex.localstd import CanonicalQuotient, membership_by_basis
 from gsvindex.poly import mono_divides, mono_lcm, mono_mul
 
 from graded_oracle import staircase_count
-from problems import dk_problem
+from problems import dk_problem, normal_form
 
 x = Polynomial.variable(2, 0)
 y = Polynomial.variable(2, 1)
 
 
 def test_local_orders_make_one_largest():
-    order = negdegrevlex(2)
+    order = LocalOrder(2)
     assert order.key((0, 0)) > order.key((1, 0))
     assert order.key((1, 0)) > order.key((2, 0))
     assert order.key((1, 0)) > order.key((0, 1))  # x before y on ties
@@ -58,7 +57,7 @@ def test_packed_codes_match_the_tuple_orders():
     @hypothesis.given(st.data())
     def check(data):
         n = data.draw(st.integers(1, 4))
-        order = negdegrevlex(n)
+        order = LocalOrder(n)
         monos = st.lists(exponent, min_size=n, max_size=n).map(tuple)
         a = data.draw(monos)
         # a permutation of a is a tie within a degree
@@ -82,8 +81,8 @@ def test_degrees_at_the_packed_limit_raise():
     with pytest.raises(DegreeCapExceededError):
         standard_basis([x ** limit - y, y])
     with pytest.raises(DegreeCapExceededError):
-        negdegrevlex(2).key((limit - 1, 1))
-    order = negdegrevlex(2)
+        LocalOrder(2).key((limit - 1, 1))
+    order = LocalOrder(2)
     assert order.decode(order.key((limit - 1, 0))) == (limit - 1, 0)
     # y^2 -> x^K y -> x^2K: the weak normal form reaches the limit mid-way
     g = y - x ** (limit // 2)
@@ -141,26 +140,26 @@ def test_quotient_dimension_monomial_ideals_against_lattice_count():
 
 
 def test_normal_form_examples():
-    sb = standard_basis([y - x * x, x ** 3])
+    nf = normal_form(standard_basis([y - x * x, x ** 3]))
     # substitution oracle: y = x^2 reduces everything to univariate mod x^3
-    assert normal_form(y, sb) == x * x
-    assert normal_form(x ** 3, sb).is_zero
-    assert normal_form(y * y, sb).is_zero  # y^2 -> x^4 -> 0
-    assert normal_form(x * y, sb).is_zero  # x*y -> x^3 -> 0
-    proper = standard_basis([x, y])
-    assert normal_form(Polynomial.one(2), proper) == Polynomial.one(2)
+    assert nf(y) == x * x
+    assert nf(x ** 3).is_zero
+    assert nf(y * y).is_zero  # y^2 -> x^4 -> 0
+    assert nf(x * y).is_zero  # x*y -> x^3 -> 0
+    proper = normal_form(standard_basis([x, y]))
+    assert proper(Polynomial.one(2)) == Polynomial.one(2)
     for g in (y - x * x, x ** 3):
-        assert normal_form(g, sb).is_zero
+        assert nf(g).is_zero
 
 
 def test_normal_form_rejects_infinite_quotients():
     with pytest.raises(InfiniteDimensionError):
-        normal_form(y, standard_basis([y - x * x]))
+        normal_form(standard_basis([y - x * x]))
 
 
 def test_normal_form_idempotent():
     rng = random.Random(13)
-    sb = standard_basis([x * x * y + y ** 3, x ** 4])
+    nf = normal_form(standard_basis([x * x * y + y ** 3, x ** 4]))
     for _ in range(50):
         terms = {
             (rng.randint(0, 4), rng.randint(0, 4)): Fraction(
@@ -169,12 +168,13 @@ def test_normal_form_idempotent():
             for _ in range(4)
         }
         p = Polynomial(2, terms)
-        r = normal_form(p, sb)
-        assert normal_form(r, sb) == r
+        r = nf(p)
+        assert nf(r) == r
 
 
 def test_normal_form_terms_avoid_leading_ideal():
     sb = standard_basis([x * x * y + y ** 3, x ** 4])
+    nf = normal_form(sb)
     lead = set(sb.leading_monomials)
 
     def divisible(m):
@@ -189,7 +189,7 @@ def test_normal_form_terms_avoid_leading_ideal():
                 for _ in range(3)
             },
         )
-        r = normal_form(p, sb)
+        r = nf(p)
         assert not any(divisible(m) for m in r.terms)
 
 
@@ -218,7 +218,7 @@ def test_membership_requiring_unit_denominator():
 def test_membership_iff_normal_form_zero_for_finite_quotients():
     rng = random.Random(19)
     gens = [x * x - y * y, x * y]
-    sb = standard_basis(gens)
+    nf = normal_form(standard_basis(gens))
     for _ in range(60):
         p = Polynomial(
             2,
@@ -228,7 +228,7 @@ def test_membership_iff_normal_form_zero_for_finite_quotients():
             },
         )
         member, _ = ideal_membership(p, gens)
-        assert member == normal_form(p, sb).is_zero
+        assert member == nf(p).is_zero
 
 
 def test_lift_witnesses_verify():
@@ -330,8 +330,8 @@ def test_integer_coordinates_match_the_rank_table_reference():
     def check(gens, a, b, p):
         gens = gens + [x ** a, y ** b]
         sb = standard_basis(gens, certify=False)
-        stairs, canonical = sb.quotient
-        ints, den = canonical.integer_coordinates(p)
+        stairs = staircase(sb)
+        ints, den = CanonicalQuotient(sb, stairs).integer_coordinates(p)
         assert den > 0 and gcd(den, *ints) == 1
         assert [Fraction(c, den) for c in ints] == \
             _ref_coordinates(sb, stairs, p)
@@ -346,7 +346,7 @@ def test_degree_cap_guard():
     # the cap is keyword-only: a local order passed by position is refused,
     # never read as a cap
     with pytest.raises(TypeError):
-        standard_basis([x ** 4, y], negdegrevlex(2))
+        standard_basis([x ** 4, y], LocalOrder(2))
 
 
 def test_default_degree_cap_follows_the_generator_degrees():
@@ -419,24 +419,6 @@ def test_bases_and_witnesses_survive_pickle_and_deepcopy():
             True, witness)
     for back in (pickle.loads(pickle.dumps(witness)), copy.deepcopy(witness)):
         assert back == witness
-
-
-def test_normal_form_builds_one_canonical_quotient_per_basis(monkeypatch):
-    sb = standard_basis([x * x * y + y ** 7, x ** 6])
-    built = []
-    original = localstd.CanonicalQuotient.__init__
-
-    def counted(self, *args):
-        built.append(1)
-        original(self, *args)
-
-    monkeypatch.setattr(localstd.CanonicalQuotient, "__init__", counted)
-    results = [normal_form(x ** i * y ** (9 - i), sb) for i in range(10)]
-    assert len(built) == 1
-    fresh = standard_basis([x * x * y + y ** 7, x ** 6])
-    assert fresh == sb and "quotient" not in vars(fresh)
-    assert [normal_form(x ** i * y ** (9 - i), fresh)
-            for i in range(10)] == results
 
 
 # ------------------------------------------- integer kernels against Fraction
@@ -732,12 +714,13 @@ def test_boundary_coefficients_are_canonical():
             assert ok, name
             assert _is_canonical(witness.denominator), name
             assert all(map(_is_canonical, witness.coefficients)), name
-        if sb.quotient[1] is not None:
+        if staircase(sb).finite:
+            nf = normal_form(sb)
             for p in (_random_poly(rng, n, 3, 3), (5 * x + 7 * x * y).extend(n)):
-                assert _is_canonical(normal_form(p, sb)), name
+                assert _is_canonical(nf(p)), name
     # an integral ideal and probe: the normal form is all ints
     sb = standard_basis([x ** 3 - 2 * y * y, 3 * x * y + y ** 3])
-    r = normal_form(5 * x + 7 * x * y * y + 4 * y, sb)
+    r = normal_form(sb)(5 * x + 7 * x * y * y + 4 * y)
     assert r and all(type(c) is int for c in r.terms.values())
 
 
@@ -764,7 +747,7 @@ def test_integer_kernels_match_the_fraction_references():
     cases = [(name, gens, []) for name, gens in _kernel_ideals()]
     for name, gens, extra in cases + _goodness_ideals():
         n = gens[0].nvars
-        order = negdegrevlex(n)
+        order = LocalOrder(n)
         ref_basis, ref_lift = _ref_standard_basis(gens, order)
         sb = standard_basis(gens)
         assert sb.basis == ref_basis, name
@@ -783,9 +766,10 @@ def test_integer_kernels_match_the_fraction_references():
             if ok:
                 assert (witness.denominator, witness.coefficients) == \
                     _ref_witness_over_generators(sb, *ref[1:]), name
-        stairs, canonical = sb.quotient
-        if canonical is None:
+        stairs = staircase(sb)
+        if not stairs.finite:
             continue
+        canonical = CanonicalQuotient(sb, stairs)
         top = max(map(sum, stairs.basis_monomials)) + 1
         for p in probes + [_random_poly(rng, n, 8, top) for _ in range(4)]:
             assert _linalg.fractions(*canonical.integer_coordinates(p)) == \
@@ -800,7 +784,7 @@ def test_integer_weak_normal_form_stays_primitive():
     removed = 0
     for name, gens in _kernel_ideals():
         n = gens[0].nvars
-        order = negdegrevlex(n)
+        order = LocalOrder(n)
         T = [localstd._generator(localstd._integer_terms(g.terms, order)[0],
                                  order, i)
              for i, g in enumerate(gens)]
@@ -826,7 +810,7 @@ def test_integer_weak_normal_form_stays_primitive():
 
 def test_integer_completion_hits_the_degree_cap_where_the_reference_does():
     dk = _kernel_ideals()[2][1]  # passes from cap 16 on
-    order = negdegrevlex(2)
+    order = LocalOrder(2)
     for gens, caps in (([x * x * y + y ** 39, x ** 4], (8, 38, 75, 76, 77)),
                        ([x * y, y - x ** 70], (69, 70, 71)),
                        (dk, range(12, 18))):
@@ -875,7 +859,7 @@ def test_chain_criterion_leaves_a_standard_basis_and_its_staircase():
     # that of the completion that reduces every pair but the coprime ones
     for name, gens in _chain_criterion_ideals():
         n = gens[0].nvars
-        order = negdegrevlex(n)
+        order = LocalOrder(n)
         sb = standard_basis(gens, certify=False)
         basis, lms = list(sb.basis), sb.leading_monomials
         for (i, bi), (j, bj) in combinations(enumerate(basis), 2):

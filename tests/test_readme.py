@@ -30,7 +30,7 @@ TEST_ONLY_DEFINITIONS = {
 PUBLIC_NAMES = [
     "C1ClassZeroError", "CoordinateNormalization", "DegreeCapExceededError",
     "FiniteAlgebra", "GoodnessResult", "GsvError", "INFINITE", "IndexReport",
-    "InfiniteDimensionError", "JacobianZeroClassError", "LocalOrder",
+    "InfiniteDimensionError", "LocalOrder",
     "MembershipWitness", "NormalizationError", "ParseError", "PolyMatrix",
     "Polynomial", "Problem", "ProblemFile", "QuotientAlgebra",
     "ShapeError", "SignatureResult", "Staircase",
@@ -40,7 +40,7 @@ PUBLIC_NAMES = [
     "construct_good_deformation", "eisenbud_levine_index",
     "ensure_regular_sequence", "errors", "ideal_membership", "index",
     "is_good_sufficient", "jacobian", "linear_substitute", "localstd",
-    "minor_det", "negdegrevlex", "normal_form", "parse_poly",
+    "minor_det", "parse_poly",
     "parse_problem_file", "poincare_hopf_complex", "poly",
     "quotient_dimension", "real_gsv_index", "sigform", "signature_of",
     "staircase", "standard_basis", "transform_vector_field",

@@ -20,9 +20,8 @@ from gsvindex.localstd import (
     LocalOrder,
     MembershipWitness,
     StandardBasis,
+    INFINITE,
     Staircase,
-    negdegrevlex,
-    staircase,
     standard_basis,
 )
 from gsvindex.sigform import SignatureResult
@@ -50,7 +49,7 @@ RECORDS = [
     (IndexReport, [3, 1, 2, 2, SIG, x, NORM], {}),
     (LocalOrder, [3], {}),
     (StandardBasis, [ORDER, (x,), (x,), (), None], {"_certs": None}),
-    (Staircase, [((1, 0),), ((0, 0),), True], {}),
+    (Staircase, [((0, 0),)], {}),
     (MembershipWitness, [one, (zero,)], {}),
     (SignatureResult, [2, 1, 3], {}),
 ]
@@ -64,7 +63,7 @@ FIELDS = {
                   "c1", "normalization"),
     LocalOrder: ("nvars",),
     StandardBasis: ("order", "generators", "basis", "_reducers", "_certs"),
-    Staircase: ("leading_monomials", "basis_monomials", "finite"),
+    Staircase: ("basis_monomials",),
     MembershipWitness: ("denominator", "coefficients"),
     SignatureResult: ("p_plus", "p_minus", "rank"),
 }
@@ -138,10 +137,8 @@ def test_the_repr_text_of_small_records():
     assert repr(GoodnessResult(status="unknown")) == (
         "GoodnessResult(status='unknown', minor_columns=(), minors=(), "
         "witnesses=None)")
-    assert repr(Staircase(leading_monomials=((1, 0),), basis_monomials=None,
-                          finite=False)) == (
-        "Staircase(leading_monomials=((1, 0),), basis_monomials=None, "
-        "finite=False)")
+    assert repr(Staircase(basis_monomials=None)) == (
+        "Staircase(basis_monomials=None)")
 
 
 def test_records_of_different_classes_never_compare_equal():
@@ -152,7 +149,7 @@ def test_records_of_different_classes_never_compare_equal():
             assert (a != b) == (i != j)
     # equal field values in another class, or as a plain tuple, differ too
     assert SignatureResult(p_plus=1, p_minus=0, rank=1) != (1, 0, 1)
-    assert Staircase(leading_monomials=1, basis_monomials=0, finite=1) != SIG
+    assert Staircase(basis_monomials=3) != LocalOrder(nvars=3)
 
 
 def test_problem_and_local_order_check_their_fields():
@@ -167,8 +164,8 @@ def test_problem_and_local_order_check_their_fields():
     for order in (LocalOrder(3), LocalOrder(nvars=3)):
         assert order.key((0, 0, 0)) == 0
         assert order.decode(order.key((2, 1, 0))) == (2, 1, 0)
-        assert order != negdegrevlex(2)
-    assert LocalOrder(2) == negdegrevlex(2) == ORDER
+        assert order != ORDER
+    assert LocalOrder(2) == ORDER
 
 
 def test_hidden_fields_stay_out_of_equality_hash_and_repr():
@@ -207,15 +204,19 @@ def test_records_holding_a_poly_matrix_hash_by_value():
         assert len({a, b}) == 1 and {a: 1}[b] == 1
 
 
-def test_standard_basis_caches_its_lift_and_quotient():
+def test_standard_basis_caches_its_lift():
     sb = standard_basis([x * x - y ** 3, x * y])
     lift = sb.lift
     assert lift is not None and sb.lift is lift
-    stairs, quotient = sb.quotient
-    assert sb.quotient[0] is stairs and sb.quotient[1] is quotient
-    assert stairs == staircase(sb)
-    assert set(vars(sb)) >= {"lift", "quotient"}
+    assert "lift" in vars(sb)
     assert standard_basis([x * x - y ** 3, x * y], certify=False).lift is None
+
+
+def test_staircase_reads_finiteness_and_dimension_off_its_monomials():
+    finite = Staircase(basis_monomials=((0, 0), (1, 0)))
+    assert finite.finite and finite.dimension == 2
+    infinite = Staircase(basis_monomials=None)
+    assert not infinite.finite and infinite.dimension == INFINITE
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_hashlib():
