@@ -423,7 +423,8 @@ def test_compute_max_attempts_one_tries_exactly_one(tmp_path, monkeypatch):
 # X = (x, 0) vanishes on the line x = 0: on (xy) the identity and the swap
 # are refuted by f alone, and the first seeded change finds B0 infinite and
 # its section finite. On (xy, xz), the plane x = 0 meets every hyperplane
-# in a line, so no section is finite
+# in a line, so no section is finite. X = 0 on the line y = 0 makes X_1 the
+# zero polynomial: B0 is infinite and the section by x = 0 finite at once
 NORMALIZATION_VERDICTS = pytest.mark.parametrize("text, message, sections", [
     ("ring: x, y\nfield: complex\nf: x*y\nX: x; 0\nC: [1]\n",
      r"vanishes on a branch of the curve, so its zero on the curve is not "
@@ -431,6 +432,9 @@ NORMALIZATION_VERDICTS = pytest.mark.parametrize("text, message, sections", [
     ("ring: x, y\nfield: complex\nf: x\nX: x; 0\nC: [1]\n",
      r"vanishes on a branch of the curve, so its zero on the curve is not "
      r"isolated \(coordinate change [1-3]:", 1),
+    ("ring: x, y\nfield: complex\nf: y\nX: 0; 0\nC: [0]\n",
+     r"vanishes on a branch of the curve, so its zero on the curve is not "
+     r"isolated \(coordinate change 1:", 1),
     ("ring: x, y, z\nfield: complex\nf: x*y; x*z\nX: x; 0; 0\n"
      "C: [1, 0; 0, 1]\n",
      r"no coordinate change out of 25 made \(f, X_1\) zero-dimensional: "
@@ -594,12 +598,16 @@ def test_el_builds_one_standard_basis_per_mode(monkeypatch):
 
 
 def test_el_non_isolated_zero_exits_4_in_both_modes(tmp_path, capsys):
-    path = tmp_path / "line.prob"
-    path.write_text("ring: x, y\nfield: real\ng: x; x^2\n")
-    for mode in ("real", "complex"):
-        assert main(["el", str(path), "--mode", mode]) == EXIT_NORMALIZATION
-        err = capsys.readouterr().err
-        assert err == "error: the zero of the map is not isolated\n", mode
+    # a line of zeros, and the zero map, whose ideal is the zero ideal
+    for g in ("x; x^2", "0; 0"):
+        path = tmp_path / "line.prob"
+        path.write_text(f"ring: x, y\nfield: real\ng: {g}\n")
+        for mode in ("real", "complex"):
+            code = main(["el", str(path), "--mode", mode])
+            assert code == EXIT_NORMALIZATION, (g, mode)
+            err = capsys.readouterr().err
+            assert err == "error: the zero of the map is not isolated\n", (
+                g, mode)
 
 
 def test_el_non_square_map_exits_3_in_both_modes(tmp_path, capsys):
