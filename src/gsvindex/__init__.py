@@ -28,7 +28,6 @@ from .poly import (
     transform_vector_field,
 )
 from .localstd import (
-    INFINITE,
     LocalOrder,
     MembershipWitness,
     Staircase,

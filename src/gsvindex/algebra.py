@@ -48,7 +48,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import _linalg, localstd
-from .errors import InfiniteDimensionError
 from .poly import Polynomial
 
 
@@ -180,18 +179,10 @@ class FiniteAlgebra:
 
 
 def build_algebra(gens) -> FiniteAlgebra:
-    """Quotient algebra by (gens), with its variable multiplication matrices."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        raise InfiniteDimensionError("zero ideal has an infinite quotient")
+    """Quotient algebra by (gens), with its variable multiplication matrices;
+    InfiniteDimensionError (from localstd.staircase) when it is infinite."""
     sb = localstd.standard_basis(gens, certify=False)
-    stairs = localstd.staircase(sb)
-    if not stairs.finite:
-        raise InfiniteDimensionError(
-            "quotient is not finite dimensional: some variable has no pure "
-            "power in the leading ideal"
-        )
-    return FiniteAlgebra(localstd.CanonicalQuotient(sb, stairs))
+    return FiniteAlgebra(localstd.CanonicalQuotient(sb, localstd.staircase(sb)))
 
 
 class QuotientAlgebra(FiniteAlgebra):

@@ -37,7 +37,7 @@ from .errors import (
     TangencyError,
     VerificationError,
 )
-from .localstd import INFINITE, quotient_dimension
+from .localstd import quotient_dimension
 from .poly import (
     LinearChange,
     Polynomial,
@@ -188,8 +188,7 @@ def _normalize_with(problem: Problem, A, attempts_used: int):
         B0 = build_algebra(gens)
     except InfiniteDimensionError:
         gens[-1] = Polynomial.variable(problem.nvars, 0)
-        if quotient_dimension(gens) == INFINITE:
-            raise
+        quotient_dimension(gens)  # raises when the section is infinite
         raise NormalizationError(
             "the vector field vanishes on a branch of the curve, so its zero "
             f"on the curve is not isolated (coordinate change {attempts_used}:"
@@ -366,23 +365,19 @@ def _map_report(g, real: bool, seed) -> IndexReport:
     if not g or g[0].nvars != n:
         raise ShapeError(f"map has {n} components"
                          + (f" for {g[0].nvars} variables" if g else ""))
-    not_isolated = "the zero of the map is not isolated"
-    if not real:
-        dim = quotient_dimension(g)
-        if dim == INFINITE:
-            raise InfiniteDimensionError(not_isolated)
-        return IndexReport(dim_B0=dim, dim_B0_mod_DF=None, dim_C0=None,
-                           index=dim, signature=None, c1=None,
-                           normalization=None)
     try:
-        Q = build_algebra(g)
+        Q = build_algebra(g) if real else None
+        dim = Q.dim if real else quotient_dimension(g)
     except InfiniteDimensionError:
-        raise InfiniteDimensionError(not_isolated) from None
-    Jg = minor_det(jacobian(g, n), range(n), range(n))
-    sig = _pairing_signature(Q, Jg, seed)
-    return IndexReport(dim_B0=Q.dim, dim_B0_mod_DF=None, dim_C0=None,
-                       index=sig.signature, signature=sig, c1=None,
-                       normalization=None)
+        raise InfiniteDimensionError(
+            "the zero of the map is not isolated") from None
+    sig = None
+    if real:
+        Jg = minor_det(jacobian(g, n), range(n), range(n))
+        sig = _pairing_signature(Q, Jg, seed)
+    return IndexReport(dim_B0=dim, dim_B0_mod_DF=None, dim_C0=None,
+                       index=sig.signature if real else dim, signature=sig,
+                       c1=None, normalization=None)
 
 
 def poincare_hopf_complex(g) -> int:
@@ -412,14 +407,11 @@ def is_good_sufficient(f, C: PolyMatrix) -> GoodnessResult:
     minors = tuple(
         minor_det(Df, list(range(q)), list(cols)) for cols in columns
     )
-    sb = None  # one standard basis of the minors serves every entry
+    sb = localstd.standard_basis(minors)  # one basis serves every entry
     witnesses = {}
     for lrow in range(C.rows):
         for m in range(C.cols):
-            entry = C.entry(lrow, m)
-            if sb is None and not entry.is_zero:
-                sb = localstd.standard_basis(minors)
-            ok, witness = localstd.membership_by_basis(entry, sb, minors)
+            ok, witness = localstd.ideal_membership(C.entry(lrow, m), sb)
             if not ok:
                 return GoodnessResult(status="unknown")
             witnesses[(lrow, m)] = witness

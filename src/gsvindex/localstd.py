@@ -81,7 +81,11 @@ from operator import mul
 
 from ._linalg import common_denominator, integer_row, reduced
 from ._record import Record
-from .errors import CertificateError, DegreeCapExceededError
+from .errors import (
+    CertificateError,
+    DegreeCapExceededError,
+    InfiniteDimensionError,
+)
 from .poly import (
     Monomial,
     Polynomial,
@@ -91,8 +95,6 @@ from .poly import (
     mono_mul,
     quotient,
 )
-
-INFINITE = float("inf")
 
 DEGREE_CAP_FLOOR = 64
 
@@ -227,7 +229,7 @@ def _generator(poly, order, gen_index):
 def _weak_nf(h, T, order, certify):
     """Mora's weak normal form on integer term maps.
 
-    h is the input p, nonzero. T starts with the fixed reducers R_i
+    h is the input p. T starts with the fixed reducers R_i
     (gen_index = i) and gains the working polynomials that Mora's rule adds.
     Returns (h, den, vec, num, dnm) with
 
@@ -374,15 +376,7 @@ class StandardBasis(Record, hidden=("_reducers", "_certs")):
 class Staircase(Record):
     """Monomials outside the leading ideal of a standard basis."""
 
-    basis_monomials: "tuple | None"  # None when infinite
-
-    @property
-    def finite(self):
-        return self.basis_monomials is not None
-
-    @property
-    def dimension(self):
-        return len(self.basis_monomials) if self.finite else INFINITE
+    basis_monomials: tuple
 
 
 class MembershipWitness(Record):
@@ -402,9 +396,12 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
     DEGREE_CAP_FLOOR if that is larger: for n generators in n variables the
     product is Bezout's bound on the colength, which exceeds the staircase's
     top degree. Reaching the cap is a limit, not a verdict on the quotient.
+    Zero generators are allowed and skipped; the zero ideal has the empty
+    basis. Raises ValueError for no generators, or for generators that
+    live in rings of different numbers of variables.
 
     With certify true every basis element carries its lift over the
-    generators (membership_by_basis needs them). With certify false no lift
+    generators (ideal_membership needs them). With certify false no lift
     bookkeeping is done and `lift` is None; basis, leading monomials and
     staircase are the same. Quotient-algebra builds use that form.
 
@@ -426,11 +423,13 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
     over the rationals.
     """
     gens = tuple(gens)
-    nonzero = [(j, g) for j, g in enumerate(gens) if not g.is_zero]
-    if not nonzero:
-        raise ValueError("generators must not all be zero")
-    n = nonzero[0][1].nvars
+    if not gens:
+        raise ValueError("standard_basis needs at least one generator")
+    n = gens[0].nvars
+    if any(g.nvars != n for g in gens):
+        raise ValueError("polynomials live in different rings")
     order = LocalOrder(nvars=n)
+    nonzero = [(j, g) for j, g in enumerate(gens) if not g.is_zero]
     if degree_cap is None:
         degrees = sorted((g.total_degree() for _, g in nonzero), reverse=True)
         degree_cap = max(DEGREE_CAP_FLOOR, prod(degrees[:n]))
@@ -505,13 +504,18 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
 
 
 def staircase_monomials(lms, nvars):
-    """Monomials below the staircase of the leading ideal, or None if infinite.
+    """Monomials below the staircase of the leading ideal.
 
-    Walks the order ideal up from 1: a monomial below the staircase is
-    reached once, from its quotient by the last variable it involves.
+    Raises InfiniteDimensionError when there are infinitely many, that is,
+    when some variable has no pure power in the leading ideal. Walks the
+    order ideal up from 1: a monomial below the staircase is reached once,
+    from its quotient by the last variable it involves.
     """
     if len({i for m in lms for i in range(nvars) if m[i] == sum(m)}) < nvars:
-        return None  # some variable has no pure power in the leading ideal
+        raise InfiniteDimensionError(
+            "quotient is not finite dimensional: some variable has no pure "
+            "power in the leading ideal"
+        )
     out = []
     todo = [((0,) * nvars, 0)]  # (monomial, first variable it may be raised in)
     while todo:
@@ -525,36 +529,25 @@ def staircase_monomials(lms, nvars):
 
 
 def staircase(sb: StandardBasis) -> Staircase:
+    """The staircase of sb, in descending local order; InfiniteDimensionError
+    when it is infinite."""
     monos = staircase_monomials(sb.leading_monomials, sb.order.nvars)
-    return Staircase(basis_monomials=None if monos is None
-                     else tuple(sb.order.sort_descending(monos)))
+    return Staircase(basis_monomials=tuple(sb.order.sort_descending(monos)))
 
 
 def quotient_dimension(gens):
-    """Number of staircase monomials, or INFINITE."""
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return INFINITE
-    return staircase(standard_basis(gens, certify=False)).dimension
+    """Number of staircase monomials; InfiniteDimensionError when infinite."""
+    return len(staircase(standard_basis(gens, certify=False)).basis_monomials)
 
 
-def ideal_membership(p: Polynomial, gens):
-    """Decide p in (gens) localized at the origin; exact witness when true.
+def ideal_membership(p: Polynomial, sb: StandardBasis):
+    """Decide p in (gens) localized at the origin, for sb a standard basis of
+    gens = sb.generators; exact witness when true.
 
-    Returns (bool, MembershipWitness | None). The witness identity
-    denominator*p == sum coeff_j*gen_j is re-verified before returning.
-    """
-    sb = None if p.is_zero else standard_basis(gens)
-    return membership_by_basis(p, sb, gens)
-
-
-def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
-    """ideal_membership of p in (gens), given sb, a standard basis of (gens).
-
-    One basis built by the caller serves many tests; sb is not read (and may
-    be None) when p is zero. The witness is re-verified as in ideal_membership.
-    Raises ValueError when sb carries no lifts (built with certify=False), or
-    is None and p is nonzero.
+    Returns (bool, MembershipWitness | None). One basis built by the caller
+    serves many tests. The witness identity denominator*p == sum
+    coeff_j*gen_j is re-verified before returning. Raises ValueError when
+    sb carries no lifts (built with certify=False).
 
     The division runs in _weak_nf on p_int = k*p (k = kn/kd, as
     _integer_terms gives it) and on sb's reducers R_i = lc_i*b_i, b_i the
@@ -565,18 +558,9 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
     (den*P/(s*T), C_j/(s*k*T)), T the product of the tau_i over the support
     of u; it is decoded once.
     """
-    if sb is not None and sb._certs is None:
+    if sb._certs is None:
         raise ValueError("membership needs a standard basis built with lifts "
                          "(certify=True)")
-    gens = tuple(gens)
-    if p.is_zero:
-        n = p.nvars
-        return True, MembershipWitness(
-            denominator=Polynomial.one(n),
-            coefficients=tuple(Polynomial.zero(n) for _ in gens))
-    if sb is None:
-        raise ValueError("membership of a nonzero polynomial needs its "
-                         "standard basis")
     order, reducers, certs = sb.order, sb._reducers, sb._certs
     h0, kn, kd = _integer_terms(p.terms, order)
     h, den, vec, num, dnm = _weak_nf(h0, list(reducers), order, True)
@@ -591,7 +575,7 @@ def membership_by_basis(p: Polynomial, sb: "StandardBasis | None", gens):
                            for c in coeffs))
     lhs = witness.denominator * p
     rhs = Polynomial.zero(p.nvars)
-    for c, g in zip(witness.coefficients, gens):
+    for c, g in zip(witness.coefficients, sb.generators):
         rhs = rhs + c * g
     if lhs != rhs or witness.denominator.constant_term == 0:
         raise CertificateError("membership witness failed re-verification")

@@ -28,11 +28,11 @@ from gsvindex import (
     minor_det,
     signature_of,
     staircase,
+    standard_basis,
     transform_vector_field,
     verify_tangency,
 )
 from gsvindex import _linalg
-from gsvindex.errors import InfiniteDimensionError
 from gsvindex.index import random_unimodular
 from gsvindex.localstd import CanonicalQuotient
 
@@ -51,8 +51,6 @@ def normal_form(sb):
     on the staircase monomials. Raises InfiniteDimensionError when the
     quotient is infinite."""
     stairs = staircase(sb)
-    if not stairs.finite:
-        raise InfiniteDimensionError("quotient is not finite dimensional")
     canonical = CanonicalQuotient(sb, stairs)
 
     def reduce(p):
@@ -183,7 +181,8 @@ def cramer_identity_check(problem):
     for i in range(1, n + 1):
         mi = minor_det(Df, rows, [c for c in range(n) if c != i - 1])
         residual = mi.scale((-1) ** i) * problem.X[0] + DF * problem.X[i - 1]
-        if not residual.is_zero and not ideal_membership(residual, f)[0]:
+        if not residual.is_zero and not ideal_membership(
+                residual, standard_basis(f))[0]:
             return False
     return True
 
@@ -275,7 +274,7 @@ def gm_signature_index(f, X, c, seed=None):
         l, _ = choose_linear_form(rel, Polynomial(2, dict(zip(parent.basis, h))),
                                   seed=seed)
         sides.append(signature_of(rel.scaled_gram_matrix(l)).signature)
-    if ideal_membership(c, partials)[0]:
+    if ideal_membership(c, standard_basis(partials))[0]:
         assert sides[0] == 0, "c is in the gradient ideal, its side is not 0"
     return sides[1] - sides[0]
 

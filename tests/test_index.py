@@ -8,7 +8,6 @@ import pytest
 
 from gsvindex import (
     GoodnessResult,
-    INFINITE,
     MembershipWitness,
     Polynomial,
     PolyMatrix,
@@ -436,7 +435,8 @@ def test_refuting_y1_dividing_f_never_refutes_a_finite_candidate(monkeypatch):
             except InfiniteDimensionError:
                 refuted += 1
                 assert divides
-                assert quotient_dimension(list(Q.f) + [Q.X[0]]) == INFINITE
+                with pytest.raises(InfiniteDimensionError):
+                    quotient_dimension(list(Q.f) + [Q.X[0]])
             except Built:
                 built += 1
                 assert not divides
@@ -708,6 +708,20 @@ def test_map_indices_refuse_empty_and_non_square_maps():
         for entry in (poincare_hopf_complex, eisenbud_levine_index):
             with pytest.raises(ShapeError, match=r"^map has \d+ components"):
                 entry(g)
+
+
+def test_generators_from_different_rings_are_refused():
+    # x in two variables and y in three: an unchecked LocalOrder.key zips
+    # the longer exponent tuple against the shorter weights
+    x2, y3 = Polynomial.variable(2, 0), Polynomial.variable(3, 1)
+    for g in ([x2, y3], [y3, x2]):
+        with pytest.raises(ValueError, match="different rings"):
+            quotient_dimension(g)
+    with pytest.raises(ValueError, match="different rings"):
+        poincare_hopf_complex([x2, y3])
+    # a first component in three variables fails the map's shape check
+    with pytest.raises(ShapeError, match="2 components for 3 variables"):
+        poincare_hopf_complex([y3, x2])
 
 
 def test_map_indices_share_one_non_isolated_error(tmp_path):

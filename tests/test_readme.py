@@ -29,7 +29,7 @@ TEST_ONLY_DEFINITIONS = {
 # submodules it imports among them
 PUBLIC_NAMES = [
     "C1ClassZeroError", "CoordinateNormalization", "DegreeCapExceededError",
-    "FiniteAlgebra", "GoodnessResult", "GsvError", "INFINITE", "IndexReport",
+    "FiniteAlgebra", "GoodnessResult", "GsvError", "IndexReport",
     "InfiniteDimensionError", "LocalOrder",
     "MembershipWitness", "NormalizationError", "ParseError", "PolyMatrix",
     "Polynomial", "Problem", "ProblemFile", "QuotientAlgebra",
@@ -145,3 +145,19 @@ def test_every_package_definition_is_reached_from_the_package():
             if not (reached or dunder or label in TEST_ONLY_DEFINITIONS):
                 unused.append(f"{name}:{node.lineno} {label}")
     assert sorted(unused) == []
+
+
+def test_the_package_has_no_floating_point_numbers():
+    # README: "There are no floating-point numbers anywhere". poly refuses a
+    # float with isinstance(value, float), which names the type and does
+    # not call it
+    assert "no floating-point numbers anywhere" in README
+    found = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                found.append(f"{name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{name}:{node.lineno} float(...)")
+    assert found == []

@@ -9,7 +9,7 @@ import pytest
 
 from gsvindex import Polynomial, PolyMatrix, Problem, real_gsv_index
 from gsvindex.cli import ProblemFile, parse_problem_file
-from gsvindex.errors import ShapeError
+from gsvindex.errors import InfiniteDimensionError, ShapeError
 from gsvindex.index import (
     CoordinateNormalization,
     GoodnessResult,
@@ -20,8 +20,8 @@ from gsvindex.localstd import (
     LocalOrder,
     MembershipWitness,
     StandardBasis,
-    INFINITE,
     Staircase,
+    staircase,
     standard_basis,
 )
 from gsvindex.sigform import SignatureResult
@@ -212,11 +212,12 @@ def test_standard_basis_caches_its_lift():
     assert standard_basis([x * x - y ** 3, x * y], certify=False).lift is None
 
 
-def test_staircase_reads_finiteness_and_dimension_off_its_monomials():
-    finite = Staircase(basis_monomials=((0, 0), (1, 0)))
-    assert finite.finite and finite.dimension == 2
-    infinite = Staircase(basis_monomials=None)
-    assert not infinite.finite and infinite.dimension == INFINITE
+def test_staircase_raises_on_an_infinite_basis_and_is_a_tuple_otherwise():
+    finite = staircase(standard_basis([x * x, y]))
+    assert finite == Staircase(basis_monomials=((0, 0), (1, 0)))
+    assert type(finite.basis_monomials) is tuple
+    with pytest.raises(InfiniteDimensionError):
+        staircase(standard_basis([x * y]))
 
 
 def test_importing_the_package_loads_no_dataclasses_inspect_or_hashlib():
