@@ -161,6 +161,8 @@ class FiniteAlgebra:
 
     def coords(self, p: Polynomial):
         """Coordinates of the class of p in the staircase basis."""
+        if p.nvars != self.nvars:
+            raise ValueError("polynomials live in different rings")
         return _linalg.fractions(*self._integer_coords(p))
 
     def _product_columns(self, g: Polynomial):

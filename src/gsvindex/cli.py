@@ -45,7 +45,7 @@ from .errors import (
     VerificationError,
 )
 from .index import IndexReport, Problem
-from .poly import Polynomial, PolyMatrix
+from .poly import Polynomial, PolyMatrix, _accumulate
 
 # hashlib loads OpenSSL's libcrypto, about 3.8 MB of peak RSS and 4 ms of
 # start-up for one digest per report; the interpreter's own SHA-256 gives the
@@ -156,13 +156,8 @@ class _PolyParser:
         acc = dict(self.term().terms)
         while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
             sign = 1 if self.advance()[1] == "+" else -1
-            for m, c in self.term().terms.items():
-                s = acc.get(m, 0) + sign * c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return Polynomial(len(self.names), acc)
+            _accumulate(acc, self.term().terms, sign)
+        return Polynomial._trusted(len(self.names), acc)
 
     def term(self) -> Polynomial:
         p = self.factor()
@@ -344,8 +339,8 @@ def parse_problem_text(text: str, path: "str | None" = None) -> ProblemFile:
     width = len(centries[0])
     if any(len(r) != width for r in centries):
         raise ParseError("ragged tangency matrix", line=lineno)
-    C = PolyMatrix(len(centries), width,
-                   [e for row in centries for e in row])
+    C = PolyMatrix(rows=len(centries), cols=width,
+                   entries=[e for row in centries for e in row])
     problem = Problem(vars=variables, f=f, X=X, C=C, field=field)
     return ProblemFile(path=path, problem=problem, map_components=None,
                        variables=variables, field=field)
@@ -485,7 +480,7 @@ def _evaluate(pf: ProblemFile, field: str, seed, check_good=False,
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1  # verify: some expectation failed
-EXIT_FAILURE = 1  # compute/el: an internal check, not a certificate, failed
+EXIT_FAILURE = 1  # compute/el: a post-check, not a certificate, failed
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_NORMALIZATION = 4

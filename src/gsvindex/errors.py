@@ -51,8 +51,10 @@ class DegreeCapExceededError(GsvError):
 
 class C1ClassZeroError(GsvError):
     """The distinguished class (c1, or det Dg of a map germ) projects to zero
-    in a nonzero algebra: an internal inconsistency, never a property of
-    the input (for a map germ, Eisenbud-Levine: det Dg spans the socle)."""
+    in a nonzero algebra. For a map germ that is an internal inconsistency
+    (Eisenbud-Levine: det Dg spans the socle). For a tangent field it can be
+    the input: a field without the deformation property, such as the radial
+    field (x, y) on the node xy, where c1 = 0."""
 
 
 class VerificationError(GsvError):

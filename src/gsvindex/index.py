@@ -132,16 +132,6 @@ def verify_tangency(f, X, C: PolyMatrix):
     return all(r.is_zero for r in residuals), residuals
 
 
-def _substitute_curve(problem: Problem, change: LinearChange):
-    """f, then X, of problem in the coordinates y of the change z = A y; a
-    generator, so that a change refuted by f alone never transforms X."""
-    identity = change.is_identity
-    yield (problem.f if identity
-           else tuple(linear_substitute(p, change) for p in problem.f))
-    yield (problem.X if identity
-           else tuple(transform_vector_field(problem.X, change)))
-
-
 def random_unimodular(nvars: int, rng: random.Random):
     """Integer matrix with determinant +-1 (P * L * U with unit diagonals)."""
     L = _linalg.identity(nvars)
@@ -178,11 +168,13 @@ def _normalize_with(problem: Problem, A, attempts_used: int):
     DegreeCapExceededError when a standard basis overruns the degree cap.
     """
     change = LinearChange(A)
-    curve = _substitute_curve(problem, change)
-    f = next(curve)
+    identity = change.is_identity  # the identity transforms nothing
+    f = (problem.f if identity
+         else tuple(linear_substitute(p, change) for p in problem.f))
     if any(all(m[0] for m in p.terms) for p in f):  # y_1 | f_i: no basis
         raise InfiniteDimensionError("y_1 divides some f_i")
-    X = next(curve)
+    X = (problem.X if identity  # X only for a change that f leaves open
+         else tuple(transform_vector_field(problem.X, change)))
     gens = list(f) + [X[0]]
     try:
         B0 = build_algebra(gens)
@@ -194,9 +186,9 @@ def _normalize_with(problem: Problem, A, attempts_used: int):
             f"on the curve is not isolated (coordinate change {attempts_used}:"
             " (f, X_1) is infinite and the section by y_1 = 0 is finite)"
         ) from None
-    if not change.is_identity:  # C only for a change whose B0 is finite
-        C = PolyMatrix(problem.C.rows, problem.C.cols,
-                       [linear_substitute(e, change) for e in problem.C.entries])
+    if not identity:  # C only for a change whose B0 is finite
+        C = PolyMatrix(rows=problem.C.rows, cols=problem.C.cols, entries=[
+            linear_substitute(e, change) for e in problem.C.entries])
         problem = Problem(vars=problem.vars, f=f, X=X, C=C, field=problem.field)
     return CoordinateNormalization(
         transform=A, problem=problem, attempts_used=attempts_used, algebra=B0,
@@ -515,7 +507,7 @@ def construct_good_deformation(f, X, C: PolyMatrix, goodness: GoodnessResult,
     ok, _ = verify_tangency(
         [lift(fm) - tm for fm, tm in zip(f, tvar)],
         components + [Polynomial.zero(N)] * q,
-        PolyMatrix(q, q, [lift(U * c) for c in C.entries]),
+        PolyMatrix(rows=q, cols=q, entries=[lift(U * c) for c in C.entries]),
     )
     if not ok:
         raise VerificationError(

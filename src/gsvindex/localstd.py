@@ -545,9 +545,9 @@ def ideal_membership(p: Polynomial, sb: StandardBasis):
     gens = sb.generators; exact witness when true.
 
     Returns (bool, MembershipWitness | None). One basis built by the caller
-    serves many tests. The witness identity denominator*p == sum
-    coeff_j*gen_j is re-verified before returning. Raises ValueError when
-    sb carries no lifts (built with certify=False).
+    serves many tests. The witness identity denominator*p == sum coeff_j*gen_j
+    is re-verified before returning. Raises ValueError when sb carries no
+    lifts (built with certify=False) or p lives in another ring.
 
     The division runs in _weak_nf on p_int = k*p (k = kn/kd, as
     _integer_terms gives it) and on sb's reducers R_i = lc_i*b_i, b_i the
@@ -562,6 +562,8 @@ def ideal_membership(p: Polynomial, sb: StandardBasis):
         raise ValueError("membership needs a standard basis built with lifts "
                          "(certify=True)")
     order, reducers, certs = sb.order, sb._reducers, sb._certs
+    if p.nvars != order.nvars:
+        raise ValueError("polynomials live in different rings")
     h0, kn, kd = _integer_terms(p.terms, order)
     h, den, vec, num, dnm = _weak_nf(h0, list(reducers), order, True)
     if h:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from operator import add, le
 
 from . import _linalg
+from ._record import Record
 
 Monomial = tuple  # exponent tuple, length == nvars
 
@@ -59,6 +60,22 @@ def _positive(nvars):
 def _int_if_integral(c):
     """c with an integral Fraction turned into its int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _accumulate(out: dict, terms: dict, sign: int = 1) -> dict:
+    """out += sign * terms, in place, for term maps of canonical
+    coefficients and sign +-1: an integral Fraction sum becomes its int and
+    a zero sum is dropped. Returns out."""
+    get = out.get
+    for m, c in terms.items():
+        s = get(m, 0) + c if sign > 0 else get(m, 0) - c
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -161,29 +178,13 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) + c
-            if type(s) is Fraction and s.denominator == 1:
-                s = s.numerator
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return Polynomial._trusted(self.nvars, res)
+        return Polynomial._trusted(self.nvars,
+                                   _accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) - c
-            if type(s) is Fraction and s.denominator == 1:
-                s = s.numerator
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return Polynomial._trusted(self.nvars, res)
+        return Polynomial._trusted(self.nvars,
+                                   _accumulate(dict(self.terms), other.terms, -1))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted(self.nvars,
@@ -263,7 +264,7 @@ class Polynomial:
             raise ValueError("need one image per variable")
         tgt = images[0].nvars if images else self.nvars
         powers = [{0: Polynomial.one(tgt)} for _ in range(self.nvars)]
-        out = {}  # one term map, updated like __add__ would
+        out = {}  # one term map for the whole sum
         for m, c in self.terms.items():
             part = Polynomial.constant(tgt, c)
             for i, e in enumerate(m):
@@ -272,14 +273,7 @@ class Polynomial:
                     for k in range(len(cache), e + 1):
                         cache[k] = cache[k - 1] * images[i]
                     part = part * cache[e]
-            for mono, v in part.terms.items():
-                s = out.get(mono, 0) + v
-                if type(s) is Fraction and s.denominator == 1:
-                    s = s.numerator
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+            _accumulate(out, part.terms)
         return Polynomial._trusted(tgt, out)
 
     def _check_ring(self, other: "Polynomial"):
@@ -336,49 +330,26 @@ def default_names(nvars: int) -> "list[str]":
     return [f"x{i + 1}" for i in range(nvars)]
 
 
-class PolyMatrix:
+class PolyMatrix(Record):
     """Row-major rectangular matrix of polynomials in a common ring."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
+    def __post_init__(self):
+        entries = tuple(self.entries)
+        if len(entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
-        nv = {e.nvars for e in entries}
-        if len(nv) > 1:
+        if len({e.nvars for e in entries}) > 1:
             raise ValueError("entries live in different rings")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def __reduce__(self):
-        return PolyMatrix, (self.rows, self.cols, self.entries)
+        self.__dict__["entries"] = entries
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int):
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(e.render() for e in self.row(i)) for i in range(self.rows)
-        )
-        return f"PolyMatrix[{body}]"
 
 
 def jacobian(fs, nvars: int) -> PolyMatrix:
@@ -390,7 +361,7 @@ def jacobian(fs, nvars: int) -> PolyMatrix:
             raise ValueError("polynomial in the wrong ring")
         for j in range(nvars):
             entries.append(f.diff(j))
-    return PolyMatrix(len(fs), nvars, entries)
+    return PolyMatrix(rows=len(fs), cols=nvars, entries=entries)
 
 
 def minor_det(matrix: PolyMatrix, rows, cols) -> Polynomial:

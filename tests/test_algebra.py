@@ -113,6 +113,17 @@ def test_build_algebra_examples():
     assert build_algebra([x * x * y + y ** 3, x ** 4]).dim == 12
 
 
+def test_coordinates_refuse_a_polynomial_from_another_ring():
+    # unchecked, the third variable z of a longer ring read as 1, and a
+    # shorter ring's x as x too
+    A = build_algebra([x * x, y * y])
+    longer = Polynomial.variable(3, 2), Polynomial.variable(3, 0)
+    for p in (*longer, longer[0] + longer[1], Polynomial.variable(1, 0)):
+        with pytest.raises(ValueError, match="different rings"):
+            A.coords(p)
+    assert A.coords(x + one) == A.coords(one + x)
+
+
 def test_build_algebra_rejects_infinite():
     with pytest.raises(InfiniteDimensionError):
         build_algebra([y - x * x])

@@ -704,6 +704,17 @@ def test_el_fails_its_post_check_when_the_jacobian_class_vanishes(monkeypatch):
     assert out == "error: the distinguished class projects to zero in the quotient\n"
 
 
+def test_a_tangent_field_without_the_deformation_property_exits_1(tmp_path):
+    # the radial field on the node is tangent (Xf = 2f), but c1 = trace(DX)
+    # - trace(C) = 2 - 2 = 0, so its class vanishes in C0 of dimension 1:
+    # the input, not a fault of the computation, leads to this exit
+    path = tmp_path / "radial_node.prob"
+    path.write_text("ring: x, y\nfield: real\nf: x*y\nX: x; y\nC: [2]\n")
+    code, out = cmd_compute(str(path))
+    assert code == EXIT_FAILURE == 1
+    assert out == "error: the distinguished class projects to zero in the quotient\n"
+
+
 def test_verify_refuses_the_removed_jobs_option(capsys):
     # verify runs its cases one after another and takes no --jobs
     with pytest.raises(SystemExit) as info:

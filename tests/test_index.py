@@ -299,12 +299,9 @@ def _assert_same_terms(got, want):
 def test_substitution_matches_the_expanding_reference():
     # f and X as every attempt substitutes them, and C as the normalization
     # substitutes it for a change whose B0 is finite
-    from gsvindex.index import (
-        _candidate_transforms,
-        _normalize_with,
-        _substitute_curve,
-    )
-    from gsvindex.poly import LinearChange
+    from gsvindex.index import _candidate_transforms, _normalize_with
+    from gsvindex.poly import (LinearChange, linear_substitute,
+                               transform_vector_field)
 
     problems = [pf.problem for pf in map(parse_problem_file,
                                          sorted(CORPUS_DIR.glob("*.prob")))
@@ -316,7 +313,9 @@ def test_substitution_matches_the_expanding_reference():
         for seed in (0, 3):
             for A in _candidate_transforms(P.nvars, seed, 12):
                 want = _reference_substitute_problem(P, A)
-                f, X = _substitute_curve(P, LinearChange(A))
+                change = LinearChange(A)
+                f = tuple(linear_substitute(p, change) for p in P.f)
+                X = tuple(transform_vector_field(P.X, change))
                 _assert_same_terms(f + X, want.f + want.X)
                 try:
                     C = _normalize_with(P, A, 1).problem.C

@@ -424,6 +424,16 @@ def test_membership_needs_a_basis_with_lifts():
     assert ok
 
 
+def test_membership_refuses_a_polynomial_from_another_ring():
+    # unchecked, the third variable z of a longer ring read as not a member
+    sb = standard_basis([x * x, y * y])
+    x3, z3 = Polynomial.variable(3, 0), Polynomial.variable(3, 2)
+    for p in (z3, x3 * x3, Polynomial.variable(1, 0)):
+        with pytest.raises(ValueError, match="different rings"):
+            ideal_membership(p, sb)
+    assert ideal_membership(x * x, sb)[0]
+
+
 def test_bases_and_witnesses_survive_pickle_and_deepcopy():
     gens = _mixed_dk_ideal(2)
     sb = standard_basis(gens)

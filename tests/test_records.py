@@ -1,4 +1,4 @@
-"""The frozen-record contract of the package's ten result classes."""
+"""The frozen-record contract of the package's eleven record classes."""
 
 import os
 import subprocess
@@ -52,6 +52,7 @@ RECORDS = [
     (Staircase, [((0, 0),)], {}),
     (MembershipWitness, [one, (zero,)], {}),
     (SignatureResult, [2, 1, 3], {}),
+    (PolyMatrix, [1, 2, (x, y)], {}),
 ]
 FIELDS = {
     ProblemFile: ("path", "problem", "map_components", "variables", "field"),
@@ -66,6 +67,7 @@ FIELDS = {
     Staircase: ("basis_monomials",),
     MembershipWitness: ("denominator", "coefficients"),
     SignatureResult: ("p_plus", "p_minus", "rank"),
+    PolyMatrix: ("rows", "cols", "entries"),
 }
 HIDDEN = {CoordinateNormalization: ("algebra",),
           StandardBasis: ("_reducers", "_certs")}
