@@ -121,7 +121,7 @@ def test_coordinates_refuse_a_polynomial_from_another_ring():
     for p in (*longer, longer[0] + longer[1], Polynomial.variable(1, 0)):
         with pytest.raises(ValueError, match="different rings"):
             A.coords(p)
-    assert A.coords(x + one) == A.coords(one + x)
+    assert sorted(A.coords(x + one)) == [0, 0, 1, 1]  # basis 1, x, y, xy
 
 
 def test_build_algebra_rejects_infinite():
