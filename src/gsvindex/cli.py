@@ -18,6 +18,7 @@ Classical-map files declare `g:` instead of f/X/C. Polynomial grammar
 
 A '-' before a numeral is its sign: -3*x, x*-3 and 2--3 parse, and -3^2
 is 9. A '-' before anything else, as in -x or (-x), is a parse error.
+Parentheses nest at most MAX_NESTING deep; deeper nesting is a parse error.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ def _tokenize(text: str):
 PARSE_PRODUCT_BUDGET = 50_000
 
 MAX_DEGREE = 1_000_000  # of a term, checked before a product or power (exit 2)
+MAX_NESTING = 100  # depth of parentheses; each level costs 3 Python frames
 
 
 def _coefficient_words(p: Polynomial) -> int:
@@ -133,6 +135,7 @@ class _PolyParser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.budget = PARSE_PRODUCT_BUDGET
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -195,8 +198,13 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {value!r}", position=pos)
             p = Polynomial.variable(len(self.names), self.index_of[value])
         elif kind == "sym" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 position=pos)
             self.advance()
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             if self.peek()[:2] != ("sym", ")"):
                 self.fail("expected ')'")
             self.advance()
@@ -669,9 +677,18 @@ def _build_arg_parser(argv=()):
     return parser
 
 
+# Each command's parser (None: the full tree), built on first use and reused
+# by every later main call. It holds argparse configuration, never a computed
+# result, so no result depends on the calls made before it.
+_ARG_PARSERS = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = vars(_build_arg_parser(argv).parse_args(argv))
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    if named not in _ARG_PARSERS:
+        _ARG_PARSERS[named] = _build_arg_parser(argv)
+    args = vars(_ARG_PARSERS[named].parse_args(argv))
     command = {"compute": cmd_compute, "el": cmd_el,
                "verify": cmd_verify}[args.pop("command")]
     code, output = command(**args)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import string
@@ -206,6 +207,40 @@ def test_numerals_past_the_digit_bound_exit_2_on_every_python(tmp_path):
     # a digit that is not a decimal digit, such as a superscript, is no numeral
     with pytest.raises(ParseError, match="unexpected character"):
         parse_poly("x^\u00b2", ("x", "y"))
+
+
+def test_parentheses_nested_past_the_cap_exit_2(tmp_path, capsys):
+    # each level of parentheses costs the recursive-descent parser 3 frames;
+    # past MAX_NESTING the input is a parse error, never a RecursionError
+    cap = cli.MAX_NESTING
+
+    def nested(depth, text):
+        return "(" * depth + text + ")" * depth
+
+    assert parse_poly(nested(cap, "x + y"), ("x", "y")) == x + y
+    path = tmp_path / "deep.prob"
+    for depth in (cap, cap + 1, 1000):
+        want = EXIT_OK if depth == cap else EXIT_PARSE
+        path.write_text(f"ring: x, y\nfield: complex\nf: {nested(depth, 'y')}\n"
+                        "X: x; 0\nC: [0]\n")
+        assert main(["compute", str(path)]) == want, depth
+        path.write_text(f"ring: x, y\nfield: real\ng: {nested(depth, 'x^3')}; y\n")
+        assert main(["el", str(path)]) == want, depth
+        err = capsys.readouterr().err
+        assert (f"parentheses nested deeper than {cap} at column {cap + 1}"
+                in err) == (depth > cap)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for depth in (cap + 1, 1000):
+        (corpus / f"deep{depth}.prob").write_text(
+            f"ring: x, y\nfield: complex\nf: {nested(depth, 'y')}\n"
+            "X: x; 0\nC: [0]\n")
+        (corpus / f"deep{depth}.expect").write_text("index: 1\n")
+    code, out = cmd_verify(str(corpus))
+    assert code == EXIT_MISMATCH
+    assert out.count(f"bad problem file: in 'f': parentheses nested deeper "
+                     f"than {cap}") == 2
+    assert out.endswith("\n0/2 cases passed\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -866,6 +901,64 @@ def test_one_command_parser_reads_as_the_full_tree():
         assert _parser_outcome(_build_arg_parser(argv), argv) == full, argv
         assert full[0] is None or full[1] or "usage:" in full[2], argv
     assert _parser_outcome(_build_arg_parser(["el"]), ["compute", prob])[0] == 2
+
+
+def test_main_builds_each_command_parser_once(monkeypatch, tmp_path, capsys):
+    # importing the package builds no parser, and so loads no locale, which
+    # argparse's gettext imports on the first build
+    env = dict(os.environ, PYTHONPATH=str(CORPUS_DIR.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; import gsvindex, gsvindex.cli, gsvindex.index; "
+         "print(gsvindex.cli._ARG_PARSERS, 'locale' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{} False"
+    monkeypatch.setattr(cli, "_ARG_PARSERS", {})
+    built = []
+
+    def counted(argv=()):
+        built.append(argv[0] if argv else None)
+        return _build_arg_parser(argv)
+
+    monkeypatch.setattr(cli, "_build_arg_parser", counted)
+    for _ in range(3):
+        assert main(["compute", str(CORPUS_DIR / "smooth_line.prob")]) == EXIT_OK
+    assert built == ["compute"]
+    for _ in range(2):
+        assert main(["el", str(CORPUS_DIR / "el_odd_cube.prob"), "--json"]) == 0
+        assert main(["verify", str(tmp_path)]) == EXIT_OK
+        assert main(["compute", str(CORPUS_DIR / "smooth_line.prob")]) == EXIT_OK
+        for argv in ([], ["bogus"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+    assert built == ["compute", "el", "verify", None]
+    assert set(cli._ARG_PARSERS) == {"compute", "el", "verify", None}
+
+
+def _main_outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), help and errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parsers_answer_as_fresh_ones(monkeypatch):
+    # plain-text reports carry no timing, so two rounds must print the same;
+    # a parser reused after a SystemExit (help or an error) still parses
+    monkeypatch.setattr(cli, "_ARG_PARSERS", {})
+    prob = str(CORPUS_DIR / "smooth_line.prob")
+    sequence = [["compute", prob], ["el", str(CORPUS_DIR / "el_odd_cube.prob")],
+                ["verify", str(CORPUS_DIR)], ["compute", "-h"], ["compute"],
+                ["compute", prob, "--bogus"], ["bogus"], []]
+    first, second = ([_main_outcome(argv) for argv in sequence]
+                     for _ in range(2))
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2, 2]
+    assert first == second
 
 
 def test_problem_hash_is_of_the_bytes_that_were_parsed(tmp_path, monkeypatch):
