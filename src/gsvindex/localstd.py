@@ -18,10 +18,10 @@ basis element b_i comes with a row (denominator_i, coefficients) satisfying
 
     denominator_i * b_i == sum_j coefficients[j] * generators[j]
 
-exactly, with denominator_i(0) != 0, and membership witnesses have the
+exactly, with denominator_i(0) == 1, and membership witnesses have the
 same shape. Both are folded in the completion's integer term maps and
-decoded into Polynomials once. Witness identities are re-verified before
-being returned.
+decoded into Polynomials once, divided by their denominator's constant
+term. Witness identities are re-verified before being returned.
 A basis built only for its quotient (certify=False) skips that bookkeeping
 and carries no lifts; the basis itself is the same, because the
 certificates never steer a reduction. standard_basis does not re-verify
@@ -53,19 +53,24 @@ monic basis, lifts and witnesses handed back are identical to it. No
 coefficient gcd is paid per term, only one content per step (primitive
 fraction-free reduction, as in the row steps of _linalg; Geddes, Czapor,
 Labahn, Algorithms for Computer Algebra, ch. 9).
+A certified map's scale is the constant term of its denominator: lm(h)
+strictly decreases in _weak_nf, so a working polynomial in T is used later
+only with x^m, m != 0, which adds no constant term to den; den(0) starts at
+1 and, like the scale, is multiplied by each a and divided by each content.
+A certificate's den(0) is lc(h) times those of the candidates it folds
+over, so it is the scale too, by induction from the generators'.
 
 Those term maps are keyed by packed monomials, one int each (Monagan,
 Pearce, CASC 2007), in the one local order, the negative degree reverse
-lexicographic one. LocalOrder.key
-gives the code -(d B^n + sum e_i B^i) for x^e of degree d in n variables,
-B = 2^WIDTH: comparing codes as ints is the order, the code of a product
-is the sum and that of 1 is 0, so lm(h) is max(h), the term of highest
-degree min(h), and x^m g adds m to every key of g. a | b exactly when no
-field's top (guard) bit is set in the difference of the exponent parts,
-which holds while degrees stay below DEGREE_LIMIT = 2^(WIDTH-1); encoding,
-decoding and each _weak_nf step raise DegreeCapExceededError at or past
-it. Maps are encoded on entry and decoded into Polynomials; S-pair lcms
-use decoded monomials.
+lexicographic one. LocalOrder.key gives the code -(d B^n + sum e_i B^i)
+for x^e of degree d in n variables, B = 2^WIDTH: comparing codes as ints
+is the order, the code of a product is the sum and that of 1 is 0, so
+lm(h) is max(h), the term of highest degree min(h), and x^m g adds m to
+every key of g. a | b exactly when no field's top (guard) bit is set in
+the difference of the exponent parts, which holds while degrees stay
+below DEGREE_LIMIT = 2^(WIDTH-1); encoding, decoding and each _weak_nf
+step raise DegreeCapExceededError at or past it. Maps are encoded on
+entry and decoded into Polynomials; S-pair lcms use decoded monomials.
 
 CanonicalQuotient's truncated division is keyed by the same codes. A
 polynomial's terms above delta are dropped before they are encoded, so a
@@ -231,23 +236,19 @@ def _weak_nf(h, T, order, certify):
 
     h is the input p. T starts with the fixed reducers R_i
     (gen_index = i) and gains the working polynomials that Mora's rule adds.
-    Returns (h, den, vec, num, dnm) with
+    Returns (h, den, vec) with
 
         den*p == sum_i vec[i]*R_i + h
 
-    in integer term maps, and (h, den, vec) equal to num/dnm times what the
-    same loop over the rationals returns for p and the R_i. Each step
-    h <- a*h - b*x^m*g (module docstring) multiplies that scalar by a, and
-    dividing out the content divides it by the content. With certify, den
-    and vec take the same row operations and the content is taken over h,
-    den and vec together, so the identity survives; otherwise den and vec
-    are None and h is kept primitive.
+    in integer term maps. With certify, den and vec take h's row operations
+    and the content is taken over all three, so the identity survives and
+    (h, den, vec) is den(0) times the rational loop's (module docstring);
+    otherwise den and vec are None and h is kept primitive.
     """
     den = vec = None
     if certify:
         den = {0: 1}
         vec = [{}] * sum(t.gen_index is not None for t in T)
-    num = dnm = 1
     degree, guards = order.degree, order._guards
     while h:
         lm_h, top = max(h), degree(min(h))
@@ -268,7 +269,6 @@ def _weak_nf(h, T, order, certify):
             a, b = -a, -b
         m = lm_h - g.lm
         h = _combine(h, a, b, m, g.poly)
-        num *= a
         if certify:
             if g.gen_index is not None:
                 den = _scaled(den, a)
@@ -277,24 +277,21 @@ def _weak_nf(h, T, order, certify):
             else:
                 den = _combine(den, a, b, m, g.den)
                 vec = [_combine(v, a, b, m, gv) for v, gv in zip(vec, g.vec)]
-        c = _content(0, [h])
-        if certify and c != 1:
-            c = _content(c, [den, *vec])
+        c = _content(0, [h, den, *vec] if certify else [h])
         if c > 1:
             h = {k: v // c for k, v in h.items()}
             if certify:
                 den = {k: v // c for k, v in den.items()}
                 vec = [{k: x // c for k, x in v.items()} for v in vec]
-            dnm *= c
     if certify and not den.get(0):
         raise CertificateError("Mora certificate lost its unit denominator")
-    return h, den, vec, num, dnm
+    return h, den, vec
 
 
 def _fold_lifts(u, certs, ngens):
     """Rewrite a combination of basis candidates over the generators.
 
-    u[k] and the certs[k] = (den_k, coeffs_k, tau_k) are integer term maps,
+    u[k] and the certs[k] = (den_k, coeffs_k) are integer term maps,
     den_k * b_k == sum_j coeffs_k[j] * gens[j] for the monic candidate b_k.
     Returns (P, coeffs) with P the product of the den_k over the support of
     u and P * sum_k u[k] b_k == sum_j coeffs[j] * gens[j].
@@ -321,9 +318,8 @@ def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
     den*s == sum_k vec[k]*G_k + h for s = sum of a x^m G_k over s_terms,
     the (k, a, m) of the S-polynomial, so h = sum_k u_k G_k. G_k is lc_k
     times its monic candidate, whose certificate folds it over the
-    generators. Returns (den, coeffs, tau) as in standard_basis: tau =
-    lc(h) times the tau_k of the support, with the joint content divided
-    out, turns it into the lift of the monic h.
+    generators. Returns (den, coeffs) as in standard_basis, with their
+    joint content divided out: den(0) times the lift of the monic h.
     """
     u = [{m: -c for m, c in v.items()} for v in vec]
     for k, a, m in s_terms:
@@ -331,20 +327,18 @@ def _fold_certificate(lc_h, den, vec, s_terms, G, certs):
     u = [_scaled(uk, G[k].lc) for k, uk in enumerate(u)]
     total, coeffs = _fold_lifts(u, certs, len(certs[0][1]))
     den_h = _scaled(total, lc_h)
-    tau = lc_h * prod(certs[k][2] for k, uk in enumerate(u) if uk)
-    c = _content(tau, [den_h, *coeffs])
+    c = _content(0, [den_h, *coeffs])
     if c > 1:
         den_h = {m: v // c for m, v in den_h.items()}
         coeffs = [{m: v // c for m, v in w.items()} for w in coeffs]
-        tau //= c
-    return den_h, coeffs, tau
+    return den_h, coeffs
 
 
 class StandardBasis(Record, hidden=("_reducers", "_certs")):
     """Standard basis of a localized polynomial ideal, with lift witnesses.
 
     _reducers (the kept candidates as _Reducers) and, when certified, _certs
-    (their integer certificates (den, coeffs, tau), as in standard_basis)
+    (their integer certificates (den, coeffs), as in standard_basis)
     are the completion's integer forms, which membership divides and folds
     on. They take no part in equality or hashing.
 
@@ -367,10 +361,10 @@ class StandardBasis(Record, hidden=("_reducers", "_certs")):
     def lift(self):
         if self._certs is None:
             return None
-        return tuple((_rational_terms(self.order, den, 1, tau),
-                      tuple(_rational_terms(self.order, c, 1, tau)
+        return tuple((_rational_terms(self.order, den, 1, den[0]),
+                      tuple(_rational_terms(self.order, c, 1, den[0])
                             for c in coeffs))
-                     for den, coeffs, tau in self._certs)
+                     for den, coeffs in self._certs)
 
 
 class Staircase(Record):
@@ -416,11 +410,10 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
     already (reduced or dropped), so the S-polynomial of {i, j} is a
     combination of theirs with smaller terms (Gebauer, Moller, J. Symb.
     Comput. 6, 1988; Greuel-Pfister, ch. 1). The leading ideal, hence the
-    staircase, is that of the completion that drops no pair. Lifts
-    are kept as integer maps with one integer scale each. The basis is
-    turned into Polynomials once, at the end, and the lifts when `lift` is
-    first read; both equal the monic basis and the lifts of the same loop
-    over the rationals.
+    staircase, is that of the completion that drops no pair. Lifts are
+    integer maps, den(0) times the rational lift. The basis is decoded
+    once, at the end, and the lifts when `lift` is first read; both equal
+    the monic basis and the lifts of the same loop over the rationals.
     """
     gens = tuple(gens)
     if not gens:
@@ -436,9 +429,9 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
 
     G = []  # basis candidates as _Reducers on primitive integer term maps
     lms = []  # their leading monomials, decoded
-    # certs[k] = (den, coeffs, tau): integer term maps with
+    # certs[k] = (den, coeffs): integer term maps with
     # den * G_k == sum_j coeffs[j] * gens[j] for G_k the monic candidate,
-    # tau times its rational lift (den/tau, coeffs/tau)
+    # den(0) times its rational lift
     certs = []
     heap = []  # (degree of the lcm, t, k) for the pairs t < k
 
@@ -455,7 +448,7 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
             lc = g.terms[lms[-1]]
             coeffs = [{}] * len(gens)
             coeffs[j] = {0: lc.denominator}
-            certs.append(({0: lc.numerator}, coeffs, lc.numerator))
+            certs.append(({0: lc.numerator}, coeffs))
     # popped pairs, both ways round; (k, k) is never in it, so k = i and
     # k = j never pass the chain test
     treated = set()
@@ -477,7 +470,7 @@ def standard_basis(gens, *, degree_cap: "int | None" = None,
         s = _combine(_combine({}, 1, -al, mi, G[i].poly), 1, be, mj, G[j].poly)
         if not s:
             continue
-        h, den, vec, _, _ = _weak_nf(s, list(G), order, certify)
+        h, den, vec = _weak_nf(s, list(G), order, certify)
         if not h:
             continue
         lm = max(h)
@@ -551,12 +544,10 @@ def ideal_membership(p: Polynomial, sb: StandardBasis):
 
     The division runs in _weak_nf on p_int = k*p (k = kn/kd, as
     _integer_terms gives it) and on sb's reducers R_i = lc_i*b_i, b_i the
-    monic basis. With h = 0 it gives den*p_int == sum_i u_i*b_i, u_i =
-    vec_i*lc_i, with den s = num/dnm times the rational loop's, and
-    _fold_lifts turns that over the certificates into P*den*p_int == sum_j
-    C_j*gens[j]. With the lifts den_i/tau_i, the rational witness is
-    (den*P/(s*T), C_j/(s*k*T)), T the product of the tau_i over the support
-    of u; it is decoded once.
+    monic basis. With h = 0, _fold_lifts turns den*p_int == sum_i vec_i*R_i
+    over the certificates into D*p_int == sum_j C_j*gens[j]. D(0) is the
+    scale of den times those of the lifts (module docstring), so the
+    rational witness (D/D(0), C_j/(k*D(0))) is decoded once.
     """
     if sb._certs is None:
         raise ValueError("membership needs a standard basis built with lifts "
@@ -565,15 +556,15 @@ def ideal_membership(p: Polynomial, sb: StandardBasis):
     if p.nvars != order.nvars:
         raise ValueError("polynomials live in different rings")
     h0, kn, kd = _integer_terms(p.terms, order)
-    h, den, vec, num, dnm = _weak_nf(h0, list(reducers), order, True)
+    h, den, vec = _weak_nf(h0, list(reducers), order, True)
     if h:
         return False, None
     u = [_scaled(v, r.lc) for v, r in zip(vec, reducers)]
     total, coeffs = _fold_lifts(u, certs, len(sb.generators))
-    scale = num * prod(certs[i][2] for i, ui in enumerate(u) if ui)
+    D = _product(den, total)
     witness = MembershipWitness(
-        denominator=_rational_terms(order, _product(den, total), dnm, scale),
-        coefficients=tuple(_rational_terms(order, c, dnm * kd, scale * kn)
+        denominator=_rational_terms(order, D, 1, D[0]),
+        coefficients=tuple(_rational_terms(order, c, kd, D[0] * kn)
                            for c in coeffs))
     lhs = witness.denominator * p
     rhs = Polynomial.zero(p.nvars)

@@ -177,11 +177,15 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented  # scalars go through scale or constant
         self._check_ring(other)
         return Polynomial._trusted(self.nvars,
                                    _accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_ring(other)
         return Polynomial._trusted(self.nvars,
                                    _accumulate(dict(self.terms), other.terms, -1))
@@ -218,6 +222,8 @@ class Polynomial:
             m: _int_if_integral(c * v) for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        if type(exponent) is not int:
+            raise TypeError(f"exponent {exponent!r} is not an int")
         if exponent < 0:
             raise ValueError("negative power")
         result = Polynomial.one(self.nvars)
@@ -232,6 +238,8 @@ class Polynomial:
 
     def diff(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable `index`."""
+        if not 0 <= index < self.nvars:
+            raise ValueError(f"variable index {index} out of range")
         res = {}
         for m, c in self.terms.items():
             e = m[index]

@@ -705,15 +705,19 @@ def _kernel_ideals():
 
 def _uncertified_weak_nf(p, reducers, order):
     """The weak normal form of p by reducers, from _weak_nf run without a
-    certificate: it returns no den and no vec, and the reference's h."""
+    certificate: it returns no den and no vec, and the certified run's h
+    over its content. That h over its den(0) is the reference's h."""
     if p.is_zero:
         return p
     h0, kn, kd = localstd._integer_terms(p.terms, order)
     T = [localstd._generator(localstd._integer_terms(g.terms, order)[0],
                              order, i) for i, g in enumerate(reducers)]
-    h, den, vec, num, dnm = localstd._weak_nf(h0, T, order, False)
+    h, den, vec = localstd._weak_nf(h0, list(T), order, False)
     assert den is None and vec is None
-    return localstd._rational_terms(order, h, dnm * kd, num * kn)
+    certified, den, _ = localstd._weak_nf(h0, list(T), order, True)
+    c = localstd._content(0, [certified])
+    assert h == {k: v // c for k, v in certified.items()}
+    return localstd._rational_terms(order, certified, kd, den[0] * kn)
 
 
 def _is_canonical(p):
@@ -734,11 +738,13 @@ def test_boundary_coefficients_are_canonical():
         assert all(map(_is_canonical, sb.basis)), name
         for den, coeffs in sb.lift:
             assert _is_canonical(den) and all(map(_is_canonical, coeffs)), name
+            assert den.constant_term == 1, name
         for g in gens:
             p = g * _random_poly(rng, n, 2, 2)
             ok, witness = ideal_membership(p, sb)
             assert ok, name
             assert _is_canonical(witness.denominator), name
+            assert witness.denominator.constant_term == 1, name
             assert all(map(_is_canonical, witness.coefficients)), name
         if _is_finite(sb):
             nf = normal_form(sb)
@@ -803,9 +809,16 @@ def test_integer_kernels_match_the_fraction_references():
     assert members >= 2 * len(_kernel_ideals())  # the multiples of gens
 
 
-def test_integer_weak_normal_form_stays_primitive():
+def test_integer_weak_normal_form_stays_primitive(monkeypatch):
     # the working polynomial is a primitive integer multiple of the rational
     # one; with certify the content is taken over h, den and vec together
+    content, taken = localstd._content, []
+
+    def spy(g, maps):  # records every content _weak_nf takes
+        taken.append(content(g, maps))
+        return taken[-1]
+
+    monkeypatch.setattr(localstd, "_content", spy)
     rng = random.Random(12)
     removed = 0
     for name, gens in _kernel_ideals():
@@ -822,15 +835,14 @@ def test_integer_weak_normal_form_stays_primitive():
             1, T[0].lc, lcm - T[1].lm, T[1].poly)
         p = sum((g * _random_poly(rng, n, 3, 2) for g in gens),
                 _random_poly(rng, n, 3, 4))
-        c = localstd._content(0, [s])
+        c = content(0, [s])
         for h0 in ({m: v // c for m, v in s.items()},
                    localstd._integer_terms(p.terms, order)[0]):
             for certify in (True, False):
-                h, den, vec, _, dnm = localstd._weak_nf(h0, list(T), order,
-                                                        certify)
-                removed += dnm > 1
-                assert localstd._content(
-                    0, [h, den or {}] + (vec or [])) in (0, 1), name
+                taken.clear()
+                h, den, vec = localstd._weak_nf(h0, list(T), order, certify)
+                removed += not certify and max(taken, default=0) > 1
+                assert content(0, [h, den or {}] + (vec or [])) in (0, 1), name
     assert removed >= 3  # some runs had a content to remove
 
 

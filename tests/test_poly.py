@@ -164,6 +164,23 @@ def test_constructors_check_monomials_and_variable_counts():
             make()
 
 
+def test_operators_fail_with_typed_errors():
+    # a scalar is added through scale or Polynomial.constant, so + and - with
+    # one fail as 1 + x does; exponents are ints and indices are in range
+    for make in (lambda: x + 1, lambda: x - 1, lambda: x - Fraction(1, 2),
+                 lambda: 1 + x, lambda: 1 - x, lambda: x ** 1.5,
+                 lambda: x ** True, lambda: x ** Fraction(2)):
+        with pytest.raises(TypeError):
+            make()
+    z = Polynomial.variable(3, 0)
+    for make in (lambda: x + z, lambda: x - z, lambda: x.diff(2),
+                 lambda: x.diff(-1), lambda: x ** -1):
+        with pytest.raises(ValueError):
+            make()
+    assert x + Polynomial.constant(2, 1) == Polynomial(2, {(1, 0): 1, (0, 0): 1})
+    assert x ** 2 == x * x and x.diff(0) == Polynomial.one(2)
+
+
 def test_derivative_is_a_derivation():
     rng = random.Random(11)
     for _ in range(120):
