@@ -53,24 +53,24 @@ monic basis, lifts and witnesses handed back are identical to it. No
 coefficient gcd is paid per term, only one content per step (primitive
 fraction-free reduction, as in the row steps of _linalg; Geddes, Czapor,
 Labahn, Algorithms for Computer Algebra, ch. 9).
-A certified map's scale is the constant term of its denominator: lm(h)
-strictly decreases in _weak_nf, so a working polynomial in T is used later
-only with x^m, m != 0, which adds no constant term to den; den(0) starts at
-1 and, like the scale, is multiplied by each a and divided by each content.
-A certificate's den(0) is lc(h) times those of the candidates it folds
-over, so it is the scale too, by induction from the generators'.
+A certified map's scale is its den(0). In _weak_nf lm(h) strictly decreases,
+so a working polynomial that joins T is used later only with x^m, m != 0,
+which adds no constant term to den: den(0), from 1, is multiplied by each a
+and divided by each content, as the scale is. A certificate's den(0) is lc(h)
+times those of the candidates it folds over: its scale, by induction.
 
 Those term maps are keyed by packed monomials, one int each (Monagan,
 Pearce, CASC 2007), in the one local order, the negative degree reverse
-lexicographic one. LocalOrder.key gives the code -(d B^n + sum e_i B^i)
-for x^e of degree d in n variables, B = 2^WIDTH: comparing codes as ints
-is the order, the code of a product is the sum and that of 1 is 0, so
-lm(h) is max(h), the term of highest degree min(h), and x^m g adds m to
-every key of g. a | b exactly when no field's top (guard) bit is set in
-the difference of the exponent parts, which holds while degrees stay
-below DEGREE_LIMIT = 2^(WIDTH-1); encoding, decoding and each _weak_nf
-step raise DegreeCapExceededError at or past it. Maps are encoded on
-entry and decoded into Polynomials; S-pair lcms use decoded monomials.
+lexicographic one. LocalOrder.key
+gives the code -(d B^n + sum e_i B^i) for x^e of degree d in n variables,
+B = 2^WIDTH: comparing codes as ints is the order, the code of a product
+is the sum and that of 1 is 0, so lm(h) is max(h), the term of highest
+degree min(h), and x^m g adds m to every key of g. a | b exactly when no
+field's top (guard) bit is set in the difference of the exponent parts,
+which holds while degrees stay below DEGREE_LIMIT = 2^(WIDTH-1); encoding,
+decoding and each _weak_nf step raise DegreeCapExceededError at or past
+it. Maps are encoded on entry and decoded into Polynomials; S-pair lcms
+use decoded monomials.
 
 CanonicalQuotient's truncated division is keyed by the same codes. A
 polynomial's terms above delta are dropped before they are encoded, so a
